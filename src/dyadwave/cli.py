@@ -382,6 +382,16 @@ def _require_artifacts(art: Path, names) -> None:
             f"{art} is missing {', '.join(missing)}; run build first")
 
 
+def _load_artifact_json(path) -> dict:
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise MissingArtifact(f"cannot read {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise MissingArtifact(f"{path} does not hold a JSON object")
+    return payload
+
+
 def _load_matrix(path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", ndmin=2)
 
@@ -398,7 +408,7 @@ def cmd_verify(args) -> int:
                              "splines", "transitions"])
     space = load_space_json(art / "space.json")
     nets = load_nets_json(art / "nets.json")
-    stored = json.loads((art / "build_config.json").read_text())
+    stored = _load_artifact_json(art / "build_config.json")
     cfg = dict(CONFIG_DEFAULTS)
     cfg["tolerances"] = dict(CONFIG_DEFAULTS["tolerances"])
     for key, val in stored.get("config", {}).items():
@@ -440,7 +450,7 @@ def cmd_verify(args) -> int:
         trans_dev = max(trans_dev,
                         float(np.abs(loaded - system.transitions[k]).max()))
     B = _load_matrix(art / "basis_values.csv")
-    meta = json.loads((art / "basis.json").read_text())
+    meta = _load_artifact_json(art / "basis.json")
     rebuilt = basis.stacked()
     basis_dev = (float(np.abs(B - rebuilt).max())
                  if B.shape == rebuilt.shape else math.inf)
@@ -565,7 +575,7 @@ def cmd_analyze(args) -> int:
     _require_artifacts(art, ["space.json", "basis.json", "basis_values.csv"])
     space = load_space_json(art / "space.json")
     B = _load_matrix(art / "basis_values.csv")
-    meta = json.loads((art / "basis.json").read_text())
+    meta = _load_artifact_json(art / "basis.json")
     if not Path(args.signal).exists():
         raise MissingArtifact(f"signal file {args.signal} not found")
     signal = np.loadtxt(args.signal, delimiter=",", ndmin=1).ravel()
@@ -618,7 +628,7 @@ def cmd_boundary(args) -> int:
     _require_artifacts(art, ["space.json", "nets.json", "build_config.json"])
     space = load_space_json(art / "space.json")
     nets = load_nets_json(art / "nets.json")
-    stored = json.loads((art / "build_config.json").read_text())
+    stored = _load_artifact_json(art / "build_config.json")
     cfg = dict(CONFIG_DEFAULTS)
     for key, val in stored.get("config", {}).items():
         if key in cfg and key != "tolerances":

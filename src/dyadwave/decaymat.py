@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BadParams,
@@ -203,6 +202,8 @@ def extreme_eigs(matrix, tol: float = 1e-10, max_iter: int = 2000) -> dict:
     factor for the smallest; falls back to a dense eigensolve when either
     iteration stalls.
     """
+    import scipy.linalg
+
     M = np.asarray(matrix, dtype=float)
     n = M.shape[0]
     if not np.allclose(M, M.T, rtol=1e-10, atol=1e-12):

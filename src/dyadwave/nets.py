@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDelta, BadParams, TooLarge
+from .errors import BadDelta, BadParams, MissingArtifact, TooLarge
 from .space import QuasiMetricSpace
 
 ORDER_POLICIES = ("input_order", "farthest_first")
@@ -218,5 +218,8 @@ def save_nets_json(nets: NestedNets, path) -> None:
 
 
 def load_nets_json(path) -> NestedNets:
-    with open(path) as fh:
-        return nets_from_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            return nets_from_dict(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise MissingArtifact(f"cannot read nets file {path}: {exc!r}") from exc

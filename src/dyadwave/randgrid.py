@@ -7,6 +7,10 @@ then perturbs the skeleton: each level-k node may hand its identity to one
 of its children, and children reattach to the perturbed points when close
 enough.  Composing the perturbed parent relation yields a random partition
 of the space into cubes at every scale.
+
+A level has only (L+1)*M coordinates, so each level's perturbed parents
+and centers are enumerated once into a table, and every sampler composes
+rows of these tables into cube assignments for a whole batch of draws.
 """
 
 import math
@@ -15,19 +19,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.stats
 
 from .errors import InsufficientSamples, OrderViolation
 from .nets import NestedNets
 from .seeding import STREAM_BOUNDARY, STREAM_OMEGA, stream_rng
 from .space import QuasiMetricSpace
-
-
-@dataclass(frozen=True)
-class OmegaCoordinate:
-    k: int
-    ell: int
-    m: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,18 +43,14 @@ class GridLabels:
 
 
 @dataclass(frozen=True, eq=False)
-class RandomGrid:
-    omega: dict      # k -> (ell, m)
-    zpoints: dict    # k -> point index of the perturbed center per position
-    parent: dict     # k -> perturbed parent positions
+class LevelTable:
+    """Perturbed grid of one level transition for every coordinate (ell, m).
 
+    Row ``[ell, m - 1]`` holds what the coordinate (ell, m) gives.
+    """
 
-@dataclass(frozen=True, eq=False)
-class CubeAssignment:
-    assign: dict     # k -> cube position per point of the space
-
-    def members(self, k: int, alpha: int) -> np.ndarray:
-        return np.flatnonzero(self.assign[k] == alpha)
+    parents: np.ndarray   # (L+1, M, n_{k+1}) level-k parent positions
+    centers: np.ndarray   # (L+1, M, n_k) perturbed center points
 
 
 def transition_levels(nets: NestedNets):
@@ -139,7 +131,10 @@ def grid_labels(space: QuasiMetricSpace, nets: NestedNets,
             while c in used:
                 c += 1
             colors[a] = c
-        assert colors.max(initial=0) <= L
+        if colors.max(initial=0) > L:
+            raise OrderViolation(
+                f"level {k}: greedy coloring needs {colors.max() + 1} colors "
+                f"but the largest neighbour count is {L}")
         label1[k] = colors
         ranks = np.zeros(len(nets.levels[k + 1]), dtype=int)
         table = np.full((nc, M), -1, dtype=int)
@@ -152,91 +147,87 @@ def grid_labels(space: QuasiMetricSpace, nets: NestedNets,
     return GridLabels(L, M, label1, label2, child_by_rank, degrees)
 
 
-def sample_omega(labels: GridLabels, levels, seed: int, count: int | None = None):
-    """Draw uniform coordinates, one independent stream per level.
+def sample_omega(labels: GridLabels, levels, seed: int, count: int) -> dict:
+    """Draw ``count`` uniform coordinates per level, one stream per level.
 
-    With ``count=None`` returns {k: OmegaCoordinate}; otherwise
-    {k: (ell_array, m_array)} of length ``count``.
+    Returns {k: (ell_array, m_array)} with ell in 0..L and m in 1..M.
     """
-    single = count is None
-    size = 1 if single else int(count)
     out = {}
     for k in levels:
         rng = stream_rng(seed, STREAM_OMEGA, k)
-        ell = rng.integers(0, labels.L + 1, size=size)
-        m = rng.integers(1, labels.M + 1, size=size)
-        if single:
-            out[k] = OmegaCoordinate(int(k), int(ell[0]), int(m[0]))
-        else:
-            out[k] = (ell, m)
+        ell = rng.integers(0, labels.L + 1, size=count)
+        m = rng.integers(1, labels.M + 1, size=count)
+        out[k] = (ell, m)
     return out
-
-
-def _coord(omega, k):
-    c = omega[k]
-    if isinstance(c, OmegaCoordinate):
-        return c.ell, c.m
-    return int(c[0]), int(c[1])
-
-
-def zpoints_level(nets: NestedNets, labels: GridLabels, k: int,
-                  ell: int, m: int) -> np.ndarray:
-    """Perturbed centers at level k under coordinate (ell, m), as points."""
-    z = nets.levels[k].copy()
-    table = labels.child_by_rank[k]
-    sel = (labels.label1[k] == ell) & (table[:, m - 1] >= 0)
-    z[sel] = nets.levels[k + 1][table[sel, m - 1]]
-    return z
-
-
-def random_points(nets: NestedNets, labels: GridLabels, omega) -> dict:
-    return {k: zpoints_level(nets, labels, k, *_coord(omega, k))
-            for k in omega}
 
 
 def transition_parents(space: QuasiMetricSpace, nets: NestedNets,
                        ref: ReferenceOrder, labels: GridLabels,
-                       k: int, ell: int, m: int) -> np.ndarray:
-    """Perturbed parents for one level transition and one coordinate."""
-    z = zpoints_level(nets, labels, k, ell, m)
+                       k: int) -> LevelTable:
+    """Perturbed centers and parents of level k for every coordinate.
+
+    Under (ell, m) every level-k node colored ell hands its identity to its
+    m-th child, when it has one.  A child then attaches to the perturbed
+    center closer than delta^k / (4 a0^2), or keeps its reference parent;
+    two such centers for one child break the construction.
+    """
+    coarse = nets.levels[k]
     fine = nets.levels[k + 1]
-    thr = 0.25 * space.a0 ** -2 * nets.scale(k)
-    D = space.dist[np.ix_(fine, z)]
-    hits = D < thr
-    cnt = hits.sum(axis=1)
-    if np.any(cnt > 1):
-        raise OrderViolation(
-            f"level {k}: several perturbed centers capture one child")
-    par = ref.parent[k].copy()
-    cap = cnt == 1
-    par[cap] = np.argmax(hits[cap], axis=1)
-    return par
+    kids = labels.child_by_rank[k].T                      # (M, n_k)
+    colored = labels.label1[k] == np.arange(labels.L + 1)[:, None]
+    swap = colored[:, None, :] & (kids >= 0)[None]       # (L+1, M, n_k)
+    centers = np.where(swap, fine[kids], coarse)
+    near = space.dist[fine] < 0.25 * space.a0 ** -2 * nets.scale(k)
+    parents = np.empty(centers.shape[:2] + (len(fine),), dtype=np.intp)
+    for ell, m in np.ndindex(*centers.shape[:2]):
+        hits = near[:, centers[ell, m]]
+        cnt = hits.sum(axis=1)
+        if np.any(cnt > 1):
+            raise OrderViolation(
+                f"level {k}: several perturbed centers capture one child "
+                f"under coordinate ({ell}, {m + 1})")
+        par = ref.parent[k].copy()
+        cap = cnt == 1
+        par[cap] = np.argmax(hits[cap], axis=1)
+        parents[ell, m] = par
+    return LevelTable(parents, centers)
 
 
-def random_order(space: QuasiMetricSpace, nets: NestedNets, ref: ReferenceOrder,
-                 labels: GridLabels, omega) -> RandomGrid:
-    """Assemble the perturbed grid for one coordinate draw."""
-    zp = {}
-    parent = {}
-    om = {}
-    for k in sorted(omega):
-        ell, m = _coord(omega, k)
-        om[k] = (ell, m)
-        zp[k] = zpoints_level(nets, labels, k, ell, m)
-        parent[k] = transition_parents(space, nets, ref, labels, k, ell, m)
-    return RandomGrid(om, zp, parent)
+def parent_tables(space: QuasiMetricSpace, nets: NestedNets,
+                  ref: ReferenceOrder, labels: GridLabels) -> dict:
+    """{k: LevelTable} for every level transition."""
+    return {k: transition_parents(space, nets, ref, labels, k)
+            for k in transition_levels(nets)}
 
 
-def cubes(space: QuasiMetricSpace, nets: NestedNets,
-          rgrid: RandomGrid) -> CubeAssignment:
-    """Partition of the space at every level by ancestor composition."""
-    assign = {}
-    finest = np.empty(space.n, dtype=int)
-    finest[nets.levels[nets.k_max]] = np.arange(space.n)
-    assign[nets.k_max] = finest
-    for k in sorted(rgrid.parent, reverse=True):
-        assign[k] = rgrid.parent[k][assign[k + 1]]
-    return CubeAssignment(assign)
+def cube_assignments(nets: NestedNets, tables: dict, draws: dict, count: int):
+    """Yield (k, cube position of every point per draw) from finest up.
+
+    ``draws`` maps each transition level to (ell, m) arrays of length
+    ``count``; each yielded array has shape (count, n).  At the finest
+    level the cubes are singletons; each coarser level maps the cubes one
+    level down through the drawn parent rows.
+    """
+    finest = nets.levels[nets.k_max]
+    asg = np.empty(len(finest), dtype=np.intp)
+    asg[finest] = np.arange(len(finest))
+    asg = np.broadcast_to(asg, (count, len(finest)))
+    yield nets.k_max, asg
+    for k in reversed(transition_levels(nets)):
+        ell, m = draws[k]
+        asg = np.take_along_axis(tables[k].parents[ell, m - 1], asg, axis=1)
+        yield k, asg
+
+
+def column_frequencies(rows: np.ndarray, nrows: int) -> np.ndarray:
+    """Share of the draws (axis 0) in which each column takes each row value.
+
+    ``rows`` has shape (draws, ncols); the result has shape (nrows, ncols).
+    """
+    draws, ncols = rows.shape
+    flat = (rows * ncols + np.arange(ncols)).ravel()
+    counts = np.bincount(flat, minlength=nrows * ncols)
+    return counts.reshape(nrows, ncols) / draws
 
 
 def enumerate_coordinates(labels: GridLabels):
@@ -253,22 +244,38 @@ def child_hit_probabilities(space: QuasiMetricSpace, nets: NestedNets,
     so one-level enumeration is exhaustive.
     """
     out = {}
-    for k in transition_levels(nets):
-        nc = len(nets.levels[k])
-        nf = len(nets.levels[k + 1])
-        prob = np.zeros((nc, nf))
-        coords = enumerate_coordinates(labels)
-        pos_f = np.empty(space.n, dtype=int)
-        pos_f[nets.levels[k + 1]] = np.arange(nf)
-        for ell, m in coords:
-            z = zpoints_level(nets, labels, k, ell, m)
-            prob[np.arange(nc), pos_f[z]] += 1.0
-        out[k] = prob / len(coords)
+    for k, table in parent_tables(space, nets, ref, labels).items():
+        fine = nets.levels[k + 1]
+        pos_f = np.empty(space.n, dtype=np.intp)
+        pos_f[fine] = np.arange(len(fine))
+        z = pos_f[table.centers.reshape(-1, len(nets.levels[k]))]
+        out[k] = column_frequencies(z, len(fine)).T
     return out
 
 
 # ---------------------------------------------------------------------------
 # structural checks on sampled grids
+
+def _center_stats(space, table, codes, inner_z, r_chain, r_iter):
+    """Per-coordinate quantities that depend on the level's centers only.
+
+    For each flat coordinate in ``codes``: the smallest distance between
+    two centers, the largest distance from a point to its nearest center,
+    the number of (center, point) pairs closer than ``inner_z``, and per
+    point the number of centers closer than ``r_chain`` and ``r_iter``.
+    """
+    stats = []
+    for z in table.centers.reshape(-1, table.centers.shape[2])[codes]:
+        Dz = space.dist[:, z]
+        Dzz = Dz[z]
+        np.fill_diagonal(Dzz, np.inf)
+        # the distance matrix is symmetric, so columns stand in for rows
+        stats.append((Dzz.min(), Dz.min(axis=1).max(),
+                      np.count_nonzero(Dz < inner_z),
+                      np.count_nonzero(Dz < r_chain, axis=1),
+                      np.count_nonzero(Dz < r_iter, axis=1)))
+    return [np.array(column) for column in zip(*stats)]
+
 
 def grid_checks(space: QuasiMetricSpace, nets: NestedNets, ref: ReferenceOrder,
                 labels: GridLabels, seed: int = 0, num_samples: int = 32) -> dict:
@@ -278,9 +285,13 @@ def grid_checks(space: QuasiMetricSpace, nets: NestedNets, ref: ReferenceOrder,
     the pass/fail gate; radius observations (sandwich ratios, implication
     chain) are reported with violation counts but make no claim at coarse
     delta.
+
+    Quantities that depend on one level's centers only are computed once
+    per distinct drawn coordinate.  Pair counts such as "points near a
+    center but outside its cube" are all near pairs minus the near pairs
+    that stay inside a cube, so every per-draw term is a gather of length n.
     """
     tls = list(transition_levels(nets))
-    batch = sample_omega(labels, tls, seed, count=num_samples)
     a0 = space.a0
     rep = {
         "num_samples": num_samples,
@@ -297,79 +308,74 @@ def grid_checks(space: QuasiMetricSpace, nets: NestedNets, ref: ReferenceOrder,
         "iterated_lower_violations": 0,
         "iterated_upper_max_ratio": 0.0,
     }
-    if not tls:
-        # single level: every gated item is vacuous
-        rep["z_separation_min_ratio"] = None
-        rep["ok"] = True
-        return rep
-    for i in range(num_samples):
-        omega = {k: (int(batch[k][0][i]), int(batch[k][1][i])) for k in tls}
-        rgrid = random_order(space, nets, ref, labels, omega)
-        cass = cubes(space, nets, rgrid)
-        zpos = dict(rgrid.zpoints)
-        zpos[nets.k_max] = nets.levels[nets.k_max]
+    tables = parent_tables(space, nets, ref, labels)
+    draws = sample_omega(labels, tls, seed, count=num_samples)
+    n = space.n
+    cols = np.arange(n)
+    # blocks of at most n draws keep every (draws, n) array within n x n
+    for b0 in range(0, num_samples, n):
+        part = {k: (ell[b0:b0 + n], m[b0:b0 + n])
+                for k, (ell, m) in draws.items()}
+        count = min(n, num_samples - b0)
+        asg = dict(cube_assignments(nets, tables, part, count))
+        par = {k: tables[k].parents[ell, m - 1]
+               for k, (ell, m) in part.items()}
+        zpos = {k: tables[k].centers[ell, m - 1]
+                for k, (ell, m) in part.items()}
+        zpos[nets.k_max] = np.broadcast_to(nets.levels[nets.k_max], (count, n))
         for k in tls:
             scale = nets.scale(k)
             pts = nets.levels[k]
-            z = rgrid.zpoints[k]
-            if len(z) > 1:
-                Dz = space.dist[np.ix_(z, z)]
-                off = Dz[~np.eye(len(z), dtype=bool)]
-                rep["z_separation_min_ratio"] = min(
-                    rep["z_separation_min_ratio"],
-                    float(off.min() / (scale / (2.0 * a0))))
-            dens = space.dist[:, z].min(axis=1).max()
-            rep["z_density_max_ratio"] = max(
-                rep["z_density_max_ratio"],
-                float(dens / (4.0 * a0 ** 2 * scale)))
-            # center containment and sandwiches
-            asg = cass.assign[k]
-            rep["center_containment_violations"] += int(
-                (asg[pts] != np.arange(len(pts))).sum())
-            rep["covering_violations"] += int(
-                (asg != rgrid.parent[k][cass.assign[k + 1]]).sum())
+            z = zpos[k]
             inner_z = 1.0 / 6.0 * a0 ** -5 * scale
             inner_x = 1.0 / 8.0 * a0 ** -3 * scale
-            for a in range(len(pts)):
-                mem = asg == a
-                near_z = space.dist[z[a]] < inner_z
-                rep["inner_sandwich_z_violations"] += int((near_z & ~mem).sum())
-                near_x = space.dist[pts[a]] < inner_x
-                rep["inner_sandwich_x_violations"] += int((near_x & ~mem).sum())
-                if mem.any():
-                    rep["outer_z_max_ratio"] = max(
-                        rep["outer_z_max_ratio"],
-                        float(space.dist[z[a]][mem].max() / (6.0 * a0 ** 4 * scale)))
-                    rep["outer_x_max_ratio"] = max(
-                        rep["outer_x_max_ratio"],
-                        float(space.dist[pts[a]][mem].max() / (8.0 * a0 ** 5 * scale)))
-            # one-step chain bounds between adjacent perturbed centers
-            zf = zpos[k + 1]
-            Dzz = space.dist[np.ix_(zf, z)]
-            low = Dzz < (1.0 / 5.0) * a0 ** -3 * scale
-            par = rgrid.parent[k]
-            rows, cols = np.nonzero(low)
-            rep["chain_lower_violations"] += int((par[rows] != cols).sum())
-            dpar = Dzz[np.arange(len(zf)), par]
-            rep["chain_upper_max_ratio"] = max(
-                rep["chain_upper_max_ratio"],
-                float(dpar.max(initial=0.0) / (5.0 * a0 ** 3 * scale)))
-        # iterated chain bounds across wider level gaps
-        for k in tls:
-            scale = nets.scale(k)
-            zc = zpos[k]
-            anc = rgrid.parent[k]
-            for lvl in range(k + 2, nets.k_max + 1):
-                anc = anc[rgrid.parent[lvl - 1]]
+            r_chain = (1.0 / 5.0) * a0 ** -3 * scale
+            r_iter = (1.0 / 6.0) * a0 ** -4 * scale
+            ell, m = part[k]
+            uniq, u = np.unique(ell * labels.M + (m - 1), return_inverse=True)
+            sep, dens, inner, n_chain, n_iter = _center_stats(
+                space, tables[k], uniq, inner_z, r_chain, r_iter)
+            if len(pts) > 1:
+                rep["z_separation_min_ratio"] = min(
+                    rep["z_separation_min_ratio"],
+                    float(sep.min() / (scale / (2.0 * a0))))
+            rep["z_density_max_ratio"] = max(
+                rep["z_density_max_ratio"],
+                float(dens.max() / (4.0 * a0 ** 2 * scale)))
+            a = asg[k]
+            rep["center_containment_violations"] += int(
+                (a[:, pts] != np.arange(len(pts))).sum())
+            rep["covering_violations"] += int(
+                (a != np.take_along_axis(par[k], asg[k + 1], axis=1)).sum())
+            # sandwiches: distance from every point to its own cube's center
+            dz = space.dist[np.take_along_axis(z, a, axis=1), cols]
+            dx = space.dist[pts[a], cols]
+            rep["inner_sandwich_z_violations"] += int(
+                inner[u].sum() - (dz < inner_z).sum())
+            rep["inner_sandwich_x_violations"] += int(
+                count * np.count_nonzero(space.dist[pts] < inner_x)
+                - (dx < inner_x).sum())
+            rep["outer_z_max_ratio"] = max(
+                rep["outer_z_max_ratio"],
+                float(dz.max() / (6.0 * a0 ** 4 * scale)))
+            rep["outer_x_max_ratio"] = max(
+                rep["outer_x_max_ratio"],
+                float(dx.max() / (8.0 * a0 ** 5 * scale)))
+            # chain bounds: one step, then through composed ancestors
+            chain = ("chain", r_chain, 5.0 * a0 ** 3 * scale, n_chain)
+            iterated = ("iterated", r_iter, 6.0 * a0 ** 4 * scale, n_iter)
+            anc = par[k]
+            for lvl in range(k + 1, nets.k_max + 1):
+                if lvl > k + 1:
+                    anc = np.take_along_axis(anc, par[lvl - 1], axis=1)
+                key, low, bound, near = chain if lvl == k + 1 else iterated
                 zf = zpos[lvl]
-                Dzz = space.dist[np.ix_(zf, zc)]
-                low = Dzz < (1.0 / 6.0) * a0 ** -4 * scale
-                rows, cols = np.nonzero(low)
-                rep["iterated_lower_violations"] += int((anc[rows] != cols).sum())
-                dpar = Dzz[np.arange(len(zf)), anc]
-                rep["iterated_upper_max_ratio"] = max(
-                    rep["iterated_upper_max_ratio"],
-                    float(dpar.max(initial=0.0) / (6.0 * a0 ** 4 * scale)))
+                dpar = space.dist[zf, np.take_along_axis(z, anc, axis=1)]
+                rep[f"{key}_lower_violations"] += int(
+                    near[u[:, None], zf].sum() - (dpar < low).sum())
+                rep[f"{key}_upper_max_ratio"] = max(
+                    rep[f"{key}_upper_max_ratio"],
+                    float(dpar.max(initial=0.0) / bound))
     if rep["z_separation_min_ratio"] is math.inf:
         rep["z_separation_min_ratio"] = None
     rep["ok"] = bool(
@@ -387,35 +393,48 @@ def grid_checks(space: QuasiMetricSpace, nets: NestedNets, ref: ReferenceOrder,
 _CHUNK = 256
 
 
-def _boundary_chunk(space, nets, ref, labels, eps_grid, seed, chunk_index,
-                    chunk_size, levels):
-    tls = list(transition_levels(nets))
-    n = space.n
-    counts = np.zeros((len(levels), len(eps_grid), n), dtype=np.int64)
-    pooled = np.zeros(chunk_size)
+def _near_pairs(space, thresholds):
+    """Point pairs closer than the largest threshold, grouped by first point.
+
+    Returns (first, second, first eps index the pair falls under, points
+    with at least one pair, where their pairs start).
+    """
+    near = space.dist < thresholds[-1]
+    np.fill_diagonal(near, False)
+    px, py = np.nonzero(near)
+    first = np.searchsorted(thresholds, space.dist[px, py], side="right")
+    rows, starts = np.unique(px, return_index=True)
+    return (px, py, first.astype(np.min_scalar_type(len(thresholds))),
+            rows, starts)
+
+
+def _boundary_chunk(nets, labels, tables, layers, n_eps, levels, seed,
+                    chunk_index, chunk_size):
+    n = len(nets.levels[nets.k_max])
+    counts = np.zeros((len(levels), n_eps, n), dtype=np.int64)
+    hits = np.zeros(chunk_size, dtype=np.int64)
     draws = {}
-    for k in tls:
+    for k in transition_levels(nets):
         rng = stream_rng(seed, STREAM_BOUNDARY, k, chunk_index)
         draws[k] = (rng.integers(0, labels.L + 1, size=chunk_size),
                     rng.integers(1, labels.M + 1, size=chunk_size))
-    scales = np.array([nets.scale(k) for k in levels])
-    for i in range(chunk_size):
-        omega = {k: (int(draws[k][0][i]), int(draws[k][1][i])) for k in tls}
-        rgrid = random_order(space, nets, ref, labels, omega)
-        cass = cubes(space, nets, rgrid)
-        hits = 0
-        for li, k in enumerate(levels):
-            asg = cass.assign[k]
-            order = np.argsort(asg, kind="stable")
-            starts = np.flatnonzero(np.r_[1, np.diff(asg[order])])
-            M2 = np.minimum.reduceat(space.dist[:, order], starts, axis=1)
-            M2[np.arange(n), asg] = np.inf
-            comp = M2.min(axis=1)
-            for ei, eps in enumerate(eps_grid):
-                counts[li, ei] += comp < eps * scales[li]
-            hits += int((comp < eps_grid[-1] * scales[li]).sum())
-        pooled[i] = hits / (len(levels) * n)
-    return counts, pooled
+    for k, asg in cube_assignments(nets, tables, draws, chunk_size):
+        if k not in layers or not len(layers[k][0]):
+            continue
+        li = levels.index(k)
+        px, py, first, rows, starts = layers[k]
+        # one-byte cube labels where they fit, in blocks of draws, keep each
+        # (draws, pairs) array within the bytes of one n x n float64
+        asg = asg.astype(np.min_scalar_type(len(nets.levels[k]) - 1))
+        step = max(1, 8 * n * n // (len(px) * asg.itemsize))
+        for b0 in range(0, chunk_size, step):
+            a = asg[b0:b0 + step]
+            layer = np.where(a[:, px] != a[:, py], first, n_eps)
+            lowest = np.minimum.reduceat(layer, starts, axis=1)
+            for ei in range(n_eps):
+                counts[li, ei, rows] += (lowest <= ei).sum(axis=0)
+            hits[b0:b0 + step] += (lowest < n_eps).sum(axis=1)
+    return counts, hits / (len(levels) * n)
 
 
 def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
@@ -424,6 +443,10 @@ def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
                          levels=None, jobs: int = 1) -> dict:
     """Monte Carlo frequency of the eps boundary layer event per point/level.
 
+    A point is in the eps layer at level k when a point of another cube
+    lies closer than eps delta^k.  Only pairs closer than the largest eps
+    can decide that, so each level keeps just those pairs, tagged with the
+    first eps they fall under; levels with a single cube have no layer.
     The same draws are reused across the whole eps grid, so frequencies are
     monotone in eps by construction.  Sampling is chunked with one RNG
     stream per (level, chunk), which makes the counts independent of the
@@ -432,23 +455,18 @@ def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
     eps_grid = sorted(float(e) for e in eps_grid)
     if not eps_grid or eps_grid[0] <= 0:
         raise ValueError("eps grid must be positive")
-    if levels is None:
-        levels = list(nets.level_range)
-    chunks = []
-    start = 0
-    idx = 0
-    while start < num_samples:
-        size = min(_CHUNK, num_samples - start)
-        chunks.append((idx, size))
-        start += size
-        idx += 1
-    args = [(space, nets, ref, labels, eps_grid, seed, ci, size, levels)
-            for ci, size in chunks]
-    if jobs > 1 and len(chunks) > 1:
+    levels = list(nets.level_range if levels is None else levels)
+    tables = parent_tables(space, nets, ref, labels)
+    layers = {k: _near_pairs(space, np.array(eps_grid) * nets.scale(k))
+              for k in levels if len(nets.levels[k]) > 1}
+    args = [(nets, labels, tables, layers, len(eps_grid), levels, seed, ci,
+             min(_CHUNK, num_samples - start))
+            for ci, start in enumerate(range(0, num_samples, _CHUNK))]
+    if jobs > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_boundary_worker, args))
+            results = list(pool.map(_boundary_chunk, *zip(*args)))
     else:
-        results = [_boundary_worker(a) for a in args]
+        results = [_boundary_chunk(*a) for a in args]
     counts = sum(r[0] for r in results)
     pooled = np.concatenate([r[1] for r in results])
     freq = counts / float(num_samples)
@@ -456,7 +474,7 @@ def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
     per_cell_se = np.sqrt(freq * (1.0 - freq) / num_samples)
     return {
         "eps_grid": eps_grid,
-        "levels": list(levels),
+        "levels": levels,
         "num_samples": int(num_samples),
         "counts": counts,
         "freq": freq,
@@ -466,33 +484,41 @@ def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
     }
 
 
-def _boundary_worker(args):
-    return _boundary_chunk(*args)
-
-
 def fit_boundary_exponent(stats: dict, min_points: int = 3) -> dict:
-    """Log-log least squares fit of mean boundary frequency against eps."""
+    """Log-log least squares fit of mean boundary frequency against eps.
+
+    The arithmetic is that of ``scipy.stats.linregress`` and its slope
+    standard error; the 95% interval uses the Student t quantile.
+    """
+    # scipy.stats is far slower to import, and the CLI loads this module
+    from scipy.special import stdtrit
+
     eps = np.array(stats["eps_grid"])
     mean = np.array(stats["mean_freq"])
     keep = mean > 0
     out = {"n_points": int(keep.sum())}
-    if keep.sum() < min_points:
+    x = np.log(eps[keep])
+    y = np.log(mean[keep])
+    if keep.sum() < min_points or np.unique(x).size < 2:
         warnings.warn("too few positive frequencies for a slope fit",
                       InsufficientSamples)
         out.update(eta=math.nan, log_c=math.nan, ci95=(math.nan, math.nan),
                    stderr=math.nan, r2=math.nan)
         return out
-    x = np.log(eps[keep])
-    y = np.log(mean[keep])
-    fit = scipy.stats.linregress(x, y)
-    dof = keep.sum() - 2
-    tq = scipy.stats.t.ppf(0.975, dof) if dof > 0 else math.nan
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssym == 0.0:
+        r = np.float64(math.nan if ssxym == 0 else 0.0)
+    else:
+        r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+    slope = ssxym / ssxm
+    dof = len(x) - 2
+    stderr = np.sqrt((1 - r ** 2) * ssym / ssxm / dof) if dof > 0 else 0.0
+    tq = stdtrit(dof, 0.975) if dof > 0 else math.nan
     out.update(
-        eta=float(fit.slope),
-        log_c=float(fit.intercept),
-        stderr=float(fit.stderr),
-        ci95=(float(fit.slope - tq * fit.stderr),
-              float(fit.slope + tq * fit.stderr)),
-        r2=float(fit.rvalue ** 2),
+        eta=float(slope),
+        log_c=float(np.mean(y) - slope * np.mean(x)),
+        stderr=float(stderr),
+        ci95=(float(slope - tq * stderr), float(slope + tq * stderr)),
+        r2=float(r ** 2),
     )
     return out

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AxiomViolation, BadExponent, BadParams, DegenerateSpace
+from .errors import (AxiomViolation, BadExponent, BadParams, DegenerateSpace,
+                     MissingArtifact)
 
 # Relative slack used when deciding whether a0 is exactly 1.
 LIPSCHITZ_TOL = 1e-12
@@ -378,8 +379,12 @@ def save_space_json(space: QuasiMetricSpace, path) -> None:
 
 
 def load_space_json(path) -> QuasiMetricSpace:
-    with open(path) as fh:
-        return space_from_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise MissingArtifact(f"cannot read space file {path}: {exc}") from exc
+    return space_from_dict(payload)
 
 
 def load_space_csv(dist_path, weights_path) -> QuasiMetricSpace:

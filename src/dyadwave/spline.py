@@ -15,9 +15,9 @@ from .nets import NestedNets
 from .randgrid import (
     GridLabels,
     ReferenceOrder,
-    cubes,
-    enumerate_coordinates,
-    random_order,
+    column_frequencies,
+    cube_assignments,
+    parent_tables,
     sample_omega,
     transition_levels,
     transition_parents,
@@ -47,15 +47,9 @@ def transition_matrix(space: QuasiMetricSpace, nets: NestedNets,
                       ref: ReferenceOrder, labels: GridLabels,
                       k: int) -> np.ndarray:
     """P(perturbed parent of child beta is alpha), exactly, by enumeration."""
-    coords = enumerate_coordinates(labels)
-    nc = len(nets.levels[k])
-    nf = len(nets.levels[k + 1])
-    counts = np.zeros((nc, nf))
-    cols = np.arange(nf)
-    for ell, m in coords:
-        par = transition_parents(space, nets, ref, labels, k, ell, m)
-        counts[par, cols] += 1.0
-    return counts / len(coords)
+    parents = transition_parents(space, nets, ref, labels, k).parents
+    return column_frequencies(parents.reshape(-1, parents.shape[2]),
+                              len(nets.levels[k]))
 
 
 def compute_splines(space: QuasiMetricSpace, nets: NestedNets,
@@ -88,29 +82,14 @@ def mc_membership_frequencies(space: QuasiMetricSpace, nets: NestedNets,
                               seed: int, num_samples: int) -> dict:
     """Empirical cube membership frequencies over sampled grids.
 
-    Independent check of the exact values: parents per coordinate are
-    precomputed once, then composed per draw.
+    Independent check of the exact values: the drawn rows of the parent
+    tables are composed into cube assignments and counted per point.
     """
-    tls = list(transition_levels(nets))
-    coords = enumerate_coordinates(labels)
-    par_table = {k: {c: transition_parents(space, nets, ref, labels, k, *c)
-                     for c in coords} for k in tls}
-    draws = sample_omega(labels, tls, seed, count=num_samples)
-    n = space.n
-    finest = np.empty(n, dtype=int)
-    finest[nets.levels[nets.k_max]] = np.arange(n)
-    counts = {k: np.zeros((len(nets.levels[k]), n)) for k in tls}
-    cols = np.arange(n)
-    for i in range(num_samples):
-        a = finest
-        for k in reversed(tls):
-            ell, m = draws[k][0][i], draws[k][1][i]
-            a = par_table[k][(int(ell), int(m))][a]
-            counts[k][a, cols] += 1.0
-    freq = {k: c / num_samples for k, c in counts.items()}
-    freq[nets.k_max] = np.zeros((len(nets.levels[nets.k_max]), n))
-    freq[nets.k_max][finest, cols] = 1.0
-    return freq
+    tables = parent_tables(space, nets, ref, labels)
+    draws = sample_omega(labels, transition_levels(nets), seed,
+                         count=num_samples)
+    return {k: column_frequencies(asg, len(nets.levels[k]))
+            for k, asg in cube_assignments(nets, tables, draws, num_samples)}
 
 
 def span_residuals(system: SplineSystem) -> dict:
@@ -278,12 +257,3 @@ def verify_splines(system: SplineSystem, space: QuasiMetricSpace,
         part_dev <= tol and interp_dev <= tol and refine_dev <= tol
         and stoch_dev <= tol and nonneg_min >= -tol and persist_dev <= tol)
     return report
-
-
-def sample_grid_once(space: QuasiMetricSpace, nets: NestedNets,
-                     ref: ReferenceOrder, labels: GridLabels,
-                     seed: int) -> tuple:
-    """One full grid draw: (coordinates, perturbed grid, cube assignment)."""
-    omega = sample_omega(labels, list(transition_levels(nets)), seed)
-    rgrid = random_order(space, nets, ref, labels, omega)
-    return omega, rgrid, cubes(space, nets, rgrid)

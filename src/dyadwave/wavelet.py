@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .decaymat import TINY, envelope_fit, spectral_inverse_sqrt
 from .errors import (
@@ -91,6 +90,8 @@ def dual_splines(space: QuasiMetricSpace, system: SplineSystem, k: int,
     Row alpha is sum_beta G^{-1}(alpha, beta) s_beta / sqrt(m_alpha m_beta)
     with G the normalized Gram, so spline/dual pairings give the identity.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     if gram is None:
         gram = gram_matrix(space, system, k)
     rs = 1.0 / np.sqrt(np.asarray(system.ball_mass[k], dtype=float))

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,3 +360,51 @@ def test_boundary_stderr_shrinks_with_samples(tmp_path):
 
 def test_boundary_missing_artifacts(tmp_path):
     assert run("boundary", "--artifacts", tmp_path / "empty") == 8
+
+
+# ---------------------------------------------------------------------------
+# malformed artifacts
+
+@pytest.mark.parametrize("command,name", [
+    ("verify", "space.json"),
+    ("verify", "nets.json"),
+    ("verify", "build_config.json"),
+    ("verify", "basis.json"),
+    ("analyze", "space.json"),
+    ("analyze", "basis.json"),
+    ("boundary", "space.json"),
+    ("boundary", "nets.json"),
+    ("boundary", "build_config.json"),
+])
+@pytest.mark.parametrize("payload", [b'{"truncated": ', b"\xff\xfe\x00",
+                                     b"[1, 2]"])
+def test_malformed_artifact_json_exits_8(built, tmp_path, capsys, command,
+                                         name, payload):
+    import shutil
+    bad = tmp_path / "bad"
+    shutil.copytree(built, bad)
+    (bad / name).write_bytes(payload)
+    np.savetxt(tmp_path / "sig.csv", np.ones(8), delimiter=",")
+    args = {"verify": ["--report", tmp_path / "report.json"],
+            "analyze": ["--signal", tmp_path / "sig.csv",
+                        "--out", tmp_path / "out"],
+            "boundary": ["--num-samples", 4, "--out", tmp_path / "out"]}
+    rc = run(command, "--artifacts", bad, *args[command])
+    err = capsys.readouterr().err
+    if name == "space.json" and payload == b"[1, 2]":
+        # readable JSON without distances fails the space axioms instead
+        assert rc == 2, err
+    else:
+        assert rc == 8, err
+        assert "MissingArtifact" in err
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    code = ("import sys, dyadwave.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.linalg', "
+            "'scipy.special') if m in sys.modules])")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

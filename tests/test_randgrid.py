@@ -1,21 +1,24 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from dyadwave.errors import OrderViolation
+import randgrid_oracle as oracle
+from dyadwave.errors import DyadwaveError, OrderViolation
 from dyadwave.nets import NestedNets, build_nets
 from dyadwave.randgrid import (
-    OmegaCoordinate,
     boundary_layer_stats,
     child_hit_probabilities,
-    cubes,
+    cube_assignments,
     enumerate_coordinates,
     fit_boundary_exponent,
     grid_checks,
     grid_labels,
-    random_order,
-    random_points,
+    parent_tables,
     reference_order,
     sample_omega,
     transition_levels,
@@ -39,6 +42,13 @@ def all_omegas(nets, labels):
     coords = enumerate_coordinates(labels)
     for combo in itertools.product(coords, repeat=len(tls)):
         yield {k: combo[i] for i, k in enumerate(tls)}
+
+
+def as_draws(omegas, nets):
+    """Stack a list of {k: (ell, m)} into {k: (ell_array, m_array)}."""
+    return {k: (np.array([om[k][0] for om in omegas]),
+                np.array([om[k][1] for om in omegas]))
+            for k in transition_levels(nets)}
 
 
 def test_two_point_reference_and_labels():
@@ -91,10 +101,11 @@ def test_child_probability_lower_bound():
 def test_z_separation_density_all_omegas_cyclic8():
     sp = gen_example("cyclic", n=8)
     nets, ref, labels = setup(sp)
+    tables = parent_tables(sp, nets, ref, labels)
     for omega in all_omegas(nets, labels):
-        zp = random_points(nets, labels, omega)
         for k in transition_levels(nets):
-            z = zp[k]
+            ell, m = omega[k]
+            z = tables[k].centers[ell, m - 1]
             scale = nets.scale(k)
             if len(z) > 1:
                 Dz = sp.dist[np.ix_(z, z)]
@@ -107,19 +118,21 @@ def test_z_separation_density_all_omegas_cyclic8():
 def test_center_containment_and_partition_all_omegas():
     sp = gen_example("cyclic", n=8)
     nets, ref, labels = setup(sp)
-    for omega in all_omegas(nets, labels):
-        rgrid = random_order(sp, nets, ref, labels, omega)
-        cass = cubes(sp, nets, rgrid)
+    tables = parent_tables(sp, nets, ref, labels)
+    omegas = list(all_omegas(nets, labels))
+    assign = dict(cube_assignments(nets, tables, as_draws(omegas, nets),
+                                   len(omegas)))
+    for i, omega in enumerate(omegas):
         for k in nets.level_range:
-            asg = cass.assign[k]
+            asg = assign[k][i]
             assert asg.min() >= 0
             assert asg.max() < len(nets.levels[k])
             # net point owns its cube
             pts = nets.levels[k]
             assert np.array_equal(asg[pts], np.arange(len(pts)))
         for k in transition_levels(nets):
-            assert np.array_equal(cass.assign[k],
-                                  rgrid.parent[k][cass.assign[k + 1]])
+            parent = tables[k].parents[omega[k][0], omega[k][1] - 1]
+            assert np.array_equal(assign[k][i], parent[assign[k + 1][i]])
 
 
 def test_chain_implications_on_small_metric_spaces():
@@ -155,33 +168,33 @@ def test_measurability_fine_levels_ignore_coarse_coordinates():
     nets, ref, labels = setup(sp)
     tls = list(transition_levels(nets))
     base = {k: (0, 1) for k in tls}
-    rg1 = random_order(sp, nets, ref, labels, base)
-    c1 = cubes(sp, nets, rg1)
     changed = dict(base)
     changed[nets.k_min] = (labels.L, labels.M)
-    rg2 = random_order(sp, nets, ref, labels, changed)
-    c2 = cubes(sp, nets, rg2)
+    tables = parent_tables(sp, nets, ref, labels)
+    draws = as_draws([base, changed], nets)
+    assign = dict(cube_assignments(nets, tables, draws, 2))
     for k in nets.level_range:
         if k > nets.k_min:
-            assert np.array_equal(c1.assign[k], c2.assign[k])
+            assert np.array_equal(assign[k][0], assign[k][1])
 
 
 def test_sample_omega_shapes_and_determinism():
     sp = gen_example("cyclic", n=8)
     nets, ref, labels = setup(sp)
     tls = list(transition_levels(nets))
-    one = sample_omega(labels, tls, seed=9)
-    assert all(isinstance(c, OmegaCoordinate) for c in one.values())
-    assert all(0 <= c.ell <= labels.L and 1 <= c.m <= labels.M
-               for c in one.values())
-    again = sample_omega(labels, tls, seed=9)
-    assert one == again
+    one = sample_omega(labels, tls, seed=9, count=1)
+    assert all(ell.shape == m.shape == (1,) for ell, m in one.values())
+    assert all(0 <= ell[0] <= labels.L and 1 <= m[0] <= labels.M
+               for ell, m in one.values())
+    again = sample_omega(labels, tls, seed=9, count=1)
+    assert all(np.array_equal(one[k][0], again[k][0])
+               and np.array_equal(one[k][1], again[k][1]) for k in tls)
     batch = sample_omega(labels, tls, seed=9, count=50)
     for k in tls:
         assert batch[k][0].shape == (50,)
         # the single draw is the first draw of the batch stream
-        assert batch[k][0][0] == one[k].ell
-        assert batch[k][1][0] == one[k].m
+        assert batch[k][0][0] == one[k][0][0]
+        assert batch[k][1][0] == one[k][1][0]
 
 
 def test_reference_order_rejects_ambiguous_parents():
@@ -222,3 +235,118 @@ def test_boundary_stats_worker_count_invariance():
     a = boundary_layer_stats(sp, nets, ref, labels, eps, 520, seed=1, jobs=1)
     b = boundary_layer_stats(sp, nets, ref, labels, eps, 520, seed=1, jobs=2)
     assert np.array_equal(a["counts"], b["counts"])
+
+
+# ---------------------------------------------------------------------------
+# batched samplers against the one-draw-at-a-time oracle
+
+GENERATORS = [
+    ("cyclic", {"n": 16}, 0.5),
+    ("interval", {"n": 40}, 0.3),
+    ("binary_tree", {"depth": 4}, 0.5),
+    ("point_cloud", {"n": 40, "dim": 2}, 0.4),
+    ("koranyi_sphere", {"n": 30, "dim": 2}, 0.5),
+    ("snowflake", {"n": 36, "eps": 0.5}, 0.5),
+]
+EPS = [0.05, 0.1, 0.2, 0.4]
+
+
+def assert_matches_oracle(sp, nets, ref, labels, grid_samples, bnd_samples,
+                          seed, jobs=(1,)):
+    tables = parent_tables(sp, nets, ref, labels)
+    for k, table in tables.items():
+        for ell, m in enumerate_coordinates(labels):
+            assert np.array_equal(table.centers[ell, m - 1],
+                                  oracle.zpoints(nets, labels, k, ell, m))
+            assert np.array_equal(table.parents[ell, m - 1],
+                                  oracle.parents(sp, nets, ref, labels, k,
+                                                 ell, m))
+    assert (grid_checks(sp, nets, ref, labels, seed=seed,
+                        num_samples=grid_samples)
+            == oracle.grid_checks(sp, nets, ref, labels, seed=seed,
+                                  num_samples=grid_samples))
+    counts, pooled = oracle.boundary_counts(sp, nets, ref, labels, EPS,
+                                            bnd_samples, seed)
+    for j in jobs:
+        stats = boundary_layer_stats(sp, nets, ref, labels, EPS, bnd_samples,
+                                     seed=seed, jobs=j)
+        assert np.array_equal(stats["counts"], counts)
+        assert np.array_equal(stats["pooled_last_eps"], pooled)
+
+
+@pytest.mark.parametrize("kind,params,delta", GENERATORS)
+def test_batched_samplers_match_oracle_on_generators(kind, params, delta):
+    sp = gen_example(kind, seed=1, **params)
+    nets, ref, labels = setup(sp, delta=delta, policy="farthest_first")
+    # 300 boundary draws span two RNG chunks, so jobs=2 really splits them
+    assert_matches_oracle(sp, nets, ref, labels, grid_samples=12,
+                          bnd_samples=300, seed=4, jobs=(1, 2))
+
+
+@st.composite
+def quasi_metric_spaces(draw):
+    """Powers |x - y|^p, p in [1, 2], of distances between lattice points.
+
+    A lattice of spacing 1/16 in the unit square bounds the ratio of the
+    diameter to the smallest distance, and so the number of levels.
+    """
+    n = draw(st.integers(2, 14))
+    dim = draw(st.integers(1, 2))
+    coord = st.integers(0, 16)
+    pts = np.array(draw(st.lists(st.tuples(*[coord] * dim), min_size=n,
+                                 max_size=n, unique=True))) / 16.0
+    power = draw(st.floats(1.0, 2.0))
+    weights = draw(st.lists(st.floats(0.5, 2.0), min_size=n, max_size=n))
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=2)) ** power
+    return dist, np.array(weights), draw(st.sampled_from([0.3, 0.5]))
+
+
+@given(quasi_metric_spaces(), st.integers(0, 2 ** 16))
+def test_batched_samplers_match_oracle_on_random_spaces(case, seed):
+    dist, weights, delta = case
+    try:
+        sp = build_space(dist, weights)
+        nets, ref, labels = setup(sp, delta=delta)
+    except DyadwaveError:
+        assume(False)
+    assert_matches_oracle(sp, nets, ref, labels, grid_samples=6,
+                          bnd_samples=20, seed=seed)
+
+
+def scipy_fit(stats):
+    keep = np.array(stats["mean_freq"]) > 0
+    x = np.log(np.array(stats["eps_grid"])[keep])
+    y = np.log(np.array(stats["mean_freq"])[keep])
+    fit = scipy.stats.linregress(x, y)
+    dof = keep.sum() - 2
+    tq = scipy.stats.t.ppf(0.975, dof) if dof > 0 else math.nan
+    return {"n_points": int(keep.sum()), "eta": float(fit.slope),
+            "log_c": float(fit.intercept), "stderr": float(fit.stderr),
+            "ci95": (float(fit.slope - tq * fit.stderr),
+                     float(fit.slope + tq * fit.stderr)),
+            "r2": float(fit.rvalue ** 2)}
+
+
+def test_fit_boundary_exponent_equals_scipy():
+    rng = np.random.default_rng(0)
+    cases = []
+    for size in (2, 3, 4, 5, 8):
+        for _ in range(40):
+            eps = np.sort(rng.uniform(0.01, 1.0, size))
+            mean = np.exp(rng.normal(0.0, 1.0) * np.log(eps)
+                          + rng.normal(0.0, 0.3, size))
+            mean[rng.random(size) < 0.1] = 0.0
+            cases.append({"eps_grid": eps.tolist(), "mean_freq": mean})
+    cases.append({"eps_grid": [0.1, 0.2, 0.4], "mean_freq": [0.3, 0.3, 0.3]})
+    checked = 0
+    for stats in cases:
+        if (np.array(stats["mean_freq"]) > 0).sum() < 2:
+            continue
+        got = fit_boundary_exponent(stats, min_points=2)
+        want = scipy_fit(stats)
+        assert got.keys() == want.keys()
+        for key, val in want.items():
+            assert np.array_equal(got[key], val, equal_nan=True), (key, stats)
+        checked += 1
+    assert checked > 150

@@ -6,11 +6,12 @@ import pytest
 
 from dyadwave.nets import build_nets
 from dyadwave.randgrid import (
-    cubes,
+    cube_assignments,
     enumerate_coordinates,
     grid_labels,
-    random_order,
+    parent_tables,
     reference_order,
+    sample_omega,
     transition_levels,
 )
 from dyadwave.space import gen_example
@@ -19,7 +20,6 @@ from dyadwave.spline import (
     density_check,
     holder_estimate,
     mc_membership_frequencies,
-    sample_grid_once,
     span_residuals,
     transition_matrix,
     verify_splines,
@@ -45,16 +45,19 @@ def setup(kind, params, delta=0.5, seed=1):
 
 def all_grid_averages(space, nets, ref, labels):
     tls = list(transition_levels(nets))
-    coords = enumerate_coordinates(labels)
+    coords = np.array(enumerate_coordinates(labels))
+    combos = np.array(list(itertools.product(range(len(coords)),
+                                             repeat=len(tls))))
+    total = len(combos)
+    draws = {k: (coords[combos[:, i], 0], coords[combos[:, i], 1])
+             for i, k in enumerate(tls)}
+    tables = parent_tables(space, nets, ref, labels)
     sums = {k: np.zeros((len(nets.levels[k]), space.n)) for k in tls}
-    total = 0
     cols = np.arange(space.n)
-    for combo in itertools.product(coords, repeat=len(tls)):
-        omega = {k: combo[i] for i, k in enumerate(tls)}
-        asg = cubes(space, nets, random_order(space, nets, ref, labels, omega))
-        for k in tls:
-            sums[k][asg.assign[k], cols] += 1.0
-        total += 1
+    for k, asg in cube_assignments(nets, tables, draws, total):
+        if k in sums:
+            for row in asg:
+                sums[k][row, cols] += 1.0
     return {k: s / total for k, s in sums.items()}, total
 
 
@@ -246,8 +249,13 @@ def test_density_residuals_spike_on_interval():
 
 def test_sample_grid_once_deterministic():
     space, nets, ref, labels = setup("point_cloud", {"n": 25, "dim": 2})
-    om1, _, asg1 = sample_grid_once(space, nets, ref, labels, seed=5)
-    om2, _, asg2 = sample_grid_once(space, nets, ref, labels, seed=5)
-    assert om1 == om2
-    for k in asg1.assign:
-        assert np.array_equal(asg1.assign[k], asg2.assign[k])
+    tls = list(transition_levels(nets))
+    tables = parent_tables(space, nets, ref, labels)
+    om1 = sample_omega(labels, tls, seed=5, count=1)
+    om2 = sample_omega(labels, tls, seed=5, count=1)
+    assert all(np.array_equal(om1[k][0], om2[k][0])
+               and np.array_equal(om1[k][1], om2[k][1]) for k in tls)
+    asg1 = dict(cube_assignments(nets, tables, om1, 1))
+    asg2 = dict(cube_assignments(nets, tables, om2, 1))
+    for k in asg1:
+        assert np.array_equal(asg1[k], asg2[k])

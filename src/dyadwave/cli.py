@@ -30,10 +30,11 @@ from .lpanalysis import (build_lp, cz_kernel_bound, growth_sequence,
                          random_signs, substitute_inequality_check)
 from .nets import build_nets, load_nets_json, nets_to_dict, verify_nets
 from .randgrid import (boundary_layer_stats, fit_boundary_exponent,
-                       grid_checks, grid_labels, reference_order)
+                       grid_checks, grid_labels, parent_tables,
+                       reference_order)
 from .space import (GENERATOR_KINDS, exponent_a, gen_example, load_space_csv,
                     load_space_json, space_to_dict)
-from .spline import SplineSystem, compute_splines, verify_splines
+from .spline import compute_splines, verify_splines
 from .wavelet import (build_mra, build_wavelet_basis,
                       gram_decay_certificates, verify_wavelet_theorem)
 
@@ -175,34 +176,69 @@ def _load_config_file(path) -> dict:
             raise BadParams(f"bad JSON in {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise BadParams(f"config {path} must hold a table of settings")
-    unknown = set(payload) - set(CONFIG_DEFAULTS)
-    if unknown:
-        raise BadParams(f"unknown config keys: {sorted(unknown)}")
     return payload
 
 
+def _resolve_config(stored: dict, flags: dict) -> dict:
+    """Defaults, then stored or file settings, then the flags not ``None``.
+
+    Tolerances merge key by key.  The merged config is validated.  A config
+    file is checked to be a map when read, so settings that are not one
+    come from a corrupt ``build_config.json``.
+    """
+    if not isinstance(stored, dict):
+        raise MissingArtifact("stored build config is not a map")
+    unknown = set(stored) - set(CONFIG_DEFAULTS)
+    if unknown:
+        raise BadParams(f"unknown config keys: {sorted(unknown)}")
+    tols = stored.get("tolerances", {})
+    if not isinstance(tols, dict):
+        raise BadParams("tolerances must be a map")
+    cfg = {**CONFIG_DEFAULTS, **stored}
+    cfg["tolerances"] = {**CONFIG_DEFAULTS["tolerances"], **tols}
+    cfg.update((key, val) for key, val in flags.items() if val is not None)
+    return _validate_config(cfg)
+
+
+def _number(kind, key: str, val):
+    try:
+        return kind(val)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadParams(f"{key} must be a number, got {val!r}") from exc
+
+
 def _validate_config(cfg: dict) -> dict:
-    delta = float(cfg["delta"])
+    delta = _number(float, "delta", cfg["delta"])
     if not 0.0 < delta < 1.0:
         raise BadDelta(f"delta must lie in (0, 1), got {delta:g}")
     cfg["delta"] = delta
-    tols = cfg["tolerances"]
-    if not isinstance(tols, dict) or not tols:
-        raise BadParams("tolerances must be a nonempty map")
-    for name, val in tols.items():
+    for name, val in cfg["tolerances"].items():
         if not isinstance(val, (int, float)) or not val > 0:
             raise BadParams(f"tolerance {name!r} must be positive")
     for key in ("num_samples", "num_trials", "grid_samples",
                 "pair_budget", "jobs"):
-        cfg[key] = int(cfg[key])
+        cfg[key] = _number(int, key, cfg[key])
         if cfg[key] < 1:
             raise BadParams(f"{key} must be at least 1")
     for key in ("eps_grid", "r_grid", "p_list"):
-        vals = [float(v) for v in cfg[key]]
-        if not vals or any(v <= 0 for v in vals):
+        if not isinstance(cfg[key], (list, tuple)):
+            raise BadParams(f"{key} must be a list of numbers")
+        vals = [_number(float, key, v) for v in cfg[key]]
+        if not vals or not all(v > 0 for v in vals):
             raise BadParams(f"{key} needs positive entries")
         cfg[key] = vals
-    cfg["seed"] = int(cfg["seed"])
+    cfg["seed"] = _number(int, "seed", cfg["seed"])
+    if cfg["seed"] < 0:
+        raise BadParams("seed must be non-negative")
+    gen = cfg["gen"]
+    if gen is not None and not (isinstance(gen, dict)
+                                and isinstance(gen.get("kind"), str)
+                                and isinstance(gen.get("params"), dict)):
+        raise BadParams("gen must be a map with a kind and its params")
+    paths = [cfg["out"]] + [cfg[key] for key in ("input", "weights")
+                            if cfg[key] is not None]
+    if not all(isinstance(path, str) for path in paths):
+        raise BadParams("input, weights and out must be paths")
     return cfg
 
 
@@ -225,24 +261,6 @@ def _parse_gen_spec(tokens) -> dict:
     return {"kind": kind, "params": params}
 
 
-def resolve_build_config(args) -> dict:
-    cfg = dict(CONFIG_DEFAULTS)
-    cfg["tolerances"] = dict(CONFIG_DEFAULTS["tolerances"])
-    if args.config:
-        payload = _load_config_file(args.config)
-        tols = payload.pop("tolerances", None)
-        if tols is not None:
-            cfg["tolerances"].update(tols)
-        cfg.update(payload)
-    for key in ("input", "weights", "delta", "seed", "out", "grid_samples"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "gen", None):
-        cfg["gen"] = _parse_gen_spec(args.gen)
-    return _validate_config(cfg)
-
-
 def _load_space(cfg):
     gen = cfg.get("gen")
     if gen:
@@ -253,8 +271,6 @@ def _load_space(cfg):
     path = cfg.get("input")
     if not path:
         raise BadParams("no input space: pass --input PATH or --gen KIND ...")
-    if not Path(path).exists():
-        raise MissingArtifact(f"space file {path} not found")
     if cfg.get("weights"):
         return load_space_csv(path, cfg["weights"])
     return load_space_json(path)
@@ -286,22 +302,43 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _construct(space, delta):
-    nets = build_nets(space, delta)
+def _construct(space, cfg):
+    """Nets, splines, MRA and wavelet basis of a space, with check reports.
+
+    ``build`` writes what this returns and ``verify`` compares the stored
+    artifacts with it.  Each level's parent table is built once and serves
+    both the splines and the sampled grid checks.
+    """
+    nets = build_nets(space, cfg["delta"])
     ref = reference_order(space, nets)
     labels = grid_labels(space, nets, ref)
-    system = compute_splines(space, nets, ref, labels)
-    return nets, ref, labels, system
+    tables = parent_tables(space, nets, ref, labels)
+    system = compute_splines(space, nets, tables)
+    mra = build_mra(space, system)
+    basis = build_wavelet_basis(space, nets, mra)
+    checks = {
+        "nets": verify_nets(nets, space),
+        "random_grid": grid_checks(space, nets, labels, tables,
+                                   seed=cfg["seed"],
+                                   num_samples=cfg["grid_samples"]),
+        "splines": verify_splines(system, space, nets,
+                                  tol=cfg["tolerances"]["exact"]),
+        "wavelets": verify_wavelet_theorem(space, nets, basis,
+                                           seed=cfg["seed"]),
+    }
+    return nets, system, mra, basis, checks
 
 
 def cmd_build(args) -> int:
-    cfg = resolve_build_config(args)
+    flags = {key: getattr(args, key) for key in
+             ("input", "weights", "delta", "seed", "out", "grid_samples")}
+    flags["gen"] = _parse_gen_spec(args.gen) if args.gen else None
+    cfg = _resolve_config(
+        _load_config_file(args.config) if args.config else {}, flags)
     space = _load_space(cfg)
     delta = cfg["delta"]
     try:
-        nets, ref, labels, system = _construct(space, delta)
-        mra = build_mra(space, system)
-        basis = build_wavelet_basis(space, nets, mra)
+        nets, system, _, basis, checks = _construct(space, cfg)
     except (RankDeficiency, NotPositiveDefinite, NoConvergence,
             TooLarge) as exc:
         # conditioning loss and level-budget overflow are both how a
@@ -310,15 +347,6 @@ def cmd_build(args) -> int:
             f"construction failed at delta={delta:g} "
             f"({type(exc).__name__}: {exc}); use a smaller delta") from exc
 
-    checks = {
-        "nets": verify_nets(nets, space),
-        "random_grid": grid_checks(space, nets, ref, labels, seed=cfg["seed"],
-                                   num_samples=cfg["grid_samples"]),
-        "splines": verify_splines(system, space, nets,
-                                  tol=cfg["tolerances"]["exact"]),
-        "wavelets": verify_wavelet_theorem(space, nets, basis,
-                                           seed=cfg["seed"]),
-    }
     bad = [name for name, rep in checks.items() if not rep["ok"]]
     if (checks["splines"]["outer_support_violations"]
             or checks["splines"]["inner_plateau_violations"]):
@@ -332,8 +360,6 @@ def cmd_build(args) -> int:
     out = Path(cfg["out"])
     write_json(out / "space.json", space_to_dict(space))
     write_json(out / "nets.json", nets_to_dict(nets))
-    (out / "splines").mkdir(parents=True, exist_ok=True)
-    (out / "transitions").mkdir(parents=True, exist_ok=True)
     for k, vals in system.values.items():
         write_csv(out / "splines" / f"level_{k}.csv", vals)
     for k, T in system.transitions.items():
@@ -393,7 +419,41 @@ def _load_artifact_json(path) -> dict:
 
 
 def _load_matrix(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", ndmin=2)
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise MissingArtifact(f"cannot read {path}: {exc}") from exc
+
+
+def _load_basis(art: Path, n: int) -> tuple:
+    """Stored basis rows over n points, wavelet count and row labels."""
+    B = _load_matrix(art / "basis_values.csv")
+    if B.shape[1] != n:
+        raise DimensionMismatch(
+            f"basis_values.csv has {B.shape[1]} columns for {n} points")
+    meta = _load_artifact_json(art / "basis.json")
+    try:
+        count = int(meta["count"])
+        labels = [(lvl if lvl == "const" else int(lvl), int(center))
+                  for lvl, center in meta["row_labels"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MissingArtifact(f"{art / 'basis.json'} lacks a valid count "
+                              f"and row_labels: {exc!r}") from exc
+    return B, count, labels
+
+
+def _stored_dev(folder: Path, rebuilt: dict) -> float:
+    """Largest deviation of folder/level_k.csv from each rebuilt level k.
+
+    Infinite when a stored matrix has the wrong shape.
+    """
+    dev = 0.0
+    for k in sorted(rebuilt):
+        loaded = _load_matrix(folder / f"level_{k}.csv")
+        if loaded.shape != rebuilt[k].shape:
+            return math.inf
+        dev = max(dev, float(np.abs(loaded - rebuilt[k]).max()))
+    return dev
 
 
 def _chk(measured, tol) -> dict:
@@ -405,56 +465,27 @@ def cmd_verify(args) -> int:
     art = Path(args.artifacts)
     _require_artifacts(art, ["space.json", "nets.json", "basis.json",
                              "basis_values.csv", "build_config.json",
-                             "splines", "transitions"])
+                             "splines"])
     space = load_space_json(art / "space.json")
-    nets = load_nets_json(art / "nets.json")
+    stored_nets = load_nets_json(art / "nets.json")
     stored = _load_artifact_json(art / "build_config.json")
-    cfg = dict(CONFIG_DEFAULTS)
-    cfg["tolerances"] = dict(CONFIG_DEFAULTS["tolerances"])
-    for key, val in stored.get("config", {}).items():
-        if key == "tolerances":
-            cfg["tolerances"].update(val)
-        elif key in cfg:
-            cfg[key] = val
-    if args.num_trials is not None:
-        cfg["num_trials"] = args.num_trials
-    if args.pair_budget is not None:
-        cfg["pair_budget"] = args.pair_budget
-    cfg = _validate_config(cfg)
+    cfg = _resolve_config(stored.get("config", {}),
+                          {"num_trials": args.num_trials,
+                           "pair_budget": args.pair_budget})
+    B, count, _ = _load_basis(art, space.n)
     seed = cfg["seed"]
     tol_exact = float(cfg["tolerances"]["exact"])
     tol_ortho = float(cfg["tolerances"]["ortho"])
     n = space.n
     w = space.weights
 
-    ref = reference_order(space, nets)
-    labels = grid_labels(space, nets, ref)
-    system = compute_splines(space, nets, ref, labels)
-    mra = build_mra(space, system)
-    basis = build_wavelet_basis(space, nets, mra)
-
-    splines_dev = 0.0
-    for k in nets.level_range:
-        loaded = _load_matrix(art / "splines" / f"level_{k}.csv")
-        if loaded.shape != system.values[k].shape:
-            splines_dev = math.inf
-            break
-        splines_dev = max(splines_dev,
-                          float(np.abs(loaded - system.values[k]).max()))
-    trans_dev = 0.0
-    for k in range(nets.k_min, nets.k_max):
-        loaded = _load_matrix(art / "transitions" / f"level_{k}.csv")
-        if loaded.shape != system.transitions[k].shape:
-            trans_dev = math.inf
-            break
-        trans_dev = max(trans_dev,
-                        float(np.abs(loaded - system.transitions[k]).max()))
-    B = _load_matrix(art / "basis_values.csv")
-    meta = _load_artifact_json(art / "basis.json")
+    nets, system, mra, basis, checks = _construct(space, cfg)
+    nets_match = nets_to_dict(stored_nets) == nets_to_dict(nets)
+    splines_dev = _stored_dev(art / "splines", system.values)
+    trans_dev = _stored_dev(art / "transitions", system.transitions)
     rebuilt = basis.stacked()
     basis_dev = (float(np.abs(B - rebuilt).max())
                  if B.shape == rebuilt.shape else math.inf)
-    count = int(meta["count"])
     count_ok = count == n - 1 and B.shape == (count + 1, n)
 
     # direct checks on the loaded matrix, so corruption is caught even
@@ -465,12 +496,6 @@ def cmd_verify(args) -> int:
     sample = rng.standard_normal((n, n))
     recon_dev = float(np.abs(B.T @ (B @ (sample * w).T) - sample.T).max())
 
-    nets_rep = verify_nets(nets, space)
-    grid_rep = grid_checks(space, nets, ref, labels, seed=seed,
-                           num_samples=cfg["grid_samples"])
-    spl_rep = verify_splines(system, space, nets, tol=tol_exact)
-    wav_rep = verify_wavelet_theorem(space, nets, basis, seed=seed)
-
     lp = build_lp(space, nets, basis)
     tele_dev = 0.0
     for k in lp.qproj:
@@ -478,34 +503,31 @@ def cmd_verify(args) -> int:
             np.abs(lp.pproj[k + 1] - lp.pproj[k] - lp.qproj[k]).max()))
     kern = kernel_estimates(space, nets, lp, pair_budget=cfg["pair_budget"],
                             seed=seed)
-    sym_dev = 0.0
-    prow_dev = 0.0
-    qrow_dev = 0.0
-    for entry in kern["levels"].values():
-        sym_dev = max(sym_dev, entry.get("p_sym_dev", 0.0))
-        prow_dev = max(prow_dev, entry.get("p_rowsum_dev", 0.0))
-        qrow_dev = max(qrow_dev, entry.get("q_rowsum_dev", 0.0))
+    sym_dev, prow_dev, qrow_dev = (
+        max([0.0] + [entry.get(key, 0.0) for entry in kern["levels"].values()])
+        for key in ("p_sym_dev", "p_rowsum_dev", "q_rowsum_dev"))
 
     signs = random_signs(basis, seed=seed)
     T = random_sign_operator(space, basis, signs)
     iso_dev = float(np.abs(T.T @ (w[:, None] * T) - np.diag(w)).max())
 
     equivalence = {}
+    parseval_dev = 0.0
     if basis.count() > 0:
+        bounds = lp_equivalence(space, lp,
+                                list(dict.fromkeys(cfg["p_list"] + [2.0])),
+                                num_trials=cfg["num_trials"], seed=seed)
         for p in cfg["p_list"]:
-            lo, hi = lp_equivalence(space, lp, p,
-                                    num_trials=cfg["num_trials"], seed=seed)
+            lo, hi = bounds[p]
             equivalence[f"{p:g}"] = {"lo": lo, "hi": hi,
                                      "num_trials": cfg["num_trials"]}
-        lo2, hi2 = lp_equivalence(space, lp, 2.0,
-                                  num_trials=cfg["num_trials"], seed=seed)
-        parseval_dev = max(abs(lo2 - 1.0), abs(hi2 - 1.0))
-    else:
-        parseval_dev = 0.0
+        parseval_dev = max(abs(bounds[2.0][0] - 1.0),
+                           abs(bounds[2.0][1] - 1.0))
 
+    spl_rep = checks["splines"]
     exact = {
-        "nets": {"ok": bool(nets_rep["ok"])},
-        "random_grid": {"ok": bool(grid_rep["ok"])},
+        "nets": {"ok": bool(checks["nets"]["ok"] and nets_match)},
+        "random_grid": {"ok": bool(checks["random_grid"]["ok"])},
         "spline_partition": _chk(spl_rep["partition_dev"], tol_exact),
         "spline_interpolation": _chk(spl_rep["interpolation_dev"], tol_exact),
         "spline_refinement": _chk(spl_rep["refinement_dev"], tol_exact),
@@ -532,8 +554,9 @@ def cmd_verify(args) -> int:
     ok = all(item["ok"] for item in exact.values())
 
     fits = {
-        "wavelet_decay": dict(wav_rep["decay"], a=wav_rep["a"]),
-        "wavelet_holder": wav_rep["holder"],
+        "wavelet_decay": dict(checks["wavelets"]["decay"],
+                              a=checks["wavelets"]["a"]),
+        "wavelet_holder": checks["wavelets"]["holder"],
         "cz_bound": cz_kernel_bound(space, basis),
         "gram_certificates": gram_decay_certificates(space, nets, mra, basis),
         "kernel_estimates": kern,
@@ -552,8 +575,7 @@ def cmd_verify(args) -> int:
         "seed": seed,
         "exact": exact,
         "fits": fits,
-        "reports": {"nets": nets_rep, "random_grid": grid_rep,
-                    "splines": spl_rep, "wavelets": wav_rep},
+        "reports": checks,
         "ok": ok,
         "provenance": {"config_sha256": stored.get("config_sha256"),
                        "versions": _versions()},
@@ -574,11 +596,12 @@ def cmd_analyze(args) -> int:
     art = Path(args.artifacts)
     _require_artifacts(art, ["space.json", "basis.json", "basis_values.csv"])
     space = load_space_json(art / "space.json")
-    B = _load_matrix(art / "basis_values.csv")
-    meta = _load_artifact_json(art / "basis.json")
-    if not Path(args.signal).exists():
-        raise MissingArtifact(f"signal file {args.signal} not found")
-    signal = np.loadtxt(args.signal, delimiter=",", ndmin=1).ravel()
+    B, _, row_labels = _load_basis(art, space.n)
+    if len(row_labels) != B.shape[0]:
+        raise DimensionMismatch(
+            f"basis.json labels {len(row_labels)} rows, basis_values.csv "
+            f"holds {B.shape[0]}")
+    signal = _load_matrix(args.signal).ravel()
     if signal.shape != (space.n,):
         raise DimensionMismatch(
             f"signal has {signal.size} values for {space.n} points")
@@ -591,7 +614,6 @@ def cmd_analyze(args) -> int:
     parseval_abs = abs(coeff_energy - energy)
     parseval_rel = parseval_abs / max(energy, 1e-300)
 
-    row_labels = meta["row_labels"]
     sf2 = np.zeros(space.n)
     for k in sorted({lvl for lvl, _ in row_labels if lvl != "const"}):
         rows = [i for i, (lvl, _) in enumerate(row_labels) if lvl == k]
@@ -629,30 +651,16 @@ def cmd_boundary(args) -> int:
     space = load_space_json(art / "space.json")
     nets = load_nets_json(art / "nets.json")
     stored = _load_artifact_json(art / "build_config.json")
-    cfg = dict(CONFIG_DEFAULTS)
-    for key, val in stored.get("config", {}).items():
-        if key in cfg and key != "tolerances":
-            cfg[key] = val
-    if args.num_samples is not None:
-        cfg["num_samples"] = args.num_samples
-    if args.eps_grid is not None:
-        cfg["eps_grid"] = args.eps_grid
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.jobs is not None:
-        cfg["jobs"] = args.jobs
-    num_samples = int(cfg["num_samples"])
-    if num_samples < 1:
-        raise BadParams("num_samples must be at least 1")
-    eps_grid = [float(e) for e in cfg["eps_grid"]]
-    if not eps_grid or any(e <= 0 for e in eps_grid):
-        raise BadParams("eps_grid needs positive entries")
-
+    cfg = _resolve_config(stored.get("config", {}),
+                          {"num_samples": args.num_samples,
+                           "eps_grid": args.eps_grid, "seed": args.seed,
+                           "jobs": args.jobs})
     ref = reference_order(space, nets)
     labels = grid_labels(space, nets, ref)
-    stats = boundary_layer_stats(space, nets, ref, labels, eps_grid,
-                                 num_samples, int(cfg["seed"]),
-                                 jobs=int(cfg["jobs"]))
+    stats = boundary_layer_stats(space, nets, labels,
+                                 parent_tables(space, nets, ref, labels),
+                                 cfg["eps_grid"], cfg["num_samples"],
+                                 cfg["seed"], jobs=cfg["jobs"])
     fit = fit_boundary_exponent(stats)
 
     out = Path(args.out) if args.out else art
@@ -676,12 +684,12 @@ def cmd_boundary(args) -> int:
         "levels": stats["levels"],
         "num_samples": stats["num_samples"],
         "mean_freq": stats["mean_freq"],
-        "seed": int(cfg["seed"]),
+        "seed": cfg["seed"],
     })
     eta = fit.get("eta", math.nan)
     lo, hi = fit.get("ci95", (math.nan, math.nan))
     print(f"boundary exponent {eta:.4f} (95% CI [{lo:.4f}, {hi:.4f}]) "
-          f"over {num_samples} samples -> {out}")
+          f"over {cfg['num_samples']} samples -> {out}")
     return 0
 
 

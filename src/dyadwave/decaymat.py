@@ -9,7 +9,6 @@ quasi-triangle inequality degrades along paths.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,21 +24,6 @@ from .seeding import STREAM_TRIALS, stream_rng
 TINY = 1e-300
 
 DEFAULT_C_MAX = 50.0
-
-
-@dataclass
-class DecayMatrix:
-    """Matrix together with the quasi-distance on its index set."""
-
-    matrix: np.ndarray
-    index_dist: np.ndarray
-    cert: dict | None = None
-
-    def certify(self, s: float = 1.0, x_cut: float = 1.0,
-                c_max: float = DEFAULT_C_MAX) -> dict:
-        self.cert = decay_certificate(self.matrix, self.index_dist,
-                                      s=s, x_cut=x_cut, c_max=c_max)
-        return self.cert
 
 
 def envelope_fit(xs, ys, x_cut: float = 1.0, c_max: float = DEFAULT_C_MAX,
@@ -100,10 +84,10 @@ def decay_certificate(matrix, index_dist, s: float = 1.0, x_cut: float = 1.0,
     off = ~np.eye(matrix.shape[0], dtype=bool)
     if off.any():
         dmin = float(index_dist[off].min())
-        if dmin < 1.0 - 1e-9:
+        # d^s <= d needs d >= 1; allow only rounding below it
+        if not (dmin >= 1.0 - 1e-9 and dmin ** s <= dmin * (1 + 1e-12)):
             raise BadParams(
                 f"index set not 1-separated (min distance {dmin:.3e})")
-        assert (index_dist[off] ** s <= index_dist[off] * (1 + 1e-12)).all()
     absm = np.abs(matrix)
     keep = off & (absm >= TINY)
     xs = index_dist[keep] ** s

@@ -86,26 +86,30 @@ def square_function(lp: LPSystem, f) -> np.ndarray:
     return np.sqrt(total)
 
 
-def lp_equivalence(space: QuasiMetricSpace, lp: LPSystem, p: float,
-                   num_trials: int = 100, seed: int = 0) -> tuple:
+def lp_equivalence(space: QuasiMetricSpace, lp: LPSystem, p_list,
+                   num_trials: int = 100, seed: int = 0) -> dict:
     """Range of ||Sf||_p / ||f||_p over random mean-zero test vectors.
 
-    The constants are reported, not thresholded; at p = 2 both ends
-    collapse to 1 by orthogonality.
+    Returns {p: (lo, hi)} for every p in ``p_list``; each trial vector and
+    its square function serve all exponents.  The constants are reported,
+    not thresholded; at p = 2 both ends collapse to 1 by orthogonality.
     """
-    if not 1.0 < p < math.inf:
-        raise BadExponent(f"p={p} outside (1, inf)")
+    for p in p_list:
+        if not 1.0 < p < math.inf:
+            raise BadExponent(f"p={p} outside (1, inf)")
     if num_trials < 1:
         raise BadParams("need at least one trial")
     rng = stream_rng(seed, STREAM_TRIALS)
     total = space.total_mass
-    lo, hi = math.inf, 0.0
+    bounds = {p: (math.inf, 0.0) for p in p_list}
     for _ in range(num_trials):
         f = rng.standard_normal(space.n)
         f -= float(np.sum(space.weights * f)) / total
-        ratio = lp_norm(space, square_function(lp, f), p) / lp_norm(space, f, p)
-        lo, hi = min(lo, ratio), max(hi, ratio)
-    return lo, hi
+        sf = square_function(lp, f)
+        for p, (lo, hi) in bounds.items():
+            ratio = lp_norm(space, sf, p) / lp_norm(space, f, p)
+            bounds[p] = (min(lo, ratio), max(hi, ratio))
+    return bounds
 
 
 def random_signs(basis: WaveletBasis, seed: int = 0) -> dict:

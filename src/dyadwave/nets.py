@@ -11,10 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDelta, BadParams, MissingArtifact, TooLarge
+from .errors import (BadDelta, BadParams, MissingArtifact, OrderViolation,
+                     TooLarge)
 from .space import QuasiMetricSpace
 
 ORDER_POLICIES = ("input_order", "farthest_first")
+DEFAULT_ORDER_POLICY = "farthest_first"
 
 # hard cap on the level count; hit only by delta pathologically close to 1
 MAX_LEVELS = 4096
@@ -75,7 +77,7 @@ def _greedy_extend(dist, threshold, scan, seed_points):
 
 
 def build_nets(space: QuasiMetricSpace, delta: float,
-               order_policy: str = "farthest_first") -> NestedNets:
+               order_policy: str = DEFAULT_ORDER_POLICY) -> NestedNets:
     """Build the full hierarchy of nested separated nets.
 
     Parameters
@@ -134,15 +136,19 @@ def build_nets(space: QuasiMetricSpace, delta: float,
     for k in range(base + 1, k_max + 1):
         levels[k] = _greedy_extend(space.dist, delta ** k, scan, levels[k - 1])
 
-    assert len(levels[k_min]) == 1, "coarsest level must be a single root"
-    assert len(levels[k_max]) == n, "finest level must resolve every point"
+    if len(levels[k_min]) != 1 or len(levels[k_max]) != n:
+        raise OrderViolation(
+            f"nets span {len(levels[k_min])} roots and resolve "
+            f"{len(levels[k_max])} of {n} points; need one root and all")
 
-    ydiff = {}
-    for k in range(k_min, k_max):
-        held = set(levels[k].tolist())
-        ydiff[k] = np.array([p for p in levels[k + 1] if p not in held],
-                            dtype=int)
-    return NestedNets(delta, k_min, k_max, levels, ydiff, order_policy, scan)
+    return NestedNets(delta, k_min, k_max, levels,
+                      _new_points(levels, k_min, k_max), order_policy, scan)
+
+
+def _new_points(levels: dict, k_min: int, k_max: int) -> dict:
+    """Per transition k, the level-(k+1) points not in level k, in order."""
+    return {k: levels[k + 1][~np.isin(levels[k + 1], levels[k])]
+            for k in range(k_min, k_max)}
 
 
 def _ranks(scan: np.ndarray, n: int) -> np.ndarray:
@@ -201,13 +207,9 @@ def nets_from_dict(payload: dict) -> NestedNets:
     k_max = int(payload["k_max"])
     levels = {int(k): np.array(v, dtype=int)
               for k, v in payload["levels"].items()}
-    ydiff = {}
-    for k in range(k_min, k_max):
-        held = set(levels[k].tolist())
-        ydiff[k] = np.array([p for p in levels[k + 1] if p not in held],
-                            dtype=int)
-    return NestedNets(delta, k_min, k_max, levels, ydiff,
-                      payload.get("order_policy", "input_order"),
+    return NestedNets(delta, k_min, k_max, levels,
+                      _new_points(levels, k_min, k_max),
+                      payload.get("order_policy", DEFAULT_ORDER_POLICY),
                       np.array(payload["scan_order"], dtype=int))
 
 

@@ -237,14 +237,14 @@ def enumerate_coordinates(labels: GridLabels):
 
 
 def child_hit_probabilities(space: QuasiMetricSpace, nets: NestedNets,
-                            ref: ReferenceOrder, labels: GridLabels) -> dict:
+                            tables: dict) -> dict:
     """Exact P(z^k_alpha = child beta) per transition, by enumeration.
 
     The perturbed center at level k depends on the level-k coordinate only,
-    so one-level enumeration is exhaustive.
+    so one-level enumeration of its table (``parent_tables``) is exhaustive.
     """
     out = {}
-    for k, table in parent_tables(space, nets, ref, labels).items():
+    for k, table in tables.items():
         fine = nets.levels[k + 1]
         pos_f = np.empty(space.n, dtype=np.intp)
         pos_f[fine] = np.arange(len(fine))
@@ -277,8 +277,8 @@ def _center_stats(space, table, codes, inner_z, r_chain, r_iter):
     return [np.array(column) for column in zip(*stats)]
 
 
-def grid_checks(space: QuasiMetricSpace, nets: NestedNets, ref: ReferenceOrder,
-                labels: GridLabels, seed: int = 0, num_samples: int = 32) -> dict:
+def grid_checks(space: QuasiMetricSpace, nets: NestedNets, labels: GridLabels,
+                tables: dict, seed: int = 0, num_samples: int = 32) -> dict:
     """Exact and radius-style checks over sampled coordinate draws.
 
     Exact items (center containment, covering recursion, separation) feed
@@ -290,6 +290,7 @@ def grid_checks(space: QuasiMetricSpace, nets: NestedNets, ref: ReferenceOrder,
     per distinct drawn coordinate.  Pair counts such as "points near a
     center but outside its cube" are all near pairs minus the near pairs
     that stay inside a cube, so every per-draw term is a gather of length n.
+    ``tables`` are the level tables of ``parent_tables``.
     """
     tls = list(transition_levels(nets))
     a0 = space.a0
@@ -308,7 +309,6 @@ def grid_checks(space: QuasiMetricSpace, nets: NestedNets, ref: ReferenceOrder,
         "iterated_lower_violations": 0,
         "iterated_upper_max_ratio": 0.0,
     }
-    tables = parent_tables(space, nets, ref, labels)
     draws = sample_omega(labels, tls, seed, count=num_samples)
     n = space.n
     cols = np.arange(n)
@@ -438,7 +438,7 @@ def _boundary_chunk(nets, labels, tables, layers, n_eps, levels, seed,
 
 
 def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
-                         ref: ReferenceOrder, labels: GridLabels,
+                         labels: GridLabels, tables: dict,
                          eps_grid, num_samples: int, seed: int,
                          levels=None, jobs: int = 1) -> dict:
     """Monte Carlo frequency of the eps boundary layer event per point/level.
@@ -450,13 +450,12 @@ def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
     The same draws are reused across the whole eps grid, so frequencies are
     monotone in eps by construction.  Sampling is chunked with one RNG
     stream per (level, chunk), which makes the counts independent of the
-    worker count.
+    worker count.  ``tables`` are the level tables of ``parent_tables``.
     """
     eps_grid = sorted(float(e) for e in eps_grid)
     if not eps_grid or eps_grid[0] <= 0:
         raise ValueError("eps grid must be positive")
     levels = list(nets.level_range if levels is None else levels)
-    tables = parent_tables(space, nets, ref, labels)
     layers = {k: _near_pairs(space, np.array(eps_grid) * nets.scale(k))
               for k in levels if len(nets.levels[k]) > 1}
     args = [(nets, labels, tables, layers, len(eps_grid), levels, seed, ci,

@@ -351,7 +351,7 @@ def gen_example(kind: str, seed: int = 0, **params) -> QuasiMetricSpace:
                               seed, **params)
     except KeyError as exc:
         raise BadParams(f"missing parameter {exc} for kind {kind!r}") from exc
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise BadParams(f"bad parameters for kind {kind!r}: {exc}") from exc
     raise BadParams(f"unknown example kind {kind!r}")
 
@@ -388,6 +388,9 @@ def load_space_json(path) -> QuasiMetricSpace:
 
 
 def load_space_csv(dist_path, weights_path) -> QuasiMetricSpace:
-    dist = np.loadtxt(dist_path, delimiter=",", ndmin=2)
-    weights = np.loadtxt(weights_path, delimiter=",", ndmin=1)
+    try:
+        dist = np.loadtxt(dist_path, delimiter=",", ndmin=2)
+        weights = np.loadtxt(weights_path, delimiter=",", ndmin=1)
+    except (OSError, ValueError) as exc:
+        raise MissingArtifact(f"cannot read space CSV: {exc}") from exc
     return build_space(dist, weights)

@@ -14,13 +14,10 @@ import numpy as np
 from .nets import NestedNets
 from .randgrid import (
     GridLabels,
-    ReferenceOrder,
     column_frequencies,
     cube_assignments,
-    parent_tables,
     sample_omega,
     transition_levels,
-    transition_parents,
 )
 from .space import QuasiMetricSpace, exponent_a
 
@@ -43,22 +40,16 @@ class SplineSystem:
         return {k: v.shape[0] for k, v in self.values.items()}
 
 
-def transition_matrix(space: QuasiMetricSpace, nets: NestedNets,
-                      ref: ReferenceOrder, labels: GridLabels,
-                      k: int) -> np.ndarray:
-    """P(perturbed parent of child beta is alpha), exactly, by enumeration."""
-    parents = transition_parents(space, nets, ref, labels, k).parents
-    return column_frequencies(parents.reshape(-1, parents.shape[2]),
-                              len(nets.levels[k]))
-
-
 def compute_splines(space: QuasiMetricSpace, nets: NestedNets,
-                    ref: ReferenceOrder, labels: GridLabels) -> SplineSystem:
+                    tables: dict) -> SplineSystem:
     """Exact spline values on all of X at every level.
 
     At the finest level the cubes are singletons, so the values start from
     the permutation sending positions to points; each coarser level is the
-    transition matrix applied to the previous one.
+    transition matrix applied to the previous one.  The transition matrix
+    of level k, P(perturbed parent of child beta is alpha), is the column
+    histogram of that level's table in ``tables`` (``parent_tables``) over
+    all its coordinates.
     """
     n = space.n
     finest = nets.levels[nets.k_max]
@@ -68,7 +59,9 @@ def compute_splines(space: QuasiMetricSpace, nets: NestedNets,
     values[nets.k_max] = base
     transitions = {}
     for k in reversed(list(transition_levels(nets))):
-        T = transition_matrix(space, nets, ref, labels, k)
+        parents = tables[k].parents
+        T = column_frequencies(parents.reshape(-1, parents.shape[2]),
+                               len(nets.levels[k]))
         transitions[k] = T
         values[k] = T @ values[k + 1]
     ball_mass = {k: space.ball_masses(nets.levels[k], nets.scale(k))
@@ -77,15 +70,15 @@ def compute_splines(space: QuasiMetricSpace, nets: NestedNets,
                         values, transitions, ball_mass)
 
 
-def mc_membership_frequencies(space: QuasiMetricSpace, nets: NestedNets,
-                              ref: ReferenceOrder, labels: GridLabels,
-                              seed: int, num_samples: int) -> dict:
+def mc_membership_frequencies(nets: NestedNets, labels: GridLabels,
+                              tables: dict, seed: int,
+                              num_samples: int) -> dict:
     """Empirical cube membership frequencies over sampled grids.
 
     Independent check of the exact values: the drawn rows of the parent
-    tables are composed into cube assignments and counted per point.
+    tables (``parent_tables``) are composed into cube assignments and
+    counted per point.
     """
-    tables = parent_tables(space, nets, ref, labels)
     draws = sample_omega(labels, transition_levels(nets), seed,
                          count=num_samples)
     return {k: column_frequencies(asg, len(nets.levels[k]))

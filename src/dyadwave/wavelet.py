@@ -134,7 +134,11 @@ def project_Vk(space: QuasiMetricSpace, mra: MRA, k: int, f) -> np.ndarray:
     via_duals = S.T @ (mra.duals[k] @ wf)
     via_splines = mra.duals[k].T @ (S @ wf)
     scale = max(1.0, float(np.abs(f).max()))
-    assert np.abs(via_duals - via_splines).max() <= GRAM_TOL * scale
+    dev = float(np.abs(via_duals - via_splines).max())
+    if not dev <= GRAM_TOL * scale:
+        raise NotPositiveDefinite(
+            f"level {k} duals and splines disagree by {dev:.3e}; "
+            "the Gram inverse lost accuracy")
     return via_duals
 
 

@@ -19,7 +19,7 @@ from dyadwave.lpanalysis import (build_lp, cz_kernel_bound, lp_equivalence,
                                  substitute_inequality_check)
 from dyadwave.nets import build_nets
 from dyadwave.randgrid import (boundary_layer_stats, fit_boundary_exponent,
-                               grid_labels, reference_order)
+                               grid_labels, parent_tables, reference_order)
 from dyadwave.space import build_space, exponent_a, gen_example
 from dyadwave.spline import (compute_splines, mc_membership_frequencies,
                              verify_splines)
@@ -40,11 +40,12 @@ def assemble_from(space, delta=0.5):
     nets = build_nets(space, delta)
     ref = reference_order(space, nets)
     labels = grid_labels(space, nets, ref)
-    system = compute_splines(space, nets, ref, labels)
+    tables = parent_tables(space, nets, ref, labels)
+    system = compute_splines(space, nets, tables)
     mra = build_mra(space, system)
     basis = build_wavelet_basis(space, nets, mra)
     lp = build_lp(space, nets, basis)
-    return {"space": space, "nets": nets, "ref": ref, "labels": labels,
+    return {"space": space, "nets": nets, "labels": labels, "tables": tables,
             "system": system, "mra": mra, "basis": basis, "lp": lp}
 
 
@@ -78,7 +79,8 @@ def test_criterion_01_exact_spline_suite(capsys):
         nets = build_nets(space, 0.5)
         ref = reference_order(space, nets)
         labels = grid_labels(space, nets, ref)
-        system = compute_splines(space, nets, ref, labels)
+        system = compute_splines(space, nets,
+                                 parent_tables(space, nets, ref, labels))
         rep = verify_splines(system, space, nets)
         worst = max(worst, rep["partition_dev"], rep["interpolation_dev"],
                     rep["refinement_dev"], rep["stochastic_dev"])
@@ -97,8 +99,8 @@ def test_criterion_02_dp_vs_monte_carlo(capsys):
     t0 = time.perf_counter()
     num = 10_000
     b = assemble("cyclic", {"n": 16}, delta=0.2)
-    freq = mc_membership_frequencies(b["space"], b["nets"], b["ref"],
-                                     b["labels"], seed=11, num_samples=num)
+    freq = mc_membership_frequencies(b["nets"], b["labels"], b["tables"],
+                                     seed=11, num_samples=num)
     xs = np.random.default_rng(7).integers(0, b["space"].n, size=20)
     worst_z = 0.0
     exact_mismatch = 0
@@ -225,12 +227,14 @@ def test_criterion_06_square_function_equivalence(fleet, capsys):
     all_finite = True
     for name, b in fleet.items():
         space, lp, basis = b["space"], b["lp"], b["basis"]
-        lo2, hi2 = lp_equivalence(space, lp, 2.0, num_trials=200, seed=0)
+        first = lp_equivalence(space, lp, [2.0, 1.5, 4.0], num_trials=200,
+                               seed=0)
+        second = lp_equivalence(space, lp, [1.5, 4.0], num_trials=200,
+                                seed=1)
+        lo2, hi2 = first[2.0]
         worst_p2 = max(worst_p2, abs(lo2 - 1.0), abs(hi2 - 1.0))
         for p in (1.5, 4.0):
-            first = lp_equivalence(space, lp, p, num_trials=200, seed=0)
-            second = lp_equivalence(space, lp, p, num_trials=200, seed=1)
-            for va, vb in zip(first, second):
+            for va, vb in zip(first[p], second[p]):
                 all_finite = (all_finite and 0.0 < va < math.inf
                               and 0.0 < vb < math.inf)
                 worst_drift = max(worst_drift, abs(va / vb - 1.0))
@@ -314,8 +318,8 @@ def test_criterion_09_boundary_layers(capsys):
     # degeneracy that delta = 1/2 produces on interval spaces
     t0 = time.perf_counter()
     b = assemble("interval", {"n": 256}, delta=1.0 / 6.0)
-    stats = boundary_layer_stats(b["space"], b["nets"], b["ref"],
-                                 b["labels"], [0.05, 0.1, 0.2, 0.4],
+    stats = boundary_layer_stats(b["space"], b["nets"], b["labels"],
+                                 b["tables"], [0.05, 0.1, 0.2, 0.4],
                                  num_samples=2000, seed=3)
     fit = fit_boundary_exponent(stats)
     monotone = bool(np.all(np.diff(stats["freq"], axis=1) >= 0.0))

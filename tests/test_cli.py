@@ -137,6 +137,10 @@ def test_build_rejects_bad_delta(tmp_path):
 def test_build_missing_input(tmp_path):
     assert run("build", "--input", tmp_path / "nope.json",
                "--out", tmp_path / "art") == 8
+    (tmp_path / "dist.csv").write_text("0,abc\n1,0\n")
+    (tmp_path / "w.csv").write_text("1\n1\n")
+    assert run("build", "--input", tmp_path / "dist.csv",
+               "--weights", tmp_path / "w.csv", "--out", tmp_path / "art") == 8
 
 
 def test_build_input_conflicts_with_gen(tmp_path):
@@ -163,6 +167,40 @@ def test_build_config_rejects_unknown_keys(tmp_path):
     cfg.write_text(json.dumps({"gen": {"kind": "cyclic", "params": {"n": 8}},
                                "detla": 0.5}))
     assert run("build", "--config", cfg, "--out", tmp_path / "art") == 4
+
+
+@pytest.mark.parametrize("config,code", [
+    ({"tolerances": 5}, 4),
+    ({"tolerances": {"exact": "tiny"}}, 4),
+    ({"delta": "abc"}, 4),
+    ({"delta": None}, 4),
+    ({"eps_grid": 5}, 4),
+    ({"p_list": ["x"]}, 4),
+    ({"seed": None}, 4),
+    ({"seed": -1}, 4),
+    ({"grid_samples": [3]}, 4),
+    ({"gen": 5}, 4),
+    ({"gen": {"kind": "cyclic", "params": {"n": "eight"}}}, 4),
+    ({"out": None}, 4),
+    ({"delta": 2.0}, 5),
+])
+def test_build_config_bad_values(tmp_path, capsys, config, code):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"gen": {"kind": "cyclic", "params": {"n": 8}},
+                               **config}))
+    assert run("build", "--config", cfg) == code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "boundary"])
+def test_stored_config_not_a_map_exits_8(built, tmp_path, command):
+    import shutil
+    bad = tmp_path / "bad"
+    shutil.copytree(built, bad)
+    stored = json.loads((bad / "build_config.json").read_text())
+    stored["config"] = 5
+    (bad / "build_config.json").write_text(json.dumps(stored))
+    out = {"verify": "--report", "boundary": "--out"}[command]
+    assert run(command, "--artifacts", bad, out, tmp_path / "out") == 8
 
 
 def test_build_from_csv_pair(tmp_path):
@@ -229,6 +267,62 @@ def test_verify_tampered_config_fails(built, tmp_path):
     assert run("verify", "--artifacts", bad) == EXIT_CHECKS_FAILED
     report = json.loads((bad / "report.json").read_text())
     assert not report["exact"]["config_hash"]["ok"]
+
+
+@pytest.mark.parametrize("change,code", [
+    ("order_policy", EXIT_CHECKS_FAILED),
+    ("scan_order", EXIT_CHECKS_FAILED),
+    ("no_order_policy", 0),
+])
+def test_verify_compares_stored_nets(built, tmp_path, change, code):
+    # a nets.json without an order policy reads as the default policy
+    import shutil
+    bad = tmp_path / "bad"
+    shutil.copytree(built, bad)
+    nets = json.loads((bad / "nets.json").read_text())
+    if change == "order_policy":
+        nets["order_policy"] = "input_order"
+    elif change == "scan_order":
+        scan = nets["scan_order"]
+        scan[1], scan[2] = scan[2], scan[1]
+    else:
+        del nets["order_policy"]
+    (bad / "nets.json").write_text(json.dumps(nets))
+    assert run("verify", "--artifacts", bad) == code
+    report = json.loads((bad / "report.json").read_text())
+    assert report["exact"]["nets"]["ok"] is (code == 0)
+    assert sum(not item["ok"] for item in report["exact"].values()) \
+        == (code != 0)
+
+
+def test_each_level_table_built_once_per_command(tmp_path, monkeypatch):
+    from collections import Counter
+
+    from dyadwave import randgrid
+    built_levels = Counter()
+    original = randgrid.transition_parents
+
+    def counting(space, nets, ref, labels, k):
+        built_levels[k] += 1
+        return original(space, nets, ref, labels, k)
+
+    # every module that bound the name at import gets the counter
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("dyadwave")
+                and getattr(module, "transition_parents", None) is original):
+            monkeypatch.setattr(module, "transition_parents", counting)
+    art = tmp_path / "art"
+    commands = [("build", "--gen", "cyclic", "16", "--delta", "0.2",
+                 "--out", art),
+                ("verify", "--artifacts", art),
+                ("boundary", "--artifacts", art, "--num-samples", 8)]
+    for argv in commands:
+        built_levels.clear()
+        assert run(*argv) == 0
+        nets = json.loads((art / "nets.json").read_text())
+        levels = range(nets["k_min"], nets["k_max"])
+        assert len(levels) > 1
+        assert built_levels == Counter(levels), argv[0]
 
 
 def test_verify_missing_artifacts(tmp_path):
@@ -397,6 +491,57 @@ def test_malformed_artifact_json_exits_8(built, tmp_path, capsys, command,
     else:
         assert rc == 8, err
         assert "MissingArtifact" in err
+
+
+def _drop_last_column(path):
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\n" for line in lines))
+
+
+def _drop_last_row(path):
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line + "\n" for line in lines[:-1]))
+
+
+def _drop_key(key):
+    def corrupt(path):
+        meta = json.loads(path.read_text())
+        del meta[key]
+        path.write_text(json.dumps(meta))
+    return corrupt
+
+
+def _first_cell_abc(path):
+    text = path.read_text()
+    path.write_text("abc" + text[text.index(","):])
+
+
+@pytest.mark.parametrize("command,name,corrupt,code", [
+    ("verify", "splines/level_0.csv", _first_cell_abc, 8),
+    ("verify", "transitions/level_-1.csv", _first_cell_abc, 8),
+    ("verify", "basis_values.csv", _first_cell_abc, 8),
+    ("verify", "basis_values.csv", _drop_last_column, 9),
+    ("verify", "basis.json", _drop_key("count"), 8),
+    ("verify", "basis.json", _drop_key("row_labels"), 8),
+    ("analyze", "basis_values.csv", _first_cell_abc, 8),
+    ("analyze", "basis_values.csv", _drop_last_column, 9),
+    ("analyze", "basis_values.csv", _drop_last_row, 9),
+    ("analyze", "basis.json", _drop_key("count"), 8),
+    ("analyze", "basis.json", _drop_key("row_labels"), 8),
+    ("analyze", "sig.csv", _first_cell_abc, 8),
+])
+def test_malformed_artifact_exit_codes(built, tmp_path, capsys, command,
+                                       name, corrupt, code):
+    import shutil
+    bad = tmp_path / "bad"
+    shutil.copytree(built, bad)
+    np.savetxt(bad / "sig.csv", np.ones((1, 8)), delimiter=",")
+    corrupt(bad / name)
+    args = {"verify": ["--report", tmp_path / "report.json"],
+            "analyze": ["--signal", bad / "sig.csv",
+                        "--out", tmp_path / "out"]}
+    rc = run(command, "--artifacts", bad, *args[command])
+    assert rc == code, capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

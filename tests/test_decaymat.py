@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dyadwave.decaymat import (
-    DecayMatrix,
     chain_constants,
     decay_certificate,
     envelope_fit,
@@ -84,6 +83,11 @@ def test_certificate_preconditions():
         decay_certificate(np.exp(-d), d, s=1.5)
     with pytest.raises(DimensionMismatch):
         decay_certificate(np.eye(3), d)
+    # within the separation slack, but d^s > d: typed error, not an assert
+    d = 1.0 - 5e-10 + np.zeros((2, 2))
+    np.fill_diagonal(d, 0.0)
+    with pytest.raises(BadParams):
+        decay_certificate(np.eye(2), d, s=0.5)
 
 
 def test_product_of_decaying_matrices_still_decays():
@@ -107,9 +111,8 @@ def test_envelope_fit_empty_and_near_field_only():
 
 def test_decay_matrix_container():
     d = np.abs(np.subtract.outer(np.arange(5.0), np.arange(5.0)))
-    dm = DecayMatrix(np.exp(-d), d)
-    cert = dm.certify()
-    assert dm.cert is cert and cert["c"] > 0
+    cert = decay_certificate(np.exp(-d), d)
+    assert cert["c"] > 0
 
 
 def bruteforce_kappa(dist, m):

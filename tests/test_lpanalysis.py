@@ -24,7 +24,7 @@ from dyadwave.lpanalysis import (
     substitute_inequality_check,
 )
 from dyadwave.nets import build_nets
-from dyadwave.randgrid import grid_labels, reference_order
+from dyadwave.randgrid import grid_labels, parent_tables, reference_order
 from dyadwave.space import build_space, gen_example
 from dyadwave.spline import compute_splines
 from dyadwave.wavelet import build_mra, build_wavelet_basis
@@ -48,7 +48,8 @@ def assemble_space(space, delta=0.5):
     nets = build_nets(space, delta)
     ref = reference_order(space, nets)
     labels = grid_labels(space, nets, ref)
-    system = compute_splines(space, nets, ref, labels)
+    system = compute_splines(space, nets,
+                             parent_tables(space, nets, ref, labels))
     mra = build_mra(space, system)
     basis = build_wavelet_basis(space, nets, mra)
     lp = build_lp(space, nets, basis)
@@ -196,17 +197,23 @@ def test_lp_norm_hand_value():
 def test_lp_equivalence_p2_is_parseval():
     for kind, params in [("cyclic", {"n": 16}), ("interval", {"n": 64})]:
         space, nets, mra, basis, lp = assemble(kind, params)
-        lo, hi = lp_equivalence(space, lp, 2.0, num_trials=50, seed=3)
+        lo, hi = lp_equivalence(space, lp, [2.0], num_trials=50, seed=3)[2.0]
         assert abs(lo - 1.0) <= 1e-10
         assert abs(hi - 1.0) <= 1e-10
 
 
 def test_lp_equivalence_p4_reported():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 64})
-    lo, hi = lp_equivalence(space, lp, 4.0, num_trials=200, seed=0)
+    lo, hi = lp_equivalence(space, lp, [4.0], num_trials=200, seed=0)[4.0]
     assert 0.0 < lo <= hi < math.inf
-    again = lp_equivalence(space, lp, 4.0, num_trials=200, seed=0)
+    again = lp_equivalence(space, lp, [4.0], num_trials=200, seed=0)[4.0]
     assert (lo, hi) == again
+    # one pass over the trials serves every exponent unchanged
+    several = lp_equivalence(space, lp, [1.5, 4.0, 2.0], num_trials=200,
+                             seed=0)
+    assert several[4.0] == (lo, hi)
+    assert several[1.5] == lp_equivalence(space, lp, [1.5], num_trials=200,
+                                          seed=0)[1.5]
 
 
 def test_lp_ratio_scaling_invariance():
@@ -223,9 +230,9 @@ def test_lp_equivalence_bad_exponent():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
     for p in (1.0, 0.5, math.inf):
         with pytest.raises(BadExponent):
-            lp_equivalence(space, lp, p)
+            lp_equivalence(space, lp, [2.0, p])
     with pytest.raises(BadParams):
-        lp_equivalence(space, lp, 2.0, num_trials=0)
+        lp_equivalence(space, lp, [2.0], num_trials=0)
 
 
 def test_random_signs_cover_basis():

@@ -63,7 +63,8 @@ def test_two_point_reference_and_labels():
 def test_two_point_random_points_and_probabilities():
     sp = two_point()
     nets, ref, labels = setup(sp)
-    probs = child_hit_probabilities(sp, nets, ref, labels)
+    probs = child_hit_probabilities(sp, nets,
+                                    parent_tables(sp, nets, ref, labels))
     assert probs[-1].shape == (1, 2)
     assert probs[-1][0].tolist() == [0.5, 0.5]
 
@@ -88,7 +89,8 @@ def test_child_probability_lower_bound():
     for sp in (two_point(), gen_example("cyclic", n=8), gen_example("cyclic", n=16)):
         nets, ref, labels = setup(sp)
         floor = 1.0 / ((labels.L + 1) * labels.M)
-        probs = child_hit_probabilities(sp, nets, ref, labels)
+        probs = child_hit_probabilities(
+            sp, nets, parent_tables(sp, nets, ref, labels))
         for k in transition_levels(nets):
             prob = probs[k]
             assert np.allclose(prob.sum(axis=1)[prob.any(axis=1)], 1.0)
@@ -138,7 +140,9 @@ def test_center_containment_and_partition_all_omegas():
 def test_chain_implications_on_small_metric_spaces():
     for sp in (gen_example("cyclic", n=8), two_point()):
         nets, ref, labels = setup(sp)
-        rep = grid_checks(sp, nets, ref, labels, seed=5, num_samples=16)
+        rep = grid_checks(sp, nets, labels,
+                          parent_tables(sp, nets, ref, labels),
+                          seed=5, num_samples=16)
         assert rep["ok"]
         assert rep["chain_lower_violations"] == 0
         assert rep["chain_upper_max_ratio"] <= 1.0
@@ -156,7 +160,9 @@ def test_grid_checks_exact_gates_on_fleet():
                          ("koranyi_sphere", {"n": 30, "dim": 2})]:
         sp = gen_example(kind, seed=1, **params)
         nets, ref, labels = setup(sp, policy="farthest_first")
-        rep = grid_checks(sp, nets, ref, labels, seed=2, num_samples=12)
+        rep = grid_checks(sp, nets, labels,
+                          parent_tables(sp, nets, ref, labels),
+                          seed=2, num_samples=12)
         assert rep["center_containment_violations"] == 0, kind
         assert rep["covering_violations"] == 0, kind
         assert rep["z_separation_min_ratio"] >= 1.0, kind
@@ -217,8 +223,9 @@ def test_boundary_stats_monotone_and_deterministic():
     sp = gen_example("interval", n=32)
     nets, ref, labels = setup(sp, policy="farthest_first")
     eps = [0.05, 0.1, 0.2, 0.4]
-    s1 = boundary_layer_stats(sp, nets, ref, labels, eps, 300, seed=3)
-    s2 = boundary_layer_stats(sp, nets, ref, labels, eps, 300, seed=3)
+    tables = parent_tables(sp, nets, ref, labels)
+    s1 = boundary_layer_stats(sp, nets, labels, tables, eps, 300, seed=3)
+    s2 = boundary_layer_stats(sp, nets, labels, tables, eps, 300, seed=3)
     assert np.array_equal(s1["counts"], s2["counts"])
     # same draws reused across eps: per-cell counts monotone
     diffs = np.diff(s1["counts"], axis=1)
@@ -232,8 +239,11 @@ def test_boundary_stats_worker_count_invariance():
     sp = gen_example("interval", n=24)
     nets, ref, labels = setup(sp)
     eps = [0.1, 0.3]
-    a = boundary_layer_stats(sp, nets, ref, labels, eps, 520, seed=1, jobs=1)
-    b = boundary_layer_stats(sp, nets, ref, labels, eps, 520, seed=1, jobs=2)
+    tables = parent_tables(sp, nets, ref, labels)
+    a = boundary_layer_stats(sp, nets, labels, tables, eps, 520, seed=1,
+                             jobs=1)
+    b = boundary_layer_stats(sp, nets, labels, tables, eps, 520, seed=1,
+                             jobs=2)
     assert np.array_equal(a["counts"], b["counts"])
 
 
@@ -261,15 +271,15 @@ def assert_matches_oracle(sp, nets, ref, labels, grid_samples, bnd_samples,
             assert np.array_equal(table.parents[ell, m - 1],
                                   oracle.parents(sp, nets, ref, labels, k,
                                                  ell, m))
-    assert (grid_checks(sp, nets, ref, labels, seed=seed,
+    assert (grid_checks(sp, nets, labels, tables, seed=seed,
                         num_samples=grid_samples)
             == oracle.grid_checks(sp, nets, ref, labels, seed=seed,
                                   num_samples=grid_samples))
     counts, pooled = oracle.boundary_counts(sp, nets, ref, labels, EPS,
                                             bnd_samples, seed)
     for j in jobs:
-        stats = boundary_layer_stats(sp, nets, ref, labels, EPS, bnd_samples,
-                                     seed=seed, jobs=j)
+        stats = boundary_layer_stats(sp, nets, labels, tables, EPS,
+                                     bnd_samples, seed=seed, jobs=j)
         assert np.array_equal(stats["counts"], counts)
         assert np.array_equal(stats["pooled_last_eps"], pooled)
 

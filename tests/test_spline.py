@@ -21,7 +21,6 @@ from dyadwave.spline import (
     holder_estimate,
     mc_membership_frequencies,
     span_residuals,
-    transition_matrix,
     verify_splines,
 )
 
@@ -41,6 +40,11 @@ def setup(kind, params, delta=0.5, seed=1):
     ref = reference_order(space, nets)
     labels = grid_labels(space, nets, ref)
     return space, nets, ref, labels
+
+
+def splines(space, nets, ref, labels):
+    return compute_splines(space, nets,
+                           parent_tables(space, nets, ref, labels))
 
 
 def all_grid_averages(space, nets, ref, labels):
@@ -63,7 +67,7 @@ def all_grid_averages(space, nets, ref, labels):
 
 def test_two_point_exact():
     space, nets, ref, labels = setup("cyclic", {"n": 2})
-    system = compute_splines(space, nets, ref, labels)
+    system = splines(space, nets, ref, labels)
     assert system.k_max == 0 and system.k_min == -1
     assert np.array_equal(system.values[0], np.eye(2))
     assert np.array_equal(system.values[-1], np.ones((1, 2)))
@@ -72,7 +76,7 @@ def test_two_point_exact():
 
 def test_cyclic8_matches_full_grid_enumeration():
     space, nets, ref, labels = setup("cyclic", {"n": 8})
-    system = compute_splines(space, nets, ref, labels)
+    system = splines(space, nets, ref, labels)
     avg, total = all_grid_averages(space, nets, ref, labels)
     assert total == 27
     for k in avg:
@@ -81,7 +85,7 @@ def test_cyclic8_matches_full_grid_enumeration():
 
 def test_point_cloud_matches_full_grid_enumeration():
     space, nets, ref, labels = setup("point_cloud", {"n": 7, "dim": 2}, seed=3)
-    system = compute_splines(space, nets, ref, labels)
+    system = splines(space, nets, ref, labels)
     avg, _ = all_grid_averages(space, nets, ref, labels)
     for k in avg:
         assert np.allclose(system.values[k], avg[k], atol=1e-13)
@@ -89,8 +93,9 @@ def test_point_cloud_matches_full_grid_enumeration():
 
 def test_transition_matrix_is_column_stochastic_probability_table():
     space, nets, ref, labels = setup("cyclic", {"n": 8})
+    system = splines(space, nets, ref, labels)
     for k in transition_levels(nets):
-        T = transition_matrix(space, nets, ref, labels, k)
+        T = system.transitions[k]
         assert np.allclose(T.sum(axis=0), 1.0, atol=1e-14)
         assert T.min() >= 0.0
         # every entry is a count over the finite coordinate set
@@ -101,7 +106,7 @@ def test_transition_matrix_is_column_stochastic_probability_table():
 @pytest.mark.parametrize("kind,params", FLEET)
 def test_fleet_exact_identities(kind, params):
     space, nets, ref, labels = setup(kind, params)
-    system = compute_splines(space, nets, ref, labels)
+    system = splines(space, nets, ref, labels)
     report = verify_splines(system, space, nets)
     assert report["ok"], report
     assert report["partition_dev"] <= 1e-12
@@ -119,7 +124,7 @@ def test_fleet_exact_identities(kind, params):
     ("binary_tree", {"depth": 4}), ("point_cloud", {"n": 40, "dim": 2})])
 def test_metric_fleet_inner_plateau(kind, params):
     space, nets, ref, labels = setup(kind, params)
-    system = compute_splines(space, nets, ref, labels)
+    system = splines(space, nets, ref, labels)
     report = verify_splines(system, space, nets)
     assert report["inner_plateau_violations"] == 0
 
@@ -129,16 +134,17 @@ def test_farthest_first_policy_also_exact():
     nets = build_nets(space, 0.5, order_policy="farthest_first")
     ref = reference_order(space, nets)
     labels = grid_labels(space, nets, ref)
-    system = compute_splines(space, nets, ref, labels)
+    system = splines(space, nets, ref, labels)
     assert verify_splines(system, space, nets)["ok"]
 
 
 def test_mc_frequencies_within_binomial_error():
     space, nets, ref, labels = setup("cyclic", {"n": 8})
-    system = compute_splines(space, nets, ref, labels)
+    system = splines(space, nets, ref, labels)
     N = 3000
-    freq = mc_membership_frequencies(space, nets, ref, labels,
-                                     seed=7, num_samples=N)
+    freq = mc_membership_frequencies(
+        nets, labels, parent_tables(space, nets, ref, labels),
+        seed=7, num_samples=N)
     for k, F in freq.items():
         p = system.values[k]
         se = np.sqrt(p * (1 - p) / N)
@@ -149,9 +155,10 @@ def test_mc_frequencies_within_binomial_error():
 
 def test_mc_deterministic_in_seed():
     space, nets, ref, labels = setup("cyclic", {"n": 16}, delta=0.2)
-    a = mc_membership_frequencies(space, nets, ref, labels, 3, 200)
-    b = mc_membership_frequencies(space, nets, ref, labels, 3, 200)
-    c = mc_membership_frequencies(space, nets, ref, labels, 4, 200)
+    tables = parent_tables(space, nets, ref, labels)
+    a = mc_membership_frequencies(nets, labels, tables, 3, 200)
+    b = mc_membership_frequencies(nets, labels, tables, 3, 200)
+    c = mc_membership_frequencies(nets, labels, tables, 4, 200)
     for k in a:
         assert np.array_equal(a[k], b[k])
     assert any(not np.array_equal(a[k], c[k]) for k in a)
@@ -159,10 +166,11 @@ def test_mc_deterministic_in_seed():
 
 def test_mc_matches_dp_at_live_delta():
     space, nets, ref, labels = setup("cyclic", {"n": 16}, delta=0.2)
-    system = compute_splines(space, nets, ref, labels)
+    system = splines(space, nets, ref, labels)
     N = 4000
-    freq = mc_membership_frequencies(space, nets, ref, labels,
-                                     seed=11, num_samples=N)
+    freq = mc_membership_frequencies(
+        nets, labels, parent_tables(space, nets, ref, labels),
+        seed=11, num_samples=N)
     for k, F in freq.items():
         p = system.values[k]
         se = np.sqrt(p * (1 - p) / N)
@@ -176,14 +184,14 @@ def test_grids_deterministic_at_half_delta():
     for kind, params in [("interval", {"n": 16}), ("cyclic", {"n": 16}),
                          ("point_cloud", {"n": 30, "dim": 2})]:
         space, nets, ref, labels = setup(kind, params)
-        system = compute_splines(space, nets, ref, labels)
+        system = splines(space, nets, ref, labels)
         for V in system.values.values():
             assert set(np.unique(V)) <= {0.0, 1.0}
 
 
 def test_small_delta_gives_fractional_values():
     space, nets, ref, labels = setup("cyclic", {"n": 16}, delta=0.2)
-    system = compute_splines(space, nets, ref, labels)
+    system = splines(space, nets, ref, labels)
     frac = sum(int(((v > 0) & (v < 1)).sum()) for v in system.values.values())
     assert frac > 0
     report = verify_splines(system, space, nets)
@@ -192,14 +200,14 @@ def test_small_delta_gives_fractional_values():
 
 def test_span_residuals_vanish():
     space, nets, ref, labels = setup("interval", {"n": 32})
-    system = compute_splines(space, nets, ref, labels)
+    system = splines(space, nets, ref, labels)
     for k, resid in span_residuals(system).items():
         assert resid < 1e-10
 
 
 def test_ball_masses_on_cycle():
     space, nets, ref, labels = setup("cyclic", {"n": 8})
-    system = compute_splines(space, nets, ref, labels)
+    system = splines(space, nets, ref, labels)
     assert np.array_equal(system.ball_mass[0], np.ones(8))
     assert np.array_equal(system.ball_mass[-1], np.full(4, 3.0))
     assert np.array_equal(system.ball_mass[-2], np.full(2, 7.0))
@@ -208,7 +216,7 @@ def test_ball_masses_on_cycle():
 
 def test_holder_estimate_reports_positive_rate():
     space, nets, ref, labels = setup("cyclic", {"n": 32}, delta=0.2)
-    system = compute_splines(space, nets, ref, labels)
+    system = splines(space, nets, ref, labels)
     out = holder_estimate(system, space, nets)
     assert math.isfinite(out["const_at_eta"]) and out["const_at_eta"] > 0
     assert out["eta"] == 1.0
@@ -235,7 +243,7 @@ def test_holder_fit_closed_form():
 
 def test_density_residuals_spike_on_interval():
     space, nets, ref, labels = setup("interval", {"n": 64})
-    system = compute_splines(space, nets, ref, labels)
+    system = splines(space, nets, ref, labels)
     f = np.zeros(64)
     f[20] = 1.0
     out = density_check(system, space, f, p=2.0)

@@ -11,7 +11,7 @@ from dyadwave.errors import (
     ZeroBallMass,
 )
 from dyadwave.nets import build_nets
-from dyadwave.randgrid import grid_labels, reference_order
+from dyadwave.randgrid import grid_labels, parent_tables, reference_order
 from dyadwave.space import build_space, exponent_a, gen_example
 from dyadwave.spline import compute_splines
 from dyadwave.wavelet import (
@@ -45,7 +45,8 @@ def setup(kind, params, delta=0.5, seed=1):
     nets = build_nets(space, delta)
     ref = reference_order(space, nets)
     labels = grid_labels(space, nets, ref)
-    system = compute_splines(space, nets, ref, labels)
+    system = compute_splines(space, nets,
+                             parent_tables(space, nets, ref, labels))
     return space, nets, system
 
 
@@ -198,7 +199,8 @@ def test_single_point_space_basis():
     nets = build_nets(space, 0.5)
     ref = reference_order(space, nets)
     labels = grid_labels(space, nets, ref)
-    system = compute_splines(space, nets, ref, labels)
+    system = compute_splines(space, nets,
+                             parent_tables(space, nets, ref, labels))
     mra = build_mra(space, system)
     basis = build_wavelet_basis(space, nets, mra)
     assert basis.levels == [] and basis.count() == 0
@@ -347,7 +349,8 @@ def test_measure_rescaling_shrinks_wavelets():
     nets2 = build_nets(doubled, 0.5)
     ref2 = reference_order(doubled, nets2)
     labels2 = grid_labels(doubled, nets2, ref2)
-    system2 = compute_splines(doubled, nets2, ref2, labels2)
+    system2 = compute_splines(doubled, nets2,
+                              parent_tables(doubled, nets2, ref2, labels2))
     basis2 = build_wavelet_basis(doubled, nets2, build_mra(doubled, system2))
     lhs = basis2.stacked()
     rhs = basis.stacked() / math.sqrt(2.0)

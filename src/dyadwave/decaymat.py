@@ -19,6 +19,7 @@ from .errors import (
     NotPositiveDefinite,
 )
 from .seeding import STREAM_TRIALS, stream_rng
+from .space import minplus
 
 # entries smaller than this are numerical zeros and impose no constraint
 TINY = 1e-300
@@ -102,10 +103,6 @@ def decay_certificate(matrix, index_dist, s: float = 1.0, x_cut: float = 1.0,
 # ---------------------------------------------------------------------------
 # chain constants
 
-def _minplus(D: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    return (D[:, :, None] + dist[None, :, :]).min(axis=1)
-
-
 def chain_constants(dist, n_max: int, exact_budget: int = 512,
                     seed: int = 0) -> dict:
     """Worst ratio of direct distance to additive chain length, per hop count.
@@ -133,7 +130,7 @@ def chain_constants(dist, n_max: int, exact_budget: int = 512,
     D = dist.copy()
     kappa[0] = float((dist[off] / D[off]).max())
     for m in range(1, n_max):
-        D = _minplus(D, dist)
+        D = minplus(D, dist)
         kappa[m] = float((dist[off] / D[off]).max())
     return {"kappa": kappa, "exact": True}
 

@@ -213,12 +213,6 @@ def nets_from_dict(payload: dict) -> NestedNets:
                       np.array(payload["scan_order"], dtype=int))
 
 
-def save_nets_json(nets: NestedNets, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(nets_to_dict(nets), fh)
-        fh.write("\n")
-
-
 def load_nets_json(path) -> NestedNets:
     try:
         with open(path) as fh:

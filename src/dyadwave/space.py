@@ -1,15 +1,17 @@
 """Finite quasi-metric measure spaces.
 
 A space is a point set {0, ..., n-1}, a quasi-distance matrix and a vector of
-positive point masses.  The quasi-triangle constant a0 is computed by an exact
-scan over triples, balls are strict sublevel sets of the distance, and the
-measure is the weight vector itself.  On a finite set every subset is
-measurable, so the usual caveat that balls need not be Borel is moot here.
+positive point masses.  The quasi-triangle constant a0 is computed exactly
+from the min-plus square of the distance on first use, balls are strict
+sublevel sets of the distance, and the measure is the weight vector itself.
+On a finite set every subset is measurable, so the usual caveat that balls
+need not be Borel is moot here.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,11 +36,19 @@ class Ball:
 class QuasiMetricSpace:
     dist: np.ndarray
     weights: np.ndarray
-    a0: float
     diam: float
     minsep: float
-    lipschitz: bool
     coords: np.ndarray | None = None
+
+    @cached_property
+    def a0(self) -> float:
+        """Quasi-triangle constant, exactly 1 within LIPSCHITZ_TOL of it."""
+        a0 = compute_a0(self.dist)
+        return 1.0 if a0 <= 1.0 + LIPSCHITZ_TOL else a0
+
+    @property
+    def lipschitz(self) -> bool:
+        return self.a0 == 1.0
 
     @property
     def n(self) -> int:
@@ -65,29 +75,38 @@ class QuasiMetricSpace:
         return inside @ self.weights
 
 
+def minplus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Min-plus product C[x, z] = min_y A[x, y] + B[y, z], exactly.
+
+    One intermediate y at a time into a reused buffer, so memory stays at
+    two arrays the size of C, never the n^3 of a broadcast over y.
+    """
+    out = A[:, 0, None] + B[0, None, :]
+    buf = np.empty_like(out)
+    for y in range(1, A.shape[1]):
+        np.add(A[:, y, None], B[y, None, :], out=buf)
+        np.minimum(out, buf, out=out)
+    return out
+
+
 def compute_a0(dist: np.ndarray) -> float:
     """Smallest constant with d(x,z) <= a0 (d(x,y) + d(y,z)), clamped at 1.
 
-    Exact O(n^3) scan, vectorized one intermediate point at a time.
+    Exact in floating point: rounded division is monotone in the divisor,
+    so d(x,z) over the min-plus square equals the largest of the ratios
+    d(x,z) / (d(x,y) + d(y,z)) over all y.  The y = x term is d(x,z)
+    itself, whose ratio 1 the clamp covers anyway.  O(n^3) time, O(n^2)
+    memory.
     """
-    n = dist.shape[0]
-    best = 1.0
-    idx = np.arange(n)
-    for j in range(n):
-        denom = dist[:, j][:, None] + dist[j, :][None, :]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(denom > 0, dist / denom, 0.0)
-        ratio[j, :] = 0.0
-        ratio[:, j] = 0.0
-        ratio[idx, idx] = 0.0
-        m = ratio.max()
-        if m > best:
-            best = float(m)
-    return best
+    square = minplus(dist, dist)
+    np.fill_diagonal(square, np.inf)
+    return max(1.0, float((dist / square).max()))
 
 
 def build_space(dist, weights, coords=None) -> QuasiMetricSpace:
-    """Validate axioms and compute the derived constants.
+    """Validate axioms and compute the diameter and minimal separation.
+
+    The quasi-triangle constant ``a0`` is computed on first use.
 
     Parameters
     ----------
@@ -135,10 +154,6 @@ def build_space(dist, weights, coords=None) -> QuasiMetricSpace:
     if n > 1 and np.any(dist[off] <= 0):
         raise AxiomViolation("d(x, y) must be positive for x != y")
 
-    a0 = compute_a0(dist)
-    lipschitz = a0 <= 1.0 + LIPSCHITZ_TOL
-    if lipschitz:
-        a0 = 1.0
     diam = float(dist.max()) if n > 1 else 0.0
     minsep = float(dist[off].min()) if n > 1 else 0.0
     dist.setflags(write=False)
@@ -146,7 +161,7 @@ def build_space(dist, weights, coords=None) -> QuasiMetricSpace:
     if coords is not None:
         coords = np.array(coords)
         coords.setflags(write=False)
-    return QuasiMetricSpace(dist, weights, a0, diam, minsep, lipschitz, coords)
+    return QuasiMetricSpace(dist, weights, diam, minsep, coords)
 
 
 def exponent_a(space: QuasiMetricSpace) -> float:
@@ -370,12 +385,6 @@ def space_from_dict(payload: dict) -> QuasiMetricSpace:
     except (KeyError, TypeError) as exc:
         raise AxiomViolation("space payload needs 'dist' and 'weights'") from exc
     return build_space(dist, weights)
-
-
-def save_space_json(space: QuasiMetricSpace, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(space_to_dict(space), fh)
-        fh.write("\n")
 
 
 def load_space_json(path) -> QuasiMetricSpace:

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -325,6 +326,35 @@ def test_each_level_table_built_once_per_command(tmp_path, monkeypatch):
         assert built_levels == Counter(levels), argv[0]
 
 
+def test_a0_computed_only_by_commands_that_read_it(tmp_path, monkeypatch):
+    from dyadwave import space
+    calls = []
+    original = space.compute_a0
+
+    def counting(dist):
+        calls.append(dist.shape[0])
+        return original(dist)
+
+    # every module that bound the name at import gets the counter
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("dyadwave")
+                and getattr(module, "compute_a0", None) is original):
+            monkeypatch.setattr(module, "compute_a0", counting)
+    src, art = tmp_path / "snow.json", tmp_path / "art"
+    np.savetxt(tmp_path / "sig.csv", np.arange(16.0), delimiter=",")
+    commands = [(("gen", "snowflake", "16", "0.6", "--out", src), 0),
+                (("build", "--input", src, "--delta", "0.3", "--out", art), 1),
+                (("verify", "--artifacts", art), 1),
+                (("analyze", "--artifacts", art, "--signal",
+                  tmp_path / "sig.csv"), 0),
+                (("boundary", "--artifacts", art, "--num-samples", 8,
+                  "--eps-grid", 0.2, 0.4, 0.8), 1)]
+    for argv, expected in commands:
+        calls.clear()
+        assert run(*argv) == 0
+        assert calls == [16] * expected, argv[0]
+
+
 def test_verify_missing_artifacts(tmp_path):
     assert run("verify", "--artifacts", tmp_path / "empty") == 8
 
@@ -542,6 +572,17 @@ def test_malformed_artifact_exit_codes(built, tmp_path, capsys, command,
                         "--out", tmp_path / "out"]}
     rc = run(command, "--artifacts", bad, *args[command])
     assert rc == code, capsys.readouterr().err
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips asserts, so runtime checks must raise typed errors
+    pkg = Path(__file__).resolve().parents[1] / "src" / "dyadwave"
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(pkg.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert len(list(pkg.glob("*.py"))) > 5
+    assert found == []
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dyadwave.cli import write_json
 from dyadwave.errors import BadDelta, BadParams, TooLarge
 from dyadwave.nets import (
     build_nets,
@@ -8,7 +9,6 @@ from dyadwave.nets import (
     load_nets_json,
     nets_from_dict,
     nets_to_dict,
-    save_nets_json,
     verify_nets,
 )
 from dyadwave.space import build_space, gen_example
@@ -137,7 +137,7 @@ def test_json_roundtrip(tmp_path):
     sp = gen_example("point_cloud", n=20, dim=2, seed=2)
     nets = build_nets(sp, 0.5)
     path = tmp_path / "nets.json"
-    save_nets_json(nets, path)
+    write_json(path, nets_to_dict(nets))
     back = load_nets_json(path)
     assert back.delta == nets.delta
     assert back.k_min == nets.k_min and back.k_max == nets.k_max

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dyadwave.cli import write_json
 from dyadwave.errors import AxiomViolation, BadExponent, BadParams, DegenerateSpace
 from dyadwave.space import (
     build_space,
@@ -13,7 +14,6 @@ from dyadwave.space import (
     load_space_csv,
     load_space_json,
     measure_doubling_constant,
-    save_space_json,
     space_from_dict,
     space_to_dict,
 )
@@ -209,7 +209,7 @@ def test_unknown_kind_and_bad_params():
 def test_json_roundtrip(tmp_path):
     sp = gen_example("snowflake", n=10, eps=0.8, seed=9)
     path = tmp_path / "space.json"
-    save_space_json(sp, path)
+    write_json(path, space_to_dict(sp))
     back = load_space_json(path)
     assert np.array_equal(back.dist, sp.dist)
     assert np.array_equal(back.weights, sp.weights)

@@ -73,23 +73,31 @@ PARAM_NAMES = {
 # ---------------------------------------------------------------------------
 # deterministic serialization
 
+def _fmt_floats(row, sep: str = ",") -> str:
+    """A row of floats at 17 significant digits, joined by ``sep``.
+
+    The one float formatter of every written file.  ``%g`` output holds
+    the letters of ``nan`` and ``inf`` nowhere else, so the replacements
+    touch only the non-finite values.
+    """
+    text = sep.join(["%.17g"] * len(row)) % tuple(row)
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
 def _fmt(x) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "NaN"
-    if math.isinf(x):
-        return "Infinity" if x > 0 else "-Infinity"
-    return format(x, ".17g")
+    return _fmt_floats((float(x),))
 
 
 def _clean(obj):
     """Plain python scalars, lists, and string keys, ready for dumping."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
     if isinstance(obj, dict):
         return {str(k): _clean(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if all(type(v) is float for v in obj):
+            return list(obj)
         return [_clean(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_clean(v) for v in obj.tolist()]
     if isinstance(obj, (bool, np.bool_)):
         return bool(obj)
     if isinstance(obj, (int, np.integer)):
@@ -118,6 +126,8 @@ def _dumps(obj, indent: int = 0) -> str:
     if isinstance(obj, list):
         if not obj:
             return "[]"
+        if all(type(v) is float for v in obj):
+            return "[" + _fmt_floats(obj, ", ") + "]"
         parts = [_dumps(v, indent + 1) for v in obj]
         if any(isinstance(v, (dict, list)) for v in obj):
             inner = ",\n".join(pad + "  " + p for p in parts)
@@ -148,8 +158,7 @@ def write_json(path, payload) -> None:
 
 def write_csv(path, rows) -> None:
     M = np.atleast_2d(np.asarray(rows, dtype=float))
-    lines = [",".join(_fmt(v) for v in row) for row in M]
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "\n".join(map(_fmt_floats, M.tolist())) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -624,10 +633,10 @@ def cmd_analyze(args) -> int:
     out = Path(args.out) if args.out else art
     coeff_lines = ["# level,center,coefficient"]
     coeff_lines += [f"{lvl},{center},{_fmt(c)}"
-                    for (lvl, center), c in zip(row_labels, coeffs)]
+                    for (lvl, center), c in zip(row_labels, coeffs.tolist())]
     _write_text(out / "coefficients.csv", "\n".join(coeff_lines) + "\n")
     sf_lines = ["# index,square_function"]
-    sf_lines += [f"{i},{_fmt(v)}" for i, v in enumerate(sf)]
+    sf_lines += [f"{i},{_fmt(v)}" for i, v in enumerate(sf.tolist())]
     _write_text(out / "sf.csv", "\n".join(sf_lines) + "\n")
     write_json(out / "analyze_report.json", {
         "n": space.n,
@@ -650,6 +659,9 @@ def cmd_boundary(args) -> int:
     _require_artifacts(art, ["space.json", "nets.json", "build_config.json"])
     space = load_space_json(art / "space.json")
     nets = load_nets_json(art / "nets.json")
+    if len(nets.scan_order) != space.n:
+        raise DimensionMismatch(f"nets.json covers {len(nets.scan_order)} "
+                                f"points, space.json {space.n}")
     stored = _load_artifact_json(art / "build_config.json")
     cfg = _resolve_config(stored.get("config", {}),
                           {"num_samples": args.num_samples,
@@ -669,9 +681,10 @@ def cmd_boundary(args) -> int:
     stderr = stats["per_cell_stderr"]
     for li, k in enumerate(stats["levels"]):
         for ei, eps in enumerate(stats["eps_grid"]):
-            for x in range(space.n):
-                lines.append(f"{x},{k},{_fmt(eps)},{_fmt(freq[li, ei, x])},"
-                             f"{_fmt(stderr[li, ei, x])}")
+            cells = np.column_stack([np.full(space.n, float(eps)),
+                                     freq[li, ei], stderr[li, ei]])
+            lines += [f"{x},{k},{_fmt_floats(row)}"
+                      for x, row in enumerate(cells.tolist())]
     _write_text(out / "boundary.csv", "\n".join(lines) + "\n")
     write_json(out / "boundary_fit.json", {
         "eta": fit.get("eta"),

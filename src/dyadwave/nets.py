@@ -202,15 +202,30 @@ def nets_to_dict(nets: NestedNets) -> dict:
 
 
 def nets_from_dict(payload: dict) -> NestedNets:
+    """Nets from their stored form, checked to nest from one root to all points.
+
+    The point count is that of ``scan_order``; a payload that is not such a
+    hierarchy over it raises ``MissingArtifact``.
+    """
     delta = float(payload["delta"])
     k_min = int(payload["k_min"])
     k_max = int(payload["k_max"])
     levels = {int(k): np.array(v, dtype=int)
               for k, v in payload["levels"].items()}
+    scan = np.array(payload["scan_order"], dtype=int)
+    every = np.arange(len(scan))
+    nested = sorted(levels) == list(range(k_min, k_max + 1)) and all(
+        levels[k].ndim == 1 and len(np.unique(levels[k])) == len(levels[k])
+        and (k == k_max or np.isin(levels[k], levels[k + 1]).all())
+        for k in levels)
+    if not (nested and len(levels[k_min]) == 1
+            and np.array_equal(np.sort(levels[k_max]), every)
+            and np.array_equal(np.sort(scan), every)):
+        raise MissingArtifact("stored nets do not nest from one root to "
+                              "every point of their scan order")
     return NestedNets(delta, k_min, k_max, levels,
                       _new_points(levels, k_min, k_max),
-                      payload.get("order_policy", DEFAULT_ORDER_POLICY),
-                      np.array(payload["scan_order"], dtype=int))
+                      payload.get("order_policy", DEFAULT_ORDER_POLICY), scan)
 
 
 def load_nets_json(path) -> NestedNets:

@@ -380,10 +380,12 @@ def space_to_dict(space: QuasiMetricSpace) -> dict:
 
 def space_from_dict(payload: dict) -> QuasiMetricSpace:
     try:
-        dist = payload["dist"]
-        weights = payload["weights"]
+        dist = np.array(payload["dist"], dtype=float)
+        weights = np.array(payload["weights"], dtype=float)
     except (KeyError, TypeError) as exc:
         raise AxiomViolation("space payload needs 'dist' and 'weights'") from exc
+    except ValueError as exc:
+        raise MissingArtifact(f"space payload is not numeric: {exc}") from exc
     return build_space(dist, weights)
 
 

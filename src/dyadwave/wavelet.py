@@ -89,18 +89,16 @@ def dual_splines(space: QuasiMetricSpace, system: SplineSystem, k: int,
 
     Row alpha is sum_beta G^{-1}(alpha, beta) s_beta / sqrt(m_alpha m_beta)
     with G the normalized Gram, so spline/dual pairings give the identity.
+    One LU solve against the scaled splines; the inverse is never formed.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
     if gram is None:
         gram = gram_matrix(space, system, k)
     rs = 1.0 / np.sqrt(np.asarray(system.ball_mass[k], dtype=float))
     try:
-        cf = cho_factor(gram)
+        np.linalg.cholesky(gram)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"level {k} Gram: {exc}") from None
-    inv = cho_solve(cf, np.eye(gram.shape[0]))
-    return (rs[:, None] * inv * rs[None, :]) @ system.values[k]
+    return rs[:, None] * np.linalg.solve(gram, rs[:, None] * system.values[k])
 
 
 def build_mra(space: QuasiMetricSpace, system: SplineSystem) -> MRA:

@@ -2,12 +2,15 @@ import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadwave.cli import EXIT_CHECKS_FAILED, _dumps, _fmt, main, write_json
 from dyadwave.space import build_space, load_space_json, space_to_dict
@@ -574,6 +577,83 @@ def test_malformed_artifact_exit_codes(built, tmp_path, capsys, command,
     assert rc == code, capsys.readouterr().err
 
 
+NUMBER = re.compile(r"-?\d[\d.eE+-]*")
+
+
+def _reads(command, name):
+    """Whether a command reads an artifact; build_report.json is for people."""
+    if command == "analyze":
+        return name in ("space.json", "basis.json", "basis_values.csv")
+    if command == "boundary":
+        return name in ("space.json", "nets.json", "build_config.json")
+    return name != "build_report.json"
+
+
+def _corrupt_one(path, kind, data):
+    if kind == "delete":
+        path.unlink()
+        return
+    text = path.read_text()
+    lines = text.splitlines(keepends=True)
+    if kind == "truncate":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    elif kind == "non_numeric":
+        tok = data.draw(st.sampled_from(list(NUMBER.finditer(text))))
+        cell = '"abc"' if path.suffix == ".json" else "abc"
+        text = text[:tok.start()] + cell + text[tok.end():]
+    elif kind == "drop_row":
+        i = data.draw(st.integers(0, len(lines) - 1))
+        text = "".join(lines[:i] + lines[i + 1:])
+    elif kind == "drop_column" and path.suffix == ".json":
+        # the last entry of every flat list of two or more entries
+        text = re.sub(r",[^,\[\]{}\n]+\]", "]", text)
+    elif kind == "drop_column":
+        text = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
+    elif kind == "invalid_json":
+        text = "{" + text
+    else:
+        text = data.draw(st.sampled_from(["[1, 2]", "3", "null", '"x"']))
+    path.write_text(text)
+
+
+ARTIFACT_FILES = ["space.json", "nets.json", "basis.json", "basis_values.csv",
+                  "build_config.json", "build_report.json", "splines",
+                  "transitions"]
+
+
+@pytest.mark.parametrize("target", ARTIFACT_FILES)
+@settings(max_examples=20)
+@given(data=st.data(),
+       kind=st.sampled_from(["delete", "truncate", "non_numeric", "drop_row",
+                             "drop_column", "invalid_json",
+                             "json_non_object"]))
+def test_single_file_corruption_exits_documented_code(built, target, data,
+                                                      kind):
+    import shutil
+    import tempfile
+    name = target
+    if not target.endswith((".json", ".csv")):
+        name = data.draw(st.sampled_from(sorted(
+            f"{target}/{p.name}" for p in (built / target).iterdir())))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        bad = tmp / "bad"
+        shutil.copytree(built, bad)
+        np.savetxt(tmp / "sig.csv", np.ones(8), delimiter=",")
+        _corrupt_one(bad / name, kind, data)
+        args = {"verify": ["--report", tmp / "report.json",
+                           "--num-trials", "2", "--pair-budget", "64"],
+                "analyze": ["--signal", tmp / "sig.csv", "--out", tmp / "o"],
+                "boundary": ["--num-samples", "8", "--out", tmp / "o"]}
+        for command, extra in args.items():
+            rc = run(command, "--artifacts", bad, *extra)
+            # 2: space.json parses but holds no quasi-metric space;
+            # 4: a stored config value has the wrong type
+            assert rc in (0, 2, 4, 8, 9, EXIT_CHECKS_FAILED), (command, rc)
+            if not _reads(command, name):
+                assert rc == 0, (command, rc)
+
+
 def test_package_has_no_assert_statements():
     # python -O strips asserts, so runtime checks must raise typed errors
     pkg = Path(__file__).resolve().parents[1] / "src" / "dyadwave"
@@ -585,12 +665,27 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    code = ("import sys, dyadwave.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.linalg', "
+SESSION = """
+from dyadwave.cli import main
+open("sig.csv", "w").write("1.5\\n" * 16)
+for argv in (["gen", "cyclic", "16", "--out", "space.json"],
+             ["build", "--input", "space.json", "--out", "art"],
+             ["verify", "--artifacts", "art"],
+             ["analyze", "--artifacts", "art", "--signal", "sig.csv"]):
+    if main(argv) != 0:
+        raise SystemExit(f"{argv[0]} failed")
+"""
+
+
+@pytest.mark.parametrize("work", ["", SESSION], ids=["import", "session"])
+def test_cli_import_leaves_scipy_stats_unloaded(tmp_path, work):
+    # build, verify and analyze need no scipy submodule; only boundary
+    # loads scipy.special, for its t quantile
+    code = ("import sys, dyadwave.cli\n" + work +
+            "\nprint([m for m in ('scipy.stats', 'scipy.linalg', "
             "'scipy.special') if m in sys.modules])")
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, timeout=120,
+                         text=True, check=True, timeout=120, cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.strip().splitlines()[-1] == "[]"

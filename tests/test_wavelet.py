@@ -112,6 +112,34 @@ def test_dual_midlevel_interval32():
     assert np.abs(pair - np.eye(S.shape[0])).max() <= 1e-10
 
 
+def cholesky_duals(space, system, k):
+    """The duals through an explicit Cholesky inverse of the Gram."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    gram = gram_matrix(space, system, k)
+    rs = 1.0 / np.sqrt(np.asarray(system.ball_mass[k], dtype=float))
+    inv = cho_solve(cho_factor(gram), np.eye(gram.shape[0]))
+    return (rs[:, None] * inv * rs[None, :]) @ system.values[k]
+
+
+@pytest.mark.parametrize("kind,params", FLEET)
+def test_duals_match_cholesky_inverse(kind, params):
+    space, nets, system = setup(kind, params)
+    for k in nets.level_range:
+        old = cholesky_duals(space, system, k)
+        new = dual_splines(space, system, k)
+        assert np.abs(new - old).max() <= 1e-12 * np.abs(old).max()
+
+
+def test_dual_splines_rejects_indefinite_gram():
+    space, nets, system = setup("cyclic", {"n": 8})
+    k = next(k for k in nets.level_range if len(nets.levels[k]) >= 2)
+    gram = np.eye(len(nets.levels[k]))
+    gram[0, 1] = gram[1, 0] = 2.0      # eigenvalues -1 and 3
+    with pytest.raises(NotPositiveDefinite):
+        dual_splines(space, system, k, gram=gram)
+
+
 def test_dual_finest_rescaled_indicators():
     space, nets, system = setup("point_cloud", {"n": 12, "dim": 2})
     D = dual_splines(space, system, nets.k_max)

@@ -1,0 +1,134 @@
+import hashlib
+import json
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+import writer_oracle as oracle
+from dyadwave import cli
+
+SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+            2.2250738585072014e-308, 1.7976931348623157e308, 1e300, -1e300,
+            1e-300, -1e-300, 0.1, 1.0 / 3.0, 2.0 ** 53, -(2.0 ** 53)]
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from(SPECIALS),
+    st.integers(2 ** 53 - 4, 2 ** 53 + 4).map(float),
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(-9.9, 9.9),
+              st.sampled_from([-300, 300])),
+)
+
+SHAPES = st.one_of(
+    st.tuples(st.just(1), st.integers(1, 40)),
+    st.tuples(st.integers(1, 40), st.just(1)),
+    st.tuples(st.integers(2, 12), st.integers(2, 12)),
+)
+
+MATRICES = hnp.arrays(np.float64, SHAPES, elements=FLOATS)
+
+TEXT = st.one_of(st.text(max_size=6),
+                 st.sampled_from(["nan", "inf", "-Infinity", "NaN", "1e5"]))
+KEYS = st.one_of(TEXT, st.integers(-20, 20).map(str))
+LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 70, 2 ** 70), TEXT, FLOATS,
+    st.just([]), st.lists(FLOATS, max_size=6),
+    FLOATS.map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-100, 100).map(np.int64), st.booleans().map(np.bool_),
+    hnp.arrays(np.float64, st.integers(0, 5), elements=FLOATS),
+    MATRICES,
+    hnp.arrays(np.int64, st.integers(1, 5)),
+)
+PAYLOADS = st.dictionaries(
+    KEYS,
+    st.recursive(LEAVES, lambda kids: st.one_of(
+        st.lists(kids, max_size=4), st.tuples(kids, kids),
+        st.dictionaries(KEYS, kids, max_size=4)), max_leaves=12),
+    max_size=6)
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("writer")
+
+
+@given(FLOATS)
+def test_fmt_matches_oracle(x):
+    assert cli._fmt(x) == oracle.fmt(x)
+    assert cli._fmt(np.float64(x)) == oracle.fmt(np.float64(x))
+
+
+@given(MATRICES)
+def test_write_csv_matches_oracle(out_dir, M):
+    path = out_dir / "m.csv"
+    cli.write_csv(path, M)
+    assert path.read_text() == oracle.csv_text(M)
+    cli.write_csv(path, M[0])
+    assert path.read_text() == oracle.csv_text(M[0])
+
+
+def test_write_csv_edge_shapes(out_dir):
+    path = out_dir / "e.csv"
+    for rows in ([], np.zeros((0, 3)), [[1, 2]], 7.0, np.float32(0.1)):
+        cli.write_csv(path, rows)
+        assert path.read_text() == oracle.csv_text(rows)
+
+
+@given(PAYLOADS)
+def test_write_json_matches_oracle(out_dir, payload):
+    path = out_dir / "p.json"
+    cli.write_json(path, payload)
+    assert path.read_text() == oracle.json_text(payload)
+
+
+def test_session_files_match_oracle(tmp_path, monkeypatch):
+    """Every file of a small session, byte for byte against the oracle."""
+    expected = {}
+
+    def record(writer, render):
+        def wrapped(path, payload):
+            expected[Path(path)] = render(payload)
+            writer(path, payload)
+        return wrapped
+
+    def record_stats(*args, **kwargs):
+        stats = boundary_layer_stats(*args, **kwargs)
+        expected[art / "boundary.csv"] = oracle.boundary_csv_text(stats)
+        return stats
+
+    art = tmp_path / "art"
+    boundary_layer_stats = cli.boundary_layer_stats
+    monkeypatch.setattr(cli, "write_json",
+                        record(cli.write_json, oracle.json_text))
+    monkeypatch.setattr(cli, "write_csv",
+                        record(cli.write_csv, oracle.csv_text))
+    monkeypatch.setattr(cli, "boundary_layer_stats", record_stats)
+    signal = tmp_path / "signal.csv"
+    signal.write_text("".join(f"{math.sin(i) * 1e3!r}\n" for i in range(16)))
+    for argv in (["gen", "cyclic", "16", "--out", tmp_path / "space.json"],
+                 ["build", "--input", tmp_path / "space.json", "--out", art],
+                 ["verify", "--artifacts", art],
+                 ["analyze", "--artifacts", art, "--signal", signal],
+                 ["boundary", "--artifacts", art, "--num-samples", "16"]):
+        assert cli.main([str(a) for a in argv]) == 0
+
+    written = {p for p in tmp_path.rglob("*") if p.is_file()} - {signal}
+    row_files = {art / "coefficients.csv", art / "sf.csv"}
+    assert written == set(expected) | row_files
+    assert len(expected) > 10
+    for path, text in expected.items():
+        assert path.read_text() == text, path
+    for path in row_files:
+        lines = path.read_text().splitlines()
+        assert len(lines) == 17
+        for line in lines[1:]:
+            cell = line.split(",")[-1]
+            assert cell == oracle.fmt(float(cell))
+    core = json.loads((art / "build_config.json").read_text())
+    want = hashlib.sha256(oracle.dumps(core["config"]).encode()).hexdigest()
+    assert core["config_sha256"] == want

@@ -16,6 +16,7 @@ import math
 import os
 import platform
 import sys
+from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,9 @@ from .errors import (BadDelta, BadParams, DeltaTooLarge, DimensionMismatch,
                      NotPositiveDefinite, RankDeficiency, TooLarge,
                      exit_code_for)
 from .lpanalysis import (build_lp, cz_kernel_bound, growth_sequence,
-                         kernel_estimates, lp_equivalence, random_sign_operator,
-                         random_signs, substitute_inequality_check)
+                         kernel_estimates, lp_equivalence, lp_projectors,
+                         random_sign_operator, random_signs, square_function,
+                         substitute_inequality_check)
 from .nets import build_nets, load_nets_json, nets_to_dict, verify_nets
 from .randgrid import (boundary_layer_stats, fit_boundary_exponent,
                        grid_checks, grid_labels, parent_tables,
@@ -36,7 +38,8 @@ from .space import (GENERATOR_KINDS, exponent_a, gen_example, load_space_csv,
                     load_space_json, space_to_dict)
 from .spline import compute_splines, verify_splines
 from .wavelet import (build_mra, build_wavelet_basis,
-                      gram_decay_certificates, verify_wavelet_theorem)
+                      gram_decay_certificates, orthonormality_devs,
+                      verify_wavelet_theorem)
 
 # 0 is success, 1 is reserved for unexpected crashes, and the error
 # classes own 2-14, so failed verification checks get their own code.
@@ -499,17 +502,12 @@ def cmd_verify(args) -> int:
 
     # direct checks on the loaded matrix, so corruption is caught even
     # when the rebuilt basis is healthy
-    gram_dev = float(np.abs((B * w) @ B.T - np.eye(B.shape[0])).max())
-    mean_dev = float(np.abs(B[1:] @ w).max()) if B.shape[0] > 1 else 0.0
-    rng = np.random.default_rng(seed)
-    sample = rng.standard_normal((n, n))
-    recon_dev = float(np.abs(B.T @ (B @ (sample * w).T) - sample.T).max())
+    gram_dev, mean_dev, recon_dev = orthonormality_devs(B, w, seed)
 
     lp = build_lp(space, nets, basis)
-    tele_dev = 0.0
-    for k in lp.qproj:
-        tele_dev = max(tele_dev, float(
-            np.abs(lp.pproj[k + 1] - lp.pproj[k] - lp.qproj[k]).max()))
+    steps = pairwise(lp_projectors(space, nets, basis))
+    tele_dev = max((float(np.abs(P1 - P0 - Q0).max())
+                    for (_, P0, Q0), (_, P1, _) in steps), default=0.0)
     kern = kernel_estimates(space, nets, lp, pair_budget=cfg["pair_budget"],
                             seed=seed)
     sym_dev, prow_dev, qrow_dev = (
@@ -623,12 +621,8 @@ def cmd_analyze(args) -> int:
     parseval_abs = abs(coeff_energy - energy)
     parseval_rel = parseval_abs / max(energy, 1e-300)
 
-    sf2 = np.zeros(space.n)
-    for k in sorted({lvl for lvl, _ in row_labels if lvl != "const"}):
-        rows = [i for i, (lvl, _) in enumerate(row_labels) if lvl == k]
-        contrib = B[rows].T @ coeffs[rows]
-        sf2 += contrib ** 2
-    sf = np.sqrt(sf2)
+    sf = square_function(B, [None if lvl == "const" else lvl
+                             for lvl, _ in row_labels], coeffs)
 
     out = Path(args.out) if args.out else art
     coeff_lines = ["# level,center,coefficient"]
@@ -647,7 +641,7 @@ def cmd_analyze(args) -> int:
         "parseval_rel": parseval_rel,
         "recon_dev": recon_dev,
         "mean_coefficient": float(coeffs[0]),
-        "sf_l2": float(math.sqrt(w @ sf2)),
+        "sf_l2": float(math.sqrt(w @ sf ** 2)),
     })
     print(f"analyzed {space.n} values: parseval residual {parseval_abs:.3e}, "
           f"reconstruction deviation {recon_dev:.3e} -> {out}")

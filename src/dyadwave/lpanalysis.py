@@ -1,10 +1,11 @@
 """Littlewood-Paley projections, square function, and kernel geometry.
 
 The wavelet basis splits every function into blocks Q_k f per level plus
-a mean.  This module builds the block projectors and their cumulative
-sums, measures the L^p behaviour of the square function and of random
-sign flips of the basis, and quantifies the kernel bounds whose key
-ingredient is the distance to the level's new net points (the holes).
+a mean.  This module forms the block projectors and their cumulative
+sums from the basis rows one level at a time, measures the L^p behaviour
+of the square function and of random sign flips of the basis, and
+quantifies the kernel bounds whose key ingredient is the distance to the
+level's new net points (the holes).
 """
 
 import math
@@ -30,43 +31,34 @@ PAIR_BUDGET = 200_000
 
 @dataclass(frozen=True)
 class LPSystem:
-    """Block projectors Q_k, their running sums P_k, and hole distances."""
+    """The basis whose level blocks are the LP blocks, and hole distances."""
 
     basis: WaveletBasis
-    qproj: dict       # k -> (n, n) projector onto the level's wavelet span
-    pproj: dict       # k -> (n, n) projector onto everything coarser than k
     holes_dist: dict  # k -> (n,) distance to the level's new points
 
 
 def build_lp(space: QuasiMetricSpace, nets: NestedNets,
              basis: WaveletBasis) -> LPSystem:
-    n = space.n
+    return LPSystem(basis, {
+        k: space.dist[:, nets.ydiff[k]].min(axis=1) if k in basis.wavelets
+        else np.full(space.n, np.inf) for k in nets.level_range})
+
+
+def lp_projectors(space: QuasiMetricSpace, nets: NestedNets,
+                  basis: WaveletBasis):
+    """Yield (k, P_k, Q_k) coarse to fine, formed one level at a time.
+
+    Q_k projects onto the level's wavelet span and P_k, the sum of the mean
+    projector and the coarser Q's, onto V_k; at the finest level Q is None.
+    """
     w = space.weights
-    qproj, pproj, holes = {}, {}, {}
-    running = np.outer(basis.constant, basis.constant * w)
-    for k in range(nets.k_min, nets.k_max + 1):
-        pproj[k] = running.copy()
-        if k == nets.k_max:
-            holes[k] = np.full(n, np.inf)
-            break
-        if k in basis.wavelets:
-            psi = basis.wavelets[k]
-            qproj[k] = psi.T @ (psi * w)
-            holes[k] = space.dist[:, nets.ydiff[k]].min(axis=1)
-        else:
-            qproj[k] = np.zeros((n, n))
-            holes[k] = np.full(n, np.inf)
-        running = running + qproj[k]
-    return LPSystem(basis, qproj, pproj, holes)
-
-
-def qkernel(space: QuasiMetricSpace, lp: LPSystem, k: int) -> np.ndarray:
-    """Kernel of Q_k: the projector with the measure divided back out."""
-    return lp.qproj[k] / space.weights[None, :]
-
-
-def pkernel(space: QuasiMetricSpace, lp: LPSystem, k: int) -> np.ndarray:
-    return lp.pproj[k] / space.weights[None, :]
+    P = np.outer(basis.constant, basis.constant * w)
+    for k in range(nets.k_min, nets.k_max):
+        psi = basis.wavelets.get(k, np.zeros((0, space.n)))
+        Q = psi.T @ (psi * w)
+        yield k, P, Q
+        P = P + Q
+    yield nets.k_max, P, None
 
 
 def lp_norm(space: QuasiMetricSpace, f, p: float) -> float:
@@ -74,15 +66,21 @@ def lp_norm(space: QuasiMetricSpace, f, p: float) -> float:
     return float(np.sum(space.weights * np.abs(f) ** p) ** (1.0 / p))
 
 
-def square_function(lp: LPSystem, f) -> np.ndarray:
-    """Pointwise l2 size of the level blocks of f."""
-    f = np.asarray(f, dtype=float)
-    if f.shape != (lp.basis.n,):
+def square_function(rows: np.ndarray, levels, coeffs) -> np.ndarray:
+    """Pointwise l2 size of the level blocks Q_k f.
+
+    ``coeffs`` are the inner products of f with the basis ``rows``, whose
+    levels are ``levels`` (None for the mean row).  Each block is projected
+    back from its own rows and coefficients, coarse to fine.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (rows.shape[0],):
         raise DimensionMismatch(
-            f"signal length {f.shape} does not match {lp.basis.n} points")
-    total = np.zeros(lp.basis.n)
-    for Q in lp.qproj.values():
-        total += (Q @ f) ** 2
+            f"{coeffs.shape} coefficients for {rows.shape[0]} basis rows")
+    total = np.zeros(rows.shape[1])
+    for k in sorted({lvl for lvl in levels if lvl is not None}):
+        idx = [i for i, lvl in enumerate(levels) if lvl == k]
+        total += (rows[idx].T @ coeffs[idx]) ** 2
     return np.sqrt(total)
 
 
@@ -101,11 +99,13 @@ def lp_equivalence(space: QuasiMetricSpace, lp: LPSystem, p_list,
         raise BadParams("need at least one trial")
     rng = stream_rng(seed, STREAM_TRIALS)
     total = space.total_mass
+    rows = lp.basis.stacked()
+    levels = [k for k, _ in lp.basis.labels()]
     bounds = {p: (math.inf, 0.0) for p in p_list}
     for _ in range(num_trials):
         f = rng.standard_normal(space.n)
         f -= float(np.sum(space.weights * f)) / total
-        sf = square_function(lp, f)
+        sf = square_function(rows, levels, rows @ (space.weights * f))
         for p, (lo, hi) in bounds.items():
             ratio = lp_norm(space, sf, p) / lp_norm(space, f, p)
             bounds[p] = (min(lo, ratio), max(hi, ratio))
@@ -208,13 +208,13 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
     w = space.weights
     points = np.arange(space.n)
     report = {"s": float(s), "a": float(a), "levels": {}, "nonpositive": []}
-    for k in sorted(lp.pproj):
+    for k, P, Q in lp_projectors(space, nets, lp.basis):
         scale = nets.scale(k)
         mass = space.ball_masses(points, scale)
         rm = np.sqrt(mass)
         entry = {}
 
-        P = pkernel(space, lp, k)
+        P = P / w[None, :]
         entry["p_sym_dev"] = float(np.abs(P - P.T).max())
         entry["p_rowsum_dev"] = float(np.abs(w @ P - 1.0).max())
         xs = (space.dist / scale) ** s
@@ -241,8 +241,8 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
                               "const": math.nan, "n_pairs": 0}
             report["nonpositive"].append((k, "p_size"))
 
-        if k in lp.qproj:
-            Q = qkernel(space, lp, k)
+        if Q is not None:
+            Q = Q / w[None, :]
             entry["q_rowsum_dev"] = float(np.abs(w @ Q).max())
             if np.abs(Q).max() < 1e-14:
                 entry["q_size"] = {"empty": True,

@@ -29,12 +29,11 @@ GRAM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MRA:
-    """Per-level spline Grams, dual bases, and projectors."""
+    """Per-level spline Grams and dual bases."""
 
     system: SplineSystem
     gram: dict    # k -> normalized spline Gram
     duals: dict   # k -> (n_k, n) dual spline values
-    proj: dict    # k -> (n, n) projector onto V_k
     riesz: dict   # k -> (lmin, lmax) eigenvalue range of the Gram
 
 
@@ -84,37 +83,36 @@ def gram_matrix(space: QuasiMetricSpace, system: SplineSystem,
 
 
 def dual_splines(space: QuasiMetricSpace, system: SplineSystem, k: int,
-                 gram: np.ndarray | None = None) -> np.ndarray:
-    """Dual basis of the level-k splines in L2(mu).
+                 gram: np.ndarray | None = None) -> tuple:
+    """(duals, (lmin, lmax)): the level-k dual splines and Riesz bounds.
 
     Row alpha is sum_beta G^{-1}(alpha, beta) s_beta / sqrt(m_alpha m_beta)
     with G the normalized Gram, so spline/dual pairings give the identity.
-    One LU solve against the scaled splines; the inverse is never formed.
+    The eigenvalues of G prove it positive definite; then one LU solve runs
+    against the scaled splines and the inverse is never formed.
     """
     if gram is None:
         gram = gram_matrix(space, system, k)
+    vals = np.linalg.eigvalsh(gram)
+    if vals[0] <= 0.0:
+        raise NotPositiveDefinite(f"level {k} Gram eigenvalue {vals[0]:.3e}")
     rs = 1.0 / np.sqrt(np.asarray(system.ball_mass[k], dtype=float))
-    try:
-        np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(f"level {k} Gram: {exc}") from None
-    return rs[:, None] * np.linalg.solve(gram, rs[:, None] * system.values[k])
+    duals = rs[:, None] * np.linalg.solve(gram, rs[:, None] * system.values[k])
+    return duals, (float(vals[0]), float(vals[-1]))
 
 
 def build_mra(space: QuasiMetricSpace, system: SplineSystem) -> MRA:
-    gram, duals, proj, riesz = {}, {}, {}, {}
-    w = space.weights
+    gram, duals, riesz = {}, {}, {}
     for k in range(system.k_min, system.k_max + 1):
-        M = gram_matrix(space, system, k)
-        vals = np.linalg.eigvalsh(M)
-        if vals[0] <= 0.0:
-            raise NotPositiveDefinite(
-                f"level {k} Gram eigenvalue {vals[0]:.3e}")
-        riesz[k] = (float(vals[0]), float(vals[-1]))
-        gram[k] = M
-        duals[k] = dual_splines(space, system, k, gram=M)
-        proj[k] = system.values[k].T @ (duals[k] * w)
-    return MRA(system, gram, duals, proj, riesz)
+        gram[k] = gram_matrix(space, system, k)
+        duals[k], riesz[k] = dual_splines(space, system, k, gram=gram[k])
+    return MRA(system, gram, duals, riesz)
+
+
+def spline_projector(space: QuasiMetricSpace, mra: MRA,
+                     k: int) -> np.ndarray:
+    """The (n, n) orthogonal projector onto V_k, formed on demand."""
+    return mra.system.values[k].T @ (mra.duals[k] * space.weights)
 
 
 def project_Vk(space: QuasiMetricSpace, mra: MRA, k: int, f) -> np.ndarray:
@@ -150,7 +148,7 @@ def pre_wavelets(space: QuasiMetricSpace, nets: NestedNets, mra: MRA,
     fine = mra.system.values[k + 1]
     rows = nets.positions(k + 1, space.n)[nets.ydiff[k]]
     base = fine[rows]
-    resid = base - (mra.proj[k] @ base.T).T
+    resid = base - (spline_projector(space, mra, k) @ base.T).T
     if np.linalg.matrix_rank(resid) < len(rows):
         raise RankDeficiency(
             f"level {k} pre-wavelets span only rank "
@@ -296,6 +294,18 @@ def _holder_samples(space, nets, basis):
     return np.concatenate(xs), np.concatenate(ys)
 
 
+def orthonormality_devs(B: np.ndarray, w: np.ndarray, seed: int = 0) -> tuple:
+    """(gram_dev, mean_dev, recon_dev) of basis rows, mean row first.
+
+    The reconstruction runs on an (n, n) normal sample drawn from ``seed``.
+    """
+    gram_dev = float(np.abs((B * w) @ B.T - np.eye(B.shape[0])).max())
+    mean_dev = float(np.abs(B[1:] @ w).max()) if B.shape[0] > 1 else 0.0
+    sample = np.random.default_rng(seed).standard_normal((B.shape[1],) * 2)
+    recon_dev = float(np.abs(B.T @ (B @ (sample * w).T) - sample.T).max())
+    return gram_dev, mean_dev, recon_dev
+
+
 def verify_wavelet_theorem(space: QuasiMetricSpace, nets: NestedNets,
                            basis: WaveletBasis, seed: int = 0,
                            x_cut: float = 1.0) -> dict:
@@ -307,19 +317,10 @@ def verify_wavelet_theorem(space: QuasiMetricSpace, nets: NestedNets,
     smoothness exponent keeping the difference constant within budget
     over pairs closer than the level scale.
     """
-    B = basis.stacked()
-    w = space.weights
-    gram_dev = float(np.abs((B * w) @ B.T - np.eye(B.shape[0])).max())
-    mean_dev = 0.0
-    for k in basis.levels:
-        mean_dev = max(mean_dev, float(np.abs(basis.wavelets[k] @ w).max()))
+    gram_dev, mean_dev, recon_dev = orthonormality_devs(
+        basis.stacked(), space.weights, seed)
     count = basis.count()
     count_ok = count == basis.n - 1
-
-    rng = np.random.default_rng(seed)
-    sample = rng.standard_normal((basis.n, basis.n))
-    recon = B.T @ (B @ (sample * w).T)
-    recon_dev = float(np.abs(recon - sample.T).max())
 
     a, dx, dy = _decay_samples(space, nets, basis)
     decay = envelope_fit(dx, dy, x_cut=x_cut)

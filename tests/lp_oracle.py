@@ -1,0 +1,71 @@
+"""Dense per-level projectors kept for every level at once, as a reference.
+
+The library forms each projector from the rows it is made of, one level
+at a time, when a result needs it.  The functions here store all of them
+up front: the projector onto V_k of every level, the wavelet-block
+projectors Q_k and their running sums P_k, and the square function as a
+sum of dense Q_k f.  Tests require the library's basis and kernel report
+to equal what these produce exactly, and its square function to agree
+to rounding.
+"""
+
+import numpy as np
+
+from dyadwave.wavelet import orthonormalize
+
+
+def spline_projectors(space, mra) -> dict:
+    """k -> (n, n) orthogonal projector onto V_k."""
+    w = space.weights
+    return {k: mra.system.values[k].T @ (mra.duals[k] * w)
+            for k in mra.duals}
+
+
+def wavelets(space, nets, mra) -> dict:
+    """k -> orthonormal wavelet rows, from pre-wavelets taken against the
+    stored projectors."""
+    proj = spline_projectors(space, mra)
+    out = {}
+    for k in range(nets.k_min, nets.k_max):
+        centers = nets.ydiff[k]
+        if len(centers) == 0:
+            continue
+        rows = nets.positions(k + 1, space.n)[centers]
+        base = mra.system.values[k + 1][rows]
+        resid = base - (proj[k] @ base.T).T
+        masses = np.asarray(mra.system.ball_mass[k + 1], dtype=float)[rows]
+        out[k] = orthonormalize(space, resid, masses, centers=centers)[0]
+    return out
+
+
+def lp_blocks(space, nets, basis) -> tuple:
+    """(qproj, pproj): Q_k for k below the finest level (zero where the
+    level adds no point) and P_k for every level."""
+    n = space.n
+    w = space.weights
+    qproj, pproj = {}, {}
+    running = np.outer(basis.constant, basis.constant * w)
+    for k in range(nets.k_min, nets.k_max + 1):
+        pproj[k] = running.copy()
+        if k == nets.k_max:
+            break
+        if k in basis.wavelets:
+            psi = basis.wavelets[k]
+            qproj[k] = psi.T @ (psi * w)
+        else:
+            qproj[k] = np.zeros((n, n))
+        running = running + qproj[k]
+    return qproj, pproj
+
+
+def projectors(qproj, pproj):
+    """The stored blocks in the library's (k, P_k, Q_k) order."""
+    for k in sorted(pproj):
+        yield k, pproj[k], qproj.get(k)
+
+
+def square_function(qproj, f) -> np.ndarray:
+    total = np.zeros(len(f))
+    for Q in qproj.values():
+        total += (Q @ f) ** 2
+    return np.sqrt(total)

@@ -15,8 +15,8 @@ from dyadwave.decaymat import (chain_constants, decay_certificate,
                                inverse_sqrt, neumann_inverse,
                                spectral_inverse_sqrt)
 from dyadwave.lpanalysis import (build_lp, cz_kernel_bound, lp_equivalence,
-                                 lp_norm, random_sign_operator, random_signs,
-                                 substitute_inequality_check)
+                                 lp_norm, lp_projectors, random_sign_operator,
+                                 random_signs, substitute_inequality_check)
 from dyadwave.nets import build_nets
 from dyadwave.randgrid import (boundary_layer_stats, fit_boundary_exponent,
                                grid_labels, parent_tables, reference_order)
@@ -263,13 +263,16 @@ def test_criterion_07_kernel_normalisation(fleet, capsys):
     worst_p = worst_q = worst_tel = worst_rel = 0.0
     cz_finite = True
     for name, b in fleet.items():
-        space, nets, lp = b["space"], b["nets"], b["lp"]
-        for k, P in lp.pproj.items():
+        space, nets = b["space"], b["nets"]
+        prev = None
+        for k, P, Q in lp_projectors(space, nets, b["basis"]):
             worst_p = max(worst_p, float(np.abs(P.sum(axis=1) - 1.0).max()))
-        for k, Q in lp.qproj.items():
-            worst_q = max(worst_q, float(np.abs(Q.sum(axis=1)).max()))
-            tel = lp.pproj[k + 1] - lp.pproj[k] - Q
-            worst_tel = max(worst_tel, float(np.abs(tel).max()))
+            if Q is not None:
+                worst_q = max(worst_q, float(np.abs(Q.sum(axis=1)).max()))
+            if prev is not None:
+                tel = P - prev[0] - prev[1]
+                worst_tel = max(worst_tel, float(np.abs(tel).max()))
+            prev = P, Q
         c_hat = cz_kernel_bound(space, b["basis"])["c_hat"]
         cz_finite = cz_finite and math.isfinite(c_hat)
         doubled = assemble_from(build_space(space.dist, 2.0 * space.weights))

@@ -1,7 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+
+import lp_oracle as oracle
+from dyadwave import lpanalysis
+from dyadwave.cli import _clean, _dumps
 
 from dyadwave.errors import (
     BadExponent,
@@ -16,8 +21,7 @@ from dyadwave.lpanalysis import (
     kernel_estimates,
     lp_equivalence,
     lp_norm,
-    pkernel,
-    qkernel,
+    lp_projectors,
     random_sign_operator,
     random_signs,
     square_function,
@@ -27,7 +31,7 @@ from dyadwave.nets import build_nets
 from dyadwave.randgrid import grid_labels, parent_tables, reference_order
 from dyadwave.space import build_space, gen_example
 from dyadwave.spline import compute_splines
-from dyadwave.wavelet import build_mra, build_wavelet_basis
+from dyadwave.wavelet import build_mra, build_wavelet_basis, spline_projector
 
 FLEET = [
     ("cyclic", {"n": 16}),
@@ -73,50 +77,67 @@ def mean_zero(space, f):
     return f - np.sum(space.weights * f) / space.total_mass
 
 
+def blocks(space, nets, basis):
+    """k -> (P_k, Q_k) of every level; small test spaces only."""
+    return {k: (P, Q) for k, P, Q in lp_projectors(space, nets, basis)}
+
+
+def sf_of(basis, space, f):
+    """Square function of f through the stacked basis rows."""
+    rows = basis.stacked()
+    levels = [k for k, _ in basis.labels()]
+    return square_function(rows, levels, rows @ (space.weights * f))
+
+
 def test_build_lp_key_layout():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
-    assert sorted(lp.qproj) == list(range(nets.k_min, nets.k_max))
-    assert sorted(lp.pproj) == list(range(nets.k_min, nets.k_max + 1))
+    lp_blocks = blocks(space, nets, basis)
+    assert sorted(lp_blocks) == list(range(nets.k_min, nets.k_max + 1))
+    assert [k for k, (_, Q) in lp_blocks.items() if Q is None] == [nets.k_max]
     assert sorted(lp.holes_dist) == list(range(nets.k_min, nets.k_max + 1))
 
 
 def test_telescoping_fleet():
     for kind, params in FLEET:
         space, nets, mra, basis, lp = assemble(kind, params)
+        lp_blocks = blocks(space, nets, basis)
         for k in range(nets.k_min, nets.k_max):
-            gap = lp.pproj[k + 1] - lp.pproj[k] - lp.qproj[k]
+            gap = lp_blocks[k + 1][0] - lp_blocks[k][0] - lp_blocks[k][1]
             assert np.abs(gap).max() <= 1e-12, (kind, k)
 
 
 def test_pproj_matches_spline_projectors():
     for kind, params in FLEET:
         space, nets, mra, basis, lp = assemble(kind, params)
-        for k in lp.pproj:
-            dev = np.abs(lp.pproj[k] - mra.proj[k]).max()
+        for k, P, _ in lp_projectors(space, nets, basis):
+            dev = np.abs(P - spline_projector(space, mra, k)).max()
             assert dev <= 1e-10, (kind, k, dev)
 
 
 def test_finest_pproj_is_identity():
     space, nets, mra, basis, lp = assemble("interval", {"n": 32})
-    assert np.abs(lp.pproj[nets.k_max] - np.eye(space.n)).max() <= 1e-12
+    P = blocks(space, nets, basis)[nets.k_max][0]
+    assert np.abs(P - np.eye(space.n)).max() <= 1e-12
 
 
 def test_blocks_orthogonal_and_idempotent():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
-    ks = sorted(lp.qproj)
-    for k in ks:
-        Q = lp.qproj[k]
+    qs = {k: Q for k, (_, Q) in blocks(space, nets, basis).items()
+          if Q is not None}
+    for k, Q in qs.items():
         assert np.abs(Q @ Q - Q).max() <= 1e-12
-        for j in ks:
+        for j in qs:
             if j != k:
-                assert np.abs(lp.qproj[k] @ lp.qproj[j]).max() <= 1e-12
+                assert np.abs(Q @ qs[j]).max() <= 1e-12
 
 
 def test_resolution_of_identity():
     for kind, params in FLEET:
         space, nets, mra, basis, lp = assemble(kind, params)
-        const = np.outer(basis.constant, basis.constant * space.weights)
-        total = const + sum(lp.qproj.values())
+        total = np.outer(basis.constant, basis.constant * space.weights)
+        for _, _, Q in lp_projectors(space, nets, basis):
+            if Q is not None:
+                total = total + Q
         assert np.abs(total - np.eye(space.n)).max() <= 1e-12, kind
 
 
@@ -124,15 +145,71 @@ def test_kernel_symmetry_and_row_sums():
     for kind, params in [("cyclic", {"n": 16}), ("interval", {"n": 64})]:
         space, nets, mra, basis, lp = assemble(kind, params)
         w = space.weights
-        for k in lp.pproj:
-            P = pkernel(space, lp, k)
+        for k, Pproj, Qproj in lp_projectors(space, nets, basis):
+            P = Pproj / w[None, :]
             assert np.abs(P - P.T).max() <= 1e-10
             assert np.abs(w @ P - 1.0).max() <= 1e-10
-            assert np.abs(P * w[None, :] - lp.pproj[k]).max() <= 1e-12
-        for k in lp.qproj:
-            Q = qkernel(space, lp, k)
+            assert np.abs(P * w[None, :] - Pproj).max() <= 1e-12
+            if Qproj is None:
+                continue
+            Q = Qproj / w[None, :]
             assert np.abs(Q - Q.T).max() <= 1e-10
             assert np.abs(w @ Q).max() <= 1e-10
+
+
+@pytest.mark.parametrize("kind,params", FLEET)
+def test_basis_matches_dense_projector_oracle(kind, params):
+    space, nets, mra, basis, lp = assemble(kind, params)
+    dense = oracle.wavelets(space, nets, mra)
+    assert sorted(dense) == basis.levels
+    for k in basis.levels:
+        assert np.array_equal(basis.wavelets[k], dense[k]), k
+
+
+@pytest.mark.parametrize("kind,params", FLEET)
+def test_kernel_estimates_match_dense_oracle(kind, params, monkeypatch):
+    space, nets, mra, basis, lp = assemble(kind, params)
+    got = kernel_estimates(space, nets, lp)
+    qproj, pproj = oracle.lp_blocks(space, nets, basis)
+    monkeypatch.setattr(lpanalysis, "lp_projectors",
+                        lambda *args: oracle.projectors(qproj, pproj))
+    fed = kernel_estimates(space, nets, lp)
+    # the serialized form spells NaN the same on both sides
+    assert _dumps(_clean(got)) == _dumps(_clean(fed))
+    rng = np.random.default_rng(2)
+    for _ in range(5):
+        f = rng.standard_normal(space.n)
+        want = oracle.square_function(qproj, f)
+        dev = np.abs(sf_of(basis, space, f) - want).max()
+        assert dev <= 1e-12 * max(1.0, float(np.abs(want).max())), dev
+
+
+def test_build_and_lp_hold_no_dense_projectors():
+    """What build_mra and build_lp keep, beyond the Grams and duals, stays
+    below two n x n arrays (one projector per level would be 2L of them)."""
+    space = gen_example("point_cloud", seed=0, n=128, dim=2)
+    nets = build_nets(space, 0.5)
+    ref = reference_order(space, nets)
+    labels = grid_labels(space, nets, ref)
+    system = compute_splines(space, nets,
+                             parent_tables(space, nets, ref, labels))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        mra = build_mra(space, system)
+        held = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.stop()
+        basis = build_wavelet_basis(space, nets, mra)
+        tracemalloc.start()
+        before = tracemalloc.get_traced_memory()[0]
+        lp = build_lp(space, nets, basis)
+        held += tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for a in mra.gram.values())
+    kept += sum(a.nbytes for a in mra.duals.values())
+    assert lp.basis is basis
+    assert held - kept < 2 * space.n * space.n * 8
 
 
 def test_holes_distances():
@@ -150,7 +227,7 @@ def test_holes_distances():
 
 def test_square_function_constant_is_zero():
     space, nets, mra, basis, lp = assemble("point_cloud", {"n": 40, "dim": 2})
-    sf = square_function(lp, np.full(space.n, 3.7))
+    sf = sf_of(basis, space, np.full(space.n, 3.7))
     assert sf.max() <= 1e-12
 
 
@@ -158,7 +235,7 @@ def test_square_function_single_wavelet():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
     k = sorted(basis.wavelets)[len(basis.wavelets) // 2]
     f = basis.wavelets[k][0]
-    assert np.abs(square_function(lp, f) - np.abs(f)).max() <= 1e-10
+    assert np.abs(sf_of(basis, space, f) - np.abs(f)).max() <= 1e-10
 
 
 def test_square_function_parseval():
@@ -168,7 +245,7 @@ def test_square_function_parseval():
         rng = np.random.default_rng(7)
         for _ in range(20):
             f = mean_zero(space, rng.standard_normal(space.n))
-            ratio = lp_norm(space, square_function(lp, f), 2.0) \
+            ratio = lp_norm(space, sf_of(basis, space, f), 2.0) \
                 / lp_norm(space, f, 2.0)
             assert abs(ratio - 1.0) <= 1e-10
 
@@ -177,14 +254,16 @@ def test_square_function_zero_iff_constant():
     space, nets, mra, basis, lp = assemble("interval", {"n": 32})
     f = np.zeros(space.n)
     f[0] = 1.0
-    assert square_function(lp, f).max() > 1e-3
-    assert square_function(lp, np.ones(space.n)).max() <= 1e-12
+    assert sf_of(basis, space, f).max() > 1e-3
+    assert sf_of(basis, space, np.ones(space.n)).max() <= 1e-12
 
 
 def test_square_function_dimension_mismatch():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
+    rows = basis.stacked()
+    levels = [k for k, _ in basis.labels()]
     with pytest.raises(DimensionMismatch):
-        square_function(lp, np.zeros(space.n + 1))
+        square_function(rows, levels, np.zeros(space.n + 1))
 
 
 def test_lp_norm_hand_value():
@@ -220,8 +299,8 @@ def test_lp_ratio_scaling_invariance():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
     f = mean_zero(space, np.sin(np.arange(space.n, dtype=float)))
     for p in (1.5, 4.0):
-        r1 = lp_norm(space, square_function(lp, f), p) / lp_norm(space, f, p)
-        r2 = lp_norm(space, square_function(lp, 2.0 * f), p) \
+        r1 = lp_norm(space, sf_of(basis, space, f), p) / lp_norm(space, f, p)
+        r2 = lp_norm(space, sf_of(basis, space, 2.0 * f), p) \
             / lp_norm(space, 2.0 * f, p)
         assert math.isclose(r1, r2, rel_tol=1e-12)
 
@@ -454,7 +533,8 @@ def test_growth_sequence_bad_radius():
 def test_single_point_space_structure():
     space = build_space(np.zeros((1, 1)), np.full(1, 2.0))
     space, nets, mra, basis, lp = assemble_space(space)
-    assert lp.qproj == {}
-    assert np.allclose(lp.pproj[nets.k_min], np.eye(1))
+    assert [(k, Q) for k, _, Q in lp_projectors(space, nets, basis)] \
+        == [(nets.k_min, None)]
+    assert np.allclose(blocks(space, nets, basis)[nets.k_min][0], np.eye(1))
     assert np.all(np.isinf(lp.holes_dist[nets.k_min]))
-    assert square_function(lp, np.array([5.0]))[0] == 0.0
+    assert sf_of(basis, space, np.array([5.0]))[0] == 0.0

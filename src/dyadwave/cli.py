@@ -16,7 +16,6 @@ import math
 import os
 import platform
 import sys
-from itertools import pairwise
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +38,7 @@ from .space import (GENERATOR_KINDS, exponent_a, gen_example, load_space_csv,
 from .spline import compute_splines, verify_splines
 from .wavelet import (build_mra, build_wavelet_basis,
                       gram_decay_certificates, orthonormality_devs,
-                      verify_wavelet_theorem)
+                      spline_projector, verify_wavelet_theorem)
 
 # 0 is success, 1 is reserved for unexpected crashes, and the error
 # classes own 2-14, so failed verification checks get their own code.
@@ -505,9 +504,8 @@ def cmd_verify(args) -> int:
     gram_dev, mean_dev, recon_dev = orthonormality_devs(B, w, seed)
 
     lp = build_lp(space, nets, basis)
-    steps = pairwise(lp_projectors(space, nets, basis))
-    tele_dev = max((float(np.abs(P1 - P0 - Q0).max())
-                    for (_, P0, Q0), (_, P1, _) in steps), default=0.0)
+    tele_dev = max(float(np.abs(P - spline_projector(space, mra, k)).max())
+                   for k, P, _ in lp_projectors(space, nets, basis))
     kern = kernel_estimates(space, nets, lp, pair_budget=cfg["pair_budget"],
                             seed=seed)
     sym_dev, prow_dev, qrow_dev = (

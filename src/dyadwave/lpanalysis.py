@@ -23,7 +23,7 @@ from .errors import (
 from .nets import NestedNets
 from .seeding import STREAM_SIGNS, STREAM_TRIALS, stream_rng
 from .space import QuasiMetricSpace, exponent_a
-from .spline import HOLDER_BUDGET, holder_fit
+from .spline import HOLDER_BUDGET, close_pairs, holder_fit
 from .wavelet import WaveletBasis
 
 PAIR_BUDGET = 200_000
@@ -166,27 +166,27 @@ def cz_kernel_bound(space: QuasiMetricSpace, basis: WaveletBasis) -> dict:
 
 
 def _reg_quotients(space, kernel, mass, scale, gamma, s, pair_budget, seed):
+    """(x, y, count): x = -log(d / scale) and y the largest log quotient
+    over the rows, per sampled close pair with one kept (count)."""
     n = space.n
-    iu, ju = np.triu_indices(n, k=1)
-    rel = space.dist[iu, ju] / scale
-    close = (rel > 0.0) & (rel < 1.0)
-    iu, ju, rel = iu[close], ju[close], rel[close]
+    iu, ju, rel = close_pairs(space.dist, scale, strict=True)
     if iu.size * n > pair_budget and iu.size > 0:
         take = max(1, pair_budget // n)
         idx = stream_rng(seed, STREAM_TRIALS, 1).choice(iu.size, size=take,
                                                         replace=False)
         iu, ju, rel = iu[idx], ju[idx], rel[idx]
     if iu.size == 0:
-        return np.zeros(0), np.zeros(0)
+        return np.zeros(0), np.zeros(0), 0
     diff = np.abs(kernel[:, iu] - kernel[:, ju])
     rm = 1.0 / np.sqrt(mass)
     att = np.exp(-gamma * (space.dist / scale) ** s)
     denom = (att[:, iu] * rm[:, None] * rm[None, iu]
              + att[:, ju] * rm[:, None] * rm[None, ju])
     keep = (diff >= TINY) & (denom >= TINY)
-    xs = np.broadcast_to(-np.log(rel), diff.shape)[keep]
-    ys = np.log(diff[keep]) - np.log(denom[keep])
-    return xs, ys
+    ys = np.log(diff, out=np.full_like(diff, -np.inf), where=keep)
+    ys -= np.log(denom, out=np.zeros_like(denom), where=keep)
+    kept = keep.sum(axis=0)
+    return -np.log(rel[kept > 0]), ys.max(axis=0)[kept > 0], int(kept.sum())
 
 
 def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
@@ -224,8 +224,8 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
                                        x_cut=x_cut)
         gamma = entry["p_size"]["c"]
         if gamma > 0.0:
-            hx, hy = _reg_quotients(space, P, mass, scale, gamma, s,
-                                    pair_budget, seed)
+            hx, hy, n_kept = _reg_quotients(space, P, mass, scale, gamma,
+                                            s, pair_budget, seed)
             # Budget convention: the admissible constant sits at the budget
             # factor above the observed sup of the quotient, keeping the
             # fitted exponent scale-free.
@@ -234,7 +234,7 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
                 "eta_hat": holder_fit(hx, hy - shift),
                 "budget": HOLDER_BUDGET,
                 "const": math.exp(min(shift, 700.0)) if hx.size else math.nan,
-                "n_pairs": int(hx.size),
+                "n_pairs": n_kept,
             }
         else:
             entry["p_reg"] = {"eta_hat": math.nan, "budget": HOLDER_BUDGET,

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decaymat import TINY
 from .nets import NestedNets
 from .randgrid import (
     GridLabels,
@@ -122,6 +123,33 @@ def holder_fit(xs, ys, budget: float = HOLDER_BUDGET,
     return float(min(((math.log(budget) - ys) / xs).min(), cap))
 
 
+def close_pairs(dist: np.ndarray, scale: float, strict: bool = False) -> tuple:
+    """(i, j, rel = d(i, j) / scale) in row-major order over the pairs i < j
+    with rel <= 1 (< 1 if ``strict``).  Every Hölder fit reads these."""
+    i, j = np.triu_indices(dist.shape[0], k=1)
+    rel = dist[i, j] / scale
+    near = rel < 1.0 if strict else rel <= 1.0
+    return i[near], j[near], rel[near]
+
+
+def pair_maxima(rows, dist, scale: float, strict: bool = False) -> tuple:
+    """(rel, sup, count) over ``close_pairs``: per pair, max over rows of
+    |r(i) - r(j)| and how many of those are >= TINY.  Blocks of pairs keep
+    each difference array within n x n entries."""
+    i, j, rel = close_pairs(dist, scale, strict)
+    sup = np.empty(len(i))
+    count = np.empty(len(i), dtype=np.int64)
+    step = max(1, rows.shape[1] ** 2 // rows.shape[0])
+    for lo in range(0, len(i), step):
+        blk = slice(lo, lo + step)
+        diff = np.take(rows, i[blk], axis=1)
+        diff -= np.take(rows, j[blk], axis=1)
+        np.abs(diff, out=diff)
+        sup[blk] = diff.max(axis=0)
+        count[blk] = np.count_nonzero(diff >= TINY, axis=0)
+    return rel, sup, count
+
+
 def holder_estimate(system: SplineSystem, space: QuasiMetricSpace,
                     nets: NestedNets, eta: float | None = None) -> dict:
     """Smoothness of the splines in the scaled distance.
@@ -132,30 +160,17 @@ def holder_estimate(system: SplineSystem, space: QuasiMetricSpace,
     """
     if eta is None:
         eta = exponent_a(space)
-    iu = np.triu_indices(space.n, k=1)
-    d = space.dist[iu]
     const_at_eta = 0.0
-    xs_all = []
-    ys_all = []
+    eta_hat = HOLDER_ETA_CAP
     n_pairs = 0
     for k in range(system.k_min, system.k_max + 1):
-        rel = d / nets.scale(k)
-        near = rel <= 1.0
-        if not near.any():
-            continue
-        V = system.values[k]
-        diff = np.abs(V[:, iu[0][near]] - V[:, iu[1][near]]).max(axis=0)
-        reln = rel[near]
-        n_pairs += int(near.sum())
-        const_at_eta = max(const_at_eta, float((diff / reln ** eta).max()))
-        strict = (reln < 1.0) & (diff > 0)
-        if strict.any():
-            xs_all.append(-np.log(reln[strict]))
-            ys_all.append(np.log(diff[strict]))
-    if xs_all:
-        eta_hat = holder_fit(np.concatenate(xs_all), np.concatenate(ys_all))
-    else:
-        eta_hat = HOLDER_ETA_CAP
+        rel, diff, _ = pair_maxima(system.values[k], space.dist, nets.scale(k))
+        n_pairs += rel.size
+        const_at_eta = max(const_at_eta,
+                           float((diff / rel ** eta).max(initial=0.0)))
+        strict = (rel < 1.0) & (diff > 0)
+        eta_hat = min(eta_hat, holder_fit(-np.log(rel[strict]),
+                                          np.log(diff[strict])))
     return {"eta": float(eta), "const_at_eta": const_at_eta,
             "eta_hat": eta_hat, "budget": HOLDER_BUDGET, "n_pairs": n_pairs}
 

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .nets import NestedNets
 from .space import QuasiMetricSpace, exponent_a
-from .spline import HOLDER_BUDGET, SplineSystem, holder_fit
+from .spline import HOLDER_BUDGET, SplineSystem, holder_fit, pair_maxima
 
 GRAM_TOL = 1e-10
 
@@ -43,7 +43,6 @@ class WaveletBasis:
     n: int
     levels: list        # ks with at least one new point
     index_sets: dict    # k -> point indices of the centers
-    prewavelets: dict   # k -> (m_k, n) residual vectors
     mgram: dict         # k -> normalized pre-wavelet Gram
     wavelets: dict      # k -> (m_k, n) orthonormal rows in L2(mu)
     mass_fine: dict     # k -> mu(B(center, delta^{k+1})), construction norm
@@ -188,8 +187,7 @@ def orthonormalize(space: QuasiMetricSpace, prewavelets: np.ndarray,
 def build_wavelet_basis(space: QuasiMetricSpace, nets: NestedNets,
                         mra: MRA) -> WaveletBasis:
     system = mra.system
-    levels = []
-    index_sets, prew, mgrams, wavs = {}, {}, {}, {}
+    index_sets, mgrams, wavs = {}, {}, {}
     mass_fine, mass_center = {}, {}
     for k in range(nets.k_min, nets.k_max):
         centers = nets.ydiff[k]
@@ -199,16 +197,14 @@ def build_wavelet_basis(space: QuasiMetricSpace, nets: NestedNets,
         rows = nets.positions(k + 1, space.n)[centers]
         masses = np.asarray(system.ball_mass[k + 1], dtype=float)[rows]
         psi, mg = orthonormalize(space, base, masses, centers=centers)
-        levels.append(k)
         index_sets[k] = centers
-        prew[k] = base
         mgrams[k] = mg
         wavs[k] = psi
         mass_fine[k] = masses
         mass_center[k] = space.ball_masses(centers, nets.scale(k))
     constant = np.full(space.n, 1.0 / math.sqrt(space.total_mass))
-    return WaveletBasis(system.delta, space.n, levels, index_sets, prew,
-                        mgrams, wavs, mass_fine, mass_center, constant)
+    return WaveletBasis(system.delta, space.n, list(wavs), index_sets, mgrams,
+                        wavs, mass_fine, mass_center, constant)
 
 
 def wavelet_transform(space: QuasiMetricSpace, basis: WaveletBasis,
@@ -275,23 +271,17 @@ def _decay_samples(space, nets, basis):
 
 
 def _holder_samples(space, nets, basis):
-    xs, ys = [], []
-    iu, ju = np.triu_indices(space.n, k=1)
+    """(x, y, count): x = -log(d / scale) and y the log of the largest
+    scaled wavelet difference, per close pair with one >= TINY (count)."""
+    xs, ys, count = [np.zeros(0)], [np.zeros(0)], 0
     for k in basis.levels:
-        scale = nets.scale(k)
-        rel = space.dist[iu, ju] / scale
-        close = (rel > 0.0) & (rel < 1.0)
-        if not close.any():
-            continue
-        logrel = np.log(rel[close])
         psi = basis.wavelets[k] * np.sqrt(basis.mass_center[k])[:, None]
-        diff = np.abs(psi[:, iu[close]] - psi[:, ju[close]])
-        keep = diff >= TINY
-        xs.append(np.broadcast_to(-logrel, diff.shape)[keep])
-        ys.append(np.log(diff[keep]))
-    if not xs:
-        return np.zeros(0), np.zeros(0)
-    return np.concatenate(xs), np.concatenate(ys)
+        rel, sup, kept = pair_maxima(psi, space.dist, nets.scale(k),
+                                     strict=True)
+        xs.append(-np.log(rel[kept > 0]))
+        ys.append(np.log(sup[kept > 0]))
+        count += int(kept.sum())
+    return np.concatenate(xs), np.concatenate(ys), count
 
 
 def orthonormality_devs(B: np.ndarray, w: np.ndarray, seed: int = 0) -> tuple:
@@ -324,18 +314,15 @@ def verify_wavelet_theorem(space: QuasiMetricSpace, nets: NestedNets,
 
     a, dx, dy = _decay_samples(space, nets, basis)
     decay = envelope_fit(dx, dy, x_cut=x_cut)
-    hx, hy = _holder_samples(space, nets, basis)
+    hx, hy, n_pairs = _holder_samples(space, nets, basis)
     # Scaled wavelet differences are not bounded by 1 the way spline
     # differences are; the admissible constant sits at the budget factor
     # above the observed sup, so the exponent stays scale-free.
     shift = float(hy.max()) if hx.size else 0.0
     eta_hat = holder_fit(hx, hy - shift)
-    holder = {"eta_hat": eta_hat, "budget": HOLDER_BUDGET,
-              "n_pairs": int(hx.size)}
-    if hx.size:
-        holder["const"] = float(np.exp((hy + eta_hat * hx).max()))
-    else:
-        holder["const"] = 0.0
+    holder = {"eta_hat": eta_hat, "budget": HOLDER_BUDGET, "n_pairs": n_pairs,
+              "const": float(np.exp((hy + eta_hat * hx).max()))
+              if hx.size else 0.0}
 
     return {
         "n": basis.n,

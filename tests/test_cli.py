@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dyadwave import cli, lpanalysis
 from dyadwave.cli import EXIT_CHECKS_FAILED, _dumps, _fmt, main, write_json
+from dyadwave.lpanalysis import lp_projectors
 from dyadwave.space import build_space, load_space_json, space_to_dict
 
 
@@ -663,6 +666,40 @@ def test_package_has_no_assert_statements():
              if isinstance(node, ast.Assert)]
     assert len(list(pkg.glob("*.py"))) > 5
     assert found == []
+
+
+def test_close_pairs_are_enumerated_in_one_place():
+    # every Hölder fit reads its pairs from spline.close_pairs
+    pkg = Path(__file__).resolve().parents[1] / "src" / "dyadwave"
+    found = [f"{path.name}:{getattr(top, 'name', top.lineno)}"
+             for path in sorted(pkg.glob("*.py"))
+             for top in ast.parse(path.read_text()).body
+             for node in ast.walk(top)
+             if getattr(node, "attr", getattr(node, "id", None))
+             == "triu_indices"]
+    assert found == ["spline.py:close_pairs"]
+
+
+def test_verify_fails_when_a_level_misses_a_wavelet(tmp_path, monkeypatch,
+                                                     capsys):
+    """lp_telescoping compares each P_k with the spline projector onto V_k,
+    so block projectors short of one wavelet fail it."""
+    art = tmp_path / "art"
+    assert run("build", "--gen", "cyclic", "16", "--out", art) == 0
+
+    def short(space, nets, basis):
+        k = basis.levels[-1]
+        wavelets = {**basis.wavelets, k: basis.wavelets[k][1:]}
+        return lp_projectors(space, nets,
+                             dataclasses.replace(basis, wavelets=wavelets))
+
+    monkeypatch.setattr(cli, "lp_projectors", short)
+    monkeypatch.setattr(lpanalysis, "lp_projectors", short)
+    capsys.readouterr()
+    rc = run("verify", "--artifacts", art, "--report", tmp_path / "r.json")
+    failed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+              if line.startswith("FAIL ")]
+    assert (rc, failed) == (EXIT_CHECKS_FAILED, ["lp_telescoping"])
 
 
 SESSION = """

@@ -1,0 +1,147 @@
+import math
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import assume, given
+
+import holder_oracle as oracle
+from dyadwave.errors import DyadwaveError
+from dyadwave.lpanalysis import (
+    PAIR_BUDGET,
+    build_lp,
+    kernel_estimates,
+    lp_projectors,
+)
+from dyadwave.nets import build_nets
+from dyadwave.randgrid import grid_labels, parent_tables, reference_order
+from dyadwave.space import build_space, gen_example
+from dyadwave.spline import (
+    close_pairs,
+    compute_splines,
+    holder_estimate,
+    pair_maxima,
+)
+from dyadwave.wavelet import (
+    build_mra,
+    build_wavelet_basis,
+    verify_wavelet_theorem,
+)
+from test_randgrid import GENERATORS, quasi_metric_spaces
+
+
+def assemble(space, delta):
+    nets = build_nets(space, delta)
+    ref = reference_order(space, nets)
+    labels = grid_labels(space, nets, ref)
+    system = compute_splines(space, nets,
+                             parent_tables(space, nets, ref, labels))
+    basis = build_wavelet_basis(space, nets, build_mra(space, system))
+    return nets, system, basis
+
+
+def assert_same(got, want):
+    """Equal keys, and equal values of equal type (NaN equals NaN)."""
+    assert got.keys() == want.keys()
+    for key, val in want.items():
+        assert type(got[key]) is type(val), key
+        assert got[key] == val or (math.isnan(val) and math.isnan(got[key])), \
+            (key, got[key], val)
+
+
+def assert_matches_oracle(space, nets, system, basis, seed=0):
+    """Spline, wavelet and p_reg fits equal the concatenating reference;
+    returns how many p_reg levels had samples."""
+    assert_same(holder_estimate(system, space, nets),
+                oracle.holder_estimate(system, space, nets))
+    assert_same(verify_wavelet_theorem(space, nets, basis)["holder"],
+                oracle.wavelet_holder(space, nets, basis))
+    lp = build_lp(space, nets, basis)
+    w = space.weights
+    sampled = 0
+    # a small budget subsamples the close pairs of every level
+    for budget in (PAIR_BUDGET, 3 * space.n):
+        rep = kernel_estimates(space, nets, lp, pair_budget=budget, seed=seed)
+        for k, P, _ in lp_projectors(space, nets, basis):
+            entry = rep["levels"][k]
+            gamma = entry["p_size"]["c"]
+            if gamma <= 0.0:
+                continue
+            scale = nets.scale(k)
+            mass = space.ball_masses(np.arange(space.n), scale)
+            assert_same(entry["p_reg"],
+                        oracle.p_reg(space, P / w[None, :], mass, scale,
+                                     gamma, rep["s"], budget, seed))
+            sampled += entry["p_reg"]["n_pairs"] > 0
+    return sampled
+
+
+@pytest.mark.parametrize("kind,params,delta", GENERATORS)
+def test_holder_fits_match_oracle_on_generators(kind, params, delta):
+    space = gen_example(kind, seed=1, **params)
+    nets, system, basis = assemble(space, delta)
+    sampled = assert_matches_oracle(space, nets, system, basis, seed=3)
+    # the tree has no pair closer than the scale of a level with gamma > 0
+    assert sampled > 0 or kind == "binary_tree"
+
+
+@given(quasi_metric_spaces())
+def test_holder_fits_match_oracle_on_random_spaces(case):
+    dist, weights, delta = case
+    try:
+        space = build_space(dist, weights)
+        nets, system, basis = assemble(space, delta)
+    except DyadwaveError:
+        assume(False)
+    assert_matches_oracle(space, nets, system, basis)
+
+
+def test_close_pairs_row_major_within_scale():
+    space = gen_example("point_cloud", seed=2, n=20, dim=2)
+    scale = float(np.median(space.dist))
+    i, j, rel = close_pairs(space.dist, scale)
+    want = [(a, b) for a in range(space.n) for b in range(a + 1, space.n)
+            if space.dist[a, b] / scale <= 1.0]
+    assert list(zip(i.tolist(), j.tolist())) == want
+    assert np.array_equal(rel, space.dist[i, j] / scale)
+    si, sj, srel = close_pairs(space.dist, scale, strict=True)
+    assert np.array_equal(srel, rel[rel < 1.0])
+    assert np.array_equal(si, i[rel < 1.0])
+    assert np.array_equal(sj, j[rel < 1.0])
+
+
+def test_pair_maxima_blocks_agree_with_one_pass():
+    # 40 rows over 12 points: blocks of 144 // 40 = 3 pairs
+    rng = np.random.default_rng(0)
+    rows = rng.standard_normal((40, 12))
+    rows[:, 5] = rows[:, 7]
+    rows[20:, 3] = rows[20:, 4]
+    rows[:, 8] = 0.0
+    rows[:30, 9] = 1e-301
+    dist = 1.0 - np.eye(12)
+    rel, sup, count = pair_maxima(rows, dist, 1.0)
+    i, j = np.triu_indices(12, k=1)
+    diff = np.abs(rows[:, i] - rows[:, j])
+    assert np.array_equal(rel, np.ones(len(i)))
+    assert np.array_equal(sup, diff.max(axis=0))
+    assert np.array_equal(count, (diff >= 1e-300).sum(axis=0))
+    assert count[(i == 5) & (j == 7)][0] == 0
+    assert count[(i == 3) & (j == 4)][0] == 20
+    assert count[(i == 8) & (j == 9)][0] == 10
+    assert pair_maxima(rows, dist, 1.0, strict=True)[1].size == 0
+
+
+def test_wavelet_theorem_holds_few_dense_arrays():
+    """The Hölder fit reads its pairs in blocks, so verify_wavelet_theorem
+    peaks below 16 n x n float64 arrays (34.5 with one sample per
+    (wavelet, pair) concatenated)."""
+    space = gen_example("point_cloud", seed=0, n=256, dim=2)
+    nets, _, basis = assemble(space, 0.4)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        verify_wavelet_theorem(space, nets, basis)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * space.n * space.n * 8, peak / (space.n ** 2 * 8)

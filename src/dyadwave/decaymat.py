@@ -176,53 +176,20 @@ def operator_norm_bounds(matrix, weights=None, iters: int = 200) -> tuple:
     return min(lower, upper), upper
 
 
-def extreme_eigs(matrix, tol: float = 1e-10, max_iter: int = 2000) -> dict:
-    """Estimate the extreme eigenvalues of a symmetric positive definite matrix.
+def extreme_eigs(matrix) -> dict:
+    """Extreme eigenvalues of a symmetric positive definite matrix.
 
-    Power iteration for the largest, inverse iteration through a Cholesky
-    factor for the smallest; falls back to a dense eigensolve when either
-    iteration stalls.
+    One dense eigensolve; a nonsymmetric matrix or a smallest eigenvalue
+    <= 0 raises NotPositiveDefinite.
     """
-    import scipy.linalg
-
     M = np.asarray(matrix, dtype=float)
-    n = M.shape[0]
     if not np.allclose(M, M.T, rtol=1e-10, atol=1e-12):
         raise NotPositiveDefinite("matrix is not symmetric")
-    try:
-        chol = scipy.linalg.cho_factor(M, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("Cholesky factorization failed") from exc
-
-    def _iterate(apply):
-        v = 1.0 + np.arange(n) / (10.0 * n)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(max_iter):
-            u = apply(v)
-            nu = np.linalg.norm(u)
-            if nu == 0:
-                return 0.0, True
-            u /= nu
-            new = float(u @ apply(u))
-            if abs(new - lam) <= tol * max(abs(new), 1e-30):
-                return new, True
-            lam = new
-            v = u
-        return lam, False
-
-    lmax, ok_max = _iterate(lambda v: M @ v)
-    lmin_inv, ok_min = _iterate(
-        lambda v: scipy.linalg.cho_solve(chol, v, check_finite=False))
-    fallback = not (ok_max and ok_min and lmin_inv > 0)
-    if fallback:
-        vals = np.linalg.eigvalsh(M)
-        lmin, lmax = float(vals[0]), float(vals[-1])
-    else:
-        lmin = 1.0 / lmin_inv
-    if lmin <= 0:
-        raise NotPositiveDefinite("nonpositive smallest eigenvalue estimate")
-    return {"lmin": float(lmin), "lmax": float(lmax), "fallback": fallback}
+    vals = np.linalg.eigvalsh(M)
+    if vals[0] <= 0:
+        raise NotPositiveDefinite(
+            f"smallest eigenvalue {vals[0]:.3e} is not positive")
+    return {"lmin": float(vals[0]), "lmax": float(vals[-1])}
 
 
 # ---------------------------------------------------------------------------

@@ -190,15 +190,16 @@ def _reg_quotients(space, kernel, mass, scale, gamma, s, pair_budget, seed):
 
 
 def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
-                     lp: LPSystem, s: float | None = None,
+                     lp: LPSystem, projectors, s: float | None = None,
                      x_cut: float = 1.0, pair_budget: int = PAIR_BUDGET,
                      seed: int = 0) -> dict:
     """Envelope fits for the size and regularity bounds of P_k and Q_k.
 
-    P_k is fitted in the chain exponent s (defaulting to 1/(1+log2 a0)),
-    Q_k in the wavelet exponent a with the additional holes attenuation
-    exp(-gamma (d(., new points)/scale)^a) on both arguments.  Row sums
-    and kernel symmetry are checked exactly.
+    ``projectors`` is the (k, P_k, Q_k) stream of ``lp_projectors`` over
+    ``lp.basis``.  P_k is fitted in the chain exponent s (defaulting to
+    1/(1+log2 a0)), Q_k in the wavelet exponent a with the additional holes
+    attenuation exp(-gamma (d(., new points)/scale)^a) on both arguments.
+    Row sums and kernel symmetry are checked exactly.
     """
     if s is None:
         s = 1.0 / (1.0 + math.log2(space.a0))
@@ -208,7 +209,7 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
     w = space.weights
     points = np.arange(space.n)
     report = {"s": float(s), "a": float(a), "levels": {}, "nonpositive": []}
-    for k, P, Q in lp_projectors(space, nets, lp.basis):
+    for k, P, Q in projectors:
         scale = nets.scale(k)
         mass = space.ball_masses(points, scale)
         rm = np.sqrt(mass)

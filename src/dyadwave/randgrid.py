@@ -15,7 +15,6 @@ rows of these tables into cube assignments for a whole batch of draws.
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -461,6 +460,7 @@ def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
              min(_CHUNK, num_samples - start))
             for ci, start in enumerate(range(0, num_samples, _CHUNK))]
     if jobs > 1 and len(args) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_boundary_chunk, *zip(*args)))
     else:

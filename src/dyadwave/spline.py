@@ -37,9 +37,6 @@ class SplineSystem:
     transitions: dict  # k -> (n_k, n_{k+1}) column-stochastic
     ball_mass: dict   # k -> (n_k,) masses of B(x^k_alpha, delta^k)
 
-    def level_sizes(self):
-        return {k: v.shape[0] for k, v in self.values.items()}
-
 
 def compute_splines(space: QuasiMetricSpace, nets: NestedNets,
                     tables: dict) -> SplineSystem:

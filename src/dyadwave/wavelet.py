@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decaymat import TINY, envelope_fit, spectral_inverse_sqrt
+from .decaymat import (TINY, envelope_fit, extreme_eigs,
+                       spectral_inverse_sqrt)
 from .errors import (
     DimensionMismatch,
     NotPositiveDefinite,
@@ -66,19 +67,27 @@ class WaveletBasis:
         return sum(len(self.index_sets[k]) for k in self.levels)
 
 
+def normalized_gram(space: QuasiMetricSpace, rows: np.ndarray,
+                    masses) -> np.ndarray:
+    """L2(mu) Gram of ``rows`` over the geometric mean of their ball masses.
+
+    Entry (alpha, beta) is <r_alpha, r_beta> / sqrt(m_alpha m_beta); the
+    spline and the pre-wavelet Grams are both this matrix.
+    """
+    masses = np.asarray(masses, dtype=float)
+    if (masses <= 0.0).any():
+        raise ZeroBallMass("a Gram row has a ball without mass")
+    G = (rows * space.weights) @ rows.T
+    return G / np.sqrt(np.outer(masses, masses))
+
+
+prewavelet_gram = normalized_gram
+
+
 def gram_matrix(space: QuasiMetricSpace, system: SplineSystem,
                 k: int) -> np.ndarray:
-    """Spline Gram at level k, normalized by the net ball masses.
-
-    Entries are the L2(mu) inner products divided by the geometric mean
-    of mu(B(x_alpha, delta^k)) over the two indices.
-    """
-    S = system.values[k]
-    mass = np.asarray(system.ball_mass[k], dtype=float)
-    if (mass <= 0.0).any():
-        raise ZeroBallMass(f"level {k} has a net ball without mass")
-    G = (S * space.weights) @ S.T
-    return G / np.sqrt(np.outer(mass, mass))
+    """Spline Gram at level k, normalized by the net ball masses."""
+    return normalized_gram(space, system.values[k], system.ball_mass[k])
 
 
 def dual_splines(space: QuasiMetricSpace, system: SplineSystem, k: int,
@@ -87,17 +96,18 @@ def dual_splines(space: QuasiMetricSpace, system: SplineSystem, k: int,
 
     Row alpha is sum_beta G^{-1}(alpha, beta) s_beta / sqrt(m_alpha m_beta)
     with G the normalized Gram, so spline/dual pairings give the identity.
-    The eigenvalues of G prove it positive definite; then one LU solve runs
+    ``extreme_eigs`` proves G positive definite; then one LU solve runs
     against the scaled splines and the inverse is never formed.
     """
     if gram is None:
         gram = gram_matrix(space, system, k)
-    vals = np.linalg.eigvalsh(gram)
-    if vals[0] <= 0.0:
-        raise NotPositiveDefinite(f"level {k} Gram eigenvalue {vals[0]:.3e}")
+    try:
+        eigs = extreme_eigs(gram)
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(f"level {k} Gram: {exc}") from exc
     rs = 1.0 / np.sqrt(np.asarray(system.ball_mass[k], dtype=float))
     duals = rs[:, None] * np.linalg.solve(gram, rs[:, None] * system.values[k])
-    return duals, (float(vals[0]), float(vals[-1]))
+    return duals, (eigs["lmin"], eigs["lmax"])
 
 
 def build_mra(space: QuasiMetricSpace, system: SplineSystem) -> MRA:
@@ -155,15 +165,6 @@ def pre_wavelets(space: QuasiMetricSpace, nets: NestedNets, mra: MRA,
     return resid
 
 
-def prewavelet_gram(space: QuasiMetricSpace, prewavelets: np.ndarray,
-                    masses: np.ndarray) -> np.ndarray:
-    masses = np.asarray(masses, dtype=float)
-    if (masses <= 0.0).any():
-        raise ZeroBallMass("pre-wavelet center ball without mass")
-    G = (prewavelets * space.weights) @ prewavelets.T
-    return G / np.sqrt(np.outer(masses, masses))
-
-
 def orthonormalize(space: QuasiMetricSpace, prewavelets: np.ndarray,
                    masses: np.ndarray, centers=None):
     """Mix the pre-wavelets into an L2(mu)-orthonormal family.
@@ -174,7 +175,7 @@ def orthonormalize(space: QuasiMetricSpace, prewavelets: np.ndarray,
     """
     if prewavelets.shape[0] == 0:
         return prewavelets.copy(), np.zeros((0, 0))
-    mg = prewavelet_gram(space, prewavelets, masses)
+    mg = normalized_gram(space, prewavelets, masses)
     root = spectral_inverse_sqrt(mg)
     psi = root @ (prewavelets / np.sqrt(np.asarray(masses, float))[:, None])
     if centers is not None:

@@ -190,6 +190,13 @@ def test_build_config_rejects_unknown_keys(tmp_path):
     ({"gen": {"kind": "cyclic", "params": {"n": "eight"}}}, 4),
     ({"out": None}, 4),
     ({"delta": 2.0}, 5),
+    # a bool is an int in python, so it must not pass as 1
+    *(({key: True}, 4) for key in ("delta", "seed", "num_samples",
+                                   "num_trials", "grid_samples",
+                                   "pair_budget", "jobs")),
+    *(({key: [True]}, 4) for key in ("eps_grid", "r_grid", "p_list")),
+    *(({"tolerances": {name: True}}, 4) for name in ("exact", "ortho")),
+    ({"tolerances": {"foo": 1e-3}}, 4),
 ])
 def test_build_config_bad_values(tmp_path, capsys, config, code):
     cfg = tmp_path / "cfg.json"
@@ -330,6 +337,27 @@ def test_each_level_table_built_once_per_command(tmp_path, monkeypatch):
         levels = range(nets["k_min"], nets["k_max"])
         assert len(levels) > 1
         assert built_levels == Counter(levels), argv[0]
+
+
+def test_verify_forms_block_projectors_once(tmp_path, monkeypatch):
+    passes = []
+    original = lpanalysis.lp_projectors
+
+    def counting(*args):
+        passes.append(args)
+        return original(*args)
+
+    # every module that bound the name at import gets the counter
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("dyadwave")
+                and getattr(module, "lp_projectors", None) is original):
+            monkeypatch.setattr(module, "lp_projectors", counting)
+    art = tmp_path / "art"
+    assert run("build", "--gen", "cyclic", "16", "--out", art) == 0
+    passes.clear()
+    assert run("verify", "--artifacts", art,
+               "--report", tmp_path / "r.json") == 0
+    assert len(passes) == 1
 
 
 def test_a0_computed_only_by_commands_that_read_it(tmp_path, monkeypatch):
@@ -726,3 +754,15 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path, work):
                          text=True, check=True, timeout=120, cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_cli_import_loads_no_process_pool(tmp_path):
+    # boundary imports the pool only when it runs with --jobs > 1
+    code = ("import sys, dyadwave.cli\n"
+            "print([m for m in ('concurrent.futures', 'multiprocessing') "
+            "if m in sys.modules])")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"

@@ -61,7 +61,9 @@ def assert_matches_oracle(space, nets, system, basis, seed=0):
     sampled = 0
     # a small budget subsamples the close pairs of every level
     for budget in (PAIR_BUDGET, 3 * space.n):
-        rep = kernel_estimates(space, nets, lp, pair_budget=budget, seed=seed)
+        rep = kernel_estimates(space, nets, lp,
+                               lp_projectors(space, nets, basis),
+                               pair_budget=budget, seed=seed)
         for k, P, _ in lp_projectors(space, nets, basis):
             entry = rep["levels"][k]
             gamma = entry["p_size"]["c"]

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 import lp_oracle as oracle
-from dyadwave import lpanalysis
-from dyadwave.cli import _clean, _dumps
+from dyadwave.cli import _dumps
 
 from dyadwave.errors import (
     BadExponent,
@@ -167,15 +166,13 @@ def test_basis_matches_dense_projector_oracle(kind, params):
 
 
 @pytest.mark.parametrize("kind,params", FLEET)
-def test_kernel_estimates_match_dense_oracle(kind, params, monkeypatch):
+def test_kernel_estimates_match_dense_oracle(kind, params):
     space, nets, mra, basis, lp = assemble(kind, params)
-    got = kernel_estimates(space, nets, lp)
+    got = kernel_estimates(space, nets, lp, lp_projectors(space, nets, basis))
     qproj, pproj = oracle.lp_blocks(space, nets, basis)
-    monkeypatch.setattr(lpanalysis, "lp_projectors",
-                        lambda *args: oracle.projectors(qproj, pproj))
-    fed = kernel_estimates(space, nets, lp)
+    fed = kernel_estimates(space, nets, lp, oracle.projectors(qproj, pproj))
     # the serialized form spells NaN the same on both sides
-    assert _dumps(_clean(got)) == _dumps(_clean(fed))
+    assert _dumps(got) == _dumps(fed)
     rng = np.random.default_rng(2)
     for _ in range(5):
         f = rng.standard_normal(space.n)
@@ -409,7 +406,8 @@ def test_cz_bound_interval_full_scan():
 
 def test_kernel_estimates_interval():
     space, nets, mra, basis, lp = assemble("interval", {"n": 64})
-    report = kernel_estimates(space, nets, lp)
+    report = kernel_estimates(space, nets, lp,
+                              lp_projectors(space, nets, basis))
     assert report["s"] == 1.0
     assert report["nonpositive"] == []
     for k, entry in report["levels"].items():
@@ -433,7 +431,8 @@ def test_kernel_estimates_empty_level():
     empty = [k for k in range(nets.k_min, nets.k_max)
              if len(nets.ydiff[k]) == 0]
     assert empty
-    report = kernel_estimates(space, nets, lp)
+    report = kernel_estimates(space, nets, lp,
+                              lp_projectors(space, nets, basis))
     for k in empty:
         entry = report["levels"][k]
         assert entry["q_size"]["empty"]
@@ -444,10 +443,12 @@ def test_kernel_estimates_empty_level():
 
 def test_kernel_estimates_respects_given_exponent():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
-    report = kernel_estimates(space, nets, lp, s=0.7)
+    report = kernel_estimates(space, nets, lp,
+                              lp_projectors(space, nets, basis), s=0.7)
     assert report["s"] == 0.7
     with pytest.raises(BadParams):
-        kernel_estimates(space, nets, lp, s=1.5)
+        kernel_estimates(space, nets, lp, lp_projectors(space, nets, basis),
+                         s=1.5)
 
 
 def test_substitute_inequality_single_level():

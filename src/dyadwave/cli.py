@@ -198,12 +198,13 @@ def _resolve_config(stored: dict, flags: dict) -> dict:
 
 
 def _number(kind, key: str, val):
-    if isinstance(val, bool):
-        raise BadParams(f"{key} must be a number, got {val!r}")
+    """``val`` as ``kind``; a float key also takes an integer."""
+    if isinstance(val, bool) or not isinstance(val, (int, kind)):
+        raise BadParams(f"{key} must be of type {kind.__name__}, got {val!r}")
     try:
         return kind(val)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BadParams(f"{key} must be a number, got {val!r}") from exc
+    except OverflowError as exc:
+        raise BadParams(f"{key} is out of range, got {val!r}") from exc
 
 
 def _validate_config(cfg: dict) -> dict:
@@ -214,8 +215,8 @@ def _validate_config(cfg: dict) -> dict:
     for name, val in cfg["tolerances"].items():
         if name not in CONFIG_DEFAULTS["tolerances"]:
             raise BadParams(f"unknown tolerance {name!r}")
-        if type(val) not in (int, float) or not val > 0:
-            raise BadParams(f"tolerance {name!r} must be a positive number")
+        if not _number(float, f"tolerance {name!r}", val) > 0:
+            raise BadParams(f"tolerance {name!r} must be positive")
     for key in ("num_samples", "num_trials", "grid_samples",
                 "pair_budget", "jobs"):
         cfg[key] = _number(int, key, cfg[key])
@@ -303,6 +304,13 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _grid(space, nets) -> tuple:
+    """The grid labels of the nets and each level's parent table."""
+    ref = reference_order(space, nets)
+    labels = grid_labels(space, nets, ref)
+    return labels, parent_tables(space, nets, ref, labels)
+
+
 def _construct(space, cfg):
     """Nets, splines, MRA and wavelet basis of a space, with check reports.
 
@@ -311,9 +319,7 @@ def _construct(space, cfg):
     both the splines and the sampled grid checks.
     """
     nets = build_nets(space, cfg["delta"])
-    ref = reference_order(space, nets)
-    labels = grid_labels(space, nets, ref)
-    tables = parent_tables(space, nets, ref, labels)
+    labels, tables = _grid(space, nets)
     system = compute_splines(space, nets, tables)
     mra = build_mra(space, system)
     basis = build_wavelet_basis(space, nets, mra)
@@ -365,21 +371,23 @@ def cmd_build(args) -> int:
         write_csv(out / "splines" / f"level_{k}.csv", vals)
     for k, T in system.transitions.items():
         write_csv(out / "transitions" / f"level_{k}.csv", T)
-    write_csv(out / "basis_values.csv", basis.stacked())
+    count = len(basis.rows) - 1
+    write_csv(out / "basis_values.csv", basis.rows)
     write_json(out / "basis.json", {
         "delta": basis.delta,
-        "n": basis.n,
-        "count": basis.count(),
+        "n": space.n,
+        "count": count,
         "k_min": nets.k_min,
         "k_max": nets.k_max,
-        "levels": list(basis.levels),
-        "index_sets": {k: basis.index_sets[k] for k in basis.levels},
-        "mass_fine": {k: basis.mass_fine[k] for k in basis.levels},
-        "mass_center": {k: basis.mass_center[k] for k in basis.levels},
-        "constant_value": float(basis.constant[0]),
+        "levels": list(basis.blocks),
+        "index_sets": {k: basis.centers[sl] for k, sl in basis.blocks.items()},
+        "mass_fine": basis.mass_fine,
+        "mass_center": basis.mass_center,
+        "constant_value": float(basis.rows[0, 0]),
         "total_mass": space.total_mass,
-        "row_labels": [["const" if k is None else k, c]
-                       for k, c in basis.labels()],
+        "row_labels": [["const", -1]] + [
+            [k, c] for k, sl in basis.blocks.items()
+            for c in basis.centers[sl].tolist()],
     })
     core = {k: cfg[k] for k in cfg if k not in ("out", "jobs")}
     write_json(out / "build_config.json", {
@@ -397,7 +405,7 @@ def cmd_build(args) -> int:
         "checks": checks,
         "ok": True,
     })
-    print(f"built {basis.count()} wavelets + constant over {space.n} points "
+    print(f"built {count} wavelets + constant over {space.n} points "
           f"-> {out}")
     return 0
 
@@ -427,7 +435,8 @@ def _load_matrix(path) -> np.ndarray:
 
 
 def _load_basis(art: Path, n: int) -> tuple:
-    """Stored basis rows over n points, wavelet count and row labels."""
+    """Stored basis rows over n points, wavelet count, row labels, and the
+    slice of rows of each level, read from labels in the order of build."""
     B = _load_matrix(art / "basis_values.csv")
     if B.shape[1] != n:
         raise DimensionMismatch(
@@ -440,7 +449,16 @@ def _load_basis(art: Path, n: int) -> tuple:
     except (KeyError, TypeError, ValueError) as exc:
         raise MissingArtifact(f"{art / 'basis.json'} lacks a valid count "
                               f"and row_labels: {exc!r}") from exc
-    return B, count, labels
+    levels = [lvl for lvl, _ in labels]
+    if (levels[:1] != ["const"] or "const" in levels[1:]
+            or levels[1:] != sorted(levels[1:])):
+        raise MissingArtifact(
+            f"{art / 'basis.json'} row_labels must list the constant, then "
+            "each level's rows together in ascending level order")
+    starts = [i for i in range(1, len(levels)) if levels[i] != levels[i - 1]]
+    blocks = {levels[a]: slice(a, b)
+              for a, b in zip(starts, starts[1:] + [len(levels)])}
+    return B, count, labels, blocks
 
 
 def _stored_dev(folder: Path, rebuilt: dict) -> float:
@@ -473,7 +491,7 @@ def cmd_verify(args) -> int:
     cfg = _resolve_config(stored.get("config", {}),
                           {"num_trials": args.num_trials,
                            "pair_budget": args.pair_budget})
-    B, count, _ = _load_basis(art, space.n)
+    B, count, _, _ = _load_basis(art, space.n)
     seed = cfg["seed"]
     tol_exact = float(cfg["tolerances"]["exact"])
     tol_ortho = float(cfg["tolerances"]["ortho"])
@@ -484,7 +502,7 @@ def cmd_verify(args) -> int:
     nets_match = nets_to_dict(stored_nets) == nets_to_dict(nets)
     splines_dev = _stored_dev(art / "splines", system.values)
     trans_dev = _stored_dev(art / "transitions", system.transitions)
-    rebuilt = basis.stacked()
+    rebuilt = basis.rows
     basis_dev = (float(np.abs(B - rebuilt).max())
                  if B.shape == rebuilt.shape else math.inf)
     count_ok = count == n - 1 and B.shape == (count + 1, n)
@@ -515,7 +533,7 @@ def cmd_verify(args) -> int:
 
     equivalence = {}
     parseval_dev = 0.0
-    if basis.count() > 0:
+    if len(basis.rows) > 1:
         bounds = lp_equivalence(space, lp,
                                 list(dict.fromkeys(cfg["p_list"] + [2.0])),
                                 num_trials=cfg["num_trials"], seed=seed)
@@ -598,7 +616,7 @@ def cmd_analyze(args) -> int:
     art = Path(args.artifacts)
     _require_artifacts(art, ["space.json", "basis.json", "basis_values.csv"])
     space = load_space_json(art / "space.json")
-    B, _, row_labels = _load_basis(art, space.n)
+    B, _, row_labels, blocks = _load_basis(art, space.n)
     if len(row_labels) != B.shape[0]:
         raise DimensionMismatch(
             f"basis.json labels {len(row_labels)} rows, basis_values.csv "
@@ -616,8 +634,7 @@ def cmd_analyze(args) -> int:
     parseval_abs = abs(coeff_energy - energy)
     parseval_rel = parseval_abs / max(energy, 1e-300)
 
-    sf = square_function(B, [None if lvl == "const" else lvl
-                             for lvl, _ in row_labels], coeffs)
+    sf = square_function(B, blocks, coeffs)
 
     out = Path(args.out) if args.out else art
     coeff_lines = ["# level,center,coefficient"]
@@ -656,10 +673,7 @@ def cmd_boundary(args) -> int:
                           {"num_samples": args.num_samples,
                            "eps_grid": args.eps_grid, "seed": args.seed,
                            "jobs": args.jobs})
-    ref = reference_order(space, nets)
-    labels = grid_labels(space, nets, ref)
-    stats = boundary_layer_stats(space, nets, labels,
-                                 parent_tables(space, nets, ref, labels),
+    stats = boundary_layer_stats(space, nets, *_grid(space, nets),
                                  cfg["eps_grid"], cfg["num_samples"],
                                  cfg["seed"], jobs=cfg["jobs"])
     fit = fit_boundary_exponent(stats)

@@ -40,7 +40,7 @@ class LPSystem:
 def build_lp(space: QuasiMetricSpace, nets: NestedNets,
              basis: WaveletBasis) -> LPSystem:
     return LPSystem(basis, {
-        k: space.dist[:, nets.ydiff[k]].min(axis=1) if k in basis.wavelets
+        k: space.dist[:, nets.ydiff[k]].min(axis=1) if k in basis.blocks
         else np.full(space.n, np.inf) for k in nets.level_range})
 
 
@@ -52,9 +52,9 @@ def lp_projectors(space: QuasiMetricSpace, nets: NestedNets,
     projector and the coarser Q's, onto V_k; at the finest level Q is None.
     """
     w = space.weights
-    P = np.outer(basis.constant, basis.constant * w)
+    P = np.outer(basis.rows[0], basis.rows[0] * w)
     for k in range(nets.k_min, nets.k_max):
-        psi = basis.wavelets.get(k, np.zeros((0, space.n)))
+        psi = basis.rows[basis.blocks.get(k, slice(0))]
         Q = psi.T @ (psi * w)
         yield k, P, Q
         P = P + Q
@@ -66,21 +66,20 @@ def lp_norm(space: QuasiMetricSpace, f, p: float) -> float:
     return float(np.sum(space.weights * np.abs(f) ** p) ** (1.0 / p))
 
 
-def square_function(rows: np.ndarray, levels, coeffs) -> np.ndarray:
+def square_function(rows: np.ndarray, blocks: dict, coeffs) -> np.ndarray:
     """Pointwise l2 size of the level blocks Q_k f.
 
-    ``coeffs`` are the inner products of f with the basis ``rows``, whose
-    levels are ``levels`` (None for the mean row).  Each block is projected
-    back from its own rows and coefficients, coarse to fine.
+    ``coeffs`` are the inner products of f with the basis ``rows``, and
+    ``blocks`` maps each level to its slice of them.  Each block is
+    projected back from its own rows and coefficients, coarse to fine.
     """
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (rows.shape[0],):
         raise DimensionMismatch(
             f"{coeffs.shape} coefficients for {rows.shape[0]} basis rows")
     total = np.zeros(rows.shape[1])
-    for k in sorted({lvl for lvl in levels if lvl is not None}):
-        idx = [i for i, lvl in enumerate(levels) if lvl == k]
-        total += (rows[idx].T @ coeffs[idx]) ** 2
+    for k in sorted(blocks):
+        total += (rows[blocks[k]].T @ coeffs[blocks[k]]) ** 2
     return np.sqrt(total)
 
 
@@ -99,13 +98,12 @@ def lp_equivalence(space: QuasiMetricSpace, lp: LPSystem, p_list,
         raise BadParams("need at least one trial")
     rng = stream_rng(seed, STREAM_TRIALS)
     total = space.total_mass
-    rows = lp.basis.stacked()
-    levels = [k for k, _ in lp.basis.labels()]
+    rows, blocks = lp.basis.rows, lp.basis.blocks
     bounds = {p: (math.inf, 0.0) for p in p_list}
     for _ in range(num_trials):
         f = rng.standard_normal(space.n)
         f -= float(np.sum(space.weights * f)) / total
-        sf = square_function(rows, levels, rows @ (space.weights * f))
+        sf = square_function(rows, blocks, rows @ (space.weights * f))
         for p, (lo, hi) in bounds.items():
             ratio = lp_norm(space, sf, p) / lp_norm(space, f, p)
             bounds[p] = (min(lo, ratio), max(hi, ratio))
@@ -116,9 +114,9 @@ def random_signs(basis: WaveletBasis, seed: int = 0) -> dict:
     """One +-1 per wavelet, keyed by (level, center point)."""
     rng = stream_rng(seed, STREAM_SIGNS)
     out = {}
-    for k in basis.levels:
-        draws = rng.integers(0, 2, size=len(basis.index_sets[k]))
-        for p, d in zip(basis.index_sets[k], draws):
+    for k, sl in basis.blocks.items():
+        draws = rng.integers(0, 2, size=sl.stop - sl.start)
+        for p, d in zip(basis.centers[sl], draws):
             out[(k, int(p))] = int(2 * d - 1)
     return out
 
@@ -130,15 +128,15 @@ def random_sign_operator(space: QuasiMetricSpace, basis: WaveletBasis,
     An L2(mu) isometry for any choice of signs.
     """
     eps = [1.0]
-    for k in basis.levels:
-        for p in basis.index_sets[k]:
+    for k, sl in basis.blocks.items():
+        for p in basis.centers[sl]:
             key = (k, int(p))
             if key not in signs:
                 raise IncompleteSigns(f"no sign for wavelet {key}")
             if signs[key] not in (-1, 1):
                 raise BadParams(f"sign for {key} must be +-1")
             eps.append(float(signs[key]))
-    B = basis.stacked()
+    B = basis.rows
     return B.T @ (np.array(eps)[:, None] * B * space.weights[None, :])
 
 
@@ -148,7 +146,7 @@ def cz_kernel_bound(space: QuasiMetricSpace, basis: WaveletBasis) -> dict:
     Scans all pairs x != y for the largest mu(B(x, d(x, y))) times the
     total absolute wavelet kernel sum_k |psi(x) psi(y)|.
     """
-    B = basis.stacked()[1:]
+    B = basis.rows[1:]
     absk = np.abs(B).T @ np.abs(B)
     n = space.n
     best, pair = 0.0, (0, 0)

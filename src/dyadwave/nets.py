@@ -215,7 +215,7 @@ def nets_from_dict(payload: dict) -> NestedNets:
     scan = np.array(payload["scan_order"], dtype=int)
     every = np.arange(len(scan))
     nested = sorted(levels) == list(range(k_min, k_max + 1)) and all(
-        levels[k].ndim == 1 and len(np.unique(levels[k])) == len(levels[k])
+        levels[k].ndim == 1 and np.diff(np.sort(levels[k])).all()
         and (k == k_max or np.isin(levels[k], levels[k + 1]).all())
         for k in levels)
     if not (nested and len(levels[k_min]) == 1

@@ -488,21 +488,22 @@ def fit_boundary_exponent(stats: dict, min_points: int = 3) -> dict:
     The arithmetic is that of ``scipy.stats.linregress`` and its slope
     standard error; the 95% interval uses the Student t quantile.
     """
-    # scipy.stats is far slower to import, and the CLI loads this module
-    from scipy.special import stdtrit
-
     eps = np.array(stats["eps_grid"])
     mean = np.array(stats["mean_freq"])
     keep = mean > 0
     out = {"n_points": int(keep.sum())}
     x = np.log(eps[keep])
     y = np.log(mean[keep])
-    if keep.sum() < min_points or np.unique(x).size < 2:
+    if keep.sum() < max(min_points, 2) or x.min() == x.max():
         warnings.warn("too few positive frequencies for a slope fit",
                       InsufficientSamples)
         out.update(eta=math.nan, log_c=math.nan, ci95=(math.nan, math.nan),
                    stderr=math.nan, r2=math.nan)
         return out
+    # scipy.stats is far slower to import, and the CLI loads this module;
+    # importing scipy.special also loads numpy.ma, so only a fit does
+    from scipy.special import stdtrit
+
     ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
     if ssym == 0.0:
         r = np.float64(math.nan if ssxym == 0 else 0.0)

@@ -40,31 +40,16 @@ class MRA:
 
 @dataclass(frozen=True)
 class WaveletBasis:
+    """The basis as the one matrix ``build`` writes: the normalized constant,
+    then level k's wavelets in ``rows[blocks[k]]``, levels coarse to fine."""
+
     delta: float
-    n: int
-    levels: list        # ks with at least one new point
-    index_sets: dict    # k -> point indices of the centers
-    mgram: dict         # k -> normalized pre-wavelet Gram
-    wavelets: dict      # k -> (m_k, n) orthonormal rows in L2(mu)
-    mass_fine: dict     # k -> mu(B(center, delta^{k+1})), construction norm
-    mass_center: dict   # k -> mu(B(center, delta^k)), decay norm
-    constant: np.ndarray
-
-    def stacked(self) -> np.ndarray:
-        """All basis rows: the normalized constant, then levels coarse to fine."""
-        rows = [self.constant[None, :]]
-        rows += [self.wavelets[k] for k in self.levels]
-        return np.concatenate(rows, axis=0)
-
-    def labels(self) -> list:
-        """(level, center point) per stacked row; the mean term is (None, -1)."""
-        out = [(None, -1)]
-        for k in self.levels:
-            out += [(k, int(p)) for p in self.index_sets[k]]
-        return out
-
-    def count(self) -> int:
-        return sum(len(self.index_sets[k]) for k in self.levels)
+    rows: np.ndarray     # (1 + count, n) basis rows, orthonormal in L2(mu)
+    blocks: dict         # k -> slice of rows, for ks with a new point
+    centers: np.ndarray  # center point per row, -1 for the constant
+    mgram: dict          # k -> normalized pre-wavelet Gram
+    mass_fine: dict      # k -> mu(B(center, delta^{k+1})), construction norm
+    mass_center: dict    # k -> mu(B(center, delta^k)), decay norm
 
 
 def normalized_gram(space: QuasiMetricSpace, rows: np.ndarray,
@@ -79,9 +64,6 @@ def normalized_gram(space: QuasiMetricSpace, rows: np.ndarray,
         raise ZeroBallMass("a Gram row has a ball without mass")
     G = (rows * space.weights) @ rows.T
     return G / np.sqrt(np.outer(masses, masses))
-
-
-prewavelet_gram = normalized_gram
 
 
 def gram_matrix(space: QuasiMetricSpace, system: SplineSystem,
@@ -187,47 +169,46 @@ def orthonormalize(space: QuasiMetricSpace, prewavelets: np.ndarray,
 
 def build_wavelet_basis(space: QuasiMetricSpace, nets: NestedNets,
                         mra: MRA) -> WaveletBasis:
+    """Orthonormalize each level's pre-wavelets into its slice of rows."""
     system = mra.system
-    index_sets, mgrams, wavs = {}, {}, {}
-    mass_fine, mass_center = {}, {}
-    for k in range(nets.k_min, nets.k_max):
-        centers = nets.ydiff[k]
-        if len(centers) == 0:
-            continue
+    ks = [k for k in range(nets.k_min, nets.k_max) if len(nets.ydiff[k])]
+    ends = np.cumsum([1] + [len(nets.ydiff[k]) for k in ks]).tolist()
+    blocks = {k: slice(a, b) for k, a, b in zip(ks, ends, ends[1:])}
+    centers = np.concatenate([[-1], *(nets.ydiff[k] for k in ks)])
+    rows = np.empty((len(centers), space.n))
+    rows[0] = 1.0 / math.sqrt(space.total_mass)
+    mgrams, mass_fine, mass_center = {}, {}, {}
+    for k, sl in blocks.items():
         base = pre_wavelets(space, nets, mra, k)
-        rows = nets.positions(k + 1, space.n)[centers]
-        masses = np.asarray(system.ball_mass[k + 1], dtype=float)[rows]
-        psi, mg = orthonormalize(space, base, masses, centers=centers)
-        index_sets[k] = centers
-        mgrams[k] = mg
-        wavs[k] = psi
+        pos = nets.positions(k + 1, space.n)[centers[sl]]
+        masses = np.asarray(system.ball_mass[k + 1], dtype=float)[pos]
+        rows[sl], mgrams[k] = orthonormalize(space, base, masses,
+                                             centers=centers[sl])
         mass_fine[k] = masses
-        mass_center[k] = space.ball_masses(centers, nets.scale(k))
-    constant = np.full(space.n, 1.0 / math.sqrt(space.total_mass))
-    return WaveletBasis(system.delta, space.n, list(wavs), index_sets, mgrams,
-                        wavs, mass_fine, mass_center, constant)
+        mass_center[k] = space.ball_masses(centers[sl], nets.scale(k))
+    return WaveletBasis(system.delta, rows, blocks, centers, mgrams,
+                        mass_fine, mass_center)
 
 
 def wavelet_transform(space: QuasiMetricSpace, basis: WaveletBasis,
                       f) -> np.ndarray:
     """Coefficients of f in the basis; the mean term comes first.
 
-    Row order matches stacked(): constant, then wavelet levels coarse to
-    fine, each in order of appearance of its centers.
+    Coefficient i belongs to row i of ``basis.rows``.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape != (basis.n,):
+    if f.shape != (space.n,):
         raise DimensionMismatch(
-            f"signal length {f.shape} does not match {basis.n} points")
-    return basis.stacked() @ (space.weights * f)
+            f"signal length {f.shape} does not match {space.n} points")
+    return basis.rows @ (space.weights * f)
 
 
 def inverse_transform(basis: WaveletBasis, coeffs) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (basis.n,):
-        raise DimensionMismatch(
-            f"{coeffs.shape} coefficients for a basis of size {basis.n}")
-    return basis.stacked().T @ coeffs
+    if coeffs.shape != (len(basis.rows),):
+        raise DimensionMismatch(f"{coeffs.shape} coefficients for a basis "
+                                f"of size {len(basis.rows)}")
+    return basis.rows.T @ coeffs
 
 
 def gram_decay_certificates(space: QuasiMetricSpace, nets: NestedNets,
@@ -248,8 +229,8 @@ def gram_decay_certificates(space: QuasiMetricSpace, nets: NestedNets,
         out["spline"][k] = decay_certificate(mra.gram[k], dist,
                                              s=s, x_cut=x_cut)
     if basis is not None:
-        for k in basis.levels:
-            pts = basis.index_sets[k]
+        for k, sl in basis.blocks.items():
+            pts = basis.centers[sl]
             dist = space.dist[np.ix_(pts, pts)] / nets.scale(k + 1)
             out["prewavelet"][k] = decay_certificate(basis.mgram[k], dist,
                                                      s=s, x_cut=x_cut)
@@ -259,9 +240,9 @@ def gram_decay_certificates(space: QuasiMetricSpace, nets: NestedNets,
 def _decay_samples(space, nets, basis):
     a = exponent_a(space)
     xs, ys = [], []
-    for k in basis.levels:
-        d = space.dist[basis.index_sets[k]]
-        vals = np.abs(basis.wavelets[k])
+    for k, sl in basis.blocks.items():
+        d = space.dist[basis.centers[sl]]
+        vals = np.abs(basis.rows[sl])
         vals = vals * np.sqrt(basis.mass_center[k])[:, None]
         keep = vals >= TINY
         xs.append(((d / nets.scale(k)) ** a)[keep])
@@ -275,8 +256,8 @@ def _holder_samples(space, nets, basis):
     """(x, y, count): x = -log(d / scale) and y the log of the largest
     scaled wavelet difference, per close pair with one >= TINY (count)."""
     xs, ys, count = [np.zeros(0)], [np.zeros(0)], 0
-    for k in basis.levels:
-        psi = basis.wavelets[k] * np.sqrt(basis.mass_center[k])[:, None]
+    for k, sl in basis.blocks.items():
+        psi = basis.rows[sl] * np.sqrt(basis.mass_center[k])[:, None]
         rel, sup, kept = pair_maxima(psi, space.dist, nets.scale(k),
                                      strict=True)
         xs.append(-np.log(rel[kept > 0]))
@@ -309,9 +290,9 @@ def verify_wavelet_theorem(space: QuasiMetricSpace, nets: NestedNets,
     over pairs closer than the level scale.
     """
     gram_dev, mean_dev, recon_dev = orthonormality_devs(
-        basis.stacked(), space.weights, seed)
-    count = basis.count()
-    count_ok = count == basis.n - 1
+        basis.rows, space.weights, seed)
+    count = len(basis.rows) - 1
+    count_ok = count == space.n - 1
 
     a, dx, dy = _decay_samples(space, nets, basis)
     decay = envelope_fit(dx, dy, x_cut=x_cut)
@@ -326,7 +307,7 @@ def verify_wavelet_theorem(space: QuasiMetricSpace, nets: NestedNets,
               if hx.size else 0.0}
 
     return {
-        "n": basis.n,
+        "n": space.n,
         "count": count,
         "count_ok": bool(count_ok),
         "gram_dev": gram_dev,

@@ -54,14 +54,14 @@ def holder_samples(space, nets, basis):
     """One sample per (wavelet, pair) with a scaled difference >= TINY."""
     xs, ys = [], []
     iu, ju = np.triu_indices(space.n, k=1)
-    for k in basis.levels:
+    for k, sl in basis.blocks.items():
         scale = nets.scale(k)
         rel = space.dist[iu, ju] / scale
         close = (rel > 0.0) & (rel < 1.0)
         if not close.any():
             continue
         logrel = np.log(rel[close])
-        psi = basis.wavelets[k] * np.sqrt(basis.mass_center[k])[:, None]
+        psi = basis.rows[sl] * np.sqrt(basis.mass_center[k])[:, None]
         diff = np.abs(psi[:, iu[close]] - psi[:, ju[close]])
         keep = diff >= TINY
         xs.append(np.broadcast_to(-logrel, diff.shape)[keep])

@@ -7,10 +7,20 @@ projectors Q_k and their running sums P_k, and the square function as a
 sum of dense Q_k f.  Tests require the library's basis and kernel report
 to equal what these produce exactly, and its square function to agree
 to rounding.
+
+``gather_square_function`` and ``lp_equivalence`` are the list-gather
+form: each level's rows and coefficients are copied out by a list of row
+indices, once per call.  The library reads each level as a slice of the
+basis rows; tests require its bounds and square function to equal these
+exactly.
 """
+
+import math
 
 import numpy as np
 
+from dyadwave.lpanalysis import lp_norm
+from dyadwave.seeding import STREAM_TRIALS, stream_rng
 from dyadwave.wavelet import orthonormalize
 
 
@@ -44,13 +54,13 @@ def lp_blocks(space, nets, basis) -> tuple:
     n = space.n
     w = space.weights
     qproj, pproj = {}, {}
-    running = np.outer(basis.constant, basis.constant * w)
+    running = np.outer(basis.rows[0], basis.rows[0] * w)
     for k in range(nets.k_min, nets.k_max + 1):
         pproj[k] = running.copy()
         if k == nets.k_max:
             break
-        if k in basis.wavelets:
-            psi = basis.wavelets[k]
+        if k in basis.blocks:
+            psi = basis.rows[basis.blocks[k]]
             qproj[k] = psi.T @ (psi * w)
         else:
             qproj[k] = np.zeros((n, n))
@@ -69,3 +79,38 @@ def square_function(qproj, f) -> np.ndarray:
     for Q in qproj.values():
         total += (Q @ f) ** 2
     return np.sqrt(total)
+
+
+def row_levels(blocks, count) -> list:
+    """The level of each of ``count`` basis rows, None for the mean row."""
+    levels = [None] * count
+    for k, sl in blocks.items():
+        levels[sl] = [k] * (sl.stop - sl.start)
+    return levels
+
+
+def gather_square_function(rows, levels, coeffs) -> np.ndarray:
+    """Square function from the rows whose ``levels`` entry is each k."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    total = np.zeros(rows.shape[1])
+    for k in sorted({lvl for lvl in levels if lvl is not None}):
+        idx = [i for i, lvl in enumerate(levels) if lvl == k]
+        total += (rows[idx].T @ coeffs[idx]) ** 2
+    return np.sqrt(total)
+
+
+def lp_equivalence(space, lp, p_list, num_trials=100, seed=0) -> dict:
+    """{p: (lo, hi)} of ||Sf||_p / ||f||_p, through the list gather."""
+    rng = stream_rng(seed, STREAM_TRIALS)
+    total = space.total_mass
+    rows = lp.basis.rows
+    levels = row_levels(lp.basis.blocks, len(rows))
+    bounds = {p: (math.inf, 0.0) for p in p_list}
+    for _ in range(num_trials):
+        f = rng.standard_normal(space.n)
+        f -= float(np.sum(space.weights * f)) / total
+        sf = gather_square_function(rows, levels, rows @ (space.weights * f))
+        for p, (lo, hi) in bounds.items():
+            ratio = lp_norm(space, sf, p) / lp_norm(space, f, p)
+            bounds[p] = (min(lo, ratio), max(hi, ratio))
+    return bounds

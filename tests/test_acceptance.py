@@ -136,7 +136,7 @@ def test_criterion_03_wavelet_theorem(fleet, wavelet_reports, capsys):
         worst_mean = max(worst_mean, rep["mean_dev"])
         counts_ok = counts_ok and rep["count_ok"]
         space, basis = b["space"], b["basis"]
-        B = basis.stacked()
+        B = basis.rows
         f = np.random.default_rng(23).standard_normal((20, space.n))
         coeffs = B @ (f * space.weights).T
         recon = (B.T @ coeffs).T

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import lp_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -176,6 +177,11 @@ def test_build_config_rejects_unknown_keys(tmp_path):
     assert run("build", "--config", cfg, "--out", tmp_path / "art") == 4
 
 
+# config values that a cast would turn into a number of the right kind
+CONVERTIBLE = [{"num_samples": 2.7}, {"seed": "5"}, {"delta": "0.25"},
+               {"eps_grid": ["0.1"]}, {"pair_budget": 1e5}]
+
+
 @pytest.mark.parametrize("config,code", [
     ({"tolerances": 5}, 4),
     ({"tolerances": {"exact": "tiny"}}, 4),
@@ -197,12 +203,26 @@ def test_build_config_rejects_unknown_keys(tmp_path):
     *(({key: [True]}, 4) for key in ("eps_grid", "r_grid", "p_list")),
     *(({"tolerances": {name: True}}, 4) for name in ("exact", "ortho")),
     ({"tolerances": {"foo": 1e-3}}, 4),
+    # values are not converted: no truncation, no numbers read from strings
+    *((config, 4) for config in CONVERTIBLE),
 ])
 def test_build_config_bad_values(tmp_path, capsys, config, code):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"gen": {"kind": "cyclic", "params": {"n": 8}},
                                **config}))
     assert run("build", "--config", cfg) == code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", CONVERTIBLE)
+def test_stored_config_wrong_type_exits_4(built, tmp_path, capsys, config):
+    import shutil
+    bad = tmp_path / "bad"
+    shutil.copytree(built, bad)
+    stored = json.loads((bad / "build_config.json").read_text())
+    stored["config"].update(config)
+    (bad / "build_config.json").write_text(json.dumps(stored))
+    rc = run("verify", "--artifacts", bad, "--report", tmp_path / "r.json")
+    assert rc == 4, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["verify", "boundary"])
@@ -459,6 +479,54 @@ def test_analyze_random_signal_parseval(built, tmp_path):
     assert len(sf_lines) == 1 + 8
 
 
+@pytest.mark.parametrize("order", [
+    lambda labels: labels[1:] + labels[:1],           # constant last
+    lambda labels: labels[:1] + labels[1:][::-1],     # levels descending
+    lambda labels: labels[:1] + labels[2:] + labels[1:2],   # level split
+], ids=["constant_last", "levels_descending", "level_split"])
+def test_analyze_labels_not_grouped_by_level_exit_8(built, tmp_path, capsys,
+                                                    order):
+    import shutil
+    bad = tmp_path / "bad"
+    shutil.copytree(built, bad)
+    meta = json.loads((bad / "basis.json").read_text())
+    meta["row_labels"] = order(meta["row_labels"])
+    (bad / "basis.json").write_text(json.dumps(meta))
+    np.savetxt(tmp_path / "sig.csv", np.ones(8), delimiter=",")
+    rc = run("analyze", "--artifacts", bad, "--signal", tmp_path / "sig.csv",
+             "--out", tmp_path / "out")
+    err = capsys.readouterr().err
+    assert rc == 8, err
+    assert "row_labels" in err
+
+
+@pytest.mark.parametrize("gen", [["cyclic", "16"], ["interval", "64"],
+                                 ["binary_tree", "4"],
+                                 ["point_cloud", "40", "2"],
+                                 ["koranyi_sphere", "30", "2"],
+                                 ["snowflake", "32", "0.5"]],
+                         ids=lambda gen: gen[0])
+def test_analyze_square_function_matches_gather_oracle(tmp_path, gen):
+    """analyze reads each level of the loaded basis as a slice of its rows;
+    the square function equals the list-gather one bit for bit."""
+    art = tmp_path / "art"
+    assert run("build", "--gen", *gen, "--out", art) == 0
+    space = load_space_json(art / "space.json")
+    B = np.loadtxt(art / "basis_values.csv", delimiter=",", ndmin=2)
+    labels = json.loads((art / "basis.json").read_text())["row_labels"]
+    signal = np.random.default_rng(6).standard_normal(space.n)
+    np.savetxt(tmp_path / "sig.csv", signal, delimiter=",")
+    assert run("analyze", "--artifacts", art, "--signal", tmp_path / "sig.csv",
+               "--out", tmp_path / "out") == 0
+    signal = np.loadtxt(tmp_path / "sig.csv", delimiter=",", ndmin=2).ravel()
+    want = lp_oracle.gather_square_function(
+        B, [None if lvl == "const" else lvl for lvl, _ in labels],
+        B @ (space.weights * signal))
+    got = [float(line.split(",")[1]) for line
+           in (tmp_path / "out" / "sf.csv").read_text().splitlines()[1:]]
+    assert got == want.tolist()
+
+
 def test_analyze_dimension_mismatch(built, tmp_path):
     np.savetxt(tmp_path / "sig.csv", np.ones(5), delimiter=",")
     assert run("analyze", "--artifacts", built, "--signal",
@@ -708,6 +776,28 @@ def test_close_pairs_are_enumerated_in_one_place():
     assert found == ["spline.py:close_pairs"]
 
 
+def test_basis_is_read_in_place():
+    # one basis matrix: nothing defines or calls a stacking copy of it, and
+    # the square function slices each level instead of gathering its rows
+    pkg = Path(__file__).resolve().parents[1] / "src" / "dyadwave"
+    stacked = [f"{path.name}:{node.lineno}"
+               for path in sorted(pkg.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if getattr(node, "name", None) == "stacked"
+               or isinstance(node, ast.Call)
+               and getattr(node.func, "attr", getattr(node.func, "id", None))
+               == "stacked"]
+    assert stacked == []
+    tree = ast.parse((pkg / "lpanalysis.py").read_text())
+    (sf,) = [node for node in tree.body
+             if getattr(node, "name", None) == "square_function"]
+    gathers = [node.lineno for node in ast.walk(sf)
+               if isinstance(node, (ast.List, ast.ListComp))
+               or isinstance(node, ast.Call)
+               and getattr(node.func, "id", None) == "enumerate"]
+    assert gathers == []
+
+
 def test_verify_fails_when_a_level_misses_a_wavelet(tmp_path, monkeypatch,
                                                      capsys):
     """lp_telescoping compares each P_k with the spline projector onto V_k,
@@ -716,10 +806,11 @@ def test_verify_fails_when_a_level_misses_a_wavelet(tmp_path, monkeypatch,
     assert run("build", "--gen", "cyclic", "16", "--out", art) == 0
 
     def short(space, nets, basis):
-        k = basis.levels[-1]
-        wavelets = {**basis.wavelets, k: basis.wavelets[k][1:]}
+        k = max(basis.blocks)
+        sl = basis.blocks[k]
+        blocks = {**basis.blocks, k: slice(sl.start + 1, sl.stop)}
         return lp_projectors(space, nets,
-                             dataclasses.replace(basis, wavelets=wavelets))
+                             dataclasses.replace(basis, blocks=blocks))
 
     monkeypatch.setattr(cli, "lp_projectors", short)
     monkeypatch.setattr(lpanalysis, "lp_projectors", short)
@@ -754,6 +845,34 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path, work):
                          text=True, check=True, timeout=120, cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+MA_SESSION = """
+import sys
+from dyadwave.cli import main
+for argv in (["build", "--gen", "cyclic", "16", "--out", "art"],
+             ["verify", "--artifacts", "art"],
+             ["boundary", "--artifacts", "art", "--num-samples", "8",
+              "--eps-grid", "0.4", "0.4", "0.4"]):
+    if main(argv) != 0:
+        raise SystemExit(f"{argv[0]} failed")
+    print("numpy.ma after", argv[0], "numpy.ma" in sys.modules)
+"""
+
+
+def test_verify_and_boundary_leave_numpy_ma_unloaded(tmp_path):
+    # a plain np.unique imports numpy.ma; the nets check and the slope-fit
+    # guard use none.  Boundary's grid of one repeated eps gets no slope
+    # fit, so it does not import scipy.special, which loads numpy.ma too.
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", MA_SESSION],
+                         capture_output=True, text=True, check=True,
+                         timeout=120, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    loaded = [line for line in out.stdout.splitlines()
+              if line.startswith("numpy.ma after")]
+    assert loaded == [f"numpy.ma after {command} False"
+                      for command in ("build", "verify", "boundary")]
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):

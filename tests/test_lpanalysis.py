@@ -82,10 +82,9 @@ def blocks(space, nets, basis):
 
 
 def sf_of(basis, space, f):
-    """Square function of f through the stacked basis rows."""
-    rows = basis.stacked()
-    levels = [k for k, _ in basis.labels()]
-    return square_function(rows, levels, rows @ (space.weights * f))
+    """Square function of f through the basis rows and their level slices."""
+    rows = basis.rows
+    return square_function(rows, basis.blocks, rows @ (space.weights * f))
 
 
 def test_build_lp_key_layout():
@@ -133,7 +132,7 @@ def test_blocks_orthogonal_and_idempotent():
 def test_resolution_of_identity():
     for kind, params in FLEET:
         space, nets, mra, basis, lp = assemble(kind, params)
-        total = np.outer(basis.constant, basis.constant * space.weights)
+        total = np.outer(basis.rows[0], basis.rows[0] * space.weights)
         for _, _, Q in lp_projectors(space, nets, basis):
             if Q is not None:
                 total = total + Q
@@ -160,9 +159,9 @@ def test_kernel_symmetry_and_row_sums():
 def test_basis_matches_dense_projector_oracle(kind, params):
     space, nets, mra, basis, lp = assemble(kind, params)
     dense = oracle.wavelets(space, nets, mra)
-    assert sorted(dense) == basis.levels
-    for k in basis.levels:
-        assert np.array_equal(basis.wavelets[k], dense[k]), k
+    assert sorted(dense) == list(basis.blocks)
+    for k, sl in basis.blocks.items():
+        assert np.array_equal(basis.rows[sl], dense[k]), k
 
 
 @pytest.mark.parametrize("kind,params", FLEET)
@@ -230,8 +229,8 @@ def test_square_function_constant_is_zero():
 
 def test_square_function_single_wavelet():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
-    k = sorted(basis.wavelets)[len(basis.wavelets) // 2]
-    f = basis.wavelets[k][0]
+    k = sorted(basis.blocks)[len(basis.blocks) // 2]
+    f = basis.rows[basis.blocks[k]][0]
     assert np.abs(sf_of(basis, space, f) - np.abs(f)).max() <= 1e-10
 
 
@@ -257,10 +256,8 @@ def test_square_function_zero_iff_constant():
 
 def test_square_function_dimension_mismatch():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
-    rows = basis.stacked()
-    levels = [k for k, _ in basis.labels()]
     with pytest.raises(DimensionMismatch):
-        square_function(rows, levels, np.zeros(space.n + 1))
+        square_function(basis.rows, basis.blocks, np.zeros(space.n + 1))
 
 
 def test_lp_norm_hand_value():
@@ -292,6 +289,40 @@ def test_lp_equivalence_p4_reported():
                                           seed=0)[1.5]
 
 
+@pytest.mark.parametrize("kind,params", FLEET)
+def test_lp_equivalence_matches_gather_oracle(kind, params):
+    """Reading each level as a slice of the rows changes no bit of the
+    square function or of the bounds."""
+    space, nets, mra, basis, lp = assemble(kind, params)
+    p_list = [1.5, 2.0, 4.0]
+    assert lp_equivalence(space, lp, p_list, num_trials=20, seed=4) \
+        == oracle.lp_equivalence(space, lp, p_list, num_trials=20, seed=4)
+    levels = oracle.row_levels(basis.blocks, len(basis.rows))
+    rng = np.random.default_rng(8)
+    for _ in range(5):
+        coeffs = basis.rows @ (space.weights * rng.standard_normal(space.n))
+        assert np.array_equal(
+            square_function(basis.rows, basis.blocks, coeffs),
+            oracle.gather_square_function(basis.rows, levels, coeffs))
+
+
+def test_lp_equivalence_copies_no_basis():
+    """The trials read the basis rows in place, so the traced peak stays
+    far below one n x n matrix."""
+    space, nets, mra, basis, lp = assemble("point_cloud",
+                                           {"n": 256, "dim": 2},
+                                           delta=0.4, seed=0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        lp_equivalence(space, lp, [1.5, 2.0, 4.0])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * space.n * space.n * 8
+
+
 def test_lp_ratio_scaling_invariance():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
     f = mean_zero(space, np.sin(np.arange(space.n, dtype=float)))
@@ -314,7 +345,8 @@ def test_lp_equivalence_bad_exponent():
 def test_random_signs_cover_basis():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
     signs = random_signs(basis, seed=5)
-    want = {(k, p) for k in basis.levels for p in basis.index_sets[k]}
+    want = {(k, p) for k, sl in basis.blocks.items()
+            for p in basis.centers[sl]}
     assert set(signs) == want
     assert set(signs.values()) <= {-1, 1}
     assert signs == random_signs(basis, seed=5)
@@ -323,7 +355,8 @@ def test_random_signs_cover_basis():
 
 def test_sign_operator_all_plus_and_minus():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
-    keys = [(k, p) for k in basis.levels for p in basis.index_sets[k]]
+    keys = [(k, p) for k, sl in basis.blocks.items()
+            for p in basis.centers[sl]]
     rng = np.random.default_rng(11)
     f = mean_zero(space, rng.standard_normal(space.n))
     ones = np.ones(space.n)

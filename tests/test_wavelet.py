@@ -23,8 +23,8 @@ from dyadwave.wavelet import (
     gram_matrix,
     inverse_transform,
     orthonormalize,
+    normalized_gram,
     pre_wavelets,
-    prewavelet_gram,
     project_Vk,
     spline_projector,
     verify_wavelet_theorem,
@@ -151,10 +151,10 @@ def test_dual_finest_rescaled_indicators():
 def test_projection_fixes_range_kills_complement():
     space, nets, system, mra, basis = assemble("cyclic", {"n": 16})
     rng = np.random.default_rng(5)
-    for k in basis.levels:
+    for k, sl in basis.blocks.items():
         f = rng.standard_normal(len(nets.levels[k])) @ system.values[k]
         assert np.abs(project_Vk(space, mra, k, f) - f).max() <= 1e-10
-        psi = basis.wavelets[k][0]
+        psi = basis.rows[sl][0]
         assert np.abs(project_Vk(space, mra, k, psi)).max() <= 1e-10
 
 
@@ -211,18 +211,18 @@ def test_prewavelets_orthogonal_to_coarse_space(kind, params):
 
 def test_two_point_closed_form():
     space, nets, system, mra, basis = assemble("interval", {"n": 2})
-    assert basis.count() == 1
-    (k,) = basis.levels
-    center = int(basis.index_sets[k][0])
+    assert len(basis.rows) - 1 == 1
+    (k,) = basis.blocks
+    center = int(basis.centers[basis.blocks[k]][0])
     base = pre_wavelets(space, nets, mra, k)
     assert np.allclose(np.abs(base[0]), [0.5, 0.5], atol=1e-12)
     assert math.isclose(base[0] @ space.weights, 0.0, abs_tol=1e-12)
     assert np.allclose(basis.mgram[k], [[0.5]], atol=1e-12)
-    psi = basis.wavelets[k][0]
+    psi = basis.rows[basis.blocks[k]][0]
     root = 1.0 / math.sqrt(2.0)
     assert psi[center] > 0
     assert np.allclose(np.sort(psi), [-root, root], atol=1e-12)
-    assert np.allclose(basis.constant, [root, root], atol=1e-12)
+    assert np.allclose(basis.rows[0], [root, root], atol=1e-12)
 
 
 def test_single_point_space_basis():
@@ -234,8 +234,8 @@ def test_single_point_space_basis():
                              parent_tables(space, nets, ref, labels))
     mra = build_mra(space, system)
     basis = build_wavelet_basis(space, nets, mra)
-    assert basis.levels == [] and basis.count() == 0
-    assert np.allclose(basis.stacked(), [[1.0 / math.sqrt(2.0)]])
+    assert basis.blocks == {} and len(basis.rows) - 1 == 0
+    assert np.allclose(basis.rows, [[1.0 / math.sqrt(2.0)]])
     rep = verify_wavelet_theorem(space, nets, basis)
     assert rep["ok"] and rep["count"] == 0
 
@@ -273,7 +273,7 @@ def test_orthonormalize_empty_family():
 
 def test_cyclic16_full_gram_identity():
     space, nets, system, mra, basis = assemble("cyclic", {"n": 16})
-    B = basis.stacked()
+    B = basis.rows
     gram = (B * space.weights) @ B.T
     assert np.abs(gram - np.eye(16)).max() <= 1e-10
 
@@ -281,9 +281,9 @@ def test_cyclic16_full_gram_identity():
 def test_sign_convention_center_nonnegative():
     for kind, params in FLEET:
         space, nets, system, mra, basis = assemble(kind, params)
-        for k in basis.levels:
-            centers = basis.index_sets[k]
-            vals = basis.wavelets[k][np.arange(len(centers)), centers]
+        for sl in basis.blocks.values():
+            centers = basis.centers[sl]
+            vals = basis.rows[sl][np.arange(len(centers)), centers]
             assert (vals >= 0.0).all()
 
 
@@ -320,7 +320,7 @@ def test_metric_space_uses_unit_exponent():
 def test_mgram_series_root_matches_spectral():
     space, nets, system, mra, basis = assemble("cyclic", {"n": 16}, delta=0.2)
     checked = 0
-    for k in basis.levels:
+    for k in basis.blocks:
         M = basis.mgram[k]
         if M.shape[0] < 2:
             continue
@@ -345,7 +345,7 @@ def test_transform_roundtrip_and_parseval():
 
 def test_transform_of_basis_vectors():
     space, nets, system, mra, basis = assemble("cyclic", {"n": 16})
-    coeffs = wavelet_transform(space, basis, basis.wavelets[basis.levels[0]][0])
+    coeffs = wavelet_transform(space, basis, basis.rows[1])
     expect = np.zeros(16)
     expect[1] = 1.0
     assert np.abs(coeffs - expect).max() <= 1e-10
@@ -365,12 +365,18 @@ def test_transform_dimension_errors():
 
 
 def test_labels_match_stacked_rows():
+    # the constant row, then each level's block of rows, coarse to fine and
+    # labelled with the level's new points in order of appearance
     space, nets, system, mra, basis = assemble("interval", {"n": 16})
-    info = basis.labels()
-    assert len(info) == basis.stacked().shape[0]
-    assert info[0] == (None, -1)
-    flat = [(k, int(p)) for k in basis.levels for p in basis.index_sets[k]]
-    assert info[1:] == flat
+    assert basis.rows.shape == (space.n, space.n)
+    assert basis.centers.shape == (space.n,) and basis.centers[0] == -1
+    ks = [k for k in range(nets.k_min, nets.k_max) if len(nets.ydiff[k])]
+    assert list(basis.blocks) == ks
+    stops = [1] + [sl.stop for sl in basis.blocks.values()]
+    assert [sl.start for sl in basis.blocks.values()] == stops[:-1]
+    assert stops[-1] == len(basis.rows)
+    for k, sl in basis.blocks.items():
+        assert np.array_equal(basis.centers[sl], nets.ydiff[k])
 
 
 def test_measure_rescaling_shrinks_wavelets():
@@ -383,8 +389,8 @@ def test_measure_rescaling_shrinks_wavelets():
     system2 = compute_splines(doubled, nets2,
                               parent_tables(doubled, nets2, ref2, labels2))
     basis2 = build_wavelet_basis(doubled, nets2, build_mra(doubled, system2))
-    lhs = basis2.stacked()
-    rhs = basis.stacked() / math.sqrt(2.0)
+    lhs = basis2.rows
+    rhs = basis.rows / math.sqrt(2.0)
     assert np.abs(lhs - rhs).max() <= 1e-12
 
 
@@ -406,7 +412,7 @@ def test_zero_ball_mass_guard():
     with pytest.raises(ZeroBallMass):
         gram_matrix(space, system, nets.k_max)
     with pytest.raises(ZeroBallMass):
-        prewavelet_gram(space, np.ones((2, 8)), np.zeros(2))
+        normalized_gram(space, np.ones((2, 8)), np.zeros(2))
 
 
 def test_indefinite_prewavelet_gram_rejected():
@@ -424,7 +430,7 @@ def test_gram_decay_certificates_positive(delta):
     for k, cert in certs["spline"].items():
         assert not cert["refuted"]
         assert cert["c"] > 0.0
-    assert len(certs["prewavelet"]) == len(basis.levels)
+    assert len(certs["prewavelet"]) == len(basis.blocks)
     for cert in certs["prewavelet"].values():
         assert not cert["refuted"]
         assert cert["c"] > 0.0

@@ -34,7 +34,7 @@ from .randgrid import (boundary_layer_stats, fit_boundary_exponent,
                        grid_checks, grid_labels, parent_tables,
                        reference_order)
 from .space import (GENERATOR_KINDS, exponent_a, gen_example, load_space_csv,
-                    load_space_json, space_to_dict)
+                    load_space_json, space_to_dict, use_stored_a0)
 from .spline import compute_splines, verify_splines
 from .wavelet import (build_mra, build_wavelet_basis,
                       gram_decay_certificates, orthonormality_devs,
@@ -336,6 +336,40 @@ def _construct(space, cfg):
     return nets, system, mra, basis, checks
 
 
+def _basis_meta(space, nets, basis) -> dict:
+    """What ``build`` writes to basis.json."""
+    return {
+        "delta": basis.delta,
+        "n": space.n,
+        "count": len(basis.rows) - 1,
+        "k_min": nets.k_min,
+        "k_max": nets.k_max,
+        "levels": list(basis.blocks),
+        "index_sets": {k: basis.centers[sl] for k, sl in basis.blocks.items()},
+        "mass_fine": basis.mass_fine,
+        "mass_center": basis.mass_center,
+        "constant_value": float(basis.rows[0, 0]),
+        "total_mass": space.total_mass,
+        "row_labels": [["const", -1]] + [
+            [k, c] for k, sl in basis.blocks.items()
+            for c in basis.centers[sl].tolist()],
+    }
+
+
+def _build_report(space, nets, checks, delta) -> dict:
+    """What ``build`` writes to build_report.json."""
+    return {
+        "n": space.n,
+        "delta": delta,
+        "a0": space.a0,
+        "k_min": nets.k_min,
+        "k_max": nets.k_max,
+        "level_sizes": {k: len(nets.levels[k]) for k in nets.level_range},
+        "checks": checks,
+        "ok": True,
+    }
+
+
 def cmd_build(args) -> int:
     flags = {key: getattr(args, key) for key in
              ("input", "weights", "delta", "seed", "out", "grid_samples")}
@@ -371,42 +405,18 @@ def cmd_build(args) -> int:
         write_csv(out / "splines" / f"level_{k}.csv", vals)
     for k, T in system.transitions.items():
         write_csv(out / "transitions" / f"level_{k}.csv", T)
-    count = len(basis.rows) - 1
     write_csv(out / "basis_values.csv", basis.rows)
-    write_json(out / "basis.json", {
-        "delta": basis.delta,
-        "n": space.n,
-        "count": count,
-        "k_min": nets.k_min,
-        "k_max": nets.k_max,
-        "levels": list(basis.blocks),
-        "index_sets": {k: basis.centers[sl] for k, sl in basis.blocks.items()},
-        "mass_fine": basis.mass_fine,
-        "mass_center": basis.mass_center,
-        "constant_value": float(basis.rows[0, 0]),
-        "total_mass": space.total_mass,
-        "row_labels": [["const", -1]] + [
-            [k, c] for k, sl in basis.blocks.items()
-            for c in basis.centers[sl].tolist()],
-    })
+    write_json(out / "basis.json", _basis_meta(space, nets, basis))
     core = {k: cfg[k] for k in cfg if k not in ("out", "jobs")}
     write_json(out / "build_config.json", {
         "config": core,
         "config_sha256": _config_sha(core),
         "versions": _versions(),
     })
-    write_json(out / "build_report.json", {
-        "n": space.n,
-        "delta": delta,
-        "a0": space.a0,
-        "k_min": nets.k_min,
-        "k_max": nets.k_max,
-        "level_sizes": {k: len(nets.levels[k]) for k in nets.level_range},
-        "checks": checks,
-        "ok": True,
-    })
-    print(f"built {count} wavelets + constant over {space.n} points "
-          f"-> {out}")
+    write_json(out / "build_report.json",
+               _build_report(space, nets, checks, delta))
+    print(f"built {len(basis.rows) - 1} wavelets + constant over {space.n} "
+          f"points -> {out}")
     return 0
 
 
@@ -435,15 +445,17 @@ def _load_matrix(path) -> np.ndarray:
 
 
 def _load_basis(art: Path, n: int) -> tuple:
-    """Stored basis rows over n points, wavelet count, row labels, and the
-    slice of rows of each level, read from labels in the order of build."""
+    """Stored basis rows over n points, the parsed basis.json, row labels,
+    and the slice of rows of each level, read from labels in the order of
+    build.  The wavelet count ``meta["count"]`` is checked to be an integer.
+    """
     B = _load_matrix(art / "basis_values.csv")
     if B.shape[1] != n:
         raise DimensionMismatch(
             f"basis_values.csv has {B.shape[1]} columns for {n} points")
     meta = _load_artifact_json(art / "basis.json")
     try:
-        count = int(meta["count"])
+        int(meta["count"])
         labels = [(lvl if lvl == "const" else int(lvl), int(center))
                   for lvl, center in meta["row_labels"]]
     except (KeyError, TypeError, ValueError) as exc:
@@ -458,7 +470,7 @@ def _load_basis(art: Path, n: int) -> tuple:
     starts = [i for i in range(1, len(levels)) if levels[i] != levels[i - 1]]
     blocks = {levels[a]: slice(a, b)
               for a, b in zip(starts, starts[1:] + [len(levels)])}
-    return B, count, labels, blocks
+    return B, meta, labels, blocks
 
 
 def _stored_dev(folder: Path, rebuilt: dict) -> float:
@@ -475,6 +487,15 @@ def _stored_dev(folder: Path, rebuilt: dict) -> float:
     return dev
 
 
+def _same_json(stored: dict, rebuilt: dict) -> bool:
+    """Whether a parsed artifact holds the values ``build`` writes now.
+
+    Both sides go through the one writer, so NaN compares equal to NaN and
+    an integral float to the integer it is written as.
+    """
+    return _dumps(stored) == _dumps(rebuilt)
+
+
 def _chk(measured, tol) -> dict:
     m = float(measured)
     return {"measured": m, "tol": float(tol), "ok": bool(m <= tol)}
@@ -484,14 +505,16 @@ def cmd_verify(args) -> int:
     art = Path(args.artifacts)
     _require_artifacts(art, ["space.json", "nets.json", "basis.json",
                              "basis_values.csv", "build_config.json",
-                             "splines"])
+                             "build_report.json", "splines"])
     space = load_space_json(art / "space.json")
     stored_nets = load_nets_json(art / "nets.json")
     stored = _load_artifact_json(art / "build_config.json")
     cfg = _resolve_config(stored.get("config", {}),
                           {"num_trials": args.num_trials,
                            "pair_budget": args.pair_budget})
-    B, count, _, _ = _load_basis(art, space.n)
+    stored_report = _load_artifact_json(art / "build_report.json")
+    B, meta, _, _ = _load_basis(art, space.n)
+    count = int(meta["count"])
     seed = cfg["seed"]
     tol_exact = float(cfg["tolerances"]["exact"])
     tol_ortho = float(cfg["tolerances"]["ortho"])
@@ -499,12 +522,17 @@ def cmd_verify(args) -> int:
     w = space.weights
 
     nets, system, mra, basis, checks = _construct(space, cfg)
-    nets_match = nets_to_dict(stored_nets) == nets_to_dict(nets)
+    # boundary trusts the stored nets and a0, so both must match
+    nets_match = (nets_to_dict(stored_nets) == nets_to_dict(nets)
+                  and _same_json(stored_report, _build_report(
+                      space, nets, checks, cfg["delta"])))
     splines_dev = _stored_dev(art / "splines", system.values)
     trans_dev = _stored_dev(art / "transitions", system.transitions)
     rebuilt = basis.rows
     basis_dev = (float(np.abs(B - rebuilt).max())
-                 if B.shape == rebuilt.shape else math.inf)
+                 if B.shape == rebuilt.shape
+                 and _same_json(meta, _basis_meta(space, nets, basis))
+                 else math.inf)
     count_ok = count == n - 1 and B.shape == (count + 1, n)
 
     # direct checks on the loaded matrix, so corruption is caught even
@@ -662,7 +690,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_boundary(args) -> int:
     art = Path(args.artifacts)
-    _require_artifacts(art, ["space.json", "nets.json", "build_config.json"])
+    _require_artifacts(art, ["space.json", "nets.json", "build_config.json",
+                             "build_report.json"])
     space = load_space_json(art / "space.json")
     nets = load_nets_json(art / "nets.json")
     if len(nets.scan_order) != space.n:
@@ -673,6 +702,9 @@ def cmd_boundary(args) -> int:
                           {"num_samples": args.num_samples,
                            "eps_grid": args.eps_grid, "seed": args.seed,
                            "jobs": args.jobs})
+    # build computed a0 and verify checks the stored value
+    report = _load_artifact_json(art / "build_report.json")
+    use_stored_a0(space, report.get("a0"))
     stats = boundary_layer_stats(space, nets, *_grid(space, nets),
                                  cfg["eps_grid"], cfg["num_samples"],
                                  cfg["seed"], jobs=cfg["jobs"])

@@ -147,7 +147,10 @@ def build_nets(space: QuasiMetricSpace, delta: float,
 
 def _new_points(levels: dict, k_min: int, k_max: int) -> dict:
     """Per transition k, the level-(k+1) points not in level k, in order."""
-    return {k: levels[k + 1][~np.isin(levels[k + 1], levels[k])]
+    # the table method: the default may sort through np.unique, which
+    # imports numpy.ma; point indices are below n, so the table is small
+    return {k: levels[k + 1][~np.isin(levels[k + 1], levels[k],
+                                      kind="table")]
             for k in range(k_min, k_max)}
 
 
@@ -216,7 +219,8 @@ def nets_from_dict(payload: dict) -> NestedNets:
     every = np.arange(len(scan))
     nested = sorted(levels) == list(range(k_min, k_max + 1)) and all(
         levels[k].ndim == 1 and np.diff(np.sort(levels[k])).all()
-        and (k == k_max or np.isin(levels[k], levels[k + 1]).all())
+        and (k == k_max
+             or set(levels[k].tolist()) <= set(levels[k + 1].tolist()))
         for k in levels)
     if not (nested and len(levels[k_min]) == 1
             and np.array_equal(np.sort(levels[k_max]), every)

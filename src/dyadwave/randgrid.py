@@ -24,6 +24,21 @@ from .nets import NestedNets
 from .seeding import STREAM_BOUNDARY, STREAM_OMEGA, stream_rng
 from .space import QuasiMetricSpace
 
+# scipy.special.stdtrit(dof, 0.975), the two-sided 95% Student t quantile,
+# for dof = 1, ..., 30: a slope fit over at most 32 eps values reads it here
+_T975 = (
+    12.706204736174694, 4.302652729749462, 3.1824463052837078,
+    2.7764451051977934, 2.5705818356363146, 2.4469118511449786,
+    2.364624251592784, 2.306004135204166, 2.262157162798205,
+    2.228138851986274, 2.200985160091639, 2.1788128296672284,
+    2.1603686564627913, 2.144786687917804, 2.131449545559776,
+    2.1199052992212546, 2.1098155778333156, 2.1009220402410382,
+    2.0930240544083087, 2.085963447265864, 2.0796138447276795,
+    2.0738730679040254, 2.0686576104190486, 2.0638985616280245,
+    2.0595385527532972, 2.0555294386428735, 2.0518305164802846,
+    2.0484071417952454, 2.045229642132703, 2.0422724563012378,
+)
+
 
 @dataclass(frozen=True, eq=False)
 class ReferenceOrder:
@@ -500,10 +515,6 @@ def fit_boundary_exponent(stats: dict, min_points: int = 3) -> dict:
         out.update(eta=math.nan, log_c=math.nan, ci95=(math.nan, math.nan),
                    stderr=math.nan, r2=math.nan)
         return out
-    # scipy.stats is far slower to import, and the CLI loads this module;
-    # importing scipy.special also loads numpy.ma, so only a fit does
-    from scipy.special import stdtrit
-
     ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
     if ssym == 0.0:
         r = np.float64(math.nan if ssxym == 0 else 0.0)
@@ -512,7 +523,13 @@ def fit_boundary_exponent(stats: dict, min_points: int = 3) -> dict:
     slope = ssxym / ssxm
     dof = len(x) - 2
     stderr = np.sqrt((1 - r ** 2) * ssym / ssxm / dof) if dof > 0 else 0.0
-    tq = stdtrit(dof, 0.975) if dof > 0 else math.nan
+    if dof <= 0:
+        tq = math.nan
+    elif dof <= len(_T975):
+        tq = _T975[dof - 1]
+    else:
+        from scipy.special import stdtrit
+        tq = stdtrit(dof, 0.975)
     out.update(
         eta=float(slope),
         log_c=float(np.mean(y) - slope * np.mean(x)),

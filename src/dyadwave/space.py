@@ -10,6 +10,7 @@ need not be Borel is moot here.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -20,6 +21,9 @@ from .errors import (AxiomViolation, BadExponent, BadParams, DegenerateSpace,
 
 # Relative slack used when deciding whether a0 is exactly 1.
 LIPSCHITZ_TOL = 1e-12
+
+# Rows of the min-plus product formed together; their buffers fit in cache.
+MINPLUS_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -42,7 +46,10 @@ class QuasiMetricSpace:
 
     @cached_property
     def a0(self) -> float:
-        """Quasi-triangle constant, exactly 1 within LIPSCHITZ_TOL of it."""
+        """Quasi-triangle constant, exactly 1 within LIPSCHITZ_TOL of it.
+
+        Computed on first read unless ``use_stored_a0`` supplied it.
+        """
         a0 = compute_a0(self.dist)
         return 1.0 if a0 <= 1.0 + LIPSCHITZ_TOL else a0
 
@@ -78,14 +85,21 @@ class QuasiMetricSpace:
 def minplus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Min-plus product C[x, z] = min_y A[x, y] + B[y, z], exactly.
 
-    One intermediate y at a time into a reused buffer, so memory stays at
-    two arrays the size of C, never the n^3 of a broadcast over y.
+    Blocks of MINPLUS_ROWS rows of C, each built one intermediate y at a
+    time into a reused buffer, in the same y order for every block.  So
+    memory stays at C plus one row block, never the n^3 of a broadcast
+    over y, and the block and its buffer stay in cache.
     """
-    out = A[:, 0, None] + B[0, None, :]
-    buf = np.empty_like(out)
-    for y in range(1, A.shape[1]):
-        np.add(A[:, y, None], B[y, None, :], out=buf)
-        np.minimum(out, buf, out=out)
+    out = np.empty((A.shape[0], B.shape[1]))
+    buf = np.empty((min(MINPLUS_ROWS, A.shape[0]), B.shape[1]))
+    for start in range(0, A.shape[0], MINPLUS_ROWS):
+        rows = A[start:start + MINPLUS_ROWS]
+        block = out[start:start + MINPLUS_ROWS]
+        tmp = buf[:len(rows)]
+        np.add(rows[:, 0, None], B[0, None, :], out=block)
+        for y in range(1, A.shape[1]):
+            np.add(rows[:, y, None], B[y, None, :], out=tmp)
+            np.minimum(block, tmp, out=block)
     return out
 
 
@@ -101,6 +115,19 @@ def compute_a0(dist: np.ndarray) -> float:
     square = minplus(dist, dist)
     np.fill_diagonal(square, np.inf)
     return max(1.0, float((dist / square).max()))
+
+
+def use_stored_a0(space: QuasiMetricSpace, a0) -> None:
+    """Give ``space`` an a0 computed earlier, so it never runs compute_a0.
+
+    ``a0`` is the value read back from an artifact; anything but a finite
+    number >= 1 raises MissingArtifact.
+    """
+    if (isinstance(a0, bool) or not isinstance(a0, (int, float))
+            or not 1.0 <= a0 <= sys.float_info.max):
+        raise MissingArtifact(f"stored a0 must be a finite number >= 1, "
+                              f"got {a0!r}")
+    vars(space)["a0"] = float(a0)
 
 
 def build_space(dist, weights, coords=None) -> QuasiMetricSpace:

@@ -402,7 +402,7 @@ def test_a0_computed_only_by_commands_that_read_it(tmp_path, monkeypatch):
                 (("analyze", "--artifacts", art, "--signal",
                   tmp_path / "sig.csv"), 0),
                 (("boundary", "--artifacts", art, "--num-samples", 8,
-                  "--eps-grid", 0.2, 0.4, 0.8), 1)]
+                  "--eps-grid", 0.2, 0.4, 0.8), 0)]
     for argv, expected in commands:
         calls.clear()
         assert run(*argv) == 0
@@ -598,9 +598,11 @@ def test_boundary_missing_artifacts(tmp_path):
     ("verify", "basis.json"),
     ("analyze", "space.json"),
     ("analyze", "basis.json"),
+    ("verify", "build_report.json"),
     ("boundary", "space.json"),
     ("boundary", "nets.json"),
     ("boundary", "build_config.json"),
+    ("boundary", "build_report.json"),
 ])
 @pytest.mark.parametrize("payload", [b'{"truncated": ', b"\xff\xfe\x00",
                                      b"[1, 2]"])
@@ -643,6 +645,14 @@ def _drop_key(key):
     return corrupt
 
 
+def _set_key(key, value):
+    def corrupt(path):
+        meta = json.loads(path.read_text())
+        meta[key] = value
+        path.write_text(json.dumps(meta))
+    return corrupt
+
+
 def _first_cell_abc(path):
     text = path.read_text()
     path.write_text("abc" + text[text.index(","):])
@@ -661,6 +671,11 @@ def _first_cell_abc(path):
     ("analyze", "basis.json", _drop_key("count"), 8),
     ("analyze", "basis.json", _drop_key("row_labels"), 8),
     ("analyze", "sig.csv", _first_cell_abc, 8),
+    ("boundary", "build_report.json", _drop_key("a0"), 8),
+    ("boundary", "build_report.json", _set_key("a0", "abc"), 8),
+    ("boundary", "build_report.json", _set_key("a0", 0.5), 8),
+    ("boundary", "build_report.json", _set_key("a0", 10 ** 400), 8),
+    ("verify", "build_report.json", _set_key("a0", 1.25), EXIT_CHECKS_FAILED),
 ])
 def test_malformed_artifact_exit_codes(built, tmp_path, capsys, command,
                                        name, corrupt, code):
@@ -671,7 +686,8 @@ def test_malformed_artifact_exit_codes(built, tmp_path, capsys, command,
     corrupt(bad / name)
     args = {"verify": ["--report", tmp_path / "report.json"],
             "analyze": ["--signal", bad / "sig.csv",
-                        "--out", tmp_path / "out"]}
+                        "--out", tmp_path / "out"],
+            "boundary": ["--num-samples", 4, "--out", tmp_path / "out"]}
     rc = run(command, "--artifacts", bad, *args[command])
     assert rc == code, capsys.readouterr().err
 
@@ -680,12 +696,14 @@ NUMBER = re.compile(r"-?\d[\d.eE+-]*")
 
 
 def _reads(command, name):
-    """Whether a command reads an artifact; build_report.json is for people."""
+    """Whether a command reads an artifact; boundary takes a0 from
+    build_report.json, and verify checks it."""
     if command == "analyze":
         return name in ("space.json", "basis.json", "basis_values.csv")
     if command == "boundary":
-        return name in ("space.json", "nets.json", "build_config.json")
-    return name != "build_report.json"
+        return name in ("space.json", "nets.json", "build_config.json",
+                        "build_report.json")
+    return True
 
 
 def _corrupt_one(path, kind, data):
@@ -833,10 +851,26 @@ for argv in (["gen", "cyclic", "16", "--out", "space.json"],
 """
 
 
-@pytest.mark.parametrize("work", ["", SESSION], ids=["import", "session"])
+# a slope fit over four eps values reads its t quantile from a table
+BOUNDARY_SESSION = """
+import json
+from dyadwave.cli import main
+for argv in (["gen", "interval", "32", "--out", "space.json"],
+             ["build", "--input", "space.json", "--delta", "0.3",
+              "--out", "art"],
+             ["boundary", "--artifacts", "art", "--num-samples", "32",
+              "--eps-grid", "0.05", "0.1", "0.2", "0.4"]):
+    if main(argv) != 0:
+        raise SystemExit(f"{argv[0]} failed")
+if json.load(open("art/boundary_fit.json"))["n_points"] != 4:
+    raise SystemExit("boundary fitted fewer than four eps values")
+"""
+
+
+@pytest.mark.parametrize("work", ["", SESSION, BOUNDARY_SESSION],
+                         ids=["import", "session", "boundary"])
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path, work):
-    # build, verify and analyze need no scipy submodule; only boundary
-    # loads scipy.special, for its t quantile
+    # no command needs a scipy submodule
     code = ("import sys, dyadwave.cli\n" + work +
             "\nprint([m for m in ('scipy.stats', 'scipy.linalg', "
             "'scipy.special') if m in sys.modules])")
@@ -862,8 +896,7 @@ for argv in (["build", "--gen", "cyclic", "16", "--out", "art"],
 
 def test_verify_and_boundary_leave_numpy_ma_unloaded(tmp_path):
     # a plain np.unique imports numpy.ma; the nets check and the slope-fit
-    # guard use none.  Boundary's grid of one repeated eps gets no slope
-    # fit, so it does not import scipy.special, which loads numpy.ma too.
+    # guard use none.  Boundary's grid of one repeated eps takes the guard.
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", MA_SESSION],
                          capture_output=True, text=True, check=True,
@@ -873,6 +906,22 @@ def test_verify_and_boundary_leave_numpy_ma_unloaded(tmp_path):
               if line.startswith("numpy.ma after")]
     assert loaded == [f"numpy.ma after {command} False"
                       for command in ("build", "verify", "boundary")]
+
+
+def test_verify_compares_basis_json_in_full(built, tmp_path):
+    import shutil
+    bad = tmp_path / "bad"
+    shutil.copytree(built, bad)
+    meta = json.loads((bad / "basis.json").read_text())
+    meta["row_labels"][1] = [meta["row_labels"][1][0], 999]
+    meta["mass_fine"] = []
+    (bad / "basis.json").write_text(json.dumps(meta))
+    assert run("verify", "--artifacts", bad,
+               "--report", tmp_path / "r.json") == EXIT_CHECKS_FAILED
+    exact = json.loads((tmp_path / "r.json").read_text())["exact"]
+    assert [name for name, item in exact.items() if not item["ok"]] \
+        == ["artifact_basis_match"]
+    assert exact["artifact_basis_match"]["measured"] == math.inf
 
 
 def test_cli_import_loads_no_process_pool(tmp_path):

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import a0_oracle as oracle
 from dyadwave.decaymat import chain_constants
-from dyadwave.space import (LIPSCHITZ_TOL, build_space, compute_a0,
-                            gen_example, minplus)
+from dyadwave.space import (LIPSCHITZ_TOL, MINPLUS_ROWS, build_space,
+                            compute_a0, gen_example, minplus)
 
 GENERATORS = [
     ("cyclic", {"n": 12}),
@@ -47,9 +47,11 @@ def test_interval_rounding_above_one_is_kept_then_clamped():
 
 def test_minplus_matches_broadcast_on_rectangles():
     rng = np.random.default_rng(3)
-    A = rng.uniform(0.1, 2.0, size=(23, 11))
-    B = rng.uniform(0.1, 2.0, size=(11, 7))
-    assert np.array_equal(minplus(A, B), oracle.minplus(A, B))
+    # one partial row block, then several blocks with a partial last one
+    for rows in (23, 2 * MINPLUS_ROWS + 5):
+        A = rng.uniform(0.1, 2.0, size=(rows, 11))
+        B = rng.uniform(0.1, 2.0, size=(11, 7))
+        assert np.array_equal(minplus(A, B), oracle.minplus(A, B))
 
 
 @st.composite

@@ -147,3 +147,30 @@ def test_json_roundtrip(tmp_path):
         assert np.array_equal(back.ydiff[k], nets.ydiff[k])
     again = nets_from_dict(nets_to_dict(nets))
     assert np.array_equal(again.scan_order, nets.scan_order)
+
+
+SPARSE_NETS = """
+import sys
+from dyadwave.nets import nets_from_dict
+# coarse levels spread over a wide range of indices, where the default
+# np.isin sorts through np.unique
+wide = list(range(0, 401, 20))
+nets = nets_from_dict({"delta": 0.5, "k_min": 0, "k_max": 3,
+                       "levels": {"0": [0], "1": wide, "2": wide + [10],
+                                  "3": list(range(401))},
+                       "scan_order": list(range(401))})
+print(nets.ydiff[1].tolist(), "numpy.ma" in sys.modules)
+"""
+
+
+def test_nets_from_dict_leaves_numpy_ma_unloaded(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", SPARSE_NETS],
+                         capture_output=True, text=True, check=True,
+                         timeout=120, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[10] False"

@@ -11,6 +11,7 @@ import randgrid_oracle as oracle
 from dyadwave.errors import DyadwaveError, OrderViolation
 from dyadwave.nets import NestedNets, build_nets
 from dyadwave.randgrid import (
+    _T975,
     boundary_layer_stats,
     child_hit_probabilities,
     cube_assignments,
@@ -341,7 +342,8 @@ def scipy_fit(stats):
 def test_fit_boundary_exponent_equals_scipy():
     rng = np.random.default_rng(0)
     cases = []
-    for size in (2, 3, 4, 5, 8):
+    # 40 eps values leave dof > 30, beyond the quantile table
+    for size in (2, 3, 4, 5, 8, 40):
         for _ in range(40):
             eps = np.sort(rng.uniform(0.01, 1.0, size))
             mean = np.exp(rng.normal(0.0, 1.0) * np.log(eps)
@@ -349,7 +351,7 @@ def test_fit_boundary_exponent_equals_scipy():
             mean[rng.random(size) < 0.1] = 0.0
             cases.append({"eps_grid": eps.tolist(), "mean_freq": mean})
     cases.append({"eps_grid": [0.1, 0.2, 0.4], "mean_freq": [0.3, 0.3, 0.3]})
-    checked = 0
+    dofs = []
     for stats in cases:
         if (np.array(stats["mean_freq"]) > 0).sum() < 2:
             continue
@@ -358,5 +360,13 @@ def test_fit_boundary_exponent_equals_scipy():
         assert got.keys() == want.keys()
         for key, val in want.items():
             assert np.array_equal(got[key], val, equal_nan=True), (key, stats)
-        checked += 1
-    assert checked > 150
+        dofs.append(got["n_points"] - 2)
+    assert len(dofs) > 150
+    assert max(dofs) > len(_T975) and min(dofs) <= len(_T975)
+
+
+def test_t_quantile_table_equals_scipy():
+    from scipy.special import stdtrit
+    assert len(_T975) == 30
+    for dof, tq in enumerate(_T975, start=1):
+        assert tq == stdtrit(dof, 0.975) == scipy.stats.t.ppf(0.975, dof)

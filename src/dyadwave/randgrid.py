@@ -22,7 +22,7 @@ import numpy as np
 from .errors import InsufficientSamples, OrderViolation
 from .nets import NestedNets
 from .seeding import STREAM_BOUNDARY, STREAM_OMEGA, stream_rng
-from .space import QuasiMetricSpace
+from .space import QuasiMetricSpace, near_pairs
 
 # scipy.special.stdtrit(dof, 0.975), the two-sided 95% Student t quantile,
 # for dof = 1, ..., 30: a slope fit over at most 32 eps values reads it here
@@ -120,12 +120,10 @@ def grid_labels(space: QuasiMetricSpace, nets: NestedNets,
         coarse = nets.levels[k]
         par = ref.parent[k]
         thr = nets.scale(k) / (2.0 * space.a0)
-        Dff = space.dist[np.ix_(fine, fine)]
-        rows, cols = np.nonzero(Dff < thr)
+        rows, cols, _ = near_pairs(space.dist[np.ix_(fine, fine)], thr)
         A = np.zeros((len(coarse), len(coarse)), dtype=bool)
         A[par[rows], par[cols]] = True
         np.fill_diagonal(A, False)
-        A |= A.T
         adj[k] = A
         deg = A.sum(axis=1)
         degrees[k] = deg
@@ -191,18 +189,20 @@ def transition_parents(space: QuasiMetricSpace, nets: NestedNets,
     colored = labels.label1[k] == np.arange(labels.L + 1)[:, None]
     swap = colored[:, None, :] & (kids >= 0)[None]       # (L+1, M, n_k)
     centers = np.where(swap, fine[kids], coarse)
-    near = space.dist[fine] < 0.25 * space.a0 ** -2 * nets.scale(k)
+    child, point, _ = near_pairs(space.dist[fine],
+                                 0.25 * space.a0 ** -2 * nets.scale(k))
     parents = np.empty(centers.shape[:2] + (len(fine),), dtype=np.intp)
     for ell, m in np.ndindex(*centers.shape[:2]):
-        hits = near[:, centers[ell, m]]
-        cnt = hits.sum(axis=1)
-        if np.any(cnt > 1):
+        pos = np.full(space.n, -1, dtype=np.intp)
+        pos[centers[ell, m]] = np.arange(len(coarse))
+        hit = pos[point]
+        cap = hit >= 0
+        if np.any(np.bincount(child[cap], minlength=len(fine)) > 1):
             raise OrderViolation(
                 f"level {k}: several perturbed centers capture one child "
                 f"under coordinate ({ell}, {m + 1})")
         par = ref.parent[k].copy()
-        cap = cnt == 1
-        par[cap] = np.argmax(hits[cap], axis=1)
+        par[child[cap]] = hit[cap]
         parents[ell, m] = par
     return LevelTable(parents, centers)
 
@@ -270,24 +270,31 @@ def child_hit_probabilities(space: QuasiMetricSpace, nets: NestedNets,
 # ---------------------------------------------------------------------------
 # structural checks on sampled grids
 
-def _center_stats(space, table, codes, inner_z, r_chain, r_iter):
+def _center_stats(space, fine, table, codes, radius, inner_z, r_chain, r_iter):
     """Per-coordinate quantities that depend on the level's centers only.
 
     For each flat coordinate in ``codes``: the smallest distance between
     two centers, the largest distance from a point to its nearest center,
     the number of (center, point) pairs closer than ``inner_z``, and per
     point the number of centers closer than ``r_chain`` and ``r_iter``.
+    All but the first read the (center, point) pairs closer than ``radius``
+    from the rows of ``fine``; a point with no such pair reads its own row.
     """
+    row, point, d = near_pairs(space.dist[fine], radius)
     stats = []
     for z in table.centers.reshape(-1, table.centers.shape[2])[codes]:
-        Dz = space.dist[:, z]
-        Dzz = Dz[z]
+        Dzz = np.take(space.dist[z], z, axis=1)
         np.fill_diagonal(Dzz, np.inf)
-        # the distance matrix is symmetric, so columns stand in for rows
-        stats.append((Dzz.min(), Dz.min(axis=1).max(),
-                      np.count_nonzero(Dz < inner_z),
-                      np.count_nonzero(Dz < r_chain, axis=1),
-                      np.count_nonzero(Dz < r_iter, axis=1)))
+        sel = np.isin(fine, z, kind="table")[row]
+        pz, dz = point[sel], d[sel]
+        nearest = np.full(space.n, np.inf)
+        np.minimum.at(nearest, pz, dz)
+        rest = np.isinf(nearest)
+        nearest[rest] = space.dist[np.ix_(rest, z)].min(axis=1)
+        stats.append((Dzz.min(), nearest.max(),
+                      np.count_nonzero(dz < inner_z),
+                      np.bincount(pz[dz < r_chain], minlength=space.n),
+                      np.bincount(pz[dz < r_iter], minlength=space.n)))
     return [np.array(column) for column in zip(*stats)]
 
 
@@ -350,7 +357,8 @@ def grid_checks(space: QuasiMetricSpace, nets: NestedNets, labels: GridLabels,
             ell, m = part[k]
             uniq, u = np.unique(ell * labels.M + (m - 1), return_inverse=True)
             sep, dens, inner, n_chain, n_iter = _center_stats(
-                space, tables[k], uniq, inner_z, r_chain, r_iter)
+                space, nets.levels[k + 1], tables[k], uniq,
+                2.0 * a0 * scale, inner_z, r_chain, r_iter)
             if len(pts) > 1:
                 rep["z_separation_min_ratio"] = min(
                     rep["z_separation_min_ratio"],
@@ -412,10 +420,10 @@ def _near_pairs(space, thresholds):
     Returns (first, second, first eps index the pair falls under, points
     with at least one pair, where their pairs start).
     """
-    near = space.dist < thresholds[-1]
-    np.fill_diagonal(near, False)
-    px, py = np.nonzero(near)
-    first = np.searchsorted(thresholds, space.dist[px, py], side="right")
+    px, py, d = near_pairs(space.dist, thresholds[-1])
+    off = px != py
+    px, py = px[off], py[off]
+    first = np.searchsorted(thresholds, d[off], side="right")
     rows, starts = np.unique(px, return_index=True)
     return (px, py, first.astype(np.min_scalar_type(len(thresholds))),
             rows, starts)

@@ -82,6 +82,13 @@ class QuasiMetricSpace:
         return inside @ self.weights
 
 
+def near_pairs(dist: np.ndarray, radius: float, strict: bool = True) -> tuple:
+    """(i, j, dist[i, j]) in row-major order over the entries below ``radius``
+    (at most it unless ``strict``): the package's one neighbour list."""
+    i, j = np.nonzero(dist < radius if strict else dist <= radius)
+    return i, j, dist[i, j]
+
+
 def minplus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Min-plus product C[x, z] = min_y A[x, y] + B[y, z], exactly.
 

@@ -20,7 +20,7 @@ from .randgrid import (
     sample_omega,
     transition_levels,
 )
-from .space import QuasiMetricSpace, exponent_a
+from .space import QuasiMetricSpace, exponent_a, near_pairs
 
 OUTER_SUPPORT = 8.0    # support radius factor a0^5 delta^k, times this
 INNER_SUPPORT = 0.125  # plateau radius factor a0^-3 delta^k, times this
@@ -122,11 +122,11 @@ def holder_fit(xs, ys, budget: float = HOLDER_BUDGET,
 
 def close_pairs(dist: np.ndarray, scale: float, strict: bool = False) -> tuple:
     """(i, j, rel = d(i, j) / scale) in row-major order over the pairs i < j
-    with rel <= 1 (< 1 if ``strict``).  Every Hölder fit reads these."""
-    i, j = np.triu_indices(dist.shape[0], k=1)
-    rel = dist[i, j] / scale
-    near = rel < 1.0 if strict else rel <= 1.0
-    return i[near], j[near], rel[near]
+    with d <= scale, so rel <= 1 (< if ``strict``; rounding keeps positive
+    quotients on their side of 1).  Every Hölder fit reads these."""
+    i, j, d = near_pairs(dist, scale, strict)
+    up = i < j
+    return i[up], j[up], d[up] / scale
 
 
 def pair_maxima(rows, dist, scale: float, strict: bool = False) -> tuple:

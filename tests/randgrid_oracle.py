@@ -43,6 +43,21 @@ def parents(space, nets, ref, labels, k, ell, m):
     return par
 
 
+def center_stats(space, table, codes, inner_z, r_chain, r_iter):
+    """Center quantities of each flat coordinate in ``codes``, from the full
+    distance columns of its centers (see ``randgrid._center_stats``)."""
+    stats = []
+    for z in table.centers.reshape(-1, table.centers.shape[2])[codes]:
+        Dz = space.dist[:, z]
+        Dzz = Dz[z]
+        np.fill_diagonal(Dzz, np.inf)
+        stats.append((Dzz.min(), Dz.min(axis=1).max(),
+                      np.count_nonzero(Dz < inner_z),
+                      np.count_nonzero(Dz < r_chain, axis=1),
+                      np.count_nonzero(Dz < r_iter, axis=1)))
+    return [np.array(column) for column in zip(*stats)]
+
+
 def draw(space, nets, ref, labels, omega):
     """Centers, parents and cube assignment of every level for one draw.
 

@@ -782,16 +782,17 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-def test_close_pairs_are_enumerated_in_one_place():
-    # every Hölder fit reads its pairs from spline.close_pairs
+def test_pairs_are_enumerated_in_one_place():
+    # the parent tables, grid checks, boundary layers and Hölder fits all
+    # read their neighbour lists from space.near_pairs
     pkg = Path(__file__).resolve().parents[1] / "src" / "dyadwave"
     found = [f"{path.name}:{getattr(top, 'name', top.lineno)}"
              for path in sorted(pkg.glob("*.py"))
              for top in ast.parse(path.read_text()).body
              for node in ast.walk(top)
              if getattr(node, "attr", getattr(node, "id", None))
-             == "triu_indices"]
-    assert found == ["spline.py:close_pairs"]
+             in ("nonzero", "triu_indices")]
+    assert found == ["space.py:near_pairs"]
 
 
 def test_basis_is_read_in_place():

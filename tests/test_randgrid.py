@@ -12,6 +12,9 @@ from dyadwave.errors import DyadwaveError, OrderViolation
 from dyadwave.nets import NestedNets, build_nets
 from dyadwave.randgrid import (
     _T975,
+    LevelTable,
+    ReferenceOrder,
+    _center_stats,
     boundary_layer_stats,
     child_hit_probabilities,
     cube_assignments,
@@ -218,6 +221,56 @@ def test_reference_order_rejects_ambiguous_parents():
         order_policy="input_order", scan_order=np.arange(3))
     with pytest.raises(OrderViolation):
         reference_order(sp, fake)
+
+
+def test_transition_parents_rejects_two_capturing_centers():
+    # c lies 0.01 from p1; a hand-made order makes c a child of p0, so the
+    # coordinate under which p0 hands its identity to c puts two distinct
+    # centers (c and p1) within delta^k / (4 a0^2) of p1
+    p0, p1, c = 0, 1, 2
+    dist = np.array([
+        [0.0, 1.0, 1.0],
+        [1.0, 0.0, 0.01],
+        [1.0, 0.01, 0.0],
+    ])
+    sp = build_space(dist, np.ones(3))
+    fake = NestedNets(
+        delta=0.5, k_min=0, k_max=1,
+        levels={0: np.array([p0, p1]), 1: np.array([p0, p1, c])},
+        ydiff={0: np.array([c])},
+        order_policy="input_order", scan_order=np.arange(3))
+    ref = ReferenceOrder({0: np.array([0, 1, 0])},
+                         {0: [np.array([0, 2]), np.array([1])]})
+    labels = grid_labels(sp, fake, ref)
+    ell = int(labels.label1[0][0])
+    assert labels.child_by_rank[0][0, 1] == 2      # c is p0's second child
+    with pytest.raises(OrderViolation, match="capture one child"):
+        oracle.parents(sp, fake, ref, labels, 0, ell, 2)
+    with pytest.raises(OrderViolation, match="capture one child"):
+        parent_tables(sp, fake, ref, labels)
+
+
+def test_center_stats_reads_rows_of_points_far_from_every_center():
+    # points 3 and 4 lie farther than 2 a0 delta^k = 2 from every center of
+    # the coordinates that leave out point 3, and point 4 is no row of fine
+    x = np.array([0.0, 0.1, 0.2, 5.0, 5.05])
+    sp = build_space(np.abs(x[:, None] - x[None, :]), np.ones(5))
+    fine = np.array([0, 1, 2, 3])
+    centers = np.array([[[0, 1], [0, 2]], [[1, 2], [0, 3]], [[2, 3], [3, 1]]])
+    table = LevelTable(np.zeros((3, 2, 4), dtype=np.intp), centers)
+    a0, scale = sp.a0, 1.0
+    radius = 2.0 * a0 * scale
+    radii = (1.0 / 6.0 * a0 ** -5 * scale, (1.0 / 5.0) * a0 ** -3 * scale,
+             (1.0 / 6.0) * a0 ** -4 * scale)
+    codes = np.array([0, 1, 2, 3, 5])
+    flat = centers.reshape(-1, 2)[codes]
+    far = [(sp.dist[:, z].min(axis=1) >= radius).sum() for z in flat]
+    assert far == [2, 2, 2, 0, 0]
+    got = _center_stats(sp, fine, table, codes, radius, *radii)
+    want = oracle.center_stats(sp, table, codes, *radii)
+    assert len(got) == len(want) == 5
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
 
 
 def test_boundary_stats_monotone_and_deterministic():

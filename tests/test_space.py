@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dyadwave.cli import write_json
 from dyadwave.errors import AxiomViolation, BadExponent, BadParams, DegenerateSpace
@@ -14,6 +17,7 @@ from dyadwave.space import (
     load_space_csv,
     load_space_json,
     measure_doubling_constant,
+    near_pairs,
     space_from_dict,
     space_to_dict,
 )
@@ -227,3 +231,61 @@ def test_csv_loading(tmp_path):
     back = load_space_csv(dpath, wpath)
     assert np.array_equal(back.dist, sp.dist)
     assert np.array_equal(back.weights, sp.weights)
+
+
+@st.composite
+def tied_symmetric(draw):
+    """A symmetric matrix with zero diagonal and a radius that some entries
+    equal or straddle by one ulp, together with a block of its rows."""
+    n = draw(st.integers(1, 12))
+    radius = draw(st.floats(0.01, 100.0))
+    values = st.sampled_from([radius, np.nextafter(radius, 0.0),
+                              np.nextafter(radius, np.inf), 0.5 * radius,
+                              2.0 * radius])
+    upper = np.array(draw(st.lists(values, min_size=n * n, max_size=n * n)))
+    dist = np.triu(upper.reshape(n, n), k=1)
+    dist = dist + dist.T
+    rows = np.array(draw(st.lists(st.integers(0, n - 1), max_size=n)),
+                    dtype=int)
+    return dist, radius, rows
+
+
+@given(tied_symmetric(), st.booleans())
+def test_near_pairs_lists_dense_comparison_row_major(case, strict):
+    dist, radius, rows = case
+    for block in (dist, dist[rows]):
+        i, j, d = near_pairs(block, radius, strict)
+        want = [(a, b) for a in range(block.shape[0])
+                for b in range(block.shape[1])
+                if (block[a, b] < radius if strict else block[a, b] <= radius)]
+        assert list(zip(i.tolist(), j.tolist())) == want
+        assert d.tolist() == [block[a, b] for a, b in want]
+    # the pair list of a symmetric matrix is symmetric
+    i, j, _ = near_pairs(dist, radius, strict)
+    assert sorted(zip(j.tolist(), i.tolist())) == list(zip(i.tolist(),
+                                                            j.tolist()))
+
+
+positive_normal = st.floats(sys.float_info.min, sys.float_info.max)
+
+
+@st.composite
+def quotient_pairs(draw):
+    """(d, s): independent positive normal floats, or s a few ulps off d."""
+    d = draw(positive_normal)
+    steps = draw(st.integers(-3, 3))
+    s = d
+    for _ in range(abs(steps)):
+        s = np.nextafter(s, np.inf if steps > 0 else 0.0)
+    return np.float64(d), np.float64(draw(st.one_of(positive_normal,
+                                                    st.just(s))))
+
+
+@given(quotient_pairs())
+def test_rounded_quotient_stays_on_its_side_of_one(pair):
+    # close_pairs filters on d <= scale and reports d / scale <= 1
+    d, s = pair
+    with np.errstate(over="ignore", under="ignore"):
+        q = d / s
+    assert (d <= s) == (q <= 1.0)
+    assert (d < s) == (q < 1.0)

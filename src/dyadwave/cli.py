@@ -306,9 +306,9 @@ def cmd_gen(args) -> int:
 
 def _grid(space, nets) -> tuple:
     """The grid labels of the nets and each level's parent table."""
-    ref = reference_order(space, nets)
-    labels = grid_labels(space, nets, ref)
-    return labels, parent_tables(space, nets, ref, labels)
+    parent = reference_order(space, nets)
+    labels = grid_labels(space, nets, parent)
+    return labels, parent_tables(space, nets, parent, labels)
 
 
 def _construct(space, cfg):

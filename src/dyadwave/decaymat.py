@@ -27,14 +27,14 @@ TINY = 1e-300
 DEFAULT_C_MAX = 50.0
 
 
-def envelope_fit(xs, ys, x_cut: float = 1.0, c_max: float = DEFAULT_C_MAX,
-                 n_worst: int = 5) -> dict:
+def envelope_fit(xs, ys, x_cut: float = 1.0) -> dict:
     """Fit the tightest envelope ys <= log C - c * xs with the largest c.
 
     The intercept is anchored at the maximum observed value, the rate is the
-    slackest slope over the far field (xs >= x_cut), capped at c_max, and the
-    constant is then lifted so the bound covers every sample.  A rate <= 0
-    refutes exponential decay; the worst offending samples are reported.
+    slackest slope over the far field (xs >= x_cut), capped at DEFAULT_C_MAX,
+    and the constant is then lifted so the bound covers every sample.  A
+    rate <= 0 refutes exponential decay; the five worst offending samples
+    are reported.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -47,10 +47,10 @@ def envelope_fit(xs, ys, x_cut: float = 1.0, c_max: float = DEFAULT_C_MAX,
     far = xs >= x_cut
     out = {"n_pairs": int(xs.size), "n_far": int(far.sum())}
     if not far.any():
-        c = c_max
+        c = DEFAULT_C_MAX
     else:
         slopes = (log_c0 - ys[far]) / xs[far]
-        c = float(min(slopes.min(), c_max))
+        c = float(min(slopes.min(), DEFAULT_C_MAX))
     refuted = c <= 0.0
     cover = float((ys + c * xs).max())
     out.update(c=c, C=float(math.exp(min(cover, 700.0))), refuted=bool(refuted))
@@ -59,15 +59,15 @@ def envelope_fit(xs, ys, x_cut: float = 1.0, c_max: float = DEFAULT_C_MAX,
         slopes_all = np.full_like(xs, np.inf)
         mask = xs >= x_cut
         slopes_all[mask] = (log_c0 - ys[mask]) / xs[mask]
-        order = np.argsort(slopes_all)[:n_worst]
+        order = np.argsort(slopes_all)[:5]
         worst = [{"x": float(xs[i]), "log_value": float(ys[i]),
                   "slope": float(slopes_all[i])} for i in order]
     out["worst"] = worst
     return out
 
 
-def decay_certificate(matrix, index_dist, s: float = 1.0, x_cut: float = 1.0,
-                      c_max: float = DEFAULT_C_MAX) -> dict:
+def decay_certificate(matrix, index_dist, s: float = 1.0,
+                      x_cut: float = 1.0) -> dict:
     """Exponential decay certificate sup |M(a,b)| exp(c d(a,b)^s) <= C.
 
     The index set must be 1-separated under the supplied (renormalized)
@@ -94,8 +94,7 @@ def decay_certificate(matrix, index_dist, s: float = 1.0, x_cut: float = 1.0,
     xs = index_dist[keep] ** s
     ys = np.log(absm[keep])
     diag_anchor = float(np.log(np.maximum(np.abs(np.diag(matrix)), TINY)).max())
-    fit = envelope_fit(np.r_[xs, 0.0], np.r_[ys, diag_anchor],
-                       x_cut=x_cut, c_max=c_max)
+    fit = envelope_fit(np.r_[xs, 0.0], np.r_[ys, diag_anchor], x_cut=x_cut)
     fit.update(s=float(s), n_pairs=int(keep.sum()))
     return fit
 

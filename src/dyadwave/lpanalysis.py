@@ -189,8 +189,7 @@ def _reg_quotients(space, kernel, mass, scale, gamma, s, pair_budget, seed):
 
 def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
                      lp: LPSystem, projectors, s: float | None = None,
-                     x_cut: float = 1.0, pair_budget: int = PAIR_BUDGET,
-                     seed: int = 0) -> dict:
+                     pair_budget: int = PAIR_BUDGET, seed: int = 0) -> dict:
     """Envelope fits for the size and regularity bounds of P_k and Q_k.
 
     ``projectors`` is the (k, P_k, Q_k) stream of ``lp_projectors`` over
@@ -219,8 +218,7 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
         xs = (space.dist / scale) ** s
         vals = np.abs(P) * np.outer(rm, rm)
         keep = vals >= TINY
-        entry["p_size"] = envelope_fit(xs[keep], np.log(vals[keep]),
-                                       x_cut=x_cut)
+        entry["p_size"] = envelope_fit(xs[keep], np.log(vals[keep]))
         gamma = entry["p_size"]["c"]
         if gamma > 0.0:
             hx, hy, n_kept = _reg_quotients(space, P, mass, scale, gamma,
@@ -249,9 +247,10 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
             else:
                 hvec = (lp.holes_dist[k] / scale) ** a
                 # The hole shifts push even zero-distance pairs out to
-                # 2*max(hvec); the envelope cut must clear that band or
-                # the anchor pair lands in its own far set.
-                cut = x_cut + 2.0 * float(hvec.max())
+                # 2*max(hvec); the envelope cut (1 without holes) must
+                # clear that band or the anchor pair lands in its own far
+                # set.
+                cut = 1.0 + 2.0 * float(hvec.max())
                 xs = (space.dist / scale) ** a + hvec[:, None] + hvec[None, :]
                 vals = np.abs(Q) * np.outer(rm, rm)
                 keep = vals >= TINY

@@ -1,12 +1,13 @@
 """Randomized dyadic grids over nested nets.
 
-The deterministic skeleton is a reference parent relation between adjacent
-levels together with two label systems: a proper coloring of the neighbour
-graph (label1) and sibling ranks (label2).  A uniform coordinate per level
-then perturbs the skeleton: each level-k node may hand its identity to one
-of its children, and children reattach to the perturbed points when close
-enough.  Composing the perturbed parent relation yields a random partition
-of the space into cubes at every scale.
+The deterministic skeleton is a reference parent array between adjacent
+levels and two label systems derived from it: a proper coloring of the
+neighbour graph (label1) and sibling ranks, the columns of the
+child-by-rank table.  A uniform coordinate per level then perturbs the
+skeleton: each level-k node may hand its identity to one of its children,
+and children reattach to the perturbed points when close enough.
+Composing the perturbed parent relation yields a random partition of the
+space into cubes at every scale.
 
 A level has only (L+1)*M coordinates, so each level's perturbed parents
 and centers are enumerated once into a table, and every sampler composes
@@ -41,19 +42,11 @@ _T975 = (
 
 
 @dataclass(frozen=True, eq=False)
-class ReferenceOrder:
-    parent: dict      # k -> array over level-(k+1) positions, values level-k positions
-    children: dict    # k -> list over level-k positions of arrays of level-(k+1) positions
-
-
-@dataclass(frozen=True, eq=False)
 class GridLabels:
     L: int
     M: int
     label1: dict          # k -> color per level-k position
-    label2: dict          # k -> sibling rank (1-based) per level-(k+1) position
     child_by_rank: dict   # k -> (n_k, M) level-(k+1) positions, -1 where absent
-    degrees: dict         # k -> neighbour count per level-k position
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,74 +64,57 @@ def transition_levels(nets: NestedNets):
     return range(nets.k_min, nets.k_max)
 
 
-def reference_order(space: QuasiMetricSpace, nets: NestedNets) -> ReferenceOrder:
+def reference_order(space: QuasiMetricSpace, nets: NestedNets) -> dict:
     """Deterministic parent relation between consecutive levels.
 
-    A child attaches to the unique level-k point closer than
-    (1/(2 a0)) delta^k when one exists, otherwise to its nearest level-k
-    point (first in level order on ties).  Every parent must lie within
-    2 a0 delta^k of the child.
+    Returns {k: level-k parent position per level-(k+1) position}.  A
+    child attaches to the unique level-k point closer than
+    (1/(2 a0)) delta^k when one exists, which is then its strict nearest,
+    otherwise to its nearest level-k point (first in level order on ties).
+    Every parent must lie within 2 a0 delta^k of the child.
     """
     parent = {}
-    children = {}
     for k in transition_levels(nets):
-        fine = nets.levels[k + 1]
-        coarse = nets.levels[k]
         scale = nets.scale(k)
-        D = space.dist[np.ix_(fine, coarse)]
-        close = D < scale / (2.0 * space.a0)
-        cnt = close.sum(axis=1)
-        if np.any(cnt > 1):
+        D = space.dist[np.ix_(nets.levels[k + 1], nets.levels[k])]
+        if np.any((D < scale / (2.0 * space.a0)).sum(axis=1) > 1):
             raise OrderViolation(
                 f"level {k}: multiple close parents; separation broken")
         par = np.argmin(D, axis=1)
-        hit = cnt == 1
-        par[hit] = np.argmax(close[hit], axis=1)
-        if np.any(D[np.arange(len(fine)), par] >= 2.0 * space.a0 * scale):
+        if np.any(D[np.arange(len(par)), par] >= 2.0 * space.a0 * scale):
             raise OrderViolation(
                 f"level {k}: a child has no parent within 2*a0*delta^k")
         parent[k] = par
-        children[k] = [np.flatnonzero(par == a) for a in range(len(coarse))]
-    return ReferenceOrder(parent, children)
+    return parent
 
 
 def grid_labels(space: QuasiMetricSpace, nets: NestedNets,
-                ref: ReferenceOrder) -> GridLabels:
+                parent: dict) -> GridLabels:
     """Neighbour coloring and sibling ranks shared by all random draws.
 
     Two level-k nodes are neighbours when they own children closer than
     (2 a0)^-1 delta^k.  L is the largest neighbour count anywhere, M the
     largest family size; label1 is a greedy proper coloring with values
-    in {0..L}, label2 ranks siblings 1..M in level order.
+    in {0..L}, and row a of child_by_rank lists the children of a in level
+    order, so column r - 1 holds the child of sibling rank r.
     """
-    adj = {}
-    degrees = {}
     L = 0
-    M = 1
-    for k in transition_levels(nets):
-        fine = nets.levels[k + 1]
-        coarse = nets.levels[k]
-        par = ref.parent[k]
-        thr = nets.scale(k) / (2.0 * space.a0)
-        rows, cols, _ = near_pairs(space.dist[np.ix_(fine, fine)], thr)
-        A = np.zeros((len(coarse), len(coarse)), dtype=bool)
-        A[par[rows], par[cols]] = True
-        np.fill_diagonal(A, False)
-        adj[k] = A
-        deg = A.sum(axis=1)
-        degrees[k] = deg
-        if len(deg):
-            L = max(L, int(deg.max()))
-        M = max(M, max(len(c) for c in ref.children[k]))
-
+    M = max([1] + [int(np.bincount(p).max()) for p in parent.values()])
     label1 = {}
-    label2 = {}
     child_by_rank = {}
     for k in transition_levels(nets):
+        fine = nets.levels[k + 1]
         nc = len(nets.levels[k])
+        par = parent[k]
+        thr = nets.scale(k) / (2.0 * space.a0)
+        rows, cols, _ = near_pairs(space.dist[np.ix_(fine, fine)], thr)
+        A = np.zeros((nc, nc), dtype=bool)
+        A[par[rows], par[cols]] = True
+        np.fill_diagonal(A, False)
+        L = max(L, int(A.sum(axis=1).max()))
         colors = np.full(nc, -1, dtype=int)
         for a in range(nc):
-            used = set(colors[np.flatnonzero(adj[k][a])].tolist())
+            used = set(colors[np.flatnonzero(A[a])].tolist())
             c = 0
             while c in used:
                 c += 1
@@ -148,15 +124,13 @@ def grid_labels(space: QuasiMetricSpace, nets: NestedNets,
                 f"level {k}: greedy coloring needs {colors.max() + 1} colors "
                 f"but the largest neighbour count is {L}")
         label1[k] = colors
-        ranks = np.zeros(len(nets.levels[k + 1]), dtype=int)
+        order = np.argsort(par, kind="stable")
+        grouped = par[order]
+        rank = np.arange(len(par)) - np.searchsorted(grouped, grouped)
         table = np.full((nc, M), -1, dtype=int)
-        for a, kids in enumerate(ref.children[k]):
-            for r, b in enumerate(np.sort(kids)):
-                ranks[b] = r + 1
-                table[a, r] = b
-        label2[k] = ranks
+        table[grouped, rank] = order
         child_by_rank[k] = table
-    return GridLabels(L, M, label1, label2, child_by_rank, degrees)
+    return GridLabels(L, M, label1, child_by_rank)
 
 
 def sample_omega(labels: GridLabels, levels, seed: int, count: int) -> dict:
@@ -174,7 +148,7 @@ def sample_omega(labels: GridLabels, levels, seed: int, count: int) -> dict:
 
 
 def transition_parents(space: QuasiMetricSpace, nets: NestedNets,
-                       ref: ReferenceOrder, labels: GridLabels,
+                       parent: dict, labels: GridLabels,
                        k: int) -> LevelTable:
     """Perturbed centers and parents of level k for every coordinate.
 
@@ -201,16 +175,17 @@ def transition_parents(space: QuasiMetricSpace, nets: NestedNets,
             raise OrderViolation(
                 f"level {k}: several perturbed centers capture one child "
                 f"under coordinate ({ell}, {m + 1})")
-        par = ref.parent[k].copy()
+        par = parent[k].copy()
         par[child[cap]] = hit[cap]
         parents[ell, m] = par
     return LevelTable(parents, centers)
 
 
 def parent_tables(space: QuasiMetricSpace, nets: NestedNets,
-                  ref: ReferenceOrder, labels: GridLabels) -> dict:
-    """{k: LevelTable} for every level transition."""
-    return {k: transition_parents(space, nets, ref, labels, k)
+                  parent: dict, labels: GridLabels) -> dict:
+    """{k: LevelTable} for every level transition, from the reference
+    parents of ``reference_order``."""
+    return {k: transition_parents(space, nets, parent, labels, k)
             for k in transition_levels(nets)}
 
 
@@ -461,7 +436,7 @@ def _boundary_chunk(nets, labels, tables, layers, n_eps, levels, seed,
 def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
                          labels: GridLabels, tables: dict,
                          eps_grid, num_samples: int, seed: int,
-                         levels=None, jobs: int = 1) -> dict:
+                         jobs: int = 1) -> dict:
     """Monte Carlo frequency of the eps boundary layer event per point/level.
 
     A point is in the eps layer at level k when a point of another cube
@@ -476,7 +451,7 @@ def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
     eps_grid = sorted(float(e) for e in eps_grid)
     if not eps_grid or eps_grid[0] <= 0:
         raise ValueError("eps grid must be positive")
-    levels = list(nets.level_range if levels is None else levels)
+    levels = list(nets.level_range)
     layers = {k: _near_pairs(space, np.array(eps_grid) * nets.scale(k))
               for k in levels if len(nets.levels[k]) > 1}
     args = [(nets, labels, tables, layers, len(eps_grid), levels, seed, ci,

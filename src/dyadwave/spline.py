@@ -103,21 +103,22 @@ HOLDER_BUDGET = 4.0
 HOLDER_ETA_CAP = 4.0
 
 
-def holder_fit(xs, ys, budget: float = HOLDER_BUDGET,
-               cap: float = HOLDER_ETA_CAP) -> float:
+def holder_fit(xs, ys) -> float:
     """Largest exponent keeping the smoothness constant within budget.
 
     Samples are pairs (x, y) = (-log relative distance, log difference) with
     x > 0.  The constant at exponent eta is max exp(y + eta x); the returned
     eta_hat is the largest eta (capped) with that constant <= budget, in
     closed form eta_hat = min (log budget - y) / x.  Empty data means every
-    exponent is admissible, so the cap is returned.
+    exponent is admissible, so the cap is returned.  The budget and the cap
+    are HOLDER_BUDGET and HOLDER_ETA_CAP.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.size == 0:
-        return cap
-    return float(min(((math.log(budget) - ys) / xs).min(), cap))
+        return HOLDER_ETA_CAP
+    return float(min(((math.log(HOLDER_BUDGET) - ys) / xs).min(),
+                     HOLDER_ETA_CAP))
 
 
 def close_pairs(dist: np.ndarray, scale: float, strict: bool = False) -> tuple:
@@ -148,15 +149,14 @@ def pair_maxima(rows, dist, scale: float, strict: bool = False) -> tuple:
 
 
 def holder_estimate(system: SplineSystem, space: QuasiMetricSpace,
-                    nets: NestedNets, eta: float | None = None) -> dict:
+                    nets: NestedNets) -> dict:
     """Smoothness of the splines in the scaled distance.
 
     Over pairs with d(x, y) <= delta^k, reports the empirical constant
-    sup |s(x) - s(y)| / (d(x, y)/delta^k)^eta at the requested exponent,
+    sup |s(x) - s(y)| / (d(x, y)/delta^k)^eta at eta = a (``exponent_a``),
     and the largest exponent whose constant stays within the budget.
     """
-    if eta is None:
-        eta = exponent_a(space)
+    eta = exponent_a(space)
     const_at_eta = 0.0
     eta_hat = HOLDER_ETA_CAP
     n_pairs = 0

@@ -35,7 +35,6 @@ class MRA:
     system: SplineSystem
     gram: dict    # k -> normalized spline Gram
     duals: dict   # k -> (n_k, n) dual spline values
-    riesz: dict   # k -> (lmin, lmax) eigenvalue range of the Gram
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,8 @@ def gram_matrix(space: QuasiMetricSpace, system: SplineSystem,
 
 
 def dual_splines(space: QuasiMetricSpace, system: SplineSystem, k: int,
-                 gram: np.ndarray | None = None) -> tuple:
-    """(duals, (lmin, lmax)): the level-k dual splines and Riesz bounds.
+                 gram: np.ndarray | None = None) -> np.ndarray:
+    """The level-k dual splines.
 
     Row alpha is sum_beta G^{-1}(alpha, beta) s_beta / sqrt(m_alpha m_beta)
     with G the normalized Gram, so spline/dual pairings give the identity.
@@ -84,20 +83,19 @@ def dual_splines(space: QuasiMetricSpace, system: SplineSystem, k: int,
     if gram is None:
         gram = gram_matrix(space, system, k)
     try:
-        eigs = extreme_eigs(gram)
+        extreme_eigs(gram)
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(f"level {k} Gram: {exc}") from exc
     rs = 1.0 / np.sqrt(np.asarray(system.ball_mass[k], dtype=float))
-    duals = rs[:, None] * np.linalg.solve(gram, rs[:, None] * system.values[k])
-    return duals, (eigs["lmin"], eigs["lmax"])
+    return rs[:, None] * np.linalg.solve(gram, rs[:, None] * system.values[k])
 
 
 def build_mra(space: QuasiMetricSpace, system: SplineSystem) -> MRA:
-    gram, duals, riesz = {}, {}, {}
+    gram, duals = {}, {}
     for k in range(system.k_min, system.k_max + 1):
         gram[k] = gram_matrix(space, system, k)
-        duals[k], riesz[k] = dual_splines(space, system, k, gram=gram[k])
-    return MRA(system, gram, duals, riesz)
+        duals[k] = dual_splines(space, system, k, gram=gram[k])
+    return MRA(system, gram, duals)
 
 
 def spline_projector(space: QuasiMetricSpace, mra: MRA,
@@ -212,8 +210,7 @@ def inverse_transform(basis: WaveletBasis, coeffs) -> np.ndarray:
 
 
 def gram_decay_certificates(space: QuasiMetricSpace, nets: NestedNets,
-                            mra: MRA, basis: WaveletBasis | None = None,
-                            s: float = 1.0, x_cut: float = 1.0) -> dict:
+                            mra: MRA, basis: WaveletBasis) -> dict:
     """Off-diagonal decay of the Grams against the renormalized distance.
 
     Net points at level k are delta^k-separated, so dividing the distance
@@ -226,14 +223,11 @@ def gram_decay_certificates(space: QuasiMetricSpace, nets: NestedNets,
     for k in range(nets.k_min, nets.k_max + 1):
         pts = nets.levels[k]
         dist = space.dist[np.ix_(pts, pts)] / nets.scale(k)
-        out["spline"][k] = decay_certificate(mra.gram[k], dist,
-                                             s=s, x_cut=x_cut)
-    if basis is not None:
-        for k, sl in basis.blocks.items():
-            pts = basis.centers[sl]
-            dist = space.dist[np.ix_(pts, pts)] / nets.scale(k + 1)
-            out["prewavelet"][k] = decay_certificate(basis.mgram[k], dist,
-                                                     s=s, x_cut=x_cut)
+        out["spline"][k] = decay_certificate(mra.gram[k], dist)
+    for k, sl in basis.blocks.items():
+        pts = basis.centers[sl]
+        dist = space.dist[np.ix_(pts, pts)] / nets.scale(k + 1)
+        out["prewavelet"][k] = decay_certificate(basis.mgram[k], dist)
     return out
 
 
@@ -279,8 +273,7 @@ def orthonormality_devs(B: np.ndarray, w: np.ndarray, seed: int = 0) -> tuple:
 
 
 def verify_wavelet_theorem(space: QuasiMetricSpace, nets: NestedNets,
-                           basis: WaveletBasis, seed: int = 0,
-                           x_cut: float = 1.0) -> dict:
+                           basis: WaveletBasis, seed: int = 0) -> dict:
     """Numerical report on the orthonormal-basis properties.
 
     Covers cross-level orthonormality, vanishing means, the basis count,
@@ -295,7 +288,7 @@ def verify_wavelet_theorem(space: QuasiMetricSpace, nets: NestedNets,
     count_ok = count == space.n - 1
 
     a, dx, dy = _decay_samples(space, nets, basis)
-    decay = envelope_fit(dx, dy, x_cut=x_cut)
+    decay = envelope_fit(dx, dy)
     hx, hy, n_pairs = _holder_samples(space, nets, basis)
     # Scaled wavelet differences are not bounded by 1 the way spline
     # differences are; the admissible constant sits at the budget factor

@@ -1,21 +1,105 @@
-"""One-draw-at-a-time reference implementations of the cube samplers.
+"""One-draw-at-a-time reference implementations of the grid skeleton and
+the cube samplers.
 
-The library enumerates each level's perturbed grid into a table once and
-composes whole batches of draws with array gathers.  The functions here
-do the same work the way the construction is stated: one coordinate draw
-at a time, one cube at a time, with full distance rows.  Tests require
-the batched results to be bit-identical to these.
+The library derives the whole skeleton from one parent array per level,
+enumerates each level's perturbed grid into a table once and composes
+whole batches of draws with array gathers.  The functions here do the
+same work the way the construction is stated: explicit children lists, a
+stored adjacency per level, one coordinate draw at a time, one cube at a
+time, with full distance rows.  Tests require the library's results to
+be bit-identical to these.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from dyadwave.errors import OrderViolation
 from dyadwave.randgrid import sample_omega, transition_levels
 from dyadwave.seeding import STREAM_BOUNDARY, stream_rng
+from dyadwave.space import near_pairs
 
 CHUNK = 256
+
+
+def reference_order(space, nets):
+    """(parent, children) per level: the unique close point when one
+    exists, else the nearest, with the children listed per parent."""
+    parent = {}
+    children = {}
+    for k in transition_levels(nets):
+        fine = nets.levels[k + 1]
+        coarse = nets.levels[k]
+        scale = nets.scale(k)
+        D = space.dist[np.ix_(fine, coarse)]
+        close = D < scale / (2.0 * space.a0)
+        cnt = close.sum(axis=1)
+        if np.any(cnt > 1):
+            raise OrderViolation(
+                f"level {k}: multiple close parents; separation broken")
+        par = np.argmin(D, axis=1)
+        hit = cnt == 1
+        par[hit] = np.argmax(close[hit], axis=1)
+        if np.any(D[np.arange(len(fine)), par] >= 2.0 * space.a0 * scale):
+            raise OrderViolation(
+                f"level {k}: a child has no parent within 2*a0*delta^k")
+        parent[k] = par
+        children[k] = [np.flatnonzero(par == a) for a in range(len(coarse))]
+    return SimpleNamespace(parent=parent, children=children)
+
+
+def grid_labels(space, nets, ref):
+    """L, M, the greedy coloring (label1), the sibling ranks (label2), the
+    child-by-rank table and the degrees, from a stored adjacency per level
+    and the children lists of ``reference_order``."""
+    adj = {}
+    degrees = {}
+    L = 0
+    M = 1
+    for k in transition_levels(nets):
+        fine = nets.levels[k + 1]
+        coarse = nets.levels[k]
+        par = ref.parent[k]
+        thr = nets.scale(k) / (2.0 * space.a0)
+        rows, cols, _ = near_pairs(space.dist[np.ix_(fine, fine)], thr)
+        A = np.zeros((len(coarse), len(coarse)), dtype=bool)
+        A[par[rows], par[cols]] = True
+        np.fill_diagonal(A, False)
+        adj[k] = A
+        deg = A.sum(axis=1)
+        degrees[k] = deg
+        if len(deg):
+            L = max(L, int(deg.max()))
+        M = max(M, max(len(c) for c in ref.children[k]))
+
+    label1 = {}
+    label2 = {}
+    child_by_rank = {}
+    for k in transition_levels(nets):
+        nc = len(nets.levels[k])
+        colors = np.full(nc, -1, dtype=int)
+        for a in range(nc):
+            used = set(colors[np.flatnonzero(adj[k][a])].tolist())
+            c = 0
+            while c in used:
+                c += 1
+            colors[a] = c
+        if colors.max(initial=0) > L:
+            raise OrderViolation(
+                f"level {k}: greedy coloring needs {colors.max() + 1} colors "
+                f"but the largest neighbour count is {L}")
+        label1[k] = colors
+        ranks = np.zeros(len(nets.levels[k + 1]), dtype=int)
+        table = np.full((nc, M), -1, dtype=int)
+        for a, kids in enumerate(ref.children[k]):
+            for r, b in enumerate(np.sort(kids)):
+                ranks[b] = r + 1
+                table[a, r] = b
+        label2[k] = ranks
+        child_by_rank[k] = table
+    return SimpleNamespace(L=L, M=M, label1=label1, label2=label2,
+                           child_by_rank=child_by_rank, degrees=degrees)
 
 
 def zpoints(nets, labels, k, ell, m):
@@ -27,7 +111,7 @@ def zpoints(nets, labels, k, ell, m):
     return z
 
 
-def parents(space, nets, ref, labels, k, ell, m):
+def parents(space, nets, parent, labels, k, ell, m):
     """Perturbed parents for one level transition and one coordinate."""
     z = zpoints(nets, labels, k, ell, m)
     fine = nets.levels[k + 1]
@@ -37,7 +121,7 @@ def parents(space, nets, ref, labels, k, ell, m):
     if np.any(cnt > 1):
         raise OrderViolation(
             f"level {k}: several perturbed centers capture one child")
-    par = ref.parent[k].copy()
+    par = parent[k].copy()
     cap = cnt == 1
     par[cap] = np.argmax(hits[cap], axis=1)
     return par
@@ -58,7 +142,7 @@ def center_stats(space, table, codes, inner_z, r_chain, r_iter):
     return [np.array(column) for column in zip(*stats)]
 
 
-def draw(space, nets, ref, labels, omega):
+def draw(space, nets, parent, labels, omega):
     """Centers, parents and cube assignment of every level for one draw.
 
     ``omega`` maps each transition level to its (ell, m).
@@ -67,7 +151,7 @@ def draw(space, nets, ref, labels, omega):
     par = {}
     for k in sorted(omega):
         zp[k] = zpoints(nets, labels, k, *omega[k])
-        par[k] = parents(space, nets, ref, labels, k, *omega[k])
+        par[k] = parents(space, nets, parent, labels, k, *omega[k])
     assign = {}
     finest = np.empty(space.n, dtype=int)
     finest[nets.levels[nets.k_max]] = np.arange(space.n)
@@ -77,7 +161,7 @@ def draw(space, nets, ref, labels, omega):
     return zp, par, assign
 
 
-def grid_checks(space, nets, ref, labels, seed=0, num_samples=32):
+def grid_checks(space, nets, parent, labels, seed=0, num_samples=32):
     tls = list(transition_levels(nets))
     batch = sample_omega(labels, tls, seed, count=num_samples)
     a0 = space.a0
@@ -102,7 +186,8 @@ def grid_checks(space, nets, ref, labels, seed=0, num_samples=32):
         return rep
     for i in range(num_samples):
         omega = {k: (int(batch[k][0][i]), int(batch[k][1][i])) for k in tls}
-        zpoints_, parent, assign = draw(space, nets, ref, labels, omega)
+        zpoints_, perturbed, assign = draw(space, nets, parent, labels,
+                                           omega)
         zpos = dict(zpoints_)
         zpos[nets.k_max] = nets.levels[nets.k_max]
         for k in tls:
@@ -123,7 +208,7 @@ def grid_checks(space, nets, ref, labels, seed=0, num_samples=32):
             rep["center_containment_violations"] += int(
                 (asg[pts] != np.arange(len(pts))).sum())
             rep["covering_violations"] += int(
-                (asg != parent[k][assign[k + 1]]).sum())
+                (asg != perturbed[k][assign[k + 1]]).sum())
             inner_z = 1.0 / 6.0 * a0 ** -5 * scale
             inner_x = 1.0 / 8.0 * a0 ** -3 * scale
             for a in range(len(pts)):
@@ -148,17 +233,17 @@ def grid_checks(space, nets, ref, labels, seed=0, num_samples=32):
             low = Dzz < (1.0 / 5.0) * a0 ** -3 * scale
             rows, cols = np.nonzero(low)
             rep["chain_lower_violations"] += int(
-                (parent[k][rows] != cols).sum())
-            dpar = Dzz[np.arange(len(zf)), parent[k]]
+                (perturbed[k][rows] != cols).sum())
+            dpar = Dzz[np.arange(len(zf)), perturbed[k]]
             rep["chain_upper_max_ratio"] = max(
                 rep["chain_upper_max_ratio"],
                 float(dpar.max(initial=0.0) / (5.0 * a0 ** 3 * scale)))
         for k in tls:
             scale = nets.scale(k)
             zc = zpos[k]
-            anc = parent[k]
+            anc = perturbed[k]
             for lvl in range(k + 2, nets.k_max + 1):
-                anc = anc[parent[lvl - 1]]
+                anc = anc[perturbed[lvl - 1]]
                 zf = zpos[lvl]
                 Dzz = space.dist[np.ix_(zf, zc)]
                 low = Dzz < (1.0 / 6.0) * a0 ** -4 * scale
@@ -180,7 +265,8 @@ def grid_checks(space, nets, ref, labels, seed=0, num_samples=32):
     return rep
 
 
-def boundary_counts(space, nets, ref, labels, eps_grid, num_samples, seed):
+def boundary_counts(space, nets, parent, labels, eps_grid, num_samples,
+                    seed):
     """(counts, pooled_last_eps) of the boundary sampler, draw by draw.
 
     The distance to the complement of a point's cube is the minimum over
@@ -203,7 +289,7 @@ def boundary_counts(space, nets, ref, labels, eps_grid, num_samples, seed):
         for i in range(size):
             omega = {k: (int(draws[k][0][i]), int(draws[k][1][i]))
                      for k in tls}
-            assign = draw(space, nets, ref, labels, omega)[2]
+            assign = draw(space, nets, parent, labels, omega)[2]
             hits = 0
             for li, k in enumerate(levels):
                 asg = assign[k]

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from dyadwave.nets import NestedNets, build_nets
 from dyadwave.randgrid import (
     _T975,
     LevelTable,
-    ReferenceOrder,
     _center_stats,
     boundary_layer_stats,
     child_hit_probabilities,
@@ -58,10 +58,11 @@ def as_draws(omegas, nets):
 def test_two_point_reference_and_labels():
     sp = two_point()
     nets, ref, labels = setup(sp)
-    assert ref.parent[-1].tolist() == [0, 0]
+    assert ref[-1].tolist() == [0, 0]
     assert labels.L == 0
     assert labels.M == 2
-    assert labels.label2[-1].tolist() == [1, 2]
+    # the two children of the one parent take ranks 1 and 2 in level order
+    assert labels.child_by_rank[-1].tolist() == [[0, 1]]
 
 
 def test_two_point_random_points_and_probabilities():
@@ -77,16 +78,35 @@ def test_cyclic8_family_shapes():
     sp = gen_example("cyclic", n=8)
     nets, ref, labels = setup(sp)
     # ties attach both odd ends to the first listed parent
-    sizes = sorted(len(c) for c in ref.children[-1])
+    sizes = sorted(np.bincount(ref[-1], minlength=len(nets.levels[-1])))
     assert sizes == [1, 2, 2, 3]
+    assert sorted((labels.child_by_rank[-1] >= 0).sum(axis=1)) == sizes
     assert labels.M == 3
     assert labels.L == 0
-    for k, colors in labels.label1.items():
-        deg = labels.degrees[k]
-        assert colors.max() <= labels.L
-        assert np.all(colors >= 0)
-        # proper coloring on the neighbour graph
-        assert np.all(deg <= labels.L)
+    assert_proper_coloring(sp, nets, ref, labels)
+
+
+def assert_proper_coloring(sp, nets, ref, labels):
+    """label1 properly colors the neighbour graph rebuilt from ``dist``,
+    with colors in 0..L and L the largest neighbour count.
+
+    Two level-k nodes are neighbours when they own children closer than
+    delta^k / (2 a0).
+    """
+    degree = 0
+    for k in transition_levels(nets):
+        fine = nets.levels[k + 1]
+        thr = nets.scale(k) / (2.0 * sp.a0)
+        edges = {(int(ref[k][i]), int(ref[k][j]))
+                 for i, j in itertools.product(range(len(fine)), repeat=2)
+                 if sp.dist[fine[i], fine[j]] < thr and ref[k][i] != ref[k][j]}
+        colors = labels.label1[k]
+        assert colors.shape == (len(nets.levels[k]),)
+        assert colors.min() >= 0 and colors.max() <= labels.L
+        assert all(colors[a] != colors[b] for a, b in edges)
+        for a in range(len(nets.levels[k])):
+            degree = max(degree, sum(1 for e in edges if e[0] == a))
+    assert labels.L == degree
 
 
 def test_child_probability_lower_bound():
@@ -98,10 +118,8 @@ def test_child_probability_lower_bound():
         for k in transition_levels(nets):
             prob = probs[k]
             assert np.allclose(prob.sum(axis=1)[prob.any(axis=1)], 1.0)
-            fine_pos = {p: i for i, p in enumerate(nets.levels[k + 1].tolist())}
-            for a, kids in enumerate(ref.children[k]):
-                for b in kids:
-                    assert prob[a, b] >= floor - 1e-12
+            for b, a in enumerate(ref[k]):
+                assert prob[a, b] >= floor - 1e-12
 
 
 def test_z_separation_density_all_omegas_cyclic8():
@@ -219,8 +237,45 @@ def test_reference_order_rejects_ambiguous_parents():
         levels={0: np.array([1, 2]), 1: np.array([0, 1, 2])},
         ydiff={0: np.array([0])},
         order_policy="input_order", scan_order=np.arange(3))
-    with pytest.raises(OrderViolation):
+    with pytest.raises(OrderViolation, match="multiple close parents"):
         reference_order(sp, fake)
+
+
+def test_reference_order_rejects_a_child_without_a_near_parent():
+    # the fine point 1 lies 3 >= 2 a0 delta^0 = 2 from the one coarse point
+    sp = build_space(np.array([[0.0, 3.0], [3.0, 0.0]]), np.ones(2))
+    assert sp.a0 == 1.0
+    fake = NestedNets(
+        delta=0.5, k_min=0, k_max=1,
+        levels={0: np.array([0]), 1: np.array([0, 1])},
+        ydiff={0: np.array([1])},
+        order_policy="input_order", scan_order=np.arange(2))
+    with pytest.raises(OrderViolation,
+                       match=re.escape("no parent within 2*a0*delta^k")):
+        reference_order(sp, fake)
+
+
+def test_reference_order_takes_the_close_parent_then_the_nearest():
+    # on the line, a0 = 1: close means nearer than 1/2, a parent lies
+    # nearer than 2.  Point 2 (x = 1.1) has its one close parent second in
+    # level order; point 3 (x = 0.5) ties between both parents and takes
+    # the first; point 4 (x = 2) has no close parent and takes the nearest.
+    x = np.array([0.0, 1.0, 1.1, 0.5, 2.0])
+    sp = build_space(np.abs(x[:, None] - x[None, :]), np.ones(5))
+    assert sp.a0 == 1.0
+    fake = NestedNets(
+        delta=0.5, k_min=0, k_max=1,
+        levels={0: np.array([0, 1]), 1: np.arange(5)},
+        ydiff={0: np.array([2, 3, 4])},
+        order_policy="input_order", scan_order=np.arange(5))
+    parent = reference_order(sp, fake)
+    assert list(parent) == [0]
+    assert parent[0].tolist() == [0, 1, 1, 0, 1]
+    assert oracle.reference_order(sp, fake).parent[0].tolist() == [
+        0, 1, 1, 0, 1]
+    labels = grid_labels(sp, fake, parent)
+    assert labels.M == 3
+    assert labels.child_by_rank[0].tolist() == [[0, 3, -1], [1, 2, 4]]
 
 
 def test_transition_parents_rejects_two_capturing_centers():
@@ -239,8 +294,7 @@ def test_transition_parents_rejects_two_capturing_centers():
         levels={0: np.array([p0, p1]), 1: np.array([p0, p1, c])},
         ydiff={0: np.array([c])},
         order_policy="input_order", scan_order=np.arange(3))
-    ref = ReferenceOrder({0: np.array([0, 1, 0])},
-                         {0: [np.array([0, 2]), np.array([1])]})
+    ref = {0: np.array([0, 1, 0])}
     labels = grid_labels(sp, fake, ref)
     ell = int(labels.label1[0][0])
     assert labels.child_by_rank[0][0, 1] == 2      # c is p0's second child
@@ -317,6 +371,19 @@ EPS = [0.05, 0.1, 0.2, 0.4]
 
 def assert_matches_oracle(sp, nets, ref, labels, grid_samples, bnd_samples,
                           seed, jobs=(1,)):
+    want_ref = oracle.reference_order(sp, nets)
+    want = oracle.grid_labels(sp, nets, want_ref)
+    assert ref.keys() == want_ref.parent.keys()
+    for k, par in ref.items():
+        assert np.array_equal(par, want_ref.parent[k])
+    assert labels.L == want.L
+    assert labels.M == want.M
+    assert labels.label1.keys() == want.label1.keys()
+    assert labels.child_by_rank.keys() == want.child_by_rank.keys()
+    for k in transition_levels(nets):
+        assert np.array_equal(labels.label1[k], want.label1[k])
+        assert np.array_equal(labels.child_by_rank[k], want.child_by_rank[k])
+    assert_proper_coloring(sp, nets, ref, labels)
     tables = parent_tables(sp, nets, ref, labels)
     for k, table in tables.items():
         for ell, m in enumerate_coordinates(labels):

@@ -1,5 +1,5 @@
 """The one eigenvalue routine: ``extreme_eigs`` and the Riesz bounds of
-the spline duals."""
+the spline Grams."""
 
 import os
 import subprocess
@@ -14,7 +14,7 @@ from hypothesis.extra import numpy as hnp
 
 from dyadwave.decaymat import extreme_eigs
 from dyadwave.errors import NotPositiveDefinite
-from dyadwave.wavelet import dual_splines, gram_matrix
+from dyadwave.wavelet import build_mra, gram_matrix
 from test_wavelet import FLEET, setup
 
 
@@ -45,10 +45,14 @@ def test_extreme_eigs_is_the_dense_eigensolve(M):
 @pytest.mark.parametrize("kind,params", FLEET)
 def test_dual_riesz_bounds_are_extreme_eigs_of_the_gram(kind, params):
     space, nets, system = setup(kind, params)
+    mra = build_mra(space, system)
     for k in nets.level_range:
-        _, riesz = dual_splines(space, system, k)
-        est = extreme_eigs(gram_matrix(space, system, k))
-        assert riesz == (est["lmin"], est["lmax"]), k
+        gram = gram_matrix(space, system, k)
+        assert np.array_equal(mra.gram[k], gram), k
+        est = extreme_eigs(mra.gram[k])
+        vals = np.linalg.eigvalsh(gram)
+        assert (est["lmin"], est["lmax"]) == (vals[0], vals[-1]), k
+        assert est["lmin"] > 0.0, k
 
 
 def test_series_inverses_load_no_scipy_linalg():

@@ -609,8 +609,7 @@ def cmd_verify(args) -> int:
         "gram_certificates": gram_decay_certificates(space, nets, mra, basis),
         "kernel_estimates": kern,
         "norm_equivalence": equivalence,
-        "substitute": substitute_inequality_check(space, nets, lp, nu=1.0,
-                                                  gamma=1.0,
+        "substitute": substitute_inequality_check(space, nets, lp,
                                                   r_grid=cfg["r_grid"]),
         "growth_sample": growth_sequence(space, nets, 0, min(cfg["r_grid"])),
     }

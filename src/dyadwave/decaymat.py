@@ -27,43 +27,49 @@ TINY = 1e-300
 DEFAULT_C_MAX = 50.0
 
 
-def envelope_fit(xs, ys, x_cut: float = 1.0) -> dict:
-    """Fit the tightest envelope ys <= log C - c * xs with the largest c.
+def above_floor(values) -> np.ndarray:
+    """The entries that count as samples: magnitudes at or above TINY."""
+    return np.asarray(values) >= TINY
 
-    The intercept is anchored at the maximum observed value, the rate is the
-    slackest slope over the far field (xs >= x_cut), capped at DEFAULT_C_MAX,
-    and the constant is then lifted so the bound covers every sample.  A
-    rate <= 0 refutes exponential decay; the five worst offending samples
-    are reported.
+
+def envelope_fit(xs, values, x_cut: float = 1.0) -> dict:
+    """Fit the tightest envelope values <= C exp(-c * xs) with the largest c.
+
+    ``xs`` and ``values`` are arrays of one shape, of any rank: the scaled
+    distances and the magnitudes.  The samples are the entries
+    ``above_floor``, in row-major order, fitted in the log domain.  The
+    intercept is anchored at the largest sample, the rate is the slackest
+    slope over the far field (xs >= x_cut), capped at DEFAULT_C_MAX, and
+    the constant is then lifted so the bound covers every sample.  A rate
+    <= 0 refutes exponential decay; the five worst offending samples are
+    reported, ties in row-major order.
     """
     xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError("xs and ys must be matching vectors")
+    values = np.asarray(values, dtype=float)
+    if xs.shape != values.shape:
+        raise ValueError("xs and values must have the same shape")
+    keep = above_floor(values)
+    xs = xs[keep]
+    ys = np.log(values[keep])
     if xs.size == 0:
         return {"C": math.nan, "c": math.nan, "refuted": False,
                 "n_pairs": 0, "n_far": 0, "worst": []}
     log_c0 = float(ys.max())
     far = xs >= x_cut
-    out = {"n_pairs": int(xs.size), "n_far": int(far.sum())}
-    if not far.any():
-        c = DEFAULT_C_MAX
-    else:
-        slopes = (log_c0 - ys[far]) / xs[far]
-        c = float(min(slopes.min(), DEFAULT_C_MAX))
+    slopes = (log_c0 - ys[far]) / xs[far]
+    c = float(slopes.min(initial=DEFAULT_C_MAX))
     refuted = c <= 0.0
     cover = float((ys + c * xs).max())
-    out.update(c=c, C=float(math.exp(min(cover, 700.0))), refuted=bool(refuted))
     worst = []
     if refuted:
         slopes_all = np.full_like(xs, np.inf)
-        mask = xs >= x_cut
-        slopes_all[mask] = (log_c0 - ys[mask]) / xs[mask]
-        order = np.argsort(slopes_all)[:5]
+        slopes_all[far] = slopes
+        order = np.argsort(slopes_all, kind="stable")[:5]
         worst = [{"x": float(xs[i]), "log_value": float(ys[i]),
                   "slope": float(slopes_all[i])} for i in order]
-    out["worst"] = worst
-    return out
+    return {"n_pairs": int(xs.size), "n_far": int(far.sum()), "c": c,
+            "C": float(math.exp(min(cover, 700.0))),
+            "refuted": bool(refuted), "worst": worst}
 
 
 def decay_certificate(matrix, index_dist, s: float = 1.0,
@@ -71,9 +77,9 @@ def decay_certificate(matrix, index_dist, s: float = 1.0,
     """Exponential decay certificate sup |M(a,b)| exp(c d(a,b)^s) <= C.
 
     The index set must be 1-separated under the supplied (renormalized)
-    quasi-distance, so d^s <= d off the diagonal.  Off-diagonal entries
-    below the numerical-zero threshold are excluded; the diagonal only
-    feeds the anchor constant.
+    quasi-distance, so d^s <= d off the diagonal.  The off-diagonal
+    entries are the samples; the diagonal only feeds the anchor, its
+    largest magnitude (at least TINY) placed at x = 0.
     """
     matrix = np.asarray(matrix, dtype=float)
     index_dist = np.asarray(index_dist, dtype=float)
@@ -89,13 +95,10 @@ def decay_certificate(matrix, index_dist, s: float = 1.0,
         if not (dmin >= 1.0 - 1e-9 and dmin ** s <= dmin * (1 + 1e-12)):
             raise BadParams(
                 f"index set not 1-separated (min distance {dmin:.3e})")
-    absm = np.abs(matrix)
-    keep = off & (absm >= TINY)
-    xs = index_dist[keep] ** s
-    ys = np.log(absm[keep])
-    diag_anchor = float(np.log(np.maximum(np.abs(np.diag(matrix)), TINY)).max())
-    fit = envelope_fit(np.r_[xs, 0.0], np.r_[ys, diag_anchor], x_cut=x_cut)
-    fit.update(s=float(s), n_pairs=int(keep.sum()))
+    anchor = max(float(np.abs(np.diag(matrix)).max()), TINY)
+    fit = envelope_fit(np.r_[index_dist[off] ** s, 0.0],
+                       np.r_[np.abs(matrix[off]), anchor], x_cut=x_cut)
+    fit.update(s=float(s), n_pairs=fit["n_pairs"] - 1)
     return fit
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decaymat import TINY, envelope_fit
+from .decaymat import above_floor, envelope_fit
 from .errors import (
     BadExponent,
     BadParams,
@@ -180,7 +180,7 @@ def _reg_quotients(space, kernel, mass, scale, gamma, s, pair_budget, seed):
     att = np.exp(-gamma * (space.dist / scale) ** s)
     denom = (att[:, iu] * rm[:, None] * rm[None, iu]
              + att[:, ju] * rm[:, None] * rm[None, ju])
-    keep = (diff >= TINY) & (denom >= TINY)
+    keep = above_floor(diff) & above_floor(denom)
     ys = np.log(diff, out=np.full_like(diff, -np.inf), where=keep)
     ys -= np.log(denom, out=np.zeros_like(denom), where=keep)
     kept = keep.sum(axis=0)
@@ -188,20 +188,17 @@ def _reg_quotients(space, kernel, mass, scale, gamma, s, pair_budget, seed):
 
 
 def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
-                     lp: LPSystem, projectors, s: float | None = None,
-                     pair_budget: int = PAIR_BUDGET, seed: int = 0) -> dict:
+                     lp: LPSystem, projectors, pair_budget: int = PAIR_BUDGET,
+                     seed: int = 0) -> dict:
     """Envelope fits for the size and regularity bounds of P_k and Q_k.
 
     ``projectors`` is the (k, P_k, Q_k) stream of ``lp_projectors`` over
-    ``lp.basis``.  P_k is fitted in the chain exponent s (defaulting to
-    1/(1+log2 a0)), Q_k in the wavelet exponent a with the additional holes
-    attenuation exp(-gamma (d(., new points)/scale)^a) on both arguments.
-    Row sums and kernel symmetry are checked exactly.
+    ``lp.basis``.  P_k is fitted in the chain exponent s = 1/(1+log2 a0),
+    Q_k in the wavelet exponent a with the additional holes attenuation
+    exp(-gamma (d(., new points)/scale)^a) on both arguments.  Row sums
+    and kernel symmetry are checked exactly.
     """
-    if s is None:
-        s = 1.0 / (1.0 + math.log2(space.a0))
-    if not 0.0 < s <= 1.0:
-        raise BadParams(f"exponent s={s} outside (0, 1]")
+    s = 1.0 / (1.0 + math.log2(space.a0))
     a = exponent_a(space)
     w = space.weights
     points = np.arange(space.n)
@@ -215,10 +212,8 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
         P = P / w[None, :]
         entry["p_sym_dev"] = float(np.abs(P - P.T).max())
         entry["p_rowsum_dev"] = float(np.abs(w @ P - 1.0).max())
-        xs = (space.dist / scale) ** s
-        vals = np.abs(P) * np.outer(rm, rm)
-        keep = vals >= TINY
-        entry["p_size"] = envelope_fit(xs[keep], np.log(vals[keep]))
+        entry["p_size"] = envelope_fit((space.dist / scale) ** s,
+                                       np.abs(P) * np.outer(rm, rm))
         gamma = entry["p_size"]["c"]
         if gamma > 0.0:
             hx, hy, n_kept = _reg_quotients(space, P, mass, scale, gamma,
@@ -252,10 +247,8 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
                 # set.
                 cut = 1.0 + 2.0 * float(hvec.max())
                 xs = (space.dist / scale) ** a + hvec[:, None] + hvec[None, :]
-                vals = np.abs(Q) * np.outer(rm, rm)
-                keep = vals >= TINY
-                entry["q_size"] = envelope_fit(xs[keep], np.log(vals[keep]),
-                                               x_cut=cut)
+                entry["q_size"] = envelope_fit(
+                    xs, np.abs(Q) * np.outer(rm, rm), x_cut=cut)
                 if entry["q_size"]["c"] <= 0.0:
                     report["nonpositive"].append((k, "q_size"))
         report["levels"][k] = entry
@@ -263,21 +256,18 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
 
 
 def substitute_inequality_check(space: QuasiMetricSpace, nets: NestedNets,
-                                lp: LPSystem, nu: float, gamma: float,
-                                a: float | None = None,
+                                lp: LPSystem,
                                 r_grid=(0.25, 0.5, 1.0)) -> dict:
     """Restricted level sum against the single-ball bound, per radius.
 
     The left side keeps only levels at scale >= r and attenuates each by
-    the holes factor; the contrast sum drops the attenuation and is the
-    one that grows across gap scales.
+    the holes factor exp(-gamma (d(., new points)/scale)^a); the contrast
+    sum drops the attenuation and is the one that grows across gap scales.
+    The ball masses enter at power -nu, with nu = gamma = 1 and a the
+    wavelet exponent.
     """
-    if nu <= 0.0 or gamma <= 0.0:
-        raise BadParams("nu and gamma must be positive")
-    if a is None:
-        a = exponent_a(space)
-    if a <= 0.0:
-        raise BadParams("exponent a must be positive")
+    nu = gamma = 1.0
+    a = exponent_a(space)
     r_grid = [float(r) for r in r_grid]
     if any(r <= 0.0 for r in r_grid):
         raise BadParams("radii must be positive")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decaymat import TINY
+from .decaymat import above_floor
 from .nets import NestedNets
 from .randgrid import (
     GridLabels,
@@ -132,8 +132,8 @@ def close_pairs(dist: np.ndarray, scale: float, strict: bool = False) -> tuple:
 
 def pair_maxima(rows, dist, scale: float, strict: bool = False) -> tuple:
     """(rel, sup, count) over ``close_pairs``: per pair, max over rows of
-    |r(i) - r(j)| and how many of those are >= TINY.  Blocks of pairs keep
-    each difference array within n x n entries."""
+    |r(i) - r(j)| and how many of those are ``above_floor``.  Blocks of
+    pairs keep each difference array within n x n entries."""
     i, j, rel = close_pairs(dist, scale, strict)
     sup = np.empty(len(i))
     count = np.empty(len(i), dtype=np.int64)
@@ -144,7 +144,7 @@ def pair_maxima(rows, dist, scale: float, strict: bool = False) -> tuple:
         diff -= np.take(rows, j[blk], axis=1)
         np.abs(diff, out=diff)
         sup[blk] = diff.max(axis=0)
-        count[blk] = np.count_nonzero(diff >= TINY, axis=0)
+        count[blk] = np.count_nonzero(above_floor(diff), axis=0)
     return rel, sup, count
 
 
@@ -165,7 +165,7 @@ def holder_estimate(system: SplineSystem, space: QuasiMetricSpace,
         n_pairs += rel.size
         const_at_eta = max(const_at_eta,
                            float((diff / rel ** eta).max(initial=0.0)))
-        strict = (rel < 1.0) & (diff > 0)
+        strict = (rel < 1.0) & above_floor(diff)
         eta_hat = min(eta_hat, holder_fit(-np.log(rel[strict]),
                                           np.log(diff[strict])))
     return {"eta": float(eta), "const_at_eta": const_at_eta,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decaymat import (TINY, envelope_fit, extreme_eigs,
+from .decaymat import (decay_certificate, envelope_fit, extreme_eigs,
                        spectral_inverse_sqrt)
 from .errors import (
     DimensionMismatch,
@@ -30,10 +30,9 @@ GRAM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MRA:
-    """Per-level spline Grams and dual bases."""
+    """The splines and their per-level dual bases."""
 
     system: SplineSystem
-    gram: dict    # k -> normalized spline Gram
     duals: dict   # k -> (n_k, n) dual spline values
 
 
@@ -71,8 +70,8 @@ def gram_matrix(space: QuasiMetricSpace, system: SplineSystem,
     return normalized_gram(space, system.values[k], system.ball_mass[k])
 
 
-def dual_splines(space: QuasiMetricSpace, system: SplineSystem, k: int,
-                 gram: np.ndarray | None = None) -> np.ndarray:
+def dual_splines(space: QuasiMetricSpace, system: SplineSystem,
+                 k: int) -> np.ndarray:
     """The level-k dual splines.
 
     Row alpha is sum_beta G^{-1}(alpha, beta) s_beta / sqrt(m_alpha m_beta)
@@ -80,8 +79,7 @@ def dual_splines(space: QuasiMetricSpace, system: SplineSystem, k: int,
     ``extreme_eigs`` proves G positive definite; then one LU solve runs
     against the scaled splines and the inverse is never formed.
     """
-    if gram is None:
-        gram = gram_matrix(space, system, k)
+    gram = gram_matrix(space, system, k)
     try:
         extreme_eigs(gram)
     except NotPositiveDefinite as exc:
@@ -91,11 +89,8 @@ def dual_splines(space: QuasiMetricSpace, system: SplineSystem, k: int,
 
 
 def build_mra(space: QuasiMetricSpace, system: SplineSystem) -> MRA:
-    gram, duals = {}, {}
-    for k in range(system.k_min, system.k_max + 1):
-        gram[k] = gram_matrix(space, system, k)
-        duals[k] = dual_splines(space, system, k, gram=gram[k])
-    return MRA(system, gram, duals)
+    return MRA(system, {k: dual_splines(space, system, k)
+                        for k in range(system.k_min, system.k_max + 1)})
 
 
 def spline_projector(space: QuasiMetricSpace, mra: MRA,
@@ -215,15 +210,15 @@ def gram_decay_certificates(space: QuasiMetricSpace, nets: NestedNets,
 
     Net points at level k are delta^k-separated, so dividing the distance
     by the scale meets the certificate's separation precondition; the
-    pre-wavelet centers live at level k+1 and use that scale instead.
+    pre-wavelet centers live at level k+1 and use that scale instead.  The
+    spline Grams are formed here; the pre-wavelet ones are kept by the basis.
     """
-    from .decaymat import decay_certificate
-
     out = {"spline": {}, "prewavelet": {}}
     for k in range(nets.k_min, nets.k_max + 1):
         pts = nets.levels[k]
         dist = space.dist[np.ix_(pts, pts)] / nets.scale(k)
-        out["spline"][k] = decay_certificate(mra.gram[k], dist)
+        out["spline"][k] = decay_certificate(
+            gram_matrix(space, mra.system, k), dist)
     for k, sl in basis.blocks.items():
         pts = basis.centers[sl]
         dist = space.dist[np.ix_(pts, pts)] / nets.scale(k + 1)
@@ -231,24 +226,9 @@ def gram_decay_certificates(space: QuasiMetricSpace, nets: NestedNets,
     return out
 
 
-def _decay_samples(space, nets, basis):
-    a = exponent_a(space)
-    xs, ys = [], []
-    for k, sl in basis.blocks.items():
-        d = space.dist[basis.centers[sl]]
-        vals = np.abs(basis.rows[sl])
-        vals = vals * np.sqrt(basis.mass_center[k])[:, None]
-        keep = vals >= TINY
-        xs.append(((d / nets.scale(k)) ** a)[keep])
-        ys.append(np.log(vals[keep]))
-    if not xs:
-        return a, np.zeros(0), np.zeros(0)
-    return a, np.concatenate(xs), np.concatenate(ys)
-
-
 def _holder_samples(space, nets, basis):
     """(x, y, count): x = -log(d / scale) and y the log of the largest
-    scaled wavelet difference, per close pair with one >= TINY (count)."""
+    scaled wavelet difference, per close pair with one kept (count)."""
     xs, ys, count = [np.zeros(0)], [np.zeros(0)], 0
     for k, sl in basis.blocks.items():
         psi = basis.rows[sl] * np.sqrt(basis.mass_center[k])[:, None]
@@ -287,8 +267,15 @@ def verify_wavelet_theorem(space: QuasiMetricSpace, nets: NestedNets,
     count = len(basis.rows) - 1
     count_ok = count == space.n - 1
 
-    a, dx, dy = _decay_samples(space, nets, basis)
-    decay = envelope_fit(dx, dy)
+    # the blocks tile rows[1:] in level order, so each wavelet row takes
+    # its level's scale and its center's ball mass by position
+    a = exponent_a(space)
+    scale = np.repeat([nets.scale(k) for k in basis.blocks],
+                      [sl.stop - sl.start for sl in basis.blocks.values()])
+    mass = np.concatenate([np.zeros(0), *basis.mass_center.values()])
+    decay = envelope_fit(
+        (space.dist[basis.centers[1:]] / scale[:, None]) ** a,
+        np.abs(basis.rows[1:]) * np.sqrt(mass)[:, None])
     hx, hy, n_pairs = _holder_samples(space, nets, basis)
     # Scaled wavelet differences are not bounded by 1 the way spline
     # differences are; the admissible constant sits at the budget factor

@@ -38,7 +38,7 @@ def holder_estimate(system, space, nets, eta=None):
         reln = rel[near]
         n_pairs += int(near.sum())
         const_at_eta = max(const_at_eta, float((diff / reln ** eta).max()))
-        strict = (reln < 1.0) & (diff > 0)
+        strict = (reln < 1.0) & (diff >= TINY)
         if strict.any():
             xs_all.append(-np.log(reln[strict]))
             ys_all.append(np.log(diff[strict]))

@@ -23,7 +23,7 @@ from dyadwave.randgrid import (boundary_layer_stats, fit_boundary_exponent,
 from dyadwave.space import build_space, exponent_a, gen_example
 from dyadwave.spline import (compute_splines, mc_membership_frequencies,
                              verify_splines)
-from dyadwave.wavelet import (build_mra, build_wavelet_basis,
+from dyadwave.wavelet import (build_mra, build_wavelet_basis, gram_matrix,
                               verify_wavelet_theorem)
 
 FLEET = [
@@ -179,11 +179,11 @@ def test_criterion_05_gram_certificates(fleet, capsys):
     worst_inv = worst_root = 0.0
     chains_ok = True
     for name, b in fleet.items():
-        space, nets, mra = b["space"], b["nets"], b["mra"]
+        space, nets, system = b["space"], b["nets"], b["system"]
         s_chain = 1.0 / (1.0 + math.log2(space.a0))
         for k in nets.level_range:
             pts = nets.levels[k]
-            M = mra.gram[k]
+            M = gram_matrix(space, system, k)
             d = space.dist[np.ix_(pts, pts)] / nets.scale(k)
             if len(pts) > 1:
                 min_c = min(min_c, decay_certificate(M, d)["c"])
@@ -302,7 +302,7 @@ def test_criterion_08_restricted_sum_on_clusters(capsys):
     np.fill_diagonal(d, 0.0)
     b = assemble_from(build_space(d, np.ones(2 * m)))
     report = substitute_inequality_check(b["space"], b["nets"], b["lp"],
-                                         nu=1.0, gamma=1.0, r_grid=(32.0,))
+                                         r_grid=(32.0,))
     row = report["rows"][0]
     dt = time.perf_counter() - t0
     ok = (math.isfinite(row["max_ratio"])

@@ -795,6 +795,15 @@ def test_pairs_are_enumerated_in_one_place():
     assert found == ["space.py:near_pairs"]
 
 
+def test_sample_floor_is_defined_in_one_place():
+    # every decay and Hölder fit keeps its samples through the floor
+    # predicate of decaymat, so no other module names the threshold
+    pkg = Path(__file__).resolve().parents[1] / "src" / "dyadwave"
+    found = [path.name for path in sorted(pkg.glob("*.py"))
+             if re.search(r"\bTINY\b", path.read_text())]
+    assert found == ["decaymat.py"]
+
+
 def test_basis_is_read_in_place():
     # one basis matrix: nothing defines or calls a stacking copy of it, and
     # the square function slices each level instead of gathering its rows

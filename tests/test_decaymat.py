@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from dyadwave.decaymat import (
+    DEFAULT_C_MAX,
+    TINY,
     chain_constants,
     decay_certificate,
     envelope_fit,
@@ -105,8 +107,30 @@ def test_product_of_decaying_matrices_still_decays():
 def test_envelope_fit_empty_and_near_field_only():
     out = envelope_fit(np.array([]), np.array([]))
     assert out["n_pairs"] == 0
-    out = envelope_fit(np.array([0.1, 0.5]), np.array([0.0, -1.0]))
+    out = envelope_fit(np.array([0.1, 0.5]), np.exp([0.0, -1.0]))
     assert out["c"] == 50.0
+
+
+def test_envelope_fit_lists_tied_worst_samples_in_row_major_order():
+    # every sample is the anchor value, so each far one (x >= 1) has slope
+    # 0 and the fit is refuted with those slopes tied; the near ones
+    # (x = 0.5, slope inf) are scattered between them
+    far = np.random.default_rng(0).permutation(32) % 2 == 0
+    xs = np.where(far, np.arange(1.0, 33.0), 0.5).reshape(4, 8)
+    out = envelope_fit(xs, np.ones_like(xs))
+    assert out["refuted"] and out["c"] == 0.0
+    assert [w["x"] for w in out["worst"]] == xs[xs >= 1.0][:5].tolist()
+    assert all(w["slope"] == 0.0 for w in out["worst"])
+
+
+def test_certificate_of_zero_matrix_anchors_at_tiny():
+    d = np.abs(np.subtract.outer(np.arange(4.0), np.arange(4.0)))
+    cert = decay_certificate(np.zeros((4, 4)), d)
+    assert cert["n_pairs"] == 0 and cert["n_far"] == 0
+    assert cert["c"] == DEFAULT_C_MAX
+    # exp(log(TINY)) rounds within a few ulps of TINY
+    assert cert["C"] == pytest.approx(TINY, rel=1e-12)
+    assert not cert["refuted"]
 
 
 def test_decay_matrix_container():

@@ -28,7 +28,7 @@ from dyadwave.lpanalysis import (
 )
 from dyadwave.nets import build_nets
 from dyadwave.randgrid import grid_labels, parent_tables, reference_order
-from dyadwave.space import build_space, gen_example
+from dyadwave.space import build_space, exponent_a, gen_example
 from dyadwave.spline import compute_splines
 from dyadwave.wavelet import build_mra, build_wavelet_basis, spline_projector
 
@@ -181,8 +181,8 @@ def test_kernel_estimates_match_dense_oracle(kind, params):
 
 
 def test_build_and_lp_hold_no_dense_projectors():
-    """What build_mra and build_lp keep, beyond the Grams and duals, stays
-    below two n x n arrays (one projector per level would be 2L of them)."""
+    """What build_mra and build_lp keep, beyond the duals, stays below two
+    n x n arrays (one projector per level would be 2L of them)."""
     space = gen_example("point_cloud", seed=0, n=128, dim=2)
     nets = build_nets(space, 0.5)
     ref = reference_order(space, nets)
@@ -202,8 +202,7 @@ def test_build_and_lp_hold_no_dense_projectors():
         held += tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for a in mra.gram.values())
-    kept += sum(a.nbytes for a in mra.duals.values())
+    kept = sum(a.nbytes for a in mra.duals.values())
     assert lp.basis is basis
     assert held - kept < 2 * space.n * space.n * 8
 
@@ -474,21 +473,10 @@ def test_kernel_estimates_empty_level():
         assert np.all(np.isinf(lp.holes_dist[k]))
 
 
-def test_kernel_estimates_respects_given_exponent():
-    space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
-    report = kernel_estimates(space, nets, lp,
-                              lp_projectors(space, nets, basis), s=0.7)
-    assert report["s"] == 0.7
-    with pytest.raises(BadParams):
-        kernel_estimates(space, nets, lp, lp_projectors(space, nets, basis),
-                         s=1.5)
-
-
 def test_substitute_inequality_single_level():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
     r = nets.scale(nets.k_min)
-    report = substitute_inequality_check(space, nets, lp, nu=1.0, gamma=1.0,
-                                         r_grid=(r,))
+    report = substitute_inequality_check(space, nets, lp, r_grid=(r,))
     row = report["rows"][0]
     assert row["n_levels"] == 1
     assert row["max_ratio"] <= 1.0 + 1e-12
@@ -499,7 +487,7 @@ def test_substitute_inequality_holes_reach_zero():
     for k in range(nets.k_min, nets.k_max):
         if len(nets.ydiff[k]):
             assert lp.holes_dist[k].min() == 0.0
-    report = substitute_inequality_check(space, nets, lp, nu=1.0, gamma=1.0,
+    report = substitute_inequality_check(space, nets, lp,
                                          r_grid=(0.5, 1.0, 2.0))
     for row in report["rows"]:
         assert math.isfinite(row["max_ratio"])
@@ -508,7 +496,7 @@ def test_substitute_inequality_holes_reach_zero():
 
 def test_substitute_inequality_two_cluster_contrast():
     space, nets, mra, basis, lp = assemble_space(two_cluster())
-    report = substitute_inequality_check(space, nets, lp, nu=1.0, gamma=1.0,
+    report = substitute_inequality_check(space, nets, lp,
                                          r_grid=(16.0, 32.0, 64.0))
     by_r = {row["r"]: row for row in report["rows"]}
     gap_row = by_r[32.0]
@@ -520,11 +508,11 @@ def test_substitute_inequality_two_cluster_contrast():
 
 def test_substitute_inequality_bad_params():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
-    for bad in [dict(nu=0.0, gamma=1.0), dict(nu=1.0, gamma=-1.0),
-                dict(nu=1.0, gamma=1.0, a=0.0),
-                dict(nu=1.0, gamma=1.0, r_grid=(1.0, -2.0))]:
-        with pytest.raises(BadParams):
-            substitute_inequality_check(space, nets, lp, **bad)
+    with pytest.raises(BadParams):
+        substitute_inequality_check(space, nets, lp, r_grid=(1.0, -2.0))
+    report = substitute_inequality_check(space, nets, lp)
+    assert (report["nu"], report["gamma"], report["a"]) == (
+        1.0, 1.0, exponent_a(space))
 
 
 def test_growth_sequence_cyclic():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -83,11 +84,10 @@ def test_gram_coarsest_level_scalar():
 @pytest.mark.parametrize("kind,params", FLEET)
 def test_gram_spd_and_riesz_bounds(kind, params):
     space, nets, system = setup(kind, params)
-    mra = build_mra(space, system)
     for k in nets.level_range:
-        M = mra.gram[k]
+        M = gram_matrix(space, system, k)
         assert np.allclose(M, M.T, atol=1e-14)
-        est = extreme_eigs(mra.gram[k])
+        est = extreme_eigs(M)
         lmin, lmax = est["lmin"], est["lmax"]
         vals = np.linalg.eigvalsh(M)
         assert lmin > 0.0
@@ -136,10 +136,11 @@ def test_duals_match_cholesky_inverse(kind, params):
 def test_dual_splines_rejects_indefinite_gram():
     space, nets, system = setup("cyclic", {"n": 8})
     k = next(k for k in nets.level_range if len(nets.levels[k]) >= 2)
-    gram = np.eye(len(nets.levels[k]))
-    gram[0, 1] = gram[1, 0] = 2.0      # eigenvalues -1 and 3
-    with pytest.raises(NotPositiveDefinite):
-        dual_splines(space, system, k, gram=gram)
+    values = system.values[k].copy()
+    values[0] = 0.0                    # the Gram gets a zero eigenvalue
+    broken = dataclasses.replace(system, values={**system.values, k: values})
+    with pytest.raises(NotPositiveDefinite, match=f"level {k} Gram"):
+        dual_splines(space, broken, k)
 
 
 def test_dual_finest_rescaled_indicators():

@@ -86,6 +86,21 @@ def _fmt_floats(row, sep: str = ",") -> str:
     return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
+def _fmt_rows(M, sep: str = ",") -> list:
+    """One text per row of a 1-D or 2-D float array, entries joined by ``sep``.
+
+    The text of a float depends only on its bits, so each distinct bit
+    pattern is formatted once, by one ``_fmt_floats`` call, and the rows
+    are joined from those texts.  +0.0 and -0.0 are distinct patterns, and
+    so is every NaN payload.
+    """
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    bits, inverse = np.unique(M.view(np.uint64), return_inverse=True)
+    texts = np.array(_fmt_floats(bits.view(float).tolist(), "\n").split("\n"),
+                     dtype=object)
+    return [sep.join(row) for row in texts[inverse.reshape(M.shape)].tolist()]
+
+
 def _fmt(x) -> str:
     return _fmt_floats((float(x),))
 
@@ -102,6 +117,12 @@ def _dumps(obj, indent: int = 0) -> str:
     tuples are written as lists, numpy scalars as numbers, keys as str."""
     pad = "  " * indent
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim in (1, 2) and obj.size:
+            rows = _fmt_rows(obj, ", ")
+            if obj.ndim == 1:
+                return "[" + rows[0] + "]"
+            inner = ",\n".join(pad + "  [" + row + "]" for row in rows)
+            return "[\n" + inner + "\n" + pad + "]"
         obj = obj.tolist()
     if isinstance(obj, dict):
         if not obj:
@@ -145,8 +166,7 @@ def write_json(path, payload) -> None:
 
 
 def write_csv(path, rows) -> None:
-    M = np.atleast_2d(np.asarray(rows, dtype=float))
-    _write_text(path, "\n".join(map(_fmt_floats, M.tolist())) + "\n")
+    _write_text(path, "\n".join(_fmt_rows(rows)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -665,11 +685,11 @@ def cmd_analyze(args) -> int:
 
     out = Path(args.out) if args.out else art
     coeff_lines = ["# level,center,coefficient"]
-    coeff_lines += [f"{lvl},{center},{_fmt(c)}"
-                    for (lvl, center), c in zip(row_labels, coeffs.tolist())]
+    coeff_lines += [f"{lvl},{center},{c}" for (lvl, center), c
+                    in zip(row_labels, _fmt_rows(coeffs[:, None]))]
     _write_text(out / "coefficients.csv", "\n".join(coeff_lines) + "\n")
     sf_lines = ["# index,square_function"]
-    sf_lines += [f"{i},{_fmt(v)}" for i, v in enumerate(sf.tolist())]
+    sf_lines += [f"{i},{v}" for i, v in enumerate(_fmt_rows(sf[:, None]))]
     _write_text(out / "sf.csv", "\n".join(sf_lines) + "\n")
     write_json(out / "analyze_report.json", {
         "n": space.n,
@@ -710,15 +730,15 @@ def cmd_boundary(args) -> int:
     fit = fit_boundary_exponent(stats)
 
     out = Path(args.out) if args.out else art
-    lines = ["# x,k,eps,freq,stderr"]
+    # one (levels * eps * n, 3) matrix of eps, freq and stderr
     freq = stats["freq"]
-    stderr = stats["per_cell_stderr"]
-    for li, k in enumerate(stats["levels"]):
-        for ei, eps in enumerate(stats["eps_grid"]):
-            cells = np.column_stack([np.full(space.n, float(eps)),
-                                     freq[li, ei], stderr[li, ei]])
-            lines += [f"{x},{k},{_fmt_floats(row)}"
-                      for x, row in enumerate(cells.tolist())]
+    eps = np.broadcast_to(np.array(stats["eps_grid"])[:, None], freq.shape)
+    cells = np.stack([eps, freq, stats["per_cell_stderr"]], axis=-1)
+    prefixes = [f"{x},{k}," for k in stats["levels"]
+                for _ in stats["eps_grid"] for x in range(space.n)]
+    lines = ["# x,k,eps,freq,stderr"]
+    lines += [p + row for p, row in zip(prefixes,
+                                        _fmt_rows(cells.reshape(-1, 3)))]
     _write_text(out / "boundary.csv", "\n".join(lines) + "\n")
     write_json(out / "boundary_fit.json", {
         "eta": fit.get("eta"),

@@ -409,11 +409,26 @@ def gen_example(kind: str, seed: int = 0, **params) -> QuasiMetricSpace:
 # serialization
 
 def space_to_dict(space: QuasiMetricSpace) -> dict:
-    return {"dist": space.dist.tolist(), "weights": space.weights.tolist()}
+    return {"dist": space.dist, "weights": space.weights}
+
+
+def _reject_non_numbers(rows, key: str) -> None:
+    """Refuse strings and booleans in a list of rows of parsed JSON.
+
+    ``np.array(..., dtype=float)`` would parse a numeric string and turn a
+    boolean into 0 or 1, so each row's entry types are checked first.
+    """
+    for row in rows if isinstance(rows, list) else ():
+        if isinstance(row, list) and not {str, bool}.isdisjoint(
+                map(type, row)):
+            raise MissingArtifact(
+                f"space payload {key!r} holds an entry that is not a number")
 
 
 def space_from_dict(payload: dict) -> QuasiMetricSpace:
     try:
+        _reject_non_numbers(payload["dist"], "dist")
+        _reject_non_numbers([payload["weights"]], "weights")
         dist = np.array(payload["dist"], dtype=float)
         weights = np.array(payload["weights"], dtype=float)
     except (KeyError, TypeError) as exc:

@@ -151,6 +151,21 @@ def test_build_missing_input(tmp_path):
                "--weights", tmp_path / "w.csv", "--out", tmp_path / "art") == 8
 
 
+@pytest.mark.parametrize("payload", [
+    {"dist": [["0", "1"], ["1", "0"]], "weights": [1, 1]},
+    {"dist": [[0, True], [True, 0]], "weights": [1, 1]},
+    {"dist": [[0, 1], [1, 0]], "weights": ["1", True]},
+], ids=["numeric_strings", "booleans_in_dist", "weights_string_and_bool"])
+def test_build_space_entry_not_a_number_exits_8(tmp_path, capsys, payload):
+    src = tmp_path / "space.json"
+    src.write_text(json.dumps(payload))
+    rc = run("build", "--input", src, "--out", tmp_path / "art")
+    err = capsys.readouterr().err
+    assert rc == 8, err
+    assert "MissingArtifact" in err and "not a number" in err
+    assert not (tmp_path / "art").exists()
+
+
 def test_build_input_conflicts_with_gen(tmp_path):
     src = tmp_path / "c.json"
     assert run("gen", "cyclic", "8", "--out", src) == 0

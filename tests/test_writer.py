@@ -32,6 +32,28 @@ SHAPES = st.one_of(
 
 MATRICES = hnp.arrays(np.float64, SHAPES, elements=FLOATS)
 
+
+def _nan_bits(bits):
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+# A small pool, so matrices drawn from it repeat values often.  The NaNs
+# differ in payload and sign bit, which only a uint64 view can make.
+POOL = np.array([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324,
+                 2.2250738585072009e-308, 1.0, -2.5, 1.0 / 3.0,
+                 _nan_bits(0x7FF8000000000000), _nan_bits(0xFFF8000000000000),
+                 _nan_bits(0x7FF0000000000001), _nan_bits(0xFFF4000000000abc)])
+
+
+def _pool_arrays(shapes):
+    return hnp.arrays(np.intp, shapes, elements=st.integers(0, len(POOL) - 1)
+                      ).map(lambda idx: POOL[idx.ravel()].reshape(idx.shape))
+
+
+POOL_MATRICES = _pool_arrays(SHAPES)
+ANY_SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)
+POOL_ARRAYS = _pool_arrays(ANY_SHAPES)
+
 TEXT = st.one_of(st.text(max_size=6),
                  st.sampled_from(["nan", "inf", "-Infinity", "NaN", "1e5"]))
 KEYS = st.one_of(TEXT, st.integers(-20, 20).map(str))
@@ -72,6 +94,44 @@ def test_write_csv_matches_oracle(out_dir, M):
     assert path.read_text() == oracle.csv_text(M[0])
 
 
+@given(POOL_MATRICES)
+def test_write_csv_of_repeated_values_matches_oracle(out_dir, M):
+    assert len(np.unique(M.view(np.uint64))) <= len(POOL)
+    path = out_dir / "r.csv"
+    cli.write_csv(path, M)
+    assert path.read_text() == oracle.csv_text(M)
+
+
+@given(st.one_of(POOL_ARRAYS, MATRICES,
+                 hnp.arrays(np.int64, ANY_SHAPES),
+                 hnp.arrays(np.bool_, ANY_SHAPES)))
+def test_dumps_of_array_equals_dumps_of_its_list(a):
+    """Every rank and dtype: the array path writes what ``tolist`` would."""
+    assert cli._dumps(a) == cli._dumps(a.tolist())
+    assert cli._dumps({"a": [a]}) == cli._dumps({"a": [a.tolist()]})
+
+
+def test_write_csv_formats_each_distinct_float_once(out_dir, monkeypatch):
+    """A 200 x 200 matrix of three bit patterns costs three formatted
+    floats, not 40,000."""
+    M = np.zeros((200, 200))
+    M[::3] = -0.0
+    M[1::7, ::2] = 0.5
+    assert len(np.unique(M.view(np.uint64))) == 3
+    formatted = []
+    fmt_floats = cli._fmt_floats
+
+    def counting(row, sep=","):
+        formatted.append(len(row))
+        return fmt_floats(row, sep)
+
+    monkeypatch.setattr(cli, "_fmt_floats", counting)
+    path = out_dir / "guard.csv"
+    cli.write_csv(path, M)
+    assert sum(formatted) <= 3
+    assert path.read_text() == oracle.csv_text(M)
+
+
 def test_write_csv_edge_shapes(out_dir):
     path = out_dir / "e.csv"
     for rows in ([], np.zeros((0, 3)), [[1, 2]], 7.0, np.float32(0.1)):
@@ -101,13 +161,23 @@ def test_session_files_match_oracle(tmp_path, monkeypatch):
         expected[art / "boundary.csv"] = oracle.boundary_csv_text(stats)
         return stats
 
+    def record_sf(B, blocks, coeffs):
+        sf = square_function(B, blocks, coeffs)
+        labels = json.loads((art / "basis.json").read_text())["row_labels"]
+        expected[art / "coefficients.csv"] = oracle.coefficients_csv_text(
+            labels, coeffs)
+        expected[art / "sf.csv"] = oracle.sf_csv_text(sf)
+        return sf
+
     art = tmp_path / "art"
     boundary_layer_stats = cli.boundary_layer_stats
+    square_function = cli.square_function
     monkeypatch.setattr(cli, "write_json",
                         record(cli.write_json, oracle.json_text))
     monkeypatch.setattr(cli, "write_csv",
                         record(cli.write_csv, oracle.csv_text))
     monkeypatch.setattr(cli, "boundary_layer_stats", record_stats)
+    monkeypatch.setattr(cli, "square_function", record_sf)
     signal = tmp_path / "signal.csv"
     signal.write_text("".join(f"{math.sin(i) * 1e3!r}\n" for i in range(16)))
     for argv in (["gen", "cyclic", "16", "--out", tmp_path / "space.json"],
@@ -118,17 +188,10 @@ def test_session_files_match_oracle(tmp_path, monkeypatch):
         assert cli.main([str(a) for a in argv]) == 0
 
     written = {p for p in tmp_path.rglob("*") if p.is_file()} - {signal}
-    row_files = {art / "coefficients.csv", art / "sf.csv"}
-    assert written == set(expected) | row_files
+    assert written == set(expected)
     assert len(expected) > 10
     for path, text in expected.items():
         assert path.read_text() == text, path
-    for path in row_files:
-        lines = path.read_text().splitlines()
-        assert len(lines) == 17
-        for line in lines[1:]:
-            cell = line.split(",")[-1]
-            assert cell == oracle.fmt(float(cell))
     core = json.loads((art / "build_config.json").read_text())
     want = hashlib.sha256(oracle.dumps(core["config"]).encode()).hexdigest()
     assert core["config_sha256"] == want

@@ -95,3 +95,18 @@ def boundary_csv_text(stats) -> str:
                 lines.append(f"{x},{k},{fmt(eps)},{fmt(freq[li, ei, x])},"
                              f"{fmt(stderr[li, ei, x])}")
     return "\n".join(lines) + "\n"
+
+
+def coefficients_csv_text(row_labels, coeffs) -> str:
+    """What ``analyze`` puts in coefficients.csv."""
+    lines = ["# level,center,coefficient"]
+    lines += [f"{lvl},{center},{fmt(c)}"
+              for (lvl, center), c in zip(row_labels, coeffs)]
+    return "\n".join(lines) + "\n"
+
+
+def sf_csv_text(sf) -> str:
+    """What ``analyze`` puts in sf.csv."""
+    lines = ["# index,square_function"]
+    lines += [f"{i},{fmt(v)}" for i, v in enumerate(sf)]
+    return "\n".join(lines) + "\n"

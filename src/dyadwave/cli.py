@@ -30,9 +30,8 @@ from .lpanalysis import (build_lp, cz_kernel_bound, growth_sequence,
                          random_sign_operator, random_signs, square_function,
                          substitute_inequality_check)
 from .nets import build_nets, load_nets_json, nets_to_dict, verify_nets
-from .randgrid import (boundary_layer_stats, fit_boundary_exponent,
-                       grid_checks, grid_labels, parent_tables,
-                       reference_order)
+from .randgrid import (boundary_layer_stats, build_grid,
+                       fit_boundary_exponent, grid_checks)
 from .space import (GENERATOR_KINDS, exponent_a, gen_example, load_space_csv,
                     load_space_json, space_to_dict, use_stored_a0)
 from .spline import compute_splines, verify_splines
@@ -324,13 +323,6 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _grid(space, nets) -> tuple:
-    """The grid labels of the nets and each level's parent table."""
-    parent = reference_order(space, nets)
-    labels = grid_labels(space, nets, parent)
-    return labels, parent_tables(space, nets, parent, labels)
-
-
 def _construct(space, cfg):
     """Nets, splines, MRA and wavelet basis of a space, with check reports.
 
@@ -339,7 +331,7 @@ def _construct(space, cfg):
     both the splines and the sampled grid checks.
     """
     nets = build_nets(space, cfg["delta"])
-    labels, tables = _grid(space, nets)
+    labels, tables = build_grid(space, nets)
     system = compute_splines(space, nets, tables)
     mra = build_mra(space, system)
     basis = build_wavelet_basis(space, nets, mra)
@@ -724,7 +716,7 @@ def cmd_boundary(args) -> int:
     # build computed a0 and verify checks the stored value
     report = _load_artifact_json(art / "build_report.json")
     use_stored_a0(space, report.get("a0"))
-    stats = boundary_layer_stats(space, nets, *_grid(space, nets),
+    stats = boundary_layer_stats(space, nets, *build_grid(space, nets),
                                  cfg["eps_grid"], cfg["num_samples"],
                                  cfg["seed"], jobs=cfg["jobs"])
     fit = fit_boundary_exponent(stats)

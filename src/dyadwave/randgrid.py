@@ -7,7 +7,8 @@ child-by-rank table.  A uniform coordinate per level then perturbs the
 skeleton: each level-k node may hand its identity to one of its children,
 and children reattach to the perturbed points when close enough.
 Composing the perturbed parent relation yields a random partition of the
-space into cubes at every scale.
+space into cubes at every scale.  Each step filters one neighbour list
+per level transition (``level_pairs``): its pairs within 2 a0 delta^k.
 
 A level has only (L+1)*M coordinates, so each level's perturbed parents
 and centers are enumerated once into a table, and every sampler composes
@@ -58,42 +59,53 @@ class LevelTable:
 
     parents: np.ndarray   # (L+1, M, n_{k+1}) level-k parent positions
     centers: np.ndarray   # (L+1, M, n_k) perturbed center points
+    pairs: tuple          # the level's neighbour list (``level_pairs``)
 
 
 def transition_levels(nets: NestedNets):
     return range(nets.k_min, nets.k_max)
 
 
-def reference_order(space: QuasiMetricSpace, nets: NestedNets) -> dict:
+def level_pairs(space: QuasiMetricSpace, nets: NestedNets) -> dict:
+    """{k: (level-(k+1) row, point, d)} of ``near_pairs`` at 2 a0 delta^k."""
+    return {k: near_pairs(space.dist[nets.levels[k + 1]],
+                          2.0 * space.a0 * nets.scale(k))
+            for k in transition_levels(nets)}
+
+
+def reference_order(space: QuasiMetricSpace, nets: NestedNets,
+                    pairs: dict) -> dict:
     """Deterministic parent relation between consecutive levels.
 
     Returns {k: level-k parent position per level-(k+1) position}.  A
     child attaches to the unique level-k point closer than
     (1/(2 a0)) delta^k when one exists, which is then its strict nearest,
     otherwise to its nearest level-k point (first in level order on ties).
-    Every parent must lie within 2 a0 delta^k of the child.
+    Every parent must lie within 2 a0 delta^k of the child, in ``pairs``.
     """
     parent = {}
     for k in transition_levels(nets):
-        scale = nets.scale(k)
-        D = space.dist[np.ix_(nets.levels[k + 1], nets.levels[k])]
-        if np.any((D < scale / (2.0 * space.a0)).sum(axis=1) > 1):
+        row, point, d = pairs[k]
+        col = nets.positions(k, space.n)[point]
+        row, col, d = row[col >= 0], col[col >= 0], d[col >= 0]
+        if np.any(np.bincount(row[d < nets.scale(k) / (2.0 * space.a0)]) > 1):
             raise OrderViolation(
                 f"level {k}: multiple close parents; separation broken")
-        par = np.argmin(D, axis=1)
-        if np.any(D[np.arange(len(par)), par] >= 2.0 * space.a0 * scale):
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        if len(first) < len(nets.levels[k + 1]):
             raise OrderViolation(
                 f"level {k}: a child has no parent within 2*a0*delta^k")
-        parent[k] = par
+        # the lexsort keeps rows sorted: a row's first pair is its nearest
+        parent[k] = col[np.lexsort((col, d, row))[first]]
     return parent
 
 
 def grid_labels(space: QuasiMetricSpace, nets: NestedNets,
-                parent: dict) -> GridLabels:
+                parent: dict, pairs: dict) -> GridLabels:
     """Neighbour coloring and sibling ranks shared by all random draws.
 
     Two level-k nodes are neighbours when they own children closer than
-    (2 a0)^-1 delta^k.  L is the largest neighbour count anywhere, M the
+    (2 a0)^-1 delta^k in ``pairs``.  L is the largest neighbour count, M the
     largest family size; label1 is a greedy proper coloring with values
     in {0..L}, and row a of child_by_rank lists the children of a in level
     order, so column r - 1 holds the child of sibling rank r.
@@ -103,13 +115,13 @@ def grid_labels(space: QuasiMetricSpace, nets: NestedNets,
     label1 = {}
     child_by_rank = {}
     for k in transition_levels(nets):
-        fine = nets.levels[k + 1]
         nc = len(nets.levels[k])
         par = parent[k]
-        thr = nets.scale(k) / (2.0 * space.a0)
-        rows, cols, _ = near_pairs(space.dist[np.ix_(fine, fine)], thr)
+        row, point, d = pairs[k]
+        col = nets.positions(k + 1, space.n)[point]
+        near = (col >= 0) & (d < nets.scale(k) / (2.0 * space.a0))
         A = np.zeros((nc, nc), dtype=bool)
-        A[par[rows], par[cols]] = True
+        A[par[row[near]], par[col[near]]] = True
         np.fill_diagonal(A, False)
         L = max(L, int(A.sum(axis=1).max()))
         colors = np.full(nc, -1, dtype=int)
@@ -148,14 +160,15 @@ def sample_omega(labels: GridLabels, levels, seed: int, count: int) -> dict:
 
 
 def transition_parents(space: QuasiMetricSpace, nets: NestedNets,
-                       parent: dict, labels: GridLabels,
-                       k: int) -> LevelTable:
+                       parent: dict, labels: GridLabels, k: int,
+                       pairs: tuple) -> LevelTable:
     """Perturbed centers and parents of level k for every coordinate.
 
     Under (ell, m) every level-k node colored ell hands its identity to its
     m-th child, when it has one.  A child then attaches to the perturbed
     center closer than delta^k / (4 a0^2), or keeps its reference parent;
-    two such centers for one child break the construction.
+    two such centers for one child break the construction.  The table
+    keeps ``pairs``, the level's neighbour list, where it reads captures.
     """
     coarse = nets.levels[k]
     fine = nets.levels[k + 1]
@@ -163,8 +176,8 @@ def transition_parents(space: QuasiMetricSpace, nets: NestedNets,
     colored = labels.label1[k] == np.arange(labels.L + 1)[:, None]
     swap = colored[:, None, :] & (kids >= 0)[None]       # (L+1, M, n_k)
     centers = np.where(swap, fine[kids], coarse)
-    child, point, _ = near_pairs(space.dist[fine],
-                                 0.25 * space.a0 ** -2 * nets.scale(k))
+    close = pairs[2] < 0.25 * space.a0 ** -2 * nets.scale(k)
+    child, point = pairs[0][close], pairs[1][close]
     parents = np.empty(centers.shape[:2] + (len(fine),), dtype=np.intp)
     for ell, m in np.ndindex(*centers.shape[:2]):
         pos = np.full(space.n, -1, dtype=np.intp)
@@ -178,15 +191,17 @@ def transition_parents(space: QuasiMetricSpace, nets: NestedNets,
         par = parent[k].copy()
         par[child[cap]] = hit[cap]
         parents[ell, m] = par
-    return LevelTable(parents, centers)
+    return LevelTable(parents, centers, pairs)
 
 
-def parent_tables(space: QuasiMetricSpace, nets: NestedNets,
-                  parent: dict, labels: GridLabels) -> dict:
-    """{k: LevelTable} for every level transition, from the reference
-    parents of ``reference_order``."""
-    return {k: transition_parents(space, nets, parent, labels, k)
-            for k in transition_levels(nets)}
+def build_grid(space: QuasiMetricSpace, nets: NestedNets) -> tuple:
+    """(grid labels, {k: LevelTable}) from one neighbour list per level."""
+    pairs = level_pairs(space, nets)
+    parent = reference_order(space, nets, pairs)
+    labels = grid_labels(space, nets, parent, pairs)
+    return labels, {k: transition_parents(space, nets, parent, labels, k,
+                                          pairs[k])
+                    for k in transition_levels(nets)}
 
 
 def cube_assignments(nets: NestedNets, tables: dict, draws: dict, count: int):
@@ -230,32 +245,30 @@ def child_hit_probabilities(space: QuasiMetricSpace, nets: NestedNets,
     """Exact P(z^k_alpha = child beta) per transition, by enumeration.
 
     The perturbed center at level k depends on the level-k coordinate only,
-    so one-level enumeration of its table (``parent_tables``) is exhaustive.
+    so one-level enumeration of its table (``build_grid``) is exhaustive.
     """
     out = {}
     for k, table in tables.items():
-        fine = nets.levels[k + 1]
-        pos_f = np.empty(space.n, dtype=np.intp)
-        pos_f[fine] = np.arange(len(fine))
-        z = pos_f[table.centers.reshape(-1, len(nets.levels[k]))]
-        out[k] = column_frequencies(z, len(fine)).T
+        z = nets.positions(k + 1, space.n)[
+            table.centers.reshape(-1, len(nets.levels[k]))]
+        out[k] = column_frequencies(z, len(nets.levels[k + 1])).T
     return out
 
 
 # ---------------------------------------------------------------------------
 # structural checks on sampled grids
 
-def _center_stats(space, fine, table, codes, radius, inner_z, r_chain, r_iter):
+def _center_stats(space, fine, table, codes, inner_z, r_chain, r_iter):
     """Per-coordinate quantities that depend on the level's centers only.
 
     For each flat coordinate in ``codes``: the smallest distance between
     two centers, the largest distance from a point to its nearest center,
     the number of (center, point) pairs closer than ``inner_z``, and per
     point the number of centers closer than ``r_chain`` and ``r_iter``.
-    All but the first read the (center, point) pairs closer than ``radius``
-    from the rows of ``fine``; a point with no such pair reads its own row.
+    All but the first read the table's neighbour list over the rows of
+    ``fine``; a point with no pair there reads its own row.
     """
-    row, point, d = near_pairs(space.dist[fine], radius)
+    row, point, d = table.pairs
     stats = []
     for z in table.centers.reshape(-1, table.centers.shape[2])[codes]:
         Dzz = np.take(space.dist[z], z, axis=1)
@@ -288,7 +301,7 @@ def grid_checks(space: QuasiMetricSpace, nets: NestedNets, labels: GridLabels,
     per distinct drawn coordinate.  Pair counts such as "points near a
     center but outside its cube" are all near pairs minus the near pairs
     that stay inside a cube, so every per-draw term is a gather of length n.
-    ``tables`` are the level tables of ``parent_tables``.
+    ``tables`` are the level tables of ``build_grid``.
     """
     tls = list(transition_levels(nets))
     a0 = space.a0
@@ -333,7 +346,7 @@ def grid_checks(space: QuasiMetricSpace, nets: NestedNets, labels: GridLabels,
             uniq, u = np.unique(ell * labels.M + (m - 1), return_inverse=True)
             sep, dens, inner, n_chain, n_iter = _center_stats(
                 space, nets.levels[k + 1], tables[k], uniq,
-                2.0 * a0 * scale, inner_z, r_chain, r_iter)
+                inner_z, r_chain, r_iter)
             if len(pts) > 1:
                 rep["z_separation_min_ratio"] = min(
                     rep["z_separation_min_ratio"],
@@ -408,7 +421,6 @@ def _boundary_chunk(nets, labels, tables, layers, n_eps, levels, seed,
                     chunk_index, chunk_size):
     n = len(nets.levels[nets.k_max])
     counts = np.zeros((len(levels), n_eps, n), dtype=np.int64)
-    hits = np.zeros(chunk_size, dtype=np.int64)
     draws = {}
     for k in transition_levels(nets):
         rng = stream_rng(seed, STREAM_BOUNDARY, k, chunk_index)
@@ -429,8 +441,7 @@ def _boundary_chunk(nets, labels, tables, layers, n_eps, levels, seed,
             lowest = np.minimum.reduceat(layer, starts, axis=1)
             for ei in range(n_eps):
                 counts[li, ei, rows] += (lowest <= ei).sum(axis=0)
-            hits[b0:b0 + step] += (lowest < n_eps).sum(axis=1)
-    return counts, hits / (len(levels) * n)
+    return counts
 
 
 def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
@@ -446,7 +457,7 @@ def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
     The same draws are reused across the whole eps grid, so frequencies are
     monotone in eps by construction.  Sampling is chunked with one RNG
     stream per (level, chunk), which makes the counts independent of the
-    worker count.  ``tables`` are the level tables of ``parent_tables``.
+    worker count.  ``tables`` are the level tables of ``build_grid``.
     """
     eps_grid = sorted(float(e) for e in eps_grid)
     if not eps_grid or eps_grid[0] <= 0:
@@ -460,11 +471,9 @@ def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
     if jobs > 1 and len(args) > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_boundary_chunk, *zip(*args)))
+            counts = sum(pool.map(_boundary_chunk, *zip(*args)))
     else:
-        results = [_boundary_chunk(*a) for a in args]
-    counts = sum(r[0] for r in results)
-    pooled = np.concatenate([r[1] for r in results])
+        counts = sum(_boundary_chunk(*a) for a in args)
     freq = counts / float(num_samples)
     mean_freq = freq.mean(axis=(0, 2))
     per_cell_se = np.sqrt(freq * (1.0 - freq) / num_samples)
@@ -476,7 +485,6 @@ def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
         "freq": freq,
         "per_cell_stderr": per_cell_se,
         "mean_freq": mean_freq,
-        "pooled_last_eps": pooled,
     }
 
 

@@ -46,7 +46,7 @@ def compute_splines(space: QuasiMetricSpace, nets: NestedNets,
     the permutation sending positions to points; each coarser level is the
     transition matrix applied to the previous one.  The transition matrix
     of level k, P(perturbed parent of child beta is alpha), is the column
-    histogram of that level's table in ``tables`` (``parent_tables``) over
+    histogram of that level's table in ``tables`` (``build_grid``) over
     all its coordinates.
     """
     n = space.n
@@ -74,7 +74,7 @@ def mc_membership_frequencies(nets: NestedNets, labels: GridLabels,
     """Empirical cube membership frequencies over sampled grids.
 
     Independent check of the exact values: the drawn rows of the parent
-    tables (``parent_tables``) are composed into cube assignments and
+    tables (``build_grid``) are composed into cube assignments and
     counted per point.
     """
     draws = sample_omega(labels, transition_levels(nets), seed,
@@ -225,9 +225,9 @@ def verify_splines(system: SplineSystem, space: QuasiMetricSpace,
         refine_dev = max(refine_dev, float(
             np.abs(system.values[k] - T @ system.values[k + 1]).max()))
         stoch_dev = max(stoch_dev, float(np.abs(T.sum(axis=0) - 1.0).max()))
-        pos_f = {p: i for i, p in enumerate(nets.levels[k + 1])}
-        for a, p in enumerate(nets.levels[k]):
-            persist_dev = max(persist_dev, abs(T[a, pos_f[p]] - 1.0))
+        kept = nets.positions(k + 1, space.n)[nets.levels[k]]
+        persist_dev = max(persist_dev, float(
+            np.abs(T[np.arange(len(kept)), kept] - 1.0).max()))
     report.update(
         partition_dev=part_dev, interpolation_dev=interp_dev,
         refinement_dev=refine_dev, stochastic_dev=stoch_dev,

@@ -267,7 +267,7 @@ def grid_checks(space, nets, parent, labels, seed=0, num_samples=32):
 
 def boundary_counts(space, nets, parent, labels, eps_grid, num_samples,
                     seed):
-    """(counts, pooled_last_eps) of the boundary sampler, draw by draw.
+    """Per-cell counts of the boundary sampler, draw by draw.
 
     The distance to the complement of a point's cube is the minimum over
     every other cube of its full distance row.
@@ -277,7 +277,6 @@ def boundary_counts(space, nets, parent, labels, eps_grid, num_samples,
     tls = list(transition_levels(nets))
     n = space.n
     counts = np.zeros((len(levels), len(eps_grid), n), dtype=np.int64)
-    pooled = []
     scales = np.array([nets.scale(k) for k in levels])
     for chunk, start in enumerate(range(0, num_samples, CHUNK)):
         size = min(CHUNK, num_samples - start)
@@ -290,7 +289,6 @@ def boundary_counts(space, nets, parent, labels, eps_grid, num_samples,
             omega = {k: (int(draws[k][0][i]), int(draws[k][1][i]))
                      for k in tls}
             assign = draw(space, nets, parent, labels, omega)[2]
-            hits = 0
             for li, k in enumerate(levels):
                 asg = assign[k]
                 order = np.argsort(asg, kind="stable")
@@ -300,6 +298,4 @@ def boundary_counts(space, nets, parent, labels, eps_grid, num_samples,
                 comp = M2.min(axis=1)
                 for ei, eps in enumerate(eps_grid):
                     counts[li, ei] += comp < eps * scales[li]
-                hits += int((comp < eps_grid[-1] * scales[li]).sum())
-            pooled.append(hits / (len(levels) * n))
-    return counts, np.array(pooled)
+    return counts

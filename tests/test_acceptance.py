@@ -18,8 +18,8 @@ from dyadwave.lpanalysis import (build_lp, cz_kernel_bound, lp_equivalence,
                                  lp_norm, lp_projectors, random_sign_operator,
                                  random_signs, substitute_inequality_check)
 from dyadwave.nets import build_nets
-from dyadwave.randgrid import (boundary_layer_stats, fit_boundary_exponent,
-                               grid_labels, parent_tables, reference_order)
+from dyadwave.randgrid import (boundary_layer_stats, build_grid,
+                               fit_boundary_exponent)
 from dyadwave.space import build_space, exponent_a, gen_example
 from dyadwave.spline import (compute_splines, mc_membership_frequencies,
                              verify_splines)
@@ -38,9 +38,7 @@ FLEET = [
 
 def assemble_from(space, delta=0.5):
     nets = build_nets(space, delta)
-    ref = reference_order(space, nets)
-    labels = grid_labels(space, nets, ref)
-    tables = parent_tables(space, nets, ref, labels)
+    labels, tables = build_grid(space, nets)
     system = compute_splines(space, nets, tables)
     mra = build_mra(space, system)
     basis = build_wavelet_basis(space, nets, mra)
@@ -77,10 +75,7 @@ def test_criterion_01_exact_spline_suite(capsys):
     for _, kind, params in FLEET:
         space = gen_example(kind, seed=1, **params)
         nets = build_nets(space, 0.5)
-        ref = reference_order(space, nets)
-        labels = grid_labels(space, nets, ref)
-        system = compute_splines(space, nets,
-                                 parent_tables(space, nets, ref, labels))
+        system = compute_splines(space, nets, build_grid(space, nets)[1])
         rep = verify_splines(system, space, nets)
         worst = max(worst, rep["partition_dev"], rep["interpolation_dev"],
                     rep["refinement_dev"], rep["stochastic_dev"])

@@ -351,9 +351,9 @@ def test_each_level_table_built_once_per_command(tmp_path, monkeypatch):
     built_levels = Counter()
     original = randgrid.transition_parents
 
-    def counting(space, nets, ref, labels, k):
-        built_levels[k] += 1
-        return original(space, nets, ref, labels, k)
+    def counting(*args):
+        built_levels[args[4]] += 1
+        return original(*args)
 
     # every module that bound the name at import gets the counter
     for name, module in list(sys.modules.items()):
@@ -372,6 +372,62 @@ def test_each_level_table_built_once_per_command(tmp_path, monkeypatch):
         levels = range(nets["k_min"], nets["k_max"])
         assert len(levels) > 1
         assert built_levels == Counter(levels), argv[0]
+
+
+def test_grid_lists_each_level_once_per_command(tmp_path, monkeypatch):
+    # every grid step filters one neighbour list per level transition, over
+    # the level-(k+1) rows at 2 a0 delta^k, and the grid checks read the
+    # tables' lists; a call on level-(k+1) rows at any radius a grid step
+    # reads (2 a0 delta^k, delta^k / (2 a0), delta^k / (4 a0^2)) is counted
+    from collections import Counter
+
+    from dyadwave import randgrid
+    calls = []
+    checking = []
+    pairs, checks = randgrid.near_pairs, randgrid.grid_checks
+
+    def listing(dist, radius, strict=True):
+        calls.append((dist.shape[0], radius, bool(checking)))
+        return pairs(dist, radius, strict)
+
+    def checked(*args, **kwargs):
+        checking.append(True)
+        try:
+            return checks(*args, **kwargs)
+        finally:
+            checking.pop()
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("dyadwave"):
+            for attr, orig, wrap in (("near_pairs", pairs, listing),
+                                     ("grid_checks", checks, checked)):
+                if getattr(module, attr, None) is orig:
+                    monkeypatch.setattr(module, attr, wrap)
+    art = tmp_path / "art"
+    # boundary radii 0.3 delta^j and Hölder radii delta^j meet no grid
+    # radius at delta = 0.2 and a0 = 1
+    commands = [("build", "--gen", "cyclic", "16", "--delta", "0.2",
+                 "--out", art),
+                ("verify", "--artifacts", art),
+                ("boundary", "--artifacts", art, "--num-samples", 8,
+                 "--eps-grid", 0.1, 0.3)]
+    for argv in commands:
+        calls.clear()
+        assert run(*argv) == 0
+        nets = json.loads((art / "nets.json").read_text())
+        a0 = json.loads((art / "build_report.json").read_text())["a0"]
+        assert a0 == 1.0
+        levels = range(nets["k_min"], nets["k_max"])
+        assert len(levels) > 1
+        rows = {k: len(nets["levels"][str(k + 1)]) for k in levels}
+        scale = {k: nets["delta"] ** k for k in levels}
+        on_levels = Counter(
+            (k, factor) for n_rows, radius, _ in calls for k in levels
+            for factor in (2.0 * a0, 0.5 / a0, 0.25 / a0 ** 2)
+            if n_rows == rows[k]
+            and math.isclose(radius, factor * scale[k], rel_tol=1e-9))
+        assert on_levels == Counter((k, 2.0 * a0) for k in levels), argv[0]
+        assert not any(inside for _, _, inside in calls), argv[0]
 
 
 def test_verify_forms_block_projectors_once(tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from dyadwave.decaymat import TINY, envelope_fit
 from dyadwave.errors import DyadwaveError
 from dyadwave.lpanalysis import build_lp, kernel_estimates, lp_projectors
 from dyadwave.nets import build_nets
-from dyadwave.randgrid import grid_labels, parent_tables, reference_order
+from dyadwave.randgrid import build_grid
 from dyadwave.space import build_space, gen_example
 from dyadwave.spline import compute_splines
 from dyadwave.wavelet import (build_mra, build_wavelet_basis,
@@ -52,10 +52,7 @@ def test_envelope_fit_rejects_mismatched_shapes():
 
 def assemble(space, delta):
     nets = build_nets(space, delta)
-    ref = reference_order(space, nets)
-    labels = grid_labels(space, nets, ref)
-    system = compute_splines(space, nets,
-                             parent_tables(space, nets, ref, labels))
+    system = compute_splines(space, nets, build_grid(space, nets)[1])
     mra = build_mra(space, system)
     return nets, mra, build_wavelet_basis(space, nets, mra)
 

@@ -14,7 +14,7 @@ from dyadwave.lpanalysis import (
     lp_projectors,
 )
 from dyadwave.nets import build_nets
-from dyadwave.randgrid import grid_labels, parent_tables, reference_order
+from dyadwave.randgrid import build_grid
 from dyadwave.space import build_space, gen_example
 from dyadwave.spline import (
     close_pairs,
@@ -32,10 +32,7 @@ from test_randgrid import GENERATORS, quasi_metric_spaces
 
 def assemble(space, delta):
     nets = build_nets(space, delta)
-    ref = reference_order(space, nets)
-    labels = grid_labels(space, nets, ref)
-    system = compute_splines(space, nets,
-                             parent_tables(space, nets, ref, labels))
+    system = compute_splines(space, nets, build_grid(space, nets)[1])
     basis = build_wavelet_basis(space, nets, build_mra(space, system))
     return nets, system, basis
 

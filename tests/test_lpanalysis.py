@@ -27,7 +27,7 @@ from dyadwave.lpanalysis import (
     substitute_inequality_check,
 )
 from dyadwave.nets import build_nets
-from dyadwave.randgrid import grid_labels, parent_tables, reference_order
+from dyadwave.randgrid import build_grid
 from dyadwave.space import build_space, exponent_a, gen_example
 from dyadwave.spline import compute_splines
 from dyadwave.wavelet import build_mra, build_wavelet_basis, spline_projector
@@ -49,10 +49,7 @@ def assemble(kind, params, delta=0.5, seed=1):
 
 def assemble_space(space, delta=0.5):
     nets = build_nets(space, delta)
-    ref = reference_order(space, nets)
-    labels = grid_labels(space, nets, ref)
-    system = compute_splines(space, nets,
-                             parent_tables(space, nets, ref, labels))
+    system = compute_splines(space, nets, build_grid(space, nets)[1])
     mra = build_mra(space, system)
     basis = build_wavelet_basis(space, nets, mra)
     lp = build_lp(space, nets, basis)
@@ -185,10 +182,7 @@ def test_build_and_lp_hold_no_dense_projectors():
     n x n arrays (one projector per level would be 2L of them)."""
     space = gen_example("point_cloud", seed=0, n=128, dim=2)
     nets = build_nets(space, 0.5)
-    ref = reference_order(space, nets)
-    labels = grid_labels(space, nets, ref)
-    system = compute_splines(space, nets,
-                             parent_tables(space, nets, ref, labels))
+    system = compute_splines(space, nets, build_grid(space, nets)[1])
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]

@@ -16,18 +16,21 @@ from dyadwave.randgrid import (
     LevelTable,
     _center_stats,
     boundary_layer_stats,
+    build_grid,
     child_hit_probabilities,
     cube_assignments,
     enumerate_coordinates,
     fit_boundary_exponent,
     grid_checks,
     grid_labels,
-    parent_tables,
+    level_pairs,
     reference_order,
     sample_omega,
     transition_levels,
+    transition_parents,
 )
-from dyadwave.space import build_space, gen_example
+from dyadwave.space import build_space, gen_example, near_pairs
+from dyadwave.spline import compute_splines
 
 
 def two_point():
@@ -36,9 +39,12 @@ def two_point():
 
 def setup(space, delta=0.5, policy="input_order"):
     nets = build_nets(space, delta, order_policy=policy)
-    ref = reference_order(space, nets)
-    labels = grid_labels(space, nets, ref)
-    return nets, ref, labels
+    return (nets,) + build_grid(space, nets)
+
+
+def reference(space, nets):
+    """The reference parents that ``build_grid`` starts from."""
+    return reference_order(space, nets, level_pairs(space, nets))
 
 
 def all_omegas(nets, labels):
@@ -57,8 +63,8 @@ def as_draws(omegas, nets):
 
 def test_two_point_reference_and_labels():
     sp = two_point()
-    nets, ref, labels = setup(sp)
-    assert ref[-1].tolist() == [0, 0]
+    nets, labels, _ = setup(sp)
+    assert reference(sp, nets)[-1].tolist() == [0, 0]
     assert labels.L == 0
     assert labels.M == 2
     # the two children of the one parent take ranks 1 and 2 in level order
@@ -67,16 +73,16 @@ def test_two_point_reference_and_labels():
 
 def test_two_point_random_points_and_probabilities():
     sp = two_point()
-    nets, ref, labels = setup(sp)
-    probs = child_hit_probabilities(sp, nets,
-                                    parent_tables(sp, nets, ref, labels))
+    nets, _, tables = setup(sp)
+    probs = child_hit_probabilities(sp, nets, tables)
     assert probs[-1].shape == (1, 2)
     assert probs[-1][0].tolist() == [0.5, 0.5]
 
 
 def test_cyclic8_family_shapes():
     sp = gen_example("cyclic", n=8)
-    nets, ref, labels = setup(sp)
+    nets, labels, _ = setup(sp)
+    ref = reference(sp, nets)
     # ties attach both odd ends to the first listed parent
     sizes = sorted(np.bincount(ref[-1], minlength=len(nets.levels[-1])))
     assert sizes == [1, 2, 2, 3]
@@ -111,10 +117,10 @@ def assert_proper_coloring(sp, nets, ref, labels):
 
 def test_child_probability_lower_bound():
     for sp in (two_point(), gen_example("cyclic", n=8), gen_example("cyclic", n=16)):
-        nets, ref, labels = setup(sp)
+        nets, labels, tables = setup(sp)
         floor = 1.0 / ((labels.L + 1) * labels.M)
-        probs = child_hit_probabilities(
-            sp, nets, parent_tables(sp, nets, ref, labels))
+        probs = child_hit_probabilities(sp, nets, tables)
+        ref = reference(sp, nets)
         for k in transition_levels(nets):
             prob = probs[k]
             assert np.allclose(prob.sum(axis=1)[prob.any(axis=1)], 1.0)
@@ -124,8 +130,7 @@ def test_child_probability_lower_bound():
 
 def test_z_separation_density_all_omegas_cyclic8():
     sp = gen_example("cyclic", n=8)
-    nets, ref, labels = setup(sp)
-    tables = parent_tables(sp, nets, ref, labels)
+    nets, labels, tables = setup(sp)
     for omega in all_omegas(nets, labels):
         for k in transition_levels(nets):
             ell, m = omega[k]
@@ -141,8 +146,7 @@ def test_z_separation_density_all_omegas_cyclic8():
 
 def test_center_containment_and_partition_all_omegas():
     sp = gen_example("cyclic", n=8)
-    nets, ref, labels = setup(sp)
-    tables = parent_tables(sp, nets, ref, labels)
+    nets, labels, tables = setup(sp)
     omegas = list(all_omegas(nets, labels))
     assign = dict(cube_assignments(nets, tables, as_draws(omegas, nets),
                                    len(omegas)))
@@ -161,10 +165,8 @@ def test_center_containment_and_partition_all_omegas():
 
 def test_chain_implications_on_small_metric_spaces():
     for sp in (gen_example("cyclic", n=8), two_point()):
-        nets, ref, labels = setup(sp)
-        rep = grid_checks(sp, nets, labels,
-                          parent_tables(sp, nets, ref, labels),
-                          seed=5, num_samples=16)
+        nets, labels, tables = setup(sp)
+        rep = grid_checks(sp, nets, labels, tables, seed=5, num_samples=16)
         assert rep["ok"]
         assert rep["chain_lower_violations"] == 0
         assert rep["chain_upper_max_ratio"] <= 1.0
@@ -181,10 +183,8 @@ def test_grid_checks_exact_gates_on_fleet():
                          ("point_cloud", {"n": 40, "dim": 2}),
                          ("koranyi_sphere", {"n": 30, "dim": 2})]:
         sp = gen_example(kind, seed=1, **params)
-        nets, ref, labels = setup(sp, policy="farthest_first")
-        rep = grid_checks(sp, nets, labels,
-                          parent_tables(sp, nets, ref, labels),
-                          seed=2, num_samples=12)
+        nets, labels, tables = setup(sp, policy="farthest_first")
+        rep = grid_checks(sp, nets, labels, tables, seed=2, num_samples=12)
         assert rep["center_containment_violations"] == 0, kind
         assert rep["covering_violations"] == 0, kind
         assert rep["z_separation_min_ratio"] >= 1.0, kind
@@ -193,12 +193,11 @@ def test_grid_checks_exact_gates_on_fleet():
 
 def test_measurability_fine_levels_ignore_coarse_coordinates():
     sp = gen_example("cyclic", n=16)
-    nets, ref, labels = setup(sp)
+    nets, labels, tables = setup(sp)
     tls = list(transition_levels(nets))
     base = {k: (0, 1) for k in tls}
     changed = dict(base)
     changed[nets.k_min] = (labels.L, labels.M)
-    tables = parent_tables(sp, nets, ref, labels)
     draws = as_draws([base, changed], nets)
     assign = dict(cube_assignments(nets, tables, draws, 2))
     for k in nets.level_range:
@@ -208,7 +207,7 @@ def test_measurability_fine_levels_ignore_coarse_coordinates():
 
 def test_sample_omega_shapes_and_determinism():
     sp = gen_example("cyclic", n=8)
-    nets, ref, labels = setup(sp)
+    nets, labels, _ = setup(sp)
     tls = list(transition_levels(nets))
     one = sample_omega(labels, tls, seed=9, count=1)
     assert all(ell.shape == m.shape == (1,) for ell, m in one.values())
@@ -238,7 +237,7 @@ def test_reference_order_rejects_ambiguous_parents():
         ydiff={0: np.array([0])},
         order_policy="input_order", scan_order=np.arange(3))
     with pytest.raises(OrderViolation, match="multiple close parents"):
-        reference_order(sp, fake)
+        reference_order(sp, fake, level_pairs(sp, fake))
 
 
 def test_reference_order_rejects_a_child_without_a_near_parent():
@@ -252,7 +251,7 @@ def test_reference_order_rejects_a_child_without_a_near_parent():
         order_policy="input_order", scan_order=np.arange(2))
     with pytest.raises(OrderViolation,
                        match=re.escape("no parent within 2*a0*delta^k")):
-        reference_order(sp, fake)
+        reference_order(sp, fake, level_pairs(sp, fake))
 
 
 def test_reference_order_takes_the_close_parent_then_the_nearest():
@@ -268,12 +267,13 @@ def test_reference_order_takes_the_close_parent_then_the_nearest():
         levels={0: np.array([0, 1]), 1: np.arange(5)},
         ydiff={0: np.array([2, 3, 4])},
         order_policy="input_order", scan_order=np.arange(5))
-    parent = reference_order(sp, fake)
+    pairs = level_pairs(sp, fake)
+    parent = reference_order(sp, fake, pairs)
     assert list(parent) == [0]
     assert parent[0].tolist() == [0, 1, 1, 0, 1]
     assert oracle.reference_order(sp, fake).parent[0].tolist() == [
         0, 1, 1, 0, 1]
-    labels = grid_labels(sp, fake, parent)
+    labels = grid_labels(sp, fake, parent, pairs)
     assert labels.M == 3
     assert labels.child_by_rank[0].tolist() == [[0, 3, -1], [1, 2, 4]]
 
@@ -295,13 +295,14 @@ def test_transition_parents_rejects_two_capturing_centers():
         ydiff={0: np.array([c])},
         order_policy="input_order", scan_order=np.arange(3))
     ref = {0: np.array([0, 1, 0])}
-    labels = grid_labels(sp, fake, ref)
+    pairs = level_pairs(sp, fake)
+    labels = grid_labels(sp, fake, ref, pairs)
     ell = int(labels.label1[0][0])
     assert labels.child_by_rank[0][0, 1] == 2      # c is p0's second child
     with pytest.raises(OrderViolation, match="capture one child"):
         oracle.parents(sp, fake, ref, labels, 0, ell, 2)
     with pytest.raises(OrderViolation, match="capture one child"):
-        parent_tables(sp, fake, ref, labels)
+        transition_parents(sp, fake, ref, labels, 0, pairs[0])
 
 
 def test_center_stats_reads_rows_of_points_far_from_every_center():
@@ -311,16 +312,17 @@ def test_center_stats_reads_rows_of_points_far_from_every_center():
     sp = build_space(np.abs(x[:, None] - x[None, :]), np.ones(5))
     fine = np.array([0, 1, 2, 3])
     centers = np.array([[[0, 1], [0, 2]], [[1, 2], [0, 3]], [[2, 3], [3, 1]]])
-    table = LevelTable(np.zeros((3, 2, 4), dtype=np.intp), centers)
     a0, scale = sp.a0, 1.0
     radius = 2.0 * a0 * scale
+    table = LevelTable(np.zeros((3, 2, 4), dtype=np.intp), centers,
+                       near_pairs(sp.dist[fine], radius))
     radii = (1.0 / 6.0 * a0 ** -5 * scale, (1.0 / 5.0) * a0 ** -3 * scale,
              (1.0 / 6.0) * a0 ** -4 * scale)
     codes = np.array([0, 1, 2, 3, 5])
     flat = centers.reshape(-1, 2)[codes]
     far = [(sp.dist[:, z].min(axis=1) >= radius).sum() for z in flat]
     assert far == [2, 2, 2, 0, 0]
-    got = _center_stats(sp, fine, table, codes, radius, *radii)
+    got = _center_stats(sp, fine, table, codes, *radii)
     want = oracle.center_stats(sp, table, codes, *radii)
     assert len(got) == len(want) == 5
     for g, w in zip(got, want):
@@ -329,9 +331,8 @@ def test_center_stats_reads_rows_of_points_far_from_every_center():
 
 def test_boundary_stats_monotone_and_deterministic():
     sp = gen_example("interval", n=32)
-    nets, ref, labels = setup(sp, policy="farthest_first")
+    nets, labels, tables = setup(sp, policy="farthest_first")
     eps = [0.05, 0.1, 0.2, 0.4]
-    tables = parent_tables(sp, nets, ref, labels)
     s1 = boundary_layer_stats(sp, nets, labels, tables, eps, 300, seed=3)
     s2 = boundary_layer_stats(sp, nets, labels, tables, eps, 300, seed=3)
     assert np.array_equal(s1["counts"], s2["counts"])
@@ -345,9 +346,8 @@ def test_boundary_stats_monotone_and_deterministic():
 
 def test_boundary_stats_worker_count_invariance():
     sp = gen_example("interval", n=24)
-    nets, ref, labels = setup(sp)
+    nets, labels, tables = setup(sp)
     eps = [0.1, 0.3]
-    tables = parent_tables(sp, nets, ref, labels)
     a = boundary_layer_stats(sp, nets, labels, tables, eps, 520, seed=1,
                              jobs=1)
     b = boundary_layer_stats(sp, nets, labels, tables, eps, 520, seed=1,
@@ -369,8 +369,9 @@ GENERATORS = [
 EPS = [0.05, 0.1, 0.2, 0.4]
 
 
-def assert_matches_oracle(sp, nets, ref, labels, grid_samples, bnd_samples,
-                          seed, jobs=(1,)):
+def assert_matches_oracle(sp, nets, labels, tables, grid_samples,
+                          bnd_samples, seed, jobs=(1,)):
+    ref = reference(sp, nets)
     want_ref = oracle.reference_order(sp, nets)
     want = oracle.grid_labels(sp, nets, want_ref)
     assert ref.keys() == want_ref.parent.keys()
@@ -384,7 +385,6 @@ def assert_matches_oracle(sp, nets, ref, labels, grid_samples, bnd_samples,
         assert np.array_equal(labels.label1[k], want.label1[k])
         assert np.array_equal(labels.child_by_rank[k], want.child_by_rank[k])
     assert_proper_coloring(sp, nets, ref, labels)
-    tables = parent_tables(sp, nets, ref, labels)
     for k, table in tables.items():
         for ell, m in enumerate_coordinates(labels):
             assert np.array_equal(table.centers[ell, m - 1],
@@ -396,21 +396,20 @@ def assert_matches_oracle(sp, nets, ref, labels, grid_samples, bnd_samples,
                         num_samples=grid_samples)
             == oracle.grid_checks(sp, nets, ref, labels, seed=seed,
                                   num_samples=grid_samples))
-    counts, pooled = oracle.boundary_counts(sp, nets, ref, labels, EPS,
-                                            bnd_samples, seed)
+    counts = oracle.boundary_counts(sp, nets, ref, labels, EPS,
+                                    bnd_samples, seed)
     for j in jobs:
         stats = boundary_layer_stats(sp, nets, labels, tables, EPS,
                                      bnd_samples, seed=seed, jobs=j)
         assert np.array_equal(stats["counts"], counts)
-        assert np.array_equal(stats["pooled_last_eps"], pooled)
 
 
 @pytest.mark.parametrize("kind,params,delta", GENERATORS)
 def test_batched_samplers_match_oracle_on_generators(kind, params, delta):
     sp = gen_example(kind, seed=1, **params)
-    nets, ref, labels = setup(sp, delta=delta, policy="farthest_first")
+    nets, labels, tables = setup(sp, delta=delta, policy="farthest_first")
     # 300 boundary draws span two RNG chunks, so jobs=2 really splits them
-    assert_matches_oracle(sp, nets, ref, labels, grid_samples=12,
+    assert_matches_oracle(sp, nets, labels, tables, grid_samples=12,
                           bnd_samples=300, seed=4, jobs=(1, 2))
 
 
@@ -438,11 +437,33 @@ def test_batched_samplers_match_oracle_on_random_spaces(case, seed):
     dist, weights, delta = case
     try:
         sp = build_space(dist, weights)
-        nets, ref, labels = setup(sp, delta=delta)
+        nets, labels, tables = setup(sp, delta=delta)
     except DyadwaveError:
         assume(False)
-    assert_matches_oracle(sp, nets, ref, labels, grid_samples=6,
+    assert_matches_oracle(sp, nets, labels, tables, grid_samples=6,
                           bnd_samples=20, seed=seed)
+
+
+@given(quasi_metric_spaces(), st.floats(0.15, 0.6))
+def test_grid_is_deterministic_when_capture_stays_below_separation(
+        case, delta):
+    # a center captures a child closer than delta^k / (4 a0^2), while two
+    # level-(k+1) points lie at least delta^(k+1) apart; at delta above
+    # 1/(4 a0^2) a center captures only itself, so every coordinate keeps
+    # the reference parents and the cubes do not depend on the draw
+    dist, weights, _ = case
+    try:
+        sp = build_space(dist, weights)
+        assume(delta > 0.25 * sp.a0 ** -2)
+        nets, labels, tables = setup(sp, delta=delta)
+    except DyadwaveError:
+        assume(False)
+    ref = reference(sp, nets)
+    for k, table in tables.items():
+        assert table.parents.shape[:2] == (labels.L + 1, labels.M)
+        assert (table.parents == ref[k]).all()
+    for T in compute_splines(sp, nets, tables).transitions.values():
+        assert set(np.unique(T)) <= {0.0, 1.0}
 
 
 def scipy_fit(stats):

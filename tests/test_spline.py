@@ -8,9 +8,7 @@ from dyadwave.nets import build_nets
 from dyadwave.randgrid import (
     cube_assignments,
     enumerate_coordinates,
-    grid_labels,
-    parent_tables,
-    reference_order,
+    build_grid,
     sample_omega,
     transition_levels,
 )
@@ -37,17 +35,10 @@ FLEET = [
 def setup(kind, params, delta=0.5, seed=1):
     space = gen_example(kind, seed=seed, **params)
     nets = build_nets(space, delta)
-    ref = reference_order(space, nets)
-    labels = grid_labels(space, nets, ref)
-    return space, nets, ref, labels
+    return (space, nets) + build_grid(space, nets)
 
 
-def splines(space, nets, ref, labels):
-    return compute_splines(space, nets,
-                           parent_tables(space, nets, ref, labels))
-
-
-def all_grid_averages(space, nets, ref, labels):
+def all_grid_averages(space, nets, labels, tables):
     tls = list(transition_levels(nets))
     coords = np.array(enumerate_coordinates(labels))
     combos = np.array(list(itertools.product(range(len(coords)),
@@ -55,7 +46,6 @@ def all_grid_averages(space, nets, ref, labels):
     total = len(combos)
     draws = {k: (coords[combos[:, i], 0], coords[combos[:, i], 1])
              for i, k in enumerate(tls)}
-    tables = parent_tables(space, nets, ref, labels)
     sums = {k: np.zeros((len(nets.levels[k]), space.n)) for k in tls}
     cols = np.arange(space.n)
     for k, asg in cube_assignments(nets, tables, draws, total):
@@ -66,8 +56,8 @@ def all_grid_averages(space, nets, ref, labels):
 
 
 def test_two_point_exact():
-    space, nets, ref, labels = setup("cyclic", {"n": 2})
-    system = splines(space, nets, ref, labels)
+    space, nets, labels, tables = setup("cyclic", {"n": 2})
+    system = compute_splines(space, nets, tables)
     assert system.k_max == 0 and system.k_min == -1
     assert np.array_equal(system.values[0], np.eye(2))
     assert np.array_equal(system.values[-1], np.ones((1, 2)))
@@ -75,25 +65,26 @@ def test_two_point_exact():
 
 
 def test_cyclic8_matches_full_grid_enumeration():
-    space, nets, ref, labels = setup("cyclic", {"n": 8})
-    system = splines(space, nets, ref, labels)
-    avg, total = all_grid_averages(space, nets, ref, labels)
+    space, nets, labels, tables = setup("cyclic", {"n": 8})
+    system = compute_splines(space, nets, tables)
+    avg, total = all_grid_averages(space, nets, labels, tables)
     assert total == 27
     for k in avg:
         assert np.allclose(system.values[k], avg[k], atol=1e-13)
 
 
 def test_point_cloud_matches_full_grid_enumeration():
-    space, nets, ref, labels = setup("point_cloud", {"n": 7, "dim": 2}, seed=3)
-    system = splines(space, nets, ref, labels)
-    avg, _ = all_grid_averages(space, nets, ref, labels)
+    space, nets, labels, tables = setup("point_cloud", {"n": 7, "dim": 2},
+                                        seed=3)
+    system = compute_splines(space, nets, tables)
+    avg, _ = all_grid_averages(space, nets, labels, tables)
     for k in avg:
         assert np.allclose(system.values[k], avg[k], atol=1e-13)
 
 
 def test_transition_matrix_is_column_stochastic_probability_table():
-    space, nets, ref, labels = setup("cyclic", {"n": 8})
-    system = splines(space, nets, ref, labels)
+    space, nets, labels, tables = setup("cyclic", {"n": 8})
+    system = compute_splines(space, nets, tables)
     for k in transition_levels(nets):
         T = system.transitions[k]
         assert np.allclose(T.sum(axis=0), 1.0, atol=1e-14)
@@ -105,8 +96,8 @@ def test_transition_matrix_is_column_stochastic_probability_table():
 
 @pytest.mark.parametrize("kind,params", FLEET)
 def test_fleet_exact_identities(kind, params):
-    space, nets, ref, labels = setup(kind, params)
-    system = splines(space, nets, ref, labels)
+    space, nets, labels, tables = setup(kind, params)
+    system = compute_splines(space, nets, tables)
     report = verify_splines(system, space, nets)
     assert report["ok"], report
     assert report["partition_dev"] <= 1e-12
@@ -123,8 +114,8 @@ def test_fleet_exact_identities(kind, params):
     ("cyclic", {"n": 16}), ("interval", {"n": 64}),
     ("binary_tree", {"depth": 4}), ("point_cloud", {"n": 40, "dim": 2})])
 def test_metric_fleet_inner_plateau(kind, params):
-    space, nets, ref, labels = setup(kind, params)
-    system = splines(space, nets, ref, labels)
+    space, nets, labels, tables = setup(kind, params)
+    system = compute_splines(space, nets, tables)
     report = verify_splines(system, space, nets)
     assert report["inner_plateau_violations"] == 0
 
@@ -132,18 +123,17 @@ def test_metric_fleet_inner_plateau(kind, params):
 def test_farthest_first_policy_also_exact():
     space = gen_example("point_cloud", seed=2, n=30, dim=3)
     nets = build_nets(space, 0.5, order_policy="farthest_first")
-    ref = reference_order(space, nets)
-    labels = grid_labels(space, nets, ref)
-    system = splines(space, nets, ref, labels)
+    labels, tables = build_grid(space, nets)
+    system = compute_splines(space, nets, tables)
     assert verify_splines(system, space, nets)["ok"]
 
 
 def test_mc_frequencies_within_binomial_error():
-    space, nets, ref, labels = setup("cyclic", {"n": 8})
-    system = splines(space, nets, ref, labels)
+    space, nets, labels, tables = setup("cyclic", {"n": 8})
+    system = compute_splines(space, nets, tables)
     N = 3000
     freq = mc_membership_frequencies(
-        nets, labels, parent_tables(space, nets, ref, labels),
+        nets, labels, tables,
         seed=7, num_samples=N)
     for k, F in freq.items():
         p = system.values[k]
@@ -154,8 +144,7 @@ def test_mc_frequencies_within_binomial_error():
 
 
 def test_mc_deterministic_in_seed():
-    space, nets, ref, labels = setup("cyclic", {"n": 16}, delta=0.2)
-    tables = parent_tables(space, nets, ref, labels)
+    space, nets, labels, tables = setup("cyclic", {"n": 16}, delta=0.2)
     a = mc_membership_frequencies(nets, labels, tables, 3, 200)
     b = mc_membership_frequencies(nets, labels, tables, 3, 200)
     c = mc_membership_frequencies(nets, labels, tables, 4, 200)
@@ -165,11 +154,11 @@ def test_mc_deterministic_in_seed():
 
 
 def test_mc_matches_dp_at_live_delta():
-    space, nets, ref, labels = setup("cyclic", {"n": 16}, delta=0.2)
-    system = splines(space, nets, ref, labels)
+    space, nets, labels, tables = setup("cyclic", {"n": 16}, delta=0.2)
+    system = compute_splines(space, nets, tables)
     N = 4000
     freq = mc_membership_frequencies(
-        nets, labels, parent_tables(space, nets, ref, labels),
+        nets, labels, tables,
         seed=11, num_samples=N)
     for k, F in freq.items():
         p = system.values[k]
@@ -183,15 +172,15 @@ def test_grids_deterministic_at_half_delta():
     # ever moves a parent and every spline value is an indicator
     for kind, params in [("interval", {"n": 16}), ("cyclic", {"n": 16}),
                          ("point_cloud", {"n": 30, "dim": 2})]:
-        space, nets, ref, labels = setup(kind, params)
-        system = splines(space, nets, ref, labels)
+        space, nets, labels, tables = setup(kind, params)
+        system = compute_splines(space, nets, tables)
         for V in system.values.values():
             assert set(np.unique(V)) <= {0.0, 1.0}
 
 
 def test_small_delta_gives_fractional_values():
-    space, nets, ref, labels = setup("cyclic", {"n": 16}, delta=0.2)
-    system = splines(space, nets, ref, labels)
+    space, nets, labels, tables = setup("cyclic", {"n": 16}, delta=0.2)
+    system = compute_splines(space, nets, tables)
     frac = sum(int(((v > 0) & (v < 1)).sum()) for v in system.values.values())
     assert frac > 0
     report = verify_splines(system, space, nets)
@@ -199,15 +188,15 @@ def test_small_delta_gives_fractional_values():
 
 
 def test_span_residuals_vanish():
-    space, nets, ref, labels = setup("interval", {"n": 32})
-    system = splines(space, nets, ref, labels)
+    space, nets, labels, tables = setup("interval", {"n": 32})
+    system = compute_splines(space, nets, tables)
     for k, resid in span_residuals(system).items():
         assert resid < 1e-10
 
 
 def test_ball_masses_on_cycle():
-    space, nets, ref, labels = setup("cyclic", {"n": 8})
-    system = splines(space, nets, ref, labels)
+    space, nets, labels, tables = setup("cyclic", {"n": 8})
+    system = compute_splines(space, nets, tables)
     assert np.array_equal(system.ball_mass[0], np.ones(8))
     assert np.array_equal(system.ball_mass[-1], np.full(4, 3.0))
     assert np.array_equal(system.ball_mass[-2], np.full(2, 7.0))
@@ -215,8 +204,8 @@ def test_ball_masses_on_cycle():
 
 
 def test_holder_estimate_reports_positive_rate():
-    space, nets, ref, labels = setup("cyclic", {"n": 32}, delta=0.2)
-    system = splines(space, nets, ref, labels)
+    space, nets, labels, tables = setup("cyclic", {"n": 32}, delta=0.2)
+    system = compute_splines(space, nets, tables)
     out = holder_estimate(system, space, nets)
     assert math.isfinite(out["const_at_eta"]) and out["const_at_eta"] > 0
     assert out["eta"] == 1.0
@@ -242,8 +231,8 @@ def test_holder_fit_closed_form():
 
 
 def test_density_residuals_spike_on_interval():
-    space, nets, ref, labels = setup("interval", {"n": 64})
-    system = splines(space, nets, ref, labels)
+    space, nets, labels, tables = setup("interval", {"n": 64})
+    system = compute_splines(space, nets, tables)
     f = np.zeros(64)
     f[20] = 1.0
     out = density_check(system, space, f, p=2.0)
@@ -256,9 +245,8 @@ def test_density_residuals_spike_on_interval():
 
 
 def test_sample_grid_once_deterministic():
-    space, nets, ref, labels = setup("point_cloud", {"n": 25, "dim": 2})
+    space, nets, labels, tables = setup("point_cloud", {"n": 25, "dim": 2})
     tls = list(transition_levels(nets))
-    tables = parent_tables(space, nets, ref, labels)
     om1 = sample_omega(labels, tls, seed=5, count=1)
     om2 = sample_omega(labels, tls, seed=5, count=1)
     assert all(np.array_equal(om1[k][0], om2[k][0])

@@ -12,7 +12,7 @@ from dyadwave.errors import (
     ZeroBallMass,
 )
 from dyadwave.nets import build_nets
-from dyadwave.randgrid import grid_labels, parent_tables, reference_order
+from dyadwave.randgrid import build_grid
 from dyadwave.space import build_space, exponent_a, gen_example
 from dyadwave.spline import compute_splines
 from dyadwave.wavelet import (
@@ -45,10 +45,7 @@ FLEET = [
 def setup(kind, params, delta=0.5, seed=1):
     space = gen_example(kind, seed=seed, **params)
     nets = build_nets(space, delta)
-    ref = reference_order(space, nets)
-    labels = grid_labels(space, nets, ref)
-    system = compute_splines(space, nets,
-                             parent_tables(space, nets, ref, labels))
+    system = compute_splines(space, nets, build_grid(space, nets)[1])
     return space, nets, system
 
 
@@ -230,10 +227,7 @@ def test_two_point_closed_form():
 def test_single_point_space_basis():
     space = build_space(np.zeros((1, 1)), np.full(1, 2.0))
     nets = build_nets(space, 0.5)
-    ref = reference_order(space, nets)
-    labels = grid_labels(space, nets, ref)
-    system = compute_splines(space, nets,
-                             parent_tables(space, nets, ref, labels))
+    system = compute_splines(space, nets, build_grid(space, nets)[1])
     mra = build_mra(space, system)
     basis = build_wavelet_basis(space, nets, mra)
     assert basis.blocks == {} and len(basis.rows) - 1 == 0
@@ -386,10 +380,7 @@ def test_measure_rescaling_shrinks_wavelets():
                                                {"n": 24, "dim": 2})
     doubled = build_space(space.dist, 2.0 * space.weights, coords=space.coords)
     nets2 = build_nets(doubled, 0.5)
-    ref2 = reference_order(doubled, nets2)
-    labels2 = grid_labels(doubled, nets2, ref2)
-    system2 = compute_splines(doubled, nets2,
-                              parent_tables(doubled, nets2, ref2, labels2))
+    system2 = compute_splines(doubled, nets2, build_grid(doubled, nets2)[1])
     basis2 = build_wavelet_basis(doubled, nets2, build_mra(doubled, system2))
     lhs = basis2.rows
     rhs = basis.rows / math.sqrt(2.0)

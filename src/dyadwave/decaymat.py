@@ -178,6 +178,12 @@ def operator_norm_bounds(matrix, weights=None, iters: int = 200) -> tuple:
     return min(lower, upper), upper
 
 
+def require_symmetric(M: np.ndarray) -> None:
+    """Raise NotPositiveDefinite unless M equals its transpose up to rounding."""
+    if not np.allclose(M, M.T, rtol=1e-10, atol=1e-12):
+        raise NotPositiveDefinite("matrix is not symmetric")
+
+
 def extreme_eigs(matrix) -> dict:
     """Extreme eigenvalues of a symmetric positive definite matrix.
 
@@ -185,8 +191,7 @@ def extreme_eigs(matrix) -> dict:
     <= 0 raises NotPositiveDefinite.
     """
     M = np.asarray(matrix, dtype=float)
-    if not np.allclose(M, M.T, rtol=1e-10, atol=1e-12):
-        raise NotPositiveDefinite("matrix is not symmetric")
+    require_symmetric(M)
     vals = np.linalg.eigvalsh(M)
     if vals[0] <= 0:
         raise NotPositiveDefinite(

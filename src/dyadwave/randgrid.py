@@ -204,13 +204,15 @@ def build_grid(space: QuasiMetricSpace, nets: NestedNets) -> tuple:
                     for k in transition_levels(nets)}
 
 
-def cube_assignments(nets: NestedNets, tables: dict, draws: dict, count: int):
+def cube_assignments(nets: NestedNets, parents: dict, draws: dict,
+                     count: int):
     """Yield (k, cube position of every point per draw) from finest up.
 
-    ``draws`` maps each transition level to (ell, m) arrays of length
-    ``count``; each yielded array has shape (count, n).  At the finest
-    level the cubes are singletons; each coarser level maps the cubes one
-    level down through the drawn parent rows.
+    ``parents`` maps each transition level to its table's ``parents``
+    array and ``draws`` to (ell, m) arrays of length ``count``; each
+    yielded array has shape (count, n).  At the finest level the cubes are
+    singletons; each coarser level maps the cubes one level down through
+    the drawn parent rows.
     """
     finest = nets.levels[nets.k_max]
     asg = np.empty(len(finest), dtype=np.intp)
@@ -219,7 +221,7 @@ def cube_assignments(nets: NestedNets, tables: dict, draws: dict, count: int):
     yield nets.k_max, asg
     for k in reversed(transition_levels(nets)):
         ell, m = draws[k]
-        asg = np.take_along_axis(tables[k].parents[ell, m - 1], asg, axis=1)
+        asg = np.take_along_axis(parents[k][ell, m - 1], asg, axis=1)
         yield k, asg
 
 
@@ -321,6 +323,7 @@ def grid_checks(space: QuasiMetricSpace, nets: NestedNets, labels: GridLabels,
         "iterated_upper_max_ratio": 0.0,
     }
     draws = sample_omega(labels, tls, seed, count=num_samples)
+    parents = {k: tables[k].parents for k in tls}
     n = space.n
     cols = np.arange(n)
     # blocks of at most n draws keep every (draws, n) array within n x n
@@ -328,9 +331,8 @@ def grid_checks(space: QuasiMetricSpace, nets: NestedNets, labels: GridLabels,
         part = {k: (ell[b0:b0 + n], m[b0:b0 + n])
                 for k, (ell, m) in draws.items()}
         count = min(n, num_samples - b0)
-        asg = dict(cube_assignments(nets, tables, part, count))
-        par = {k: tables[k].parents[ell, m - 1]
-               for k, (ell, m) in part.items()}
+        asg = dict(cube_assignments(nets, parents, part, count))
+        par = {k: parents[k][ell, m - 1] for k, (ell, m) in part.items()}
         zpos = {k: tables[k].centers[ell, m - 1]
                 for k, (ell, m) in part.items()}
         zpos[nets.k_max] = np.broadcast_to(nets.levels[nets.k_max], (count, n))
@@ -417,7 +419,7 @@ def _near_pairs(space, thresholds):
             rows, starts)
 
 
-def _boundary_chunk(nets, labels, tables, layers, n_eps, levels, seed,
+def _boundary_chunk(nets, labels, parents, layers, n_eps, levels, seed,
                     chunk_index, chunk_size):
     n = len(nets.levels[nets.k_max])
     counts = np.zeros((len(levels), n_eps, n), dtype=np.int64)
@@ -426,7 +428,7 @@ def _boundary_chunk(nets, labels, tables, layers, n_eps, levels, seed,
         rng = stream_rng(seed, STREAM_BOUNDARY, k, chunk_index)
         draws[k] = (rng.integers(0, labels.L + 1, size=chunk_size),
                     rng.integers(1, labels.M + 1, size=chunk_size))
-    for k, asg in cube_assignments(nets, tables, draws, chunk_size):
+    for k, asg in cube_assignments(nets, parents, draws, chunk_size):
         if k not in layers or not len(layers[k][0]):
             continue
         li = levels.index(k)
@@ -457,7 +459,8 @@ def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
     The same draws are reused across the whole eps grid, so frequencies are
     monotone in eps by construction.  Sampling is chunked with one RNG
     stream per (level, chunk), which makes the counts independent of the
-    worker count.  ``tables`` are the level tables of ``build_grid``.
+    worker count.  ``tables`` are the level tables of ``build_grid``; the
+    chunks receive only their parent arrays.
     """
     eps_grid = sorted(float(e) for e in eps_grid)
     if not eps_grid or eps_grid[0] <= 0:
@@ -465,7 +468,8 @@ def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
     levels = list(nets.level_range)
     layers = {k: _near_pairs(space, np.array(eps_grid) * nets.scale(k))
               for k in levels if len(nets.levels[k]) > 1}
-    args = [(nets, labels, tables, layers, len(eps_grid), levels, seed, ci,
+    parents = {k: table.parents for k, table in tables.items()}
+    args = [(nets, labels, parents, layers, len(eps_grid), levels, seed, ci,
              min(_CHUNK, num_samples - start))
             for ci, start in enumerate(range(0, num_samples, _CHUNK))]
     if jobs > 1 and len(args) > 1:

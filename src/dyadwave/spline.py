@@ -79,8 +79,9 @@ def mc_membership_frequencies(nets: NestedNets, labels: GridLabels,
     """
     draws = sample_omega(labels, transition_levels(nets), seed,
                          count=num_samples)
+    parents = {k: table.parents for k, table in tables.items()}
     return {k: column_frequencies(asg, len(nets.levels[k]))
-            for k, asg in cube_assignments(nets, tables, draws, num_samples)}
+            for k, asg in cube_assignments(nets, parents, draws, num_samples)}
 
 
 def span_residuals(system: SplineSystem) -> dict:

@@ -6,6 +6,12 @@ orthogonal complements W_k = V_{k+1} minus V_k, one per net point that is
 new at level k+1, and are produced by projecting the fine spline at that
 point away from V_k and mixing the residuals through the inverse square
 root of their normalized Gram matrix.
+
+Both Grams split into small connected components, rows whose functions
+overlap, and every inverse, inverse square root and positive-definiteness
+proof here runs per component.  Entries between components are then exact
+zeros, so each dual and each wavelet vanishes outside the supports of its
+own component.
 """
 
 import math
@@ -13,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decaymat import (decay_certificate, envelope_fit, extreme_eigs,
-                       spectral_inverse_sqrt)
+from .decaymat import decay_certificate, envelope_fit, require_symmetric
 from .errors import (
     DimensionMismatch,
     NotPositiveDefinite,
@@ -22,7 +27,7 @@ from .errors import (
     ZeroBallMass,
 )
 from .nets import NestedNets
-from .space import QuasiMetricSpace, exponent_a
+from .space import QuasiMetricSpace, exponent_a, near_pairs
 from .spline import HOLDER_BUDGET, SplineSystem, holder_fit, pair_maxima
 
 GRAM_TOL = 1e-10
@@ -64,6 +69,76 @@ def normalized_gram(space: QuasiMetricSpace, rows: np.ndarray,
     return G / np.sqrt(np.outer(masses, masses))
 
 
+def gram_components(gram: np.ndarray) -> list:
+    """Connected components of the nonzero pattern of a square Gram.
+
+    One (count, size) array of row indices per component size, sizes
+    ascending; components come in order of their first row and each lists
+    its rows ascending.  Rows take the smallest row of their component as
+    label, by min-label propagation over the nonzero pairs with pointer
+    jumping.
+    """
+    i, j, _ = near_pairs(-np.abs(gram), 0.0)
+    label = np.arange(len(gram))
+    while True:
+        new = label.copy()
+        np.minimum.at(new, i, label[j])
+        np.minimum.at(new, j, label[i])
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    sizes = np.bincount(label, minlength=len(gram))[label]
+    order = np.lexsort((label, sizes))
+    counts = np.bincount(sizes)
+    return [order[end - count:end].reshape(-1, size)
+            for size, (count, end) in enumerate(zip(counts, np.cumsum(counts)))
+            if count]
+
+
+def _component_blocks(gram: np.ndarray):
+    """(rows, stacked diagonal blocks) of the Gram, one pair per size."""
+    for idx in gram_components(gram):
+        yield idx, gram[idx[:, :, None], idx[:, None, :]]
+
+
+def component_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Overwrite ``rhs`` with gram^{-1} rhs, one Gram component at a time,
+    and return it.
+
+    A Cholesky factorization proves each component positive definite, then
+    an LU solve runs against the component's rows of ``rhs``; components of
+    one size share one stacked call of each.  Working in place keeps one
+    rows-by-columns array fewer alive.
+    """
+    for idx, blocks in _component_blocks(gram):
+        try:
+            np.linalg.cholesky(blocks)
+        except np.linalg.LinAlgError as exc:
+            raise NotPositiveDefinite(
+                f"a component of {idx.shape[1]} rows is not positive "
+                "definite") from exc
+        rhs[idx] = np.linalg.solve(blocks, rhs[idx])
+    return rhs
+
+
+def component_inverse_sqrt(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Overwrite ``rhs`` with gram^{-1/2} rhs, one Gram component at a
+    time, and return it.
+
+    Components of one size share one stacked ``eigh``; a smallest
+    eigenvalue <= 0 raises NotPositiveDefinite.
+    """
+    for idx, blocks in _component_blocks(gram):
+        vals, vecs = np.linalg.eigh(blocks)
+        if (vals[:, 0] <= 0).any():
+            raise NotPositiveDefinite(
+                f"smallest eigenvalue {vals[:, 0].min():.3e} is not positive")
+        root = (vecs * (1.0 / np.sqrt(vals))[:, None, :]) @ vecs.swapaxes(1, 2)
+        rhs[idx] = root @ rhs[idx]
+    return rhs
+
+
 def gram_matrix(space: QuasiMetricSpace, system: SplineSystem,
                 k: int) -> np.ndarray:
     """Spline Gram at level k, normalized by the net ball masses."""
@@ -76,16 +151,19 @@ def dual_splines(space: QuasiMetricSpace, system: SplineSystem,
 
     Row alpha is sum_beta G^{-1}(alpha, beta) s_beta / sqrt(m_alpha m_beta)
     with G the normalized Gram, so spline/dual pairings give the identity.
-    ``extreme_eigs`` proves G positive definite; then one LU solve runs
-    against the scaled splines and the inverse is never formed.
+    G must be symmetric; ``component_solve`` proves each of its components
+    positive definite and solves it against the scaled splines, so the
+    inverse is never formed.
     """
     gram = gram_matrix(space, system, k)
+    rs = 1.0 / np.sqrt(np.asarray(system.ball_mass[k], dtype=float))
     try:
-        extreme_eigs(gram)
+        require_symmetric(gram)
+        duals = component_solve(gram, rs[:, None] * system.values[k])
     except NotPositiveDefinite as exc:
         raise NotPositiveDefinite(f"level {k} Gram: {exc}") from exc
-    rs = 1.0 / np.sqrt(np.asarray(system.ball_mass[k], dtype=float))
-    return rs[:, None] * np.linalg.solve(gram, rs[:, None] * system.values[k])
+    duals *= rs[:, None]
+    return duals
 
 
 def build_mra(space: QuasiMetricSpace, system: SplineSystem) -> MRA:
@@ -127,16 +205,19 @@ def pre_wavelets(space: QuasiMetricSpace, nets: NestedNets, mra: MRA,
     """Level-k pre-wavelets: fine splines at the new points, minus V_k.
 
     Rows follow the order of appearance of the new points inside level
-    k+1.  The residual family must span the full complement.
+    k+1.  The residual family must span the full complement.  Rows in
+    different components of its Gram are orthogonal, so the rank is the
+    sum of the ranks of the components.
     """
     fine = mra.system.values[k + 1]
     rows = nets.positions(k + 1, space.n)[nets.ydiff[k]]
     base = fine[rows]
     resid = base - (spline_projector(space, mra, k) @ base.T).T
-    if np.linalg.matrix_rank(resid) < len(rows):
+    rank = sum(int(np.linalg.matrix_rank(resid[idx]).sum())
+               for idx in gram_components((resid * space.weights) @ resid.T))
+    if rank < len(rows):
         raise RankDeficiency(
-            f"level {k} pre-wavelets span only rank "
-            f"{np.linalg.matrix_rank(resid)} of {len(rows)}")
+            f"level {k} pre-wavelets span only rank {rank} of {len(rows)}")
     return resid
 
 
@@ -144,15 +225,15 @@ def orthonormalize(space: QuasiMetricSpace, prewavelets: np.ndarray,
                    masses: np.ndarray, centers=None):
     """Mix the pre-wavelets into an L2(mu)-orthonormal family.
 
-    Applies the inverse square root of the normalized pre-wavelet Gram
-    (dense spectral route) and flips each sign so the value at the
+    Applies the inverse square root of the normalized pre-wavelet Gram,
+    one Gram component at a time, and flips each sign so the value at the
     wavelet's own center is non-negative.  Returns (wavelets, gram).
     """
     if prewavelets.shape[0] == 0:
         return prewavelets.copy(), np.zeros((0, 0))
     mg = normalized_gram(space, prewavelets, masses)
-    root = spectral_inverse_sqrt(mg)
-    psi = root @ (prewavelets / np.sqrt(np.asarray(masses, float))[:, None])
+    psi = component_inverse_sqrt(
+        mg, prewavelets / np.sqrt(np.asarray(masses, float))[:, None])
     if centers is not None:
         centers = np.asarray(centers, dtype=int)
         vals = psi[np.arange(len(centers)), centers]

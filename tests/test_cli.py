@@ -277,6 +277,29 @@ def test_verify_fresh_build_passes(built):
     assert fits["norm_equivalence"]["2"]["lo"] == pytest.approx(1.0)
 
 
+def test_verify_passes_with_another_blas_thread_count(tmp_path):
+    # build_report.json holds wavelet fit counts; with the off-component
+    # entries exactly zero, a verify on two OpenBLAS threads rebuilds the
+    # report that a build on one thread wrote
+    src = Path(__file__).resolve().parents[1] / "src"
+
+    def cli_run(threads, *args):
+        env = {**os.environ, "PYTHONPATH": str(src),
+               "OPENBLAS_NUM_THREADS": threads}
+        return subprocess.run(
+            [sys.executable, "-m", "dyadwave.cli", *map(str, args)],
+            capture_output=True, text=True, timeout=300, cwd=tmp_path,
+            env=env)
+
+    assert cli_run("1", "gen", "snowflake", "384", "0.5", "--seed", "0",
+                   "--out", "space.json").returncode == 0
+    assert cli_run("1", "build", "--input", "space.json", "--delta", "0.5",
+                   "--seed", "0", "--out", "art").returncode == 0
+    out = cli_run("2", "verify", "--artifacts", "art")
+    assert out.returncode == 0, out.stdout
+    assert "verify: ok (22/22 exact checks)" in out.stdout
+
+
 def test_verify_corrupted_basis_fails(built, tmp_path):
     import shutil
     bad = tmp_path / "bad"
@@ -653,6 +676,19 @@ def test_boundary_stderr_shrinks_with_samples(tmp_path):
     assert shared
     ratios = [big[c] / small[c] for c in shared]
     assert 0.3 < np.mean(ratios) < 0.8
+
+
+def test_boundary_csv_independent_of_jobs(tmp_path):
+    # 300 draws span two chunks, so --jobs 2 sends them to two workers
+    art = tmp_path / "art"
+    assert run("build", "--gen", "cyclic", "16", "--delta", "0.2",
+               "--out", art) == 0
+    for jobs in ("1", "2"):
+        assert run("boundary", "--artifacts", art, "--num-samples", "300",
+                   "--eps-grid", "0.2", "0.4", "--jobs", jobs,
+                   "--out", tmp_path / jobs) == 0
+    assert ((tmp_path / "1" / "boundary.csv").read_bytes()
+            == (tmp_path / "2" / "boundary.csv").read_bytes())
 
 
 def test_boundary_missing_artifacts(tmp_path):

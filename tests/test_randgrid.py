@@ -148,7 +148,8 @@ def test_center_containment_and_partition_all_omegas():
     sp = gen_example("cyclic", n=8)
     nets, labels, tables = setup(sp)
     omegas = list(all_omegas(nets, labels))
-    assign = dict(cube_assignments(nets, tables, as_draws(omegas, nets),
+    parents = {k: t.parents for k, t in tables.items()}
+    assign = dict(cube_assignments(nets, parents, as_draws(omegas, nets),
                                    len(omegas)))
     for i, omega in enumerate(omegas):
         for k in nets.level_range:
@@ -199,7 +200,8 @@ def test_measurability_fine_levels_ignore_coarse_coordinates():
     changed = dict(base)
     changed[nets.k_min] = (labels.L, labels.M)
     draws = as_draws([base, changed], nets)
-    assign = dict(cube_assignments(nets, tables, draws, 2))
+    parents = {k: t.parents for k, t in tables.items()}
+    assign = dict(cube_assignments(nets, parents, draws, 2))
     for k in nets.level_range:
         if k > nets.k_min:
             assert np.array_equal(assign[k][0], assign[k][1])

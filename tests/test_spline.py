@@ -48,7 +48,8 @@ def all_grid_averages(space, nets, labels, tables):
              for i, k in enumerate(tls)}
     sums = {k: np.zeros((len(nets.levels[k]), space.n)) for k in tls}
     cols = np.arange(space.n)
-    for k, asg in cube_assignments(nets, tables, draws, total):
+    parents = {k: t.parents for k, t in tables.items()}
+    for k, asg in cube_assignments(nets, parents, draws, total):
         if k in sums:
             for row in asg:
                 sums[k][row, cols] += 1.0
@@ -251,7 +252,8 @@ def test_sample_grid_once_deterministic():
     om2 = sample_omega(labels, tls, seed=5, count=1)
     assert all(np.array_equal(om1[k][0], om2[k][0])
                and np.array_equal(om1[k][1], om2[k][1]) for k in tls)
-    asg1 = dict(cube_assignments(nets, tables, om1, 1))
-    asg2 = dict(cube_assignments(nets, tables, om2, 1))
+    parents = {k: t.parents for k, t in tables.items()}
+    asg1 = dict(cube_assignments(nets, parents, om1, 1))
+    asg2 = dict(cube_assignments(nets, parents, om2, 1))
     for k in asg1:
         assert np.array_equal(asg1[k], asg2[k])

@@ -23,10 +23,11 @@ from .errors import (
 from .nets import NestedNets
 from .seeding import STREAM_SIGNS, STREAM_TRIALS, stream_rng
 from .space import QuasiMetricSpace, exponent_a
-from .spline import HOLDER_BUDGET, close_pairs, holder_fit
+from .spline import HOLDER_BUDGET, close_pair_ladder, holder_fit
 from .wavelet import WaveletBasis
 
 PAIR_BUDGET = 200_000
+CZ_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -144,30 +145,50 @@ def cz_kernel_bound(space: QuasiMetricSpace, basis: WaveletBasis) -> dict:
     """Empirical constant in the singular-kernel sum bound.
 
     Scans all pairs x != y for the largest mu(B(x, d(x, y))) times the
-    total absolute wavelet kernel sum_k |psi(x) psi(y)|.
+    total absolute wavelet kernel sum_k |psi(x) psi(y)|.  Blocks of
+    CZ_ROWS rows are sorted at once; the ball mass of a point is the
+    running weight sum up to the first point of its tie in the sorted row.
     """
     B = basis.rows[1:]
     absk = np.abs(B).T @ np.abs(B)
     n = space.n
     best, pair = 0.0, (0, 0)
-    for x in range(n):
-        row = space.dist[x]
-        order = np.argsort(row, kind="stable")
-        cum = np.concatenate([[0.0], np.cumsum(space.weights[order])])
-        mass = cum[np.searchsorted(row[order], row, side="left")]
-        scores = mass * absk[x]
-        scores[x] = -1.0
-        y = int(scores.argmax())
-        if scores[y] > best:
-            best, pair = float(scores[y]), (x, y)
+    for start in range(0, n, CZ_ROWS):
+        rows = space.dist[start:start + CZ_ROWS]
+        order = np.argsort(rows, axis=1, kind="stable")
+        srt = np.take_along_axis(rows, order, axis=1)
+        cum = np.zeros((len(rows), n + 1))
+        np.cumsum(space.weights[order], axis=1, out=cum[:, 1:])
+        tie_start = np.ones(srt.shape, dtype=bool)
+        tie_start[:, 1:] = srt[:, 1:] != srt[:, :-1]
+        first = np.maximum.accumulate(np.where(tie_start, np.arange(n), 0),
+                                      axis=1)
+        mass = np.empty(srt.shape)
+        np.put_along_axis(mass, order,
+                          np.take_along_axis(cum, first, axis=1), axis=1)
+        scores = mass * absk[start:start + len(rows)]
+        x = np.arange(len(rows))
+        scores[x, start + x] = -1.0
+        y = scores.argmax(axis=1)
+        top = scores[x, y]
+        r = int(top.argmax())
+        if top[r] > best:
+            best, pair = float(top[r]), (start + r, int(y[r]))
     return {"c_hat": best, "pair": pair, "n_pairs": n * (n - 1)}
 
 
-def _reg_quotients(space, kernel, mass, scale, gamma, s, pair_budget, seed):
+def _reg_quotients(space, kernel, mass, scale, gamma, s, pairs, pair_budget,
+                   seed):
     """(x, y, count): x = -log(d / scale) and y the largest log quotient
-    over the rows, per sampled close pair with one kept (count)."""
+    over the rows, per sampled close pair with one kept (count).
+
+    ``pairs`` is the level's strict ``close_pairs`` triple.  Only the
+    entries whose difference is ``above_floor`` get a denominator and a
+    log, over blocks of max(1, pair_budget // (8 n)) pairs, so a block
+    holds an eighth of the budget's entries.
+    """
     n = space.n
-    iu, ju, rel = close_pairs(space.dist, scale, strict=True)
+    iu, ju, rel = pairs
     if iu.size * n > pair_budget and iu.size > 0:
         take = max(1, pair_budget // n)
         idx = stream_rng(seed, STREAM_TRIALS, 1).choice(iu.size, size=take,
@@ -175,16 +196,27 @@ def _reg_quotients(space, kernel, mass, scale, gamma, s, pair_budget, seed):
         iu, ju, rel = iu[idx], ju[idx], rel[idx]
     if iu.size == 0:
         return np.zeros(0), np.zeros(0), 0
-    diff = np.abs(kernel[:, iu] - kernel[:, ju])
     rm = 1.0 / np.sqrt(mass)
-    att = np.exp(-gamma * (space.dist / scale) ** s)
-    denom = (att[:, iu] * rm[:, None] * rm[None, iu]
-             + att[:, ju] * rm[:, None] * rm[None, ju])
-    keep = above_floor(diff) & above_floor(denom)
-    ys = np.log(diff, out=np.full_like(diff, -np.inf), where=keep)
-    ys -= np.log(denom, out=np.zeros_like(denom), where=keep)
-    kept = keep.sum(axis=0)
-    return -np.log(rel[kept > 0]), ys.max(axis=0)[kept > 0], int(kept.sum())
+    top = np.full(iu.size, -np.inf)
+    kept = np.zeros(iu.size, dtype=np.int64)
+    step = max(1, pair_budget // (8 * n))
+    for lo in range(0, iu.size, step):
+        bi, bj = iu[lo:lo + step], ju[lo:lo + step]
+        diff = np.abs(kernel[:, bi] - kernel[:, bj])
+        keep = above_floor(diff)
+        diff = diff[keep]
+        x = np.broadcast_to(np.arange(n)[:, None], keep.shape)[keep]
+        p = np.broadcast_to(np.arange(len(bi)), keep.shape)[keep]
+        i, j = bi[p], bj[p]
+        att_i = np.exp(-gamma * (space.dist[x, i] / scale) ** s)
+        att_j = np.exp(-gamma * (space.dist[x, j] / scale) ** s)
+        denom = att_i * rm[x] * rm[i] + att_j * rm[x] * rm[j]
+        ok = above_floor(denom)
+        p = p[ok]
+        np.maximum.at(top[lo:lo + step], p,
+                      np.log(diff[ok]) - np.log(denom[ok]))
+        kept[lo:lo + step] += np.bincount(p, minlength=len(bi))
+    return -np.log(rel[kept > 0]), top[kept > 0], int(kept.sum())
 
 
 def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
@@ -196,13 +228,17 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
     ``lp.basis``.  P_k is fitted in the chain exponent s = 1/(1+log2 a0),
     Q_k in the wavelet exponent a with the additional holes attenuation
     exp(-gamma (d(., new points)/scale)^a) on both arguments.  Row sums
-    and kernel symmetry are checked exactly.
+    and kernel symmetry are checked exactly.  The close pairs of the P_k
+    regularity quotients come from one ``close_pair_ladder`` over the
+    levels.
     """
     s = 1.0 / (1.0 + math.log2(space.a0))
     a = exponent_a(space)
     w = space.weights
     points = np.arange(space.n)
     report = {"s": float(s), "a": float(a), "levels": {}, "nonpositive": []}
+    ladder = close_pair_ladder(
+        space.dist, [nets.scale(k) for k in nets.level_range], strict=True)
     for k, P, Q in projectors:
         scale = nets.scale(k)
         mass = space.ball_masses(points, scale)
@@ -215,9 +251,10 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
         entry["p_size"] = envelope_fit((space.dist / scale) ** s,
                                        np.abs(P) * np.outer(rm, rm))
         gamma = entry["p_size"]["c"]
+        pairs = next(ladder)
         if gamma > 0.0:
             hx, hy, n_kept = _reg_quotients(space, P, mass, scale, gamma,
-                                            s, pair_budget, seed)
+                                            s, pairs, pair_budget, seed)
             # Budget convention: the admissible constant sits at the budget
             # factor above the observed sup of the quotient, keeping the
             # fitted exponent scale-free.
@@ -232,6 +269,9 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
             entry["p_reg"] = {"eta_hat": math.nan, "budget": HOLDER_BUDGET,
                               "const": math.nan, "n_pairs": 0}
             report["nonpositive"].append((k, "p_size"))
+        # the Q_k fit sets the peak; while it runs, only the ladder keeps
+        # this level's pairs
+        del pairs
 
         if Q is not None:
             Q = Q / w[None, :]

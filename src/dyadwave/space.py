@@ -93,20 +93,33 @@ def minplus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Min-plus product C[x, z] = min_y A[x, y] + B[y, z], exactly.
 
     Blocks of MINPLUS_ROWS rows of C, each built one intermediate y at a
-    time into a reused buffer, in the same y order for every block.  So
-    memory stays at C plus one row block, never the n^3 of a broadcast
-    over y, and the block and its buffer stay in cache.
+    time in a reused contiguous buffer, in the same y order for every
+    block.  So memory stays at C plus two row blocks, never the n^3 of a
+    broadcast over y, and the block and its buffer stay in cache.
+
+    When A and B are the same exactly symmetric matrix, so is C: each block
+    is formed only from its first row's column onward and its transpose
+    fills the lower triangle.  C[z, x] adds the same two entries as
+    C[x, z] in the other order, so the result is bit for bit the same.
     """
+    half = A is B and np.array_equal(A, A.T)
     out = np.empty((A.shape[0], B.shape[1]))
-    buf = np.empty((min(MINPLUS_ROWS, A.shape[0]), B.shape[1]))
+    buf = np.empty(2 * min(MINPLUS_ROWS, A.shape[0]) * B.shape[1])
     for start in range(0, A.shape[0], MINPLUS_ROWS):
         rows = A[start:start + MINPLUS_ROWS]
-        block = out[start:start + MINPLUS_ROWS]
-        tmp = buf[:len(rows)]
-        np.add(rows[:, 0, None], B[0, None, :], out=block)
+        stop = start + len(rows)
+        first = start if half else 0
+        cols = B[:, first:]
+        size = len(rows) * cols.shape[1]
+        block = buf[:size].reshape(len(rows), -1)
+        tmp = buf[size:2 * size].reshape(len(rows), -1)
+        np.add(rows[:, 0, None], cols[0, None, :], out=block)
         for y in range(1, A.shape[1]):
-            np.add(rows[:, y, None], B[y, None, :], out=tmp)
+            np.add(rows[:, y, None], cols[y, None, :], out=tmp)
             np.minimum(block, tmp, out=block)
+        out[start:stop, first:] = block
+        if half:
+            out[stop:, start:stop] = block[:, len(rows):].T
     return out
 
 
@@ -116,8 +129,8 @@ def compute_a0(dist: np.ndarray) -> float:
     Exact in floating point: rounded division is monotone in the divisor,
     so d(x,z) over the min-plus square equals the largest of the ratios
     d(x,z) / (d(x,y) + d(y,z)) over all y.  The y = x term is d(x,z)
-    itself, whose ratio 1 the clamp covers anyway.  O(n^3) time, O(n^2)
-    memory.
+    itself, whose ratio 1 the clamp covers anyway.  O(n^3) time (half of
+    it, since the square is symmetric), O(n^2) memory.
     """
     square = minplus(dist, dist)
     np.fill_diagonal(square, np.inf)

@@ -122,20 +122,41 @@ def holder_fit(xs, ys) -> float:
                      HOLDER_ETA_CAP))
 
 
+def close_pair_ladder(dist: np.ndarray, scales, strict: bool = False):
+    """Yield ``close_pairs(dist, scale, strict)`` for each of the
+    non-increasing ``scales``.  Only the first scale scans ``dist``; each
+    later list masks the one before, which keeps its row-major order.  The
+    indices are int32, so the list kept between levels is 16 bytes a pair.
+    """
+    i = last = None
+    for scale in scales:
+        if i is None:
+            i, j, d = near_pairs(dist, scale, strict)
+            up = i < j
+            i, j, d = i[up].astype(np.int32), j[up].astype(np.int32), d[up]
+        elif scale > last:
+            raise ValueError(f"scale {scale} above the previous {last}")
+        else:
+            keep = d < scale if strict else d <= scale
+            i, j, d = i[keep], j[keep], d[keep]
+        last = scale
+        yield i, j, d / scale
+
+
 def close_pairs(dist: np.ndarray, scale: float, strict: bool = False) -> tuple:
     """(i, j, rel = d(i, j) / scale) in row-major order over the pairs i < j
     with d <= scale, so rel <= 1 (< if ``strict``; rounding keeps positive
-    quotients on their side of 1).  Every Hölder fit reads these."""
-    i, j, d = near_pairs(dist, scale, strict)
-    up = i < j
-    return i[up], j[up], d[up] / scale
+    quotients on their side of 1).  Every Hölder fit reads these, one
+    ``close_pair_ladder`` per loop over the levels."""
+    return next(close_pair_ladder(dist, (scale,), strict))
 
 
-def pair_maxima(rows, dist, scale: float, strict: bool = False) -> tuple:
-    """(rel, sup, count) over ``close_pairs``: per pair, max over rows of
-    |r(i) - r(j)| and how many of those are ``above_floor``.  Blocks of
-    pairs keep each difference array within n x n entries."""
-    i, j, rel = close_pairs(dist, scale, strict)
+def pair_maxima(rows, pairs) -> tuple:
+    """(rel, sup, count) over the ``close_pairs`` triple ``pairs``: per
+    pair, max over rows of |r(i) - r(j)| and how many of those are
+    ``above_floor``.  Blocks of pairs keep each difference array within
+    n x n entries."""
+    i, j, rel = pairs
     sup = np.empty(len(i))
     count = np.empty(len(i), dtype=np.int64)
     step = max(1, rows.shape[1] ** 2 // rows.shape[0])
@@ -161,8 +182,10 @@ def holder_estimate(system: SplineSystem, space: QuasiMetricSpace,
     const_at_eta = 0.0
     eta_hat = HOLDER_ETA_CAP
     n_pairs = 0
-    for k in range(system.k_min, system.k_max + 1):
-        rel, diff, _ = pair_maxima(system.values[k], space.dist, nets.scale(k))
+    levels = range(system.k_min, system.k_max + 1)
+    ladder = close_pair_ladder(space.dist, [nets.scale(k) for k in levels])
+    for k in levels:
+        rel, diff, _ = pair_maxima(system.values[k], next(ladder))
         n_pairs += rel.size
         const_at_eta = max(const_at_eta,
                            float((diff / rel ** eta).max(initial=0.0)))

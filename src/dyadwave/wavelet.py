@@ -28,7 +28,8 @@ from .errors import (
 )
 from .nets import NestedNets
 from .space import QuasiMetricSpace, exponent_a, near_pairs
-from .spline import HOLDER_BUDGET, SplineSystem, holder_fit, pair_maxima
+from .spline import (HOLDER_BUDGET, SplineSystem, close_pair_ladder,
+                     holder_fit, pair_maxima)
 
 GRAM_TOL = 1e-10
 
@@ -311,10 +312,11 @@ def _holder_samples(space, nets, basis):
     """(x, y, count): x = -log(d / scale) and y the log of the largest
     scaled wavelet difference, per close pair with one kept (count)."""
     xs, ys, count = [np.zeros(0)], [np.zeros(0)], 0
+    ladder = close_pair_ladder(
+        space.dist, [nets.scale(k) for k in basis.blocks], strict=True)
     for k, sl in basis.blocks.items():
         psi = basis.rows[sl] * np.sqrt(basis.mass_center[k])[:, None]
-        rel, sup, kept = pair_maxima(psi, space.dist, nets.scale(k),
-                                     strict=True)
+        rel, sup, kept = pair_maxima(psi, next(ladder))
         xs.append(-np.log(rel[kept > 0]))
         ys.append(np.log(sup[kept > 0]))
         count += int(kept.sum())

@@ -13,6 +13,10 @@ form: each level's rows and coefficients are copied out by a list of row
 indices, once per call.  The library reads each level as a slice of the
 basis rows; tests require its bounds and square function to equal these
 exactly.
+
+``cz_kernel_bound`` is the per-point form of the singular-kernel scan; the
+library sorts blocks of rows at once and must report the same constant
+and pair.
 """
 
 import math
@@ -114,3 +118,23 @@ def lp_equivalence(space, lp, p_list, num_trials=100, seed=0) -> dict:
             ratio = lp_norm(space, sf, p) / lp_norm(space, f, p)
             bounds[p] = (min(lo, ratio), max(hi, ratio))
     return bounds
+
+
+def cz_kernel_bound(space, basis) -> dict:
+    """The report of ``lpanalysis.cz_kernel_bound``, one point at a time:
+    each row is sorted on its own and every ball mass found by a search."""
+    B = basis.rows[1:]
+    absk = np.abs(B).T @ np.abs(B)
+    n = space.n
+    best, pair = 0.0, (0, 0)
+    for x in range(n):
+        row = space.dist[x]
+        order = np.argsort(row, kind="stable")
+        cum = np.concatenate([[0.0], np.cumsum(space.weights[order])])
+        mass = cum[np.searchsorted(row[order], row, side="left")]
+        scores = mass * absk[x]
+        scores[x] = -1.0
+        y = int(scores.argmax())
+        if scores[y] > best:
+            best, pair = float(scores[y]), (x, y)
+    return {"c_hat": best, "pair": pair, "n_pairs": n * (n - 1)}

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,14 +16,16 @@ from dyadwave.lpanalysis import (
 )
 from dyadwave.nets import build_nets
 from dyadwave.randgrid import build_grid
-from dyadwave.space import build_space, gen_example
+from dyadwave.space import build_space, gen_example, near_pairs
 from dyadwave.spline import (
+    close_pair_ladder,
     close_pairs,
     compute_splines,
     holder_estimate,
     pair_maxima,
 )
 from dyadwave.wavelet import (
+    _holder_samples,
     build_mra,
     build_wavelet_basis,
     verify_wavelet_theorem,
@@ -109,6 +112,93 @@ def test_close_pairs_row_major_within_scale():
     assert np.array_equal(sj, j[rel < 1.0])
 
 
+def test_close_pair_ladder_equals_close_pairs_at_each_scale():
+    space = gen_example("point_cloud", seed=2, n=20, dim=2)
+    dist = space.dist
+    iu = np.triu_indices(space.n, k=1)
+    tie = float(np.sort(dist[iu])[40])
+    # a scale above every distance, one equal to a pair distance, repeated,
+    # and a finest one below the separation, so its lists are empty
+    scales = [2.0 * space.diam, float(np.median(dist[iu])), tie, tie,
+              space.minsep, 0.5 * space.minsep]
+    for strict in (False, True):
+        ladder = list(close_pair_ladder(dist, scales, strict))
+        assert len(ladder) == len(scales)
+        for scale, got in zip(scales, ladder):
+            want = close_pairs(dist, scale, strict)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert (1.0 in ladder[2][2]) is not strict
+        assert ladder[0][0].size == len(iu[0])
+        assert ladder[-1][0].size == 0
+    with pytest.raises(ValueError):
+        list(close_pair_ladder(dist, [tie, 2.0 * tie]))
+
+
+def test_each_fit_scans_the_distances_once(monkeypatch):
+    # one close_pair_ladder per loop over the levels: the spline fit, the
+    # wavelet fit and the regularity quotients each list pairs once
+    space = gen_example("point_cloud", seed=1, n=40, dim=2)
+    nets, system, basis = assemble(space, 0.4)
+    lp = build_lp(space, nets, basis)
+    calls = []
+
+    def listing(dist, radius, strict=True):
+        calls.append(radius)
+        return near_pairs(dist, radius, strict)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("dyadwave")
+                and getattr(module, "near_pairs", None) is near_pairs):
+            monkeypatch.setattr(module, "near_pairs", listing)
+    fits = [lambda: holder_estimate(system, space, nets),
+            lambda: _holder_samples(space, nets, basis),
+            lambda: kernel_estimates(space, nets, lp,
+                                     lp_projectors(space, nets, basis))]
+    assert len(basis.blocks) > 2
+    for fit in fits:
+        calls.clear()
+        fit()
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("budget,cases", [
+    (PAIR_BUDGET, {"constant", "blocks"}),
+    (100 * 40, {"constant", "subsampled", "blocks"}),
+    (3 * 40, {"constant", "subsampled", "blocks"})])
+def test_reg_quotients_at_kept_entries_match_oracle(budget, cases):
+    space = gen_example("point_cloud", seed=1, n=40, dim=2)
+    nets, _, basis = assemble(space, 0.4)
+    lp = build_lp(space, nets, basis)
+    rep = kernel_estimates(space, nets, lp, lp_projectors(space, nets, basis),
+                           pair_budget=budget)
+    w = space.weights
+    seen = set()
+    for k, P, _ in lp_projectors(space, nets, basis):
+        entry = rep["levels"][k]
+        gamma = entry["p_size"]["c"]
+        if gamma <= 0.0:
+            continue
+        scale = nets.scale(k)
+        mass = space.ball_masses(np.arange(space.n), scale)
+        kernel = P / w[None, :]
+        assert_same(entry["p_reg"],
+                    oracle.p_reg(space, kernel, mass, scale, gamma,
+                                 rep["s"], budget, 0))
+        pairs = close_pairs(space.dist, scale, strict=True)[0].size
+        sampled = pairs
+        if pairs * space.n > budget:
+            seen.add("subsampled")
+            sampled = max(1, budget // space.n)
+        if pairs and np.ptp(kernel) == 0.0:
+            assert entry["p_reg"]["n_pairs"] == 0
+            seen.add("constant")
+        # blocks of budget // (8 n) pairs, at least one
+        if sampled > max(1, budget // (8 * space.n)):
+            seen.add("blocks")
+    assert seen == cases
+
+
 def test_pair_maxima_blocks_agree_with_one_pass():
     # 40 rows over 12 points: blocks of 144 // 40 = 3 pairs
     rng = np.random.default_rng(0)
@@ -118,7 +208,7 @@ def test_pair_maxima_blocks_agree_with_one_pass():
     rows[:, 8] = 0.0
     rows[:30, 9] = 1e-301
     dist = 1.0 - np.eye(12)
-    rel, sup, count = pair_maxima(rows, dist, 1.0)
+    rel, sup, count = pair_maxima(rows, close_pairs(dist, 1.0))
     i, j = np.triu_indices(12, k=1)
     diff = np.abs(rows[:, i] - rows[:, j])
     assert np.array_equal(rel, np.ones(len(i)))
@@ -127,7 +217,7 @@ def test_pair_maxima_blocks_agree_with_one_pass():
     assert count[(i == 5) & (j == 7)][0] == 0
     assert count[(i == 3) & (j == 4)][0] == 20
     assert count[(i == 8) & (j == 9)][0] == 10
-    assert pair_maxima(rows, dist, 1.0, strict=True)[1].size == 0
+    assert pair_maxima(rows, close_pairs(dist, 1.0, strict=True))[1].size == 0
 
 
 def test_wavelet_theorem_holds_few_dense_arrays():

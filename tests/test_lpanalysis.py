@@ -430,6 +430,19 @@ def test_cz_bound_interval_full_scan():
     assert report["n_pairs"] == 128 * 127
 
 
+@pytest.mark.parametrize("kind,params", FLEET + [
+    ("cyclic", {"n": 70}), ("binary_tree", {"depth": 7}),
+    ("interval", {"n": 129})])
+def test_cz_bound_matches_per_point_oracle(kind, params):
+    # tied distances, one partial row block and several blocks
+    space, nets, mra, basis, lp = assemble(kind, params)
+    report = cz_kernel_bound(space, basis)
+    want = oracle.cz_kernel_bound(space, basis)
+    assert report == want
+    assert type(report["c_hat"]) is float
+    assert all(type(v) is int for v in report["pair"])
+
+
 def test_kernel_estimates_interval():
     space, nets, mra, basis, lp = assemble("interval", {"n": 64})
     report = kernel_estimates(space, nets, lp,

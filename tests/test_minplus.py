@@ -79,6 +79,38 @@ def test_a0_and_chain_constants_match_oracle_on_random_quasi_metrics(dist):
     assert sp.a0 == (1.0 if raw <= 1.0 + LIPSCHITZ_TOL else raw)
 
 
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@given(quasi_metrics())
+def test_minplus_square_of_symmetric_matrix_matches_oracle(dist):
+    # one partial row block: n < MINPLUS_ROWS
+    assert_bitwise(minplus(dist, dist), oracle.minplus(dist, dist))
+
+
+@pytest.mark.parametrize("n", [1, MINPLUS_ROWS, 2 * MINPLUS_ROWS + 5])
+def test_minplus_half_square_fills_lower_triangle(n):
+    dist = gen_example("snowflake", seed=2, n=n, eps=0.5).dist
+    square = minplus(dist, dist)
+    assert_bitwise(square, oracle.minplus(dist, dist))
+    assert_bitwise(square, square.T)
+
+
+def test_minplus_general_path_for_asymmetric_or_distinct_operands():
+    dist = gen_example("snowflake", seed=3, n=MINPLUS_ROWS + 7, eps=0.5).dist
+    skew = dist.copy()
+    skew[0, 1:] *= 1.5
+    # the same asymmetric matrix twice: its square is not symmetric
+    square = minplus(skew, skew)
+    assert not np.array_equal(square, square.T)
+    assert_bitwise(square, oracle.minplus(skew, skew))
+    copy = dist.copy()
+    assert_bitwise(minplus(dist, copy), oracle.minplus(dist, copy))
+    assert_bitwise(minplus(skew, dist), oracle.minplus(skew, dist))
+
+
 def test_kernel_memory_stays_quadratic():
     n = 512
     sp = gen_example("snowflake", seed=0, n=n, eps=0.5)

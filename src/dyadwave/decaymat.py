@@ -140,44 +140,6 @@ def chain_constants(dist, n_max: int, exact_budget: int = 512,
 # ---------------------------------------------------------------------------
 # spectral estimates
 
-def operator_norm_bounds(matrix, weights=None, iters: int = 200) -> tuple:
-    """(lower, upper) bounds for the spectral norm.
-
-    Upper bound: weighted double-sum test (unweighted reduces to
-    sqrt(norm_1 * norm_inf)) capped by the Frobenius norm.  Lower bound:
-    best Rayleigh quotient seen along a deterministic power iteration.
-    """
-    M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch("matrix must be square")
-    n = M.shape[0]
-    absm = np.abs(M)
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-    row = float(((absm @ w) / w).max())
-    col = float(((absm.T @ w) / w).max())
-    upper = min(math.sqrt(row * col), float(np.linalg.norm(M, "fro")))
-    v = 1.0 + np.arange(n) / (10.0 * max(n, 1))
-    v /= np.linalg.norm(v)
-    lower = 0.0
-    for _ in range(iters):
-        u = M @ v
-        norm = np.linalg.norm(u)
-        lower = max(lower, float(norm))
-        if norm == 0:
-            break
-        v = M.T @ u
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            break
-        v /= nv
-    return min(lower, upper), upper
-
-
 def require_symmetric(M: np.ndarray) -> None:
     """Raise NotPositiveDefinite unless M equals its transpose up to rounding."""
     if not np.allclose(M, M.T, rtol=1e-10, atol=1e-12):

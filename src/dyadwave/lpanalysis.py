@@ -182,7 +182,7 @@ def _reg_quotients(space, kernel, mass, scale, gamma, s, pairs, pair_budget,
     """(x, y, count): x = -log(d / scale) and y the largest log quotient
     over the rows, per sampled close pair with one kept (count).
 
-    ``pairs`` is the level's strict ``close_pairs`` triple.  Only the
+    ``pairs`` is the level's strict ``close_pair_ladder`` triple.  Only the
     entries whose difference is ``above_floor`` get a denominator and a
     log, over blocks of max(1, pair_budget // (8 n)) pairs, so a block
     holds an eighth of the budget's entries.

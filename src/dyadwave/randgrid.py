@@ -236,27 +236,6 @@ def column_frequencies(rows: np.ndarray, nrows: int) -> np.ndarray:
     return counts.reshape(nrows, ncols) / draws
 
 
-def enumerate_coordinates(labels: GridLabels):
-    """All (ell, m) values a single level can take."""
-    return [(ell, m) for ell in range(labels.L + 1)
-            for m in range(1, labels.M + 1)]
-
-
-def child_hit_probabilities(space: QuasiMetricSpace, nets: NestedNets,
-                            tables: dict) -> dict:
-    """Exact P(z^k_alpha = child beta) per transition, by enumeration.
-
-    The perturbed center at level k depends on the level-k coordinate only,
-    so one-level enumeration of its table (``build_grid``) is exhaustive.
-    """
-    out = {}
-    for k, table in tables.items():
-        z = nets.positions(k + 1, space.n)[
-            table.centers.reshape(-1, len(nets.levels[k]))]
-        out[k] = column_frequencies(z, len(nets.levels[k + 1])).T
-    return out
-
-
 # ---------------------------------------------------------------------------
 # structural checks on sampled grids
 

@@ -26,16 +26,6 @@ LIPSCHITZ_TOL = 1e-12
 MINPLUS_ROWS = 64
 
 
-@dataclass(frozen=True)
-class Ball:
-    """Strict ball B(x, r) = {y : d(x, y) < r} with its mass."""
-
-    center: int
-    radius: float
-    members: np.ndarray
-    mass: float
-
-
 @dataclass(frozen=True, eq=False)
 class QuasiMetricSpace:
     dist: np.ndarray
@@ -65,13 +55,8 @@ class QuasiMetricSpace:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    def ball(self, center: int, radius: float) -> Ball:
-        row = self.dist[center]
-        members = np.flatnonzero(row < radius)
-        return Ball(center, float(radius), members,
-                    float(self.weights[members].sum()))
-
     def ball_mass(self, center: int, radius: float) -> float:
+        # a masked sum, not ball_masses' matmul: the two round differently
         return float(self.weights[self.dist[center] < radius].sum())
 
     def ball_masses(self, centers: np.ndarray, radii) -> np.ndarray:
@@ -216,92 +201,6 @@ def exponent_a(space: QuasiMetricSpace) -> float:
     if space.lipschitz:
         return 1.0
     return 1.0 / (1.0 + 2.0 * math.log2(space.a0))
-
-
-def measure_doubling_constant(space: QuasiMetricSpace, radii=None) -> float:
-    """Max over centers and radii of mass(B(x, 2r)) / mass(B(x, r))."""
-    if radii is None:
-        off = space.dist[~np.eye(space.n, dtype=bool)]
-        radii = np.unique(off) if off.size else np.array([1.0])
-    best = 1.0
-    centers = np.arange(space.n)
-    for r in np.asarray(radii, dtype=float):
-        if r <= 0:
-            raise BadParams("radii must be positive")
-        small = space.ball_masses(centers, r)
-        big = space.ball_masses(centers, 2.0 * r)
-        best = max(best, float((big / small).max()))
-    return best
-
-
-def _max_separated(dist_sub: np.ndarray, r: float, budget: int = 28):
-    """Size of a maximum r-separated subset; (size, exact_flag)."""
-    m = dist_sub.shape[0]
-    if m <= 1:
-        return m, True
-    near = dist_sub < r
-    np.fill_diagonal(near, False)
-    if not near.any():
-        return m, True
-    order = np.argsort(near.sum(axis=1))[::-1]
-    near = near[np.ix_(order, order)]
-
-    def greedy(avail_mask: int) -> int:
-        count = 0
-        while avail_mask:
-            v = (avail_mask & -avail_mask).bit_length() - 1
-            count += 1
-            avail_mask &= ~(neigh[v] | (1 << v))
-        return count
-
-    neigh = []
-    for i in range(m):
-        bits = 0
-        for j in np.flatnonzero(near[i]):
-            bits |= 1 << int(j)
-        neigh.append(bits)
-
-    if m > budget:
-        return greedy((1 << m) - 1), False
-
-    best = 0
-
-    def dfs(avail_mask: int, size: int):
-        nonlocal best
-        if size + bin(avail_mask).count("1") <= best:
-            return
-        if not avail_mask:
-            best = max(best, size)
-            return
-        v = (avail_mask & -avail_mask).bit_length() - 1
-        dfs(avail_mask & ~(neigh[v] | (1 << v)), size + 1)
-        dfs(avail_mask & ~(1 << v), size)
-
-    dfs((1 << m) - 1, 0)
-    return best, True
-
-
-def geometric_doubling_constant(space: QuasiMetricSpace, radii=None) -> int:
-    """Max number of r-separated points found inside any ball B(x, 2r).
-
-    Exact for balls up to a small branch-and-bound budget, greedy lower
-    bound beyond it.
-    """
-    if radii is None:
-        off = space.dist[~np.eye(space.n, dtype=bool)]
-        radii = np.unique(off) if off.size else np.array([1.0])
-    best = 1
-    for r in np.asarray(radii, dtype=float):
-        if r <= 0:
-            raise BadParams("radii must be positive")
-        for x in range(space.n):
-            members = np.flatnonzero(space.dist[x] < 2.0 * r)
-            if len(members) <= best:
-                continue
-            sub = space.dist[np.ix_(members, members)]
-            size, _ = _max_separated(sub, r)
-            best = max(best, size)
-    return int(best)
 
 
 # ---------------------------------------------------------------------------

@@ -84,22 +84,6 @@ def mc_membership_frequencies(nets: NestedNets, labels: GridLabels,
             for k, asg in cube_assignments(nets, parents, draws, num_samples)}
 
 
-def span_residuals(system: SplineSystem) -> dict:
-    """Least-squares residual of each level inside the span of the next.
-
-    Recovers refinement coefficients independently of the stored
-    transitions; nesting of the spline spaces makes these residuals vanish.
-    """
-    out = {}
-    for k in range(system.k_min, system.k_max):
-        fine = system.values[k + 1]
-        coarse = system.values[k]
-        sol, *_ = np.linalg.lstsq(fine.T, coarse.T, rcond=None)
-        resid = fine.T @ sol - coarse.T
-        out[k] = float(np.abs(resid).max())
-    return out
-
-
 HOLDER_BUDGET = 4.0
 HOLDER_ETA_CAP = 4.0
 
@@ -123,10 +107,13 @@ def holder_fit(xs, ys) -> float:
 
 
 def close_pair_ladder(dist: np.ndarray, scales, strict: bool = False):
-    """Yield ``close_pairs(dist, scale, strict)`` for each of the
-    non-increasing ``scales``.  Only the first scale scans ``dist``; each
-    later list masks the one before, which keeps its row-major order.  The
-    indices are int32, so the list kept between levels is 16 bytes a pair.
+    """Yield (i, j, rel = d(i, j) / scale) for each of the non-increasing
+    ``scales``, in row-major order over the pairs i < j with d <= scale, so
+    rel <= 1 (< if ``strict``; rounding keeps positive quotients on their
+    side of 1).  Every Hölder fit reads these, one ladder per loop over the
+    levels.  Only the first scale scans ``dist``; each later list masks the
+    one before, which keeps its row-major order.  The indices are int32, so
+    the list kept between levels is 16 bytes a pair.
     """
     i = last = None
     for scale in scales:
@@ -143,16 +130,8 @@ def close_pair_ladder(dist: np.ndarray, scales, strict: bool = False):
         yield i, j, d / scale
 
 
-def close_pairs(dist: np.ndarray, scale: float, strict: bool = False) -> tuple:
-    """(i, j, rel = d(i, j) / scale) in row-major order over the pairs i < j
-    with d <= scale, so rel <= 1 (< if ``strict``; rounding keeps positive
-    quotients on their side of 1).  Every Hölder fit reads these, one
-    ``close_pair_ladder`` per loop over the levels."""
-    return next(close_pair_ladder(dist, (scale,), strict))
-
-
 def pair_maxima(rows, pairs) -> tuple:
-    """(rel, sup, count) over the ``close_pairs`` triple ``pairs``: per
+    """(rel, sup, count) over one ``close_pair_ladder`` triple ``pairs``: per
     pair, max over rows of |r(i) - r(j)| and how many of those are
     ``above_floor``.  Blocks of pairs keep each difference array within
     n x n entries."""
@@ -194,31 +173,6 @@ def holder_estimate(system: SplineSystem, space: QuasiMetricSpace,
                                           np.log(diff[strict])))
     return {"eta": float(eta), "const_at_eta": const_at_eta,
             "eta_hat": eta_hat, "budget": HOLDER_BUDGET, "n_pairs": n_pairs}
-
-
-def density_check(system: SplineSystem, space: QuasiMetricSpace,
-                  f, p: float = 2.0) -> dict:
-    """Best-approximation residuals of f in the spline spaces, per level.
-
-    The minimizer is taken in L2(mu) (weighted least squares on the spline
-    span); the residual is reported in the L^p(mu) norm.  Nested spans make
-    the L2 sequence non-increasing, vanishing at the finest level.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (space.n,):
-        raise ValueError("f must be a vector over the points")
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    sqw = np.sqrt(space.weights)
-    out = {"levels": [], "residuals": []}
-    for k in range(system.k_min, system.k_max + 1):
-        V = system.values[k]
-        coef, *_ = np.linalg.lstsq((V * sqw).T, f * sqw, rcond=None)
-        err = f - V.T @ coef
-        lp = float((space.weights @ np.abs(err) ** p) ** (1.0 / p))
-        out["levels"].append(k)
-        out["residuals"].append(lp)
-    return out
 
 
 def verify_splines(system: SplineSystem, space: QuasiMetricSpace,

@@ -21,7 +21,6 @@ import numpy as np
 
 from .decaymat import decay_certificate, envelope_fit, require_symmetric
 from .errors import (
-    DimensionMismatch,
     NotPositiveDefinite,
     RankDeficiency,
     ZeroBallMass,
@@ -178,29 +177,6 @@ def spline_projector(space: QuasiMetricSpace, mra: MRA,
     return mra.system.values[k].T @ (mra.duals[k] * space.weights)
 
 
-def project_Vk(space: QuasiMetricSpace, mra: MRA, k: int, f) -> np.ndarray:
-    """Orthogonal projection of f onto the level-k spline space.
-
-    Expanded both through the duals and through the primal splines; the
-    two expressions must agree.
-    """
-    f = np.asarray(f, dtype=float)
-    S = mra.system.values[k]
-    if f.shape != (S.shape[1],):
-        raise DimensionMismatch(
-            f"signal length {f.shape} does not match {S.shape[1]} points")
-    wf = space.weights * f
-    via_duals = S.T @ (mra.duals[k] @ wf)
-    via_splines = mra.duals[k].T @ (S @ wf)
-    scale = max(1.0, float(np.abs(f).max()))
-    dev = float(np.abs(via_duals - via_splines).max())
-    if not dev <= GRAM_TOL * scale:
-        raise NotPositiveDefinite(
-            f"level {k} duals and splines disagree by {dev:.3e}; "
-            "the Gram inverse lost accuracy")
-    return via_duals
-
-
 def pre_wavelets(space: QuasiMetricSpace, nets: NestedNets, mra: MRA,
                  k: int) -> np.ndarray:
     """Level-k pre-wavelets: fine splines at the new points, minus V_k.
@@ -263,27 +239,6 @@ def build_wavelet_basis(space: QuasiMetricSpace, nets: NestedNets,
         mass_center[k] = space.ball_masses(centers[sl], nets.scale(k))
     return WaveletBasis(system.delta, rows, blocks, centers, mgrams,
                         mass_fine, mass_center)
-
-
-def wavelet_transform(space: QuasiMetricSpace, basis: WaveletBasis,
-                      f) -> np.ndarray:
-    """Coefficients of f in the basis; the mean term comes first.
-
-    Coefficient i belongs to row i of ``basis.rows``.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != (space.n,):
-        raise DimensionMismatch(
-            f"signal length {f.shape} does not match {space.n} points")
-    return basis.rows @ (space.weights * f)
-
-
-def inverse_transform(basis: WaveletBasis, coeffs) -> np.ndarray:
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (len(basis.rows),):
-        raise DimensionMismatch(f"{coeffs.shape} coefficients for a basis "
-                                f"of size {len(basis.rows)}")
-    return basis.rows.T @ coeffs
 
 
 def gram_decay_certificates(space: QuasiMetricSpace, nets: NestedNets,

@@ -5,7 +5,8 @@ which gives the same minimum and maximum because both fits are monotone
 in the sample at a fixed pair.  The functions here keep every sample: the
 spline estimate, the wavelet fit of ``verify_wavelet_theorem`` and the
 regularity quotients of ``kernel_estimates``, each with its own pair
-enumeration.  Tests require the library reports to equal these exactly.
+enumeration, and ``close_pairs`` lists one scale's pairs one by one.  Tests
+require the library reports to equal these exactly.
 """
 
 import math
@@ -16,6 +17,19 @@ from dyadwave.decaymat import TINY
 from dyadwave.seeding import STREAM_TRIALS, stream_rng
 from dyadwave.space import exponent_a
 from dyadwave.spline import HOLDER_BUDGET, HOLDER_ETA_CAP, holder_fit
+
+
+def close_pairs(dist, scale, strict=False):
+    """(i, j, rel = d / scale) over the pairs i < j with d <= scale (< if
+    ``strict``), in row-major order, as ``spline.close_pair_ladder`` lists
+    them at each of its scales."""
+    n = dist.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if (dist[i, j] < scale if strict else dist[i, j] <= scale)]
+    i = np.array([a for a, _ in pairs], dtype=np.int32)
+    j = np.array([b for _, b in pairs], dtype=np.int32)
+    rel = np.array([dist[a, b] / scale for a, b in pairs], dtype=float)
+    return i, j, rel
 
 
 def holder_estimate(system, space, nets, eta=None):

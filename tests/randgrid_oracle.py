@@ -102,6 +102,12 @@ def grid_labels(space, nets, ref):
                            child_by_rank=child_by_rank, degrees=degrees)
 
 
+def coordinates(labels):
+    """All (ell, m) values a single level can take."""
+    return [(ell, m) for ell in range(labels.L + 1)
+            for m in range(1, labels.M + 1)]
+
+
 def zpoints(nets, labels, k, ell, m):
     """Perturbed centers at level k under coordinate (ell, m), as points."""
     z = nets.levels[k].copy()

@@ -12,7 +12,6 @@ from dyadwave.decaymat import (
     extreme_eigs,
     inverse_sqrt,
     neumann_inverse,
-    operator_norm_bounds,
     spectral_inverse_sqrt,
 )
 from dyadwave.errors import (
@@ -195,32 +194,6 @@ def test_chain_constants_sampled_fallback():
     sampled = chain_constants(d, 3, exact_budget=25)
     assert not sampled["exact"]
     assert np.all(sampled["kappa"] <= full["kappa"] + 1e-12)
-
-
-def test_operator_norm_bounds_bracket_truth():
-    for seed in range(4):
-        M = np.random.default_rng(seed).normal(size=(15, 15))
-        lo, hi = operator_norm_bounds(M)
-        truth = np.linalg.norm(M, 2)
-        assert lo <= truth * (1 + 1e-10)
-        assert hi >= truth * (1 - 1e-10)
-        assert lo >= 0.9 * truth
-
-
-def test_operator_norm_bounds_diagonal_tight():
-    M = np.diag([3.0, 1.0])
-    lo, hi = operator_norm_bounds(M)
-    assert lo == pytest.approx(3.0, rel=1e-6)
-    assert hi == pytest.approx(3.0, rel=1e-12)
-
-
-def test_operator_norm_weighted_upper():
-    M = spd(10, 1)
-    w = np.linspace(1.0, 2.0, 10)
-    _, hi = operator_norm_bounds(M, weights=w)
-    assert hi >= np.linalg.norm(M, 2) * (1 - 1e-10)
-    with pytest.raises(ValueError):
-        operator_norm_bounds(M, weights=-w)
 
 
 def test_extreme_eigs_against_dense():

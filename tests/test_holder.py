@@ -19,7 +19,6 @@ from dyadwave.randgrid import build_grid
 from dyadwave.space import build_space, gen_example, near_pairs
 from dyadwave.spline import (
     close_pair_ladder,
-    close_pairs,
     compute_splines,
     holder_estimate,
     pair_maxima,
@@ -101,12 +100,12 @@ def test_holder_fits_match_oracle_on_random_spaces(case):
 def test_close_pairs_row_major_within_scale():
     space = gen_example("point_cloud", seed=2, n=20, dim=2)
     scale = float(np.median(space.dist))
-    i, j, rel = close_pairs(space.dist, scale)
+    i, j, rel = next(close_pair_ladder(space.dist, (scale,)))
     want = [(a, b) for a in range(space.n) for b in range(a + 1, space.n)
             if space.dist[a, b] / scale <= 1.0]
     assert list(zip(i.tolist(), j.tolist())) == want
     assert np.array_equal(rel, space.dist[i, j] / scale)
-    si, sj, srel = close_pairs(space.dist, scale, strict=True)
+    si, sj, srel = next(close_pair_ladder(space.dist, (scale,), True))
     assert np.array_equal(srel, rel[rel < 1.0])
     assert np.array_equal(si, i[rel < 1.0])
     assert np.array_equal(sj, j[rel < 1.0])
@@ -125,7 +124,7 @@ def test_close_pair_ladder_equals_close_pairs_at_each_scale():
         ladder = list(close_pair_ladder(dist, scales, strict))
         assert len(ladder) == len(scales)
         for scale, got in zip(scales, ladder):
-            want = close_pairs(dist, scale, strict)
+            want = oracle.close_pairs(dist, scale, strict)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and np.array_equal(g, w)
         assert (1.0 in ladder[2][2]) is not strict
@@ -185,7 +184,7 @@ def test_reg_quotients_at_kept_entries_match_oracle(budget, cases):
         assert_same(entry["p_reg"],
                     oracle.p_reg(space, kernel, mass, scale, gamma,
                                  rep["s"], budget, 0))
-        pairs = close_pairs(space.dist, scale, strict=True)[0].size
+        pairs = oracle.close_pairs(space.dist, scale, strict=True)[0].size
         sampled = pairs
         if pairs * space.n > budget:
             seen.add("subsampled")
@@ -208,7 +207,7 @@ def test_pair_maxima_blocks_agree_with_one_pass():
     rows[:, 8] = 0.0
     rows[:30, 9] = 1e-301
     dist = 1.0 - np.eye(12)
-    rel, sup, count = pair_maxima(rows, close_pairs(dist, 1.0))
+    rel, sup, count = pair_maxima(rows, oracle.close_pairs(dist, 1.0))
     i, j = np.triu_indices(12, k=1)
     diff = np.abs(rows[:, i] - rows[:, j])
     assert np.array_equal(rel, np.ones(len(i)))
@@ -217,7 +216,8 @@ def test_pair_maxima_blocks_agree_with_one_pass():
     assert count[(i == 5) & (j == 7)][0] == 0
     assert count[(i == 3) & (j == 4)][0] == 20
     assert count[(i == 8) & (j == 9)][0] == 10
-    assert pair_maxima(rows, close_pairs(dist, 1.0, strict=True))[1].size == 0
+    strict = oracle.close_pairs(dist, 1.0, strict=True)
+    assert pair_maxima(rows, strict)[1].size == 0
 
 
 def test_wavelet_theorem_holds_few_dense_arrays():

@@ -17,9 +17,8 @@ from dyadwave.randgrid import (
     _center_stats,
     boundary_layer_stats,
     build_grid,
-    child_hit_probabilities,
+    column_frequencies,
     cube_assignments,
-    enumerate_coordinates,
     fit_boundary_exponent,
     grid_checks,
     grid_labels,
@@ -49,9 +48,24 @@ def reference(space, nets):
 
 def all_omegas(nets, labels):
     tls = list(transition_levels(nets))
-    coords = enumerate_coordinates(labels)
+    coords = oracle.coordinates(labels)
     for combo in itertools.product(coords, repeat=len(tls)):
         yield {k: combo[i] for i, k in enumerate(tls)}
+
+
+def hit_frequencies(sp, nets, tables):
+    """P(z^k_alpha = child beta) per transition, as (n_k, n_{k+1}) arrays.
+
+    The perturbed centers of level k depend on its coordinate only, and its
+    table lists them once per coordinate, so its column frequencies are
+    exact.
+    """
+    out = {}
+    for k, table in tables.items():
+        z = nets.positions(k + 1, sp.n)[
+            table.centers.reshape(-1, len(nets.levels[k]))]
+        out[k] = column_frequencies(z, len(nets.levels[k + 1])).T
+    return out
 
 
 def as_draws(omegas, nets):
@@ -74,7 +88,7 @@ def test_two_point_reference_and_labels():
 def test_two_point_random_points_and_probabilities():
     sp = two_point()
     nets, _, tables = setup(sp)
-    probs = child_hit_probabilities(sp, nets, tables)
+    probs = hit_frequencies(sp, nets, tables)
     assert probs[-1].shape == (1, 2)
     assert probs[-1][0].tolist() == [0.5, 0.5]
 
@@ -119,7 +133,7 @@ def test_child_probability_lower_bound():
     for sp in (two_point(), gen_example("cyclic", n=8), gen_example("cyclic", n=16)):
         nets, labels, tables = setup(sp)
         floor = 1.0 / ((labels.L + 1) * labels.M)
-        probs = child_hit_probabilities(sp, nets, tables)
+        probs = hit_frequencies(sp, nets, tables)
         ref = reference(sp, nets)
         for k in transition_levels(nets):
             prob = probs[k]
@@ -388,7 +402,7 @@ def assert_matches_oracle(sp, nets, labels, tables, grid_samples,
         assert np.array_equal(labels.child_by_rank[k], want.child_by_rank[k])
     assert_proper_coloring(sp, nets, ref, labels)
     for k, table in tables.items():
-        for ell, m in enumerate_coordinates(labels):
+        for ell, m in oracle.coordinates(labels):
             assert np.array_equal(table.centers[ell, m - 1],
                                   oracle.zpoints(nets, labels, k, ell, m))
             assert np.array_equal(table.parents[ell, m - 1],

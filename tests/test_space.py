@@ -13,10 +13,8 @@ from dyadwave.space import (
     compute_a0,
     exponent_a,
     gen_example,
-    geometric_doubling_constant,
     load_space_csv,
     load_space_json,
-    measure_doubling_constant,
     near_pairs,
     space_from_dict,
     space_to_dict,
@@ -114,12 +112,9 @@ def test_single_point_space():
 
 def test_strict_balls_on_cycle():
     sp = gen_example("cyclic", n=8)
-    b1 = sp.ball(0, 1.0)
-    assert list(b1.members) == [0]
-    assert b1.mass == 1.0
-    b2 = sp.ball(0, 2.0)
-    assert sorted(b2.members) == [0, 1, 7]
-    assert b2.mass == 3.0
+    # B(0, 1) = {0} and B(0, 2) = {7, 0, 1}: the radius itself is excluded
+    assert sp.ball_mass(0, 1.0) == 1.0
+    assert sp.ball_mass(0, 2.0) == 3.0
 
 
 def test_ball_monotone_in_radius():
@@ -130,29 +125,11 @@ def test_ball_monotone_in_radius():
         assert all(a <= b for a, b in zip(masses, masses[1:]))
 
 
-def test_measure_doubling_on_cycle():
-    sp = gen_example("cyclic", n=8)
-    val = measure_doubling_constant(sp, radii=[1.0, 2.0])
-    assert 1.0 <= val <= 8.0
-    # B(x,1) = {x}, B(x,2) = 3 points
-    assert measure_doubling_constant(sp, radii=[1.0]) == pytest.approx(3.0)
-
-
-def test_geometric_doubling_on_cycle():
-    sp = gen_example("cyclic", n=8)
-    assert geometric_doubling_constant(sp, radii=[1.0]) <= 4
-    assert geometric_doubling_constant(sp, radii=[1.0]) == 3
-
-
 def test_doubling_invariant_under_relabeling():
     sp = gen_example("point_cloud", n=18, dim=2, seed=11)
     rng = np.random.default_rng(0)
     perm = rng.permutation(sp.n)
     sp2 = build_space(sp.dist[np.ix_(perm, perm)], sp.weights[perm])
-    radii = [0.1, 0.3, 0.6]
-    assert measure_doubling_constant(sp, radii) == pytest.approx(
-        measure_doubling_constant(sp2, radii))
-    assert geometric_doubling_constant(sp, radii) == geometric_doubling_constant(sp2, radii)
     assert sp.a0 == pytest.approx(sp2.a0)
 
 
@@ -283,7 +260,7 @@ def quotient_pairs(draw):
 
 @given(quotient_pairs())
 def test_rounded_quotient_stays_on_its_side_of_one(pair):
-    # close_pairs filters on d <= scale and reports d / scale <= 1
+    # close_pair_ladder filters on d <= scale and reports d / scale <= 1
     d, s = pair
     with np.errstate(over="ignore", under="ignore"):
         q = d / s

@@ -343,7 +343,8 @@ def _construct(space, cfg):
         "splines": verify_splines(system, space, nets,
                                   tol=cfg["tolerances"]["exact"]),
         "wavelets": verify_wavelet_theorem(space, nets, basis,
-                                           seed=cfg["seed"]),
+                                           seed=cfg["seed"],
+                                           tol=cfg["tolerances"]["ortho"]),
     }
     return nets, system, mra, basis, checks
 
@@ -574,7 +575,7 @@ def cmd_verify(args) -> int:
     equivalence = {}
     parseval_dev = 0.0
     if len(basis.rows) > 1:
-        bounds = lp_equivalence(space, lp,
+        bounds = lp_equivalence(space, basis,
                                 list(dict.fromkeys(cfg["p_list"] + [2.0])),
                                 num_trials=cfg["num_trials"], seed=seed)
         for p in cfg["p_list"]:
@@ -623,7 +624,8 @@ def cmd_verify(args) -> int:
         "norm_equivalence": equivalence,
         "substitute": substitute_inequality_check(space, nets, lp,
                                                   r_grid=cfg["r_grid"]),
-        "growth_sample": growth_sequence(space, nets, 0, min(cfg["r_grid"])),
+        "growth_sample": growth_sequence(space, nets, lp, 0,
+                                         min(cfg["r_grid"])),
     }
 
     report = {

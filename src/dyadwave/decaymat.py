@@ -72,8 +72,7 @@ def envelope_fit(xs, values, x_cut: float = 1.0) -> dict:
             "refuted": bool(refuted), "worst": worst}
 
 
-def decay_certificate(matrix, index_dist, s: float = 1.0,
-                      x_cut: float = 1.0) -> dict:
+def decay_certificate(matrix, index_dist, s: float = 1.0) -> dict:
     """Exponential decay certificate sup |M(a,b)| exp(c d(a,b)^s) <= C.
 
     The index set must be 1-separated under the supplied (renormalized)
@@ -97,7 +96,7 @@ def decay_certificate(matrix, index_dist, s: float = 1.0,
                 f"index set not 1-separated (min distance {dmin:.3e})")
     anchor = max(float(np.abs(np.diag(matrix)).max()), TINY)
     fit = envelope_fit(np.r_[index_dist[off] ** s, 0.0],
-                       np.r_[np.abs(matrix[off]), anchor], x_cut=x_cut)
+                       np.r_[np.abs(matrix[off]), anchor])
     fit.update(s=float(s), n_pairs=fit["n_pairs"] - 1)
     return fit
 

@@ -58,7 +58,7 @@ class NoConvergence(DyadwaveError):
 
 
 class IncompleteSigns(DyadwaveError):
-    """Random sign vector does not cover every active level."""
+    """Sign vector does not hold one entry per wavelet."""
 
 
 class TooLarge(DyadwaveError):

@@ -32,17 +32,20 @@ CZ_ROWS = 64
 
 @dataclass(frozen=True)
 class LPSystem:
-    """The basis whose level blocks are the LP blocks, and hole distances."""
+    """Per level, the ball masses and hole distances of every point."""
 
-    basis: WaveletBasis
+    mass: dict        # k -> (n,) mu(B(x, delta^k)) for every point x
     holes_dist: dict  # k -> (n,) distance to the level's new points
 
 
 def build_lp(space: QuasiMetricSpace, nets: NestedNets,
              basis: WaveletBasis) -> LPSystem:
-    return LPSystem(basis, {
-        k: space.dist[:, nets.ydiff[k]].min(axis=1) if k in basis.blocks
-        else np.full(space.n, np.inf) for k in nets.level_range})
+    points = np.arange(space.n)
+    return LPSystem(
+        {k: space.ball_masses(points, nets.scale(k))
+         for k in nets.level_range},
+        {k: space.dist[:, nets.ydiff[k]].min(axis=1) if k in basis.blocks
+         else np.full(space.n, np.inf) for k in nets.level_range})
 
 
 def lp_projectors(space: QuasiMetricSpace, nets: NestedNets,
@@ -84,7 +87,7 @@ def square_function(rows: np.ndarray, blocks: dict, coeffs) -> np.ndarray:
     return np.sqrt(total)
 
 
-def lp_equivalence(space: QuasiMetricSpace, lp: LPSystem, p_list,
+def lp_equivalence(space: QuasiMetricSpace, basis: WaveletBasis, p_list,
                    num_trials: int = 100, seed: int = 0) -> dict:
     """Range of ||Sf||_p / ||f||_p over random mean-zero test vectors.
 
@@ -99,7 +102,7 @@ def lp_equivalence(space: QuasiMetricSpace, lp: LPSystem, p_list,
         raise BadParams("need at least one trial")
     rng = stream_rng(seed, STREAM_TRIALS)
     total = space.total_mass
-    rows, blocks = lp.basis.rows, lp.basis.blocks
+    rows, blocks = basis.rows, basis.blocks
     bounds = {p: (math.inf, 0.0) for p in p_list}
     for _ in range(num_trials):
         f = rng.standard_normal(space.n)
@@ -111,34 +114,31 @@ def lp_equivalence(space: QuasiMetricSpace, lp: LPSystem, p_list,
     return bounds
 
 
-def random_signs(basis: WaveletBasis, seed: int = 0) -> dict:
-    """One +-1 per wavelet, keyed by (level, center point)."""
+def random_signs(basis: WaveletBasis, seed: int = 0) -> np.ndarray:
+    """One +-1 per wavelet, in the order of ``basis.rows[1:]``; each
+    level's block of signs is one draw."""
     rng = stream_rng(seed, STREAM_SIGNS)
-    out = {}
-    for k, sl in basis.blocks.items():
-        draws = rng.integers(0, 2, size=sl.stop - sl.start)
-        for p, d in zip(basis.centers[sl], draws):
-            out[(k, int(p))] = int(2 * d - 1)
-    return out
+    return np.concatenate([np.zeros(0, dtype=int)] + [
+        2 * rng.integers(0, 2, size=sl.stop - sl.start) - 1
+        for sl in basis.blocks.values()])
 
 
 def random_sign_operator(space: QuasiMetricSpace, basis: WaveletBasis,
-                         signs: dict) -> np.ndarray:
+                         signs) -> np.ndarray:
     """Operator flipping each wavelet by its sign; the mean passes through.
 
-    An L2(mu) isometry for any choice of signs.
+    ``signs`` holds one +-1 per row of ``basis.rows[1:]``.  An L2(mu)
+    isometry for any choice of signs.
     """
-    eps = [1.0]
-    for k, sl in basis.blocks.items():
-        for p in basis.centers[sl]:
-            key = (k, int(p))
-            if key not in signs:
-                raise IncompleteSigns(f"no sign for wavelet {key}")
-            if signs[key] not in (-1, 1):
-                raise BadParams(f"sign for {key} must be +-1")
-            eps.append(float(signs[key]))
     B = basis.rows
-    return B.T @ (np.array(eps)[:, None] * B * space.weights[None, :])
+    signs = np.asarray(signs)
+    if signs.shape != (len(B) - 1,):
+        raise IncompleteSigns(f"sign vector of shape {signs.shape} for "
+                              f"{len(B) - 1} wavelets")
+    bad = np.flatnonzero((signs != 1) & (signs != -1))
+    if bad.size:
+        raise BadParams(f"sign {bad[0]} is {signs[bad[0]]}, not +-1")
+    return B.T @ (np.r_[1.0, signs][:, None] * B * space.weights[None, :])
 
 
 def cz_kernel_bound(space: QuasiMetricSpace, basis: WaveletBasis) -> dict:
@@ -224,9 +224,10 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
                      seed: int = 0) -> dict:
     """Envelope fits for the size and regularity bounds of P_k and Q_k.
 
-    ``projectors`` is the (k, P_k, Q_k) stream of ``lp_projectors`` over
-    ``lp.basis``.  P_k is fitted in the chain exponent s = 1/(1+log2 a0),
-    Q_k in the wavelet exponent a with the additional holes attenuation
+    ``projectors`` is the (k, P_k, Q_k) stream of ``lp_projectors``, and
+    ``lp`` holds the ball masses that normalize both kernels.  P_k is
+    fitted in the chain exponent s = 1/(1+log2 a0), Q_k in the wavelet
+    exponent a with the additional holes attenuation
     exp(-gamma (d(., new points)/scale)^a) on both arguments.  Row sums
     and kernel symmetry are checked exactly.  The close pairs of the P_k
     regularity quotients come from one ``close_pair_ladder`` over the
@@ -235,13 +236,12 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
     s = 1.0 / (1.0 + math.log2(space.a0))
     a = exponent_a(space)
     w = space.weights
-    points = np.arange(space.n)
     report = {"s": float(s), "a": float(a), "levels": {}, "nonpositive": []}
     ladder = close_pair_ladder(
         space.dist, [nets.scale(k) for k in nets.level_range], strict=True)
     for k, P, Q in projectors:
         scale = nets.scale(k)
-        mass = space.ball_masses(points, scale)
+        mass = lp.mass[k]
         rm = np.sqrt(mass)
         entry = {}
 
@@ -319,7 +319,7 @@ def substitute_inequality_check(space: QuasiMetricSpace, nets: NestedNets,
         restricted = np.zeros(space.n)
         unrestricted = np.zeros(space.n)
         for k in ks:
-            term = space.ball_masses(points, nets.scale(k)) ** (-nu)
+            term = lp.mass[k] ** (-nu)
             hole = np.exp(-gamma * (lp.holes_dist[k] / nets.scale(k)) ** a)
             restricted += term * hole
             unrestricted += term
@@ -342,8 +342,8 @@ def substitute_inequality_check(space: QuasiMetricSpace, nets: NestedNets,
             "max_ratio": max((row["max_ratio"] for row in rows), default=0.0)}
 
 
-def growth_sequence(space: QuasiMetricSpace, nets: NestedNets, x: int,
-                    r: float) -> dict:
+def growth_sequence(space: QuasiMetricSpace, nets: NestedNets, lp: LPSystem,
+                    x: int, r: float) -> dict:
     """Scales where the ball mass at x has grown by the space's step ratio.
 
     The step 1 + eps is the smallest strictly nontrivial one-level mass
@@ -353,9 +353,8 @@ def growth_sequence(space: QuasiMetricSpace, nets: NestedNets, x: int,
     """
     if r <= 0.0:
         raise BadParams("radius must be positive")
-    points = np.arange(space.n)
     levels = list(nets.level_range)
-    mass = {k: space.ball_masses(points, nets.scale(k)) for k in levels}
+    mass = lp.mass
     ratios = []
     for k in levels[1:]:
         q = mass[k - 1] / mass[k]
@@ -377,9 +376,6 @@ def growth_sequence(space: QuasiMetricSpace, nets: NestedNets, x: int,
         seq.append(max(older))
 
     base = space.ball_mass(x, r)
-    holes = {k: float(space.dist[x, nets.ydiff[k]].min())
-             if k in nets.ydiff and len(nets.ydiff[k]) else math.inf
-             for k in levels}
     growth, holec = [], []
     for j, kj in enumerate(seq):
         nxt = seq[j + 1] if j + 1 < len(seq) else None
@@ -387,7 +383,7 @@ def growth_sequence(space: QuasiMetricSpace, nets: NestedNets, x: int,
         growth.append(min(mass[k][x] / ((1.0 + eps) ** j * base)
                           for k in gen))
         if nxt is not None:
-            holec.append(min((holes[k] + nets.scale(k)) / nets.scale(nxt)
-                             for k in gen))
+            holec.append(min((lp.holes_dist[k][x] + nets.scale(k))
+                             / nets.scale(nxt) for k in gen))
     return {"eps": float(eps), "ks": seq, "growth_consts": growth,
             "hole_consts": holec}

@@ -2,8 +2,8 @@
 
 Level k holds a maximal delta^k-separated subset of the space, each level
 contained in the next finer one.  The coarsest level is a single root point,
-the finest resolves every point.  Greedy scans run either in input order or
-in a farthest-first traversal order fixed once for the whole hierarchy.
+the finest resolves every point.  Greedy scans run in a farthest-first
+traversal order fixed once for the whole hierarchy.
 """
 
 import json
@@ -11,12 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BadDelta, BadParams, MissingArtifact, OrderViolation,
-                     TooLarge)
+from .errors import BadDelta, MissingArtifact, OrderViolation, TooLarge
 from .space import QuasiMetricSpace
 
-ORDER_POLICIES = ("input_order", "farthest_first")
-DEFAULT_ORDER_POLICY = "farthest_first"
+# the tie-break order of every greedy scan, stored with the nets
+ORDER_POLICY = "farthest_first"
 
 # hard cap on the level count; hit only by delta pathologically close to 1
 MAX_LEVELS = 4096
@@ -76,8 +75,7 @@ def _greedy_extend(dist, threshold, scan, seed_points):
     return np.array(chosen, dtype=int)
 
 
-def build_nets(space: QuasiMetricSpace, delta: float,
-               order_policy: str = DEFAULT_ORDER_POLICY) -> NestedNets:
+def build_nets(space: QuasiMetricSpace, delta: float) -> NestedNets:
     """Build the full hierarchy of nested separated nets.
 
     Parameters
@@ -85,8 +83,6 @@ def build_nets(space: QuasiMetricSpace, delta: float,
     space : QuasiMetricSpace
     delta : float
         Scale ratio between consecutive levels, in (0, 1).
-    order_policy : str
-        ``input_order`` or ``farthest_first``; the greedy tie-break order.
 
     Returns
     -------
@@ -98,17 +94,12 @@ def build_nets(space: QuasiMetricSpace, delta: float,
     """
     if not 0.0 < delta < 1.0:
         raise BadDelta(f"delta must lie in (0, 1), got {delta}")
-    if order_policy not in ORDER_POLICIES:
-        raise BadParams(f"unknown order policy {order_policy!r}")
     n = space.n
-    if order_policy == "farthest_first":
-        scan = farthest_first_order(space.dist)
-    else:
-        scan = np.arange(n)
+    scan = farthest_first_order(space.dist)
 
     if n == 1:
         levels = {0: np.array([0])}
-        return NestedNets(delta, 0, 0, levels, {}, order_policy,
+        return NestedNets(delta, 0, 0, levels, {}, ORDER_POLICY,
                           scan_order=scan)
 
     k_max = 0
@@ -142,7 +133,7 @@ def build_nets(space: QuasiMetricSpace, delta: float,
             f"{len(levels[k_max])} of {n} points; need one root and all")
 
     return NestedNets(delta, k_min, k_max, levels,
-                      _new_points(levels, k_min, k_max), order_policy, scan)
+                      _new_points(levels, k_min, k_max), ORDER_POLICY, scan)
 
 
 def _new_points(levels: dict, k_min: int, k_max: int) -> dict:
@@ -229,7 +220,7 @@ def nets_from_dict(payload: dict) -> NestedNets:
                               "every point of their scan order")
     return NestedNets(delta, k_min, k_max, levels,
                       _new_points(levels, k_min, k_max),
-                      payload.get("order_policy", DEFAULT_ORDER_POLICY), scan)
+                      payload.get("order_policy", ORDER_POLICY), scan)
 
 
 def load_nets_json(path) -> NestedNets:

@@ -26,6 +26,10 @@ from .nets import NestedNets
 from .seeding import STREAM_BOUNDARY, STREAM_OMEGA, stream_rng
 from .space import QuasiMetricSpace, near_pairs
 
+# the boundary slope fit needs this many positive means, so its t quantile
+# has at least one degree of freedom
+FIT_MIN_POINTS = 3
+
 # scipy.special.stdtrit(dof, 0.975), the two-sided 95% Student t quantile,
 # for dof = 1, ..., 30: a slope fit over at most 32 eps values reads it here
 _T975 = (
@@ -471,11 +475,12 @@ def boundary_layer_stats(space: QuasiMetricSpace, nets: NestedNets,
     }
 
 
-def fit_boundary_exponent(stats: dict, min_points: int = 3) -> dict:
+def fit_boundary_exponent(stats: dict) -> dict:
     """Log-log least squares fit of mean boundary frequency against eps.
 
     The arithmetic is that of ``scipy.stats.linregress`` and its slope
-    standard error; the 95% interval uses the Student t quantile.
+    standard error; the 95% interval uses the Student t quantile.  Fewer
+    than FIT_MIN_POINTS positive means, or a single eps, give no fit.
     """
     eps = np.array(stats["eps_grid"])
     mean = np.array(stats["mean_freq"])
@@ -483,7 +488,7 @@ def fit_boundary_exponent(stats: dict, min_points: int = 3) -> dict:
     out = {"n_points": int(keep.sum())}
     x = np.log(eps[keep])
     y = np.log(mean[keep])
-    if keep.sum() < max(min_points, 2) or x.min() == x.max():
+    if keep.sum() < FIT_MIN_POINTS or x.min() == x.max():
         warnings.warn("too few positive frequencies for a slope fit",
                       InsufficientSamples)
         out.update(eta=math.nan, log_c=math.nan, ci95=(math.nan, math.nan),
@@ -496,10 +501,8 @@ def fit_boundary_exponent(stats: dict, min_points: int = 3) -> dict:
         r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
     slope = ssxym / ssxm
     dof = len(x) - 2
-    stderr = np.sqrt((1 - r ** 2) * ssym / ssxm / dof) if dof > 0 else 0.0
-    if dof <= 0:
-        tq = math.nan
-    elif dof <= len(_T975):
+    stderr = np.sqrt((1 - r ** 2) * ssym / ssxm / dof)
+    if dof <= len(_T975):
         tq = _T975[dof - 1]
     else:
         from scipy.special import stdtrit

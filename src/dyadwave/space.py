@@ -25,6 +25,10 @@ LIPSCHITZ_TOL = 1e-12
 # Rows of the min-plus product formed together; their buffers fit in cache.
 MINPLUS_ROWS = 64
 
+# Snowflake distances are |x - y|^eps times exp of a symmetric noise with
+# entries in [-SNOWFLAKE_NOISE, SNOWFLAKE_NOISE].
+SNOWFLAKE_NOISE = 0.25
+
 
 @dataclass(frozen=True, eq=False)
 class QuasiMetricSpace:
@@ -261,17 +265,15 @@ def _koranyi_sphere(n: int, dim: int, seed: int) -> QuasiMetricSpace:
     return build_space(dist, np.full(n, 1.0 / n), coords=z)
 
 
-def _snowflake(n: int, eps: float, seed: int, noise: float = 0.25) -> QuasiMetricSpace:
+def _snowflake(n: int, eps: float, seed: int) -> QuasiMetricSpace:
     if n < 1:
         raise BadParams("snowflake size must be >= 1")
     if not 0.0 < eps <= 1.0:
         raise BadExponent("snowflake exponent must lie in (0, 1]")
-    if noise < 0:
-        raise BadParams("noise must be >= 0")
     x = np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
     base = np.abs(x[:, None] - x[None, :]) ** eps
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    bump = rng.uniform(-noise, noise, size=(n, n))
+    bump = rng.uniform(-SNOWFLAKE_NOISE, SNOWFLAKE_NOISE, size=(n, n))
     bump = 0.5 * (bump + bump.T)
     dist = base * np.exp(bump)
     np.fill_diagonal(dist, 0.0)
@@ -290,7 +292,7 @@ def gen_example(kind: str, seed: int = 0, **params) -> QuasiMetricSpace:
     kind : str
         One of ``cyclic`` (n), ``interval`` (n), ``binary_tree`` (depth),
         ``point_cloud`` (n, dim), ``koranyi_sphere`` (n, dim),
-        ``snowflake`` (n, eps, optional noise).
+        ``snowflake`` (n, eps).
     seed : int
         Seed for the randomized kinds; ignored by the deterministic ones.
     """

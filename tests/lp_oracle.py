@@ -103,12 +103,12 @@ def gather_square_function(rows, levels, coeffs) -> np.ndarray:
     return np.sqrt(total)
 
 
-def lp_equivalence(space, lp, p_list, num_trials=100, seed=0) -> dict:
+def lp_equivalence(space, basis, p_list, num_trials=100, seed=0) -> dict:
     """{p: (lo, hi)} of ||Sf||_p / ||f||_p, through the list gather."""
     rng = stream_rng(seed, STREAM_TRIALS)
     total = space.total_mass
-    rows = lp.basis.rows
-    levels = row_levels(lp.basis.blocks, len(rows))
+    rows = basis.rows
+    levels = row_levels(basis.blocks, len(rows))
     bounds = {p: (math.inf, 0.0) for p in p_list}
     for _ in range(num_trials):
         f = rng.standard_normal(space.n)

@@ -221,10 +221,10 @@ def test_criterion_06_square_function_equivalence(fleet, capsys):
     worst_iso = 0.0
     all_finite = True
     for name, b in fleet.items():
-        space, lp, basis = b["space"], b["lp"], b["basis"]
-        first = lp_equivalence(space, lp, [2.0, 1.5, 4.0], num_trials=200,
+        space, basis = b["space"], b["basis"]
+        first = lp_equivalence(space, basis, [2.0, 1.5, 4.0], num_trials=200,
                                seed=0)
-        second = lp_equivalence(space, lp, [1.5, 4.0], num_trials=200,
+        second = lp_equivalence(space, basis, [1.5, 4.0], num_trials=200,
                                 seed=1)
         lo2, hi2 = first[2.0]
         worst_p2 = max(worst_p2, abs(lo2 - 1.0), abs(hi2 - 1.0))

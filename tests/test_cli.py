@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -133,6 +134,19 @@ def test_build_hard_space_delta_too_large(tmp_path, capsys):
     assert run("build", "--input", src, "--delta", "0.99",
                "--out", tmp_path / "bad") == 7
     assert "DeltaTooLarge" in capsys.readouterr().err
+
+
+def test_build_gates_the_basis_at_the_configured_ortho_tolerance(tmp_path,
+                                                                capsys):
+    # verify gates orthonormality at tolerances.ortho, and so does build:
+    # no basis is rounded that exactly, so nothing is written
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"ortho": 1e-20}}))
+    art = tmp_path / "art"
+    assert run("build", "--config", cfg, "--gen", "cyclic", "16",
+               "--out", art) == 7
+    assert "failed for wavelets" in capsys.readouterr().err
+    assert not art.exists()
 
 
 def test_build_rejects_bad_delta(tmp_path):
@@ -472,6 +486,35 @@ def test_verify_forms_block_projectors_once(tmp_path, monkeypatch):
     assert run("verify", "--artifacts", art,
                "--report", tmp_path / "r.json") == 0
     assert len(passes) == 1
+
+
+def test_verify_forms_one_ball_mass_table_per_level(tmp_path, monkeypatch):
+    # the kernel estimates, restricted level sums and growth sequence read
+    # each level's masses over all points from build_lp; the restricted
+    # sums add one call at each radius of their own
+    from collections import Counter
+
+    from dyadwave.space import QuasiMetricSpace
+    radii = []
+    original = QuasiMetricSpace.ball_masses
+
+    def counting(self, centers, r):
+        if np.array_equal(centers, np.arange(self.n)):
+            radii.append(float(r))
+        return original(self, centers, r)
+
+    monkeypatch.setattr(QuasiMetricSpace, "ball_masses", counting)
+    art = tmp_path / "art"
+    assert run("build", "--gen", "cyclic", "16", "--out", art) == 0
+    radii.clear()
+    assert run("verify", "--artifacts", art,
+               "--report", tmp_path / "r.json") == 0
+    nets = json.loads((art / "nets.json").read_text())
+    cfg = json.loads((art / "build_config.json").read_text())["config"]
+    scales = [nets["delta"] ** k
+              for k in range(nets["k_min"], nets["k_max"] + 1)]
+    assert len(scales) > 2
+    assert Counter(radii) == Counter(scales + cfg["r_grid"])
 
 
 def test_a0_computed_only_by_commands_that_read_it(tmp_path, monkeypatch):
@@ -908,6 +951,43 @@ def test_package_has_no_unused_definitions():
                           for j, names in enumerate(named) if j != i)]
     assert len(tops) > 100
     assert unused == []
+
+
+def test_every_default_is_set_by_package_code():
+    # a defaulted parameter that no call in the package sets by keyword or
+    # by position is a knob only tests turn; a ``**`` splat sets none.
+    # Exceptions: the entry point's argv and the parameters the acceptance
+    # criteria set
+    criteria = {"main.argv", "chain_constants.exact_budget",
+                "chain_constants.seed", "inverse_sqrt.tol",
+                "inverse_sqrt.max_terms", "decay_certificate.s"}
+    pkg = Path(__file__).resolve().parents[1] / "src" / "dyadwave"
+    nodes = [node for path in sorted(pkg.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))]
+    defaulted, positional = set(), {}
+    for fn in nodes:
+        if isinstance(fn, ast.FunctionDef):
+            args = fn.args.posonlyargs + fn.args.args
+            if args and args[0].arg == "self":
+                args = args[1:]
+            positional[fn.name] = [a.arg for a in args]
+            with_default = args[len(args) - len(fn.args.defaults):] + [
+                a for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                if d is not None]
+            defaulted.update(f"{fn.name}.{a.arg}" for a in with_default)
+    set_by_calls = set()
+    for call in nodes:
+        if isinstance(call, ast.Call):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            given = list(itertools.takewhile(
+                lambda arg: not isinstance(arg, ast.Starred), call.args))
+            named = [kw.arg for kw in call.keywords if kw.arg is not None]
+            set_by_calls.update(
+                f"{name}.{arg}"
+                for arg in positional.get(name, [])[:len(given)] + named)
+    assert len(defaulted) > 20
+    assert sorted(defaulted - set_by_calls - criteria) == []
+    assert criteria <= defaulted
 
 
 def test_pairs_are_enumerated_in_one_place():

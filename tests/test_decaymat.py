@@ -70,9 +70,10 @@ def test_envelope_rate_cap_on_banded_matrix():
     # rate is admissible and the cap comes back
     d = np.abs(np.subtract.outer(np.arange(8.0), np.arange(8.0)))
     M = np.where(d <= 2.0, 1.0, 0.0)
-    cert = decay_certificate(M, d, x_cut=2.5)
-    assert cert["c"] == 50.0
-    assert not cert["refuted"]
+    fit = envelope_fit(d, M, x_cut=2.5)
+    assert fit["c"] == 50.0
+    assert fit["n_far"] == 0
+    assert not fit["refuted"]
 
 
 def test_certificate_preconditions():

@@ -28,6 +28,7 @@ from dyadwave.lpanalysis import (
 )
 from dyadwave.nets import build_nets
 from dyadwave.randgrid import build_grid
+from dyadwave.seeding import STREAM_SIGNS, stream_rng
 from dyadwave.space import build_space, exponent_a, gen_example
 from dyadwave.spline import compute_splines
 from dyadwave.wavelet import build_mra, build_wavelet_basis, spline_projector
@@ -90,6 +91,10 @@ def test_build_lp_key_layout():
     assert sorted(lp_blocks) == list(range(nets.k_min, nets.k_max + 1))
     assert [k for k, (_, Q) in lp_blocks.items() if Q is None] == [nets.k_max]
     assert sorted(lp.holes_dist) == list(range(nets.k_min, nets.k_max + 1))
+    assert sorted(lp.mass) == sorted(lp.holes_dist)
+    for k, mass in lp.mass.items():
+        assert np.array_equal(
+            mass, space.ball_masses(np.arange(space.n), nets.scale(k)))
 
 
 def test_telescoping_fleet():
@@ -197,7 +202,6 @@ def test_build_and_lp_hold_no_dense_projectors():
     finally:
         tracemalloc.stop()
     kept = sum(a.nbytes for a in mra.duals.values())
-    assert lp.basis is basis
     assert held - kept < 2 * space.n * space.n * 8
 
 
@@ -263,22 +267,23 @@ def test_lp_norm_hand_value():
 def test_lp_equivalence_p2_is_parseval():
     for kind, params in [("cyclic", {"n": 16}), ("interval", {"n": 64})]:
         space, nets, mra, basis, lp = assemble(kind, params)
-        lo, hi = lp_equivalence(space, lp, [2.0], num_trials=50, seed=3)[2.0]
+        lo, hi = lp_equivalence(space, basis, [2.0], num_trials=50,
+                                seed=3)[2.0]
         assert abs(lo - 1.0) <= 1e-10
         assert abs(hi - 1.0) <= 1e-10
 
 
 def test_lp_equivalence_p4_reported():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 64})
-    lo, hi = lp_equivalence(space, lp, [4.0], num_trials=200, seed=0)[4.0]
+    lo, hi = lp_equivalence(space, basis, [4.0], num_trials=200, seed=0)[4.0]
     assert 0.0 < lo <= hi < math.inf
-    again = lp_equivalence(space, lp, [4.0], num_trials=200, seed=0)[4.0]
+    again = lp_equivalence(space, basis, [4.0], num_trials=200, seed=0)[4.0]
     assert (lo, hi) == again
     # one pass over the trials serves every exponent unchanged
-    several = lp_equivalence(space, lp, [1.5, 4.0, 2.0], num_trials=200,
+    several = lp_equivalence(space, basis, [1.5, 4.0, 2.0], num_trials=200,
                              seed=0)
     assert several[4.0] == (lo, hi)
-    assert several[1.5] == lp_equivalence(space, lp, [1.5], num_trials=200,
+    assert several[1.5] == lp_equivalence(space, basis, [1.5], num_trials=200,
                                           seed=0)[1.5]
 
 
@@ -288,8 +293,8 @@ def test_lp_equivalence_matches_gather_oracle(kind, params):
     square function or of the bounds."""
     space, nets, mra, basis, lp = assemble(kind, params)
     p_list = [1.5, 2.0, 4.0]
-    assert lp_equivalence(space, lp, p_list, num_trials=20, seed=4) \
-        == oracle.lp_equivalence(space, lp, p_list, num_trials=20, seed=4)
+    assert lp_equivalence(space, basis, p_list, num_trials=20, seed=4) \
+        == oracle.lp_equivalence(space, basis, p_list, num_trials=20, seed=4)
     levels = oracle.row_levels(basis.blocks, len(basis.rows))
     rng = np.random.default_rng(8)
     for _ in range(5):
@@ -309,7 +314,7 @@ def test_lp_equivalence_copies_no_basis():
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        lp_equivalence(space, lp, [1.5, 2.0, 4.0])
+        lp_equivalence(space, basis, [1.5, 2.0, 4.0])
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -330,33 +335,35 @@ def test_lp_equivalence_bad_exponent():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
     for p in (1.0, 0.5, math.inf):
         with pytest.raises(BadExponent):
-            lp_equivalence(space, lp, [2.0, p])
+            lp_equivalence(space, basis, [2.0, p])
     with pytest.raises(BadParams):
-        lp_equivalence(space, lp, [2.0], num_trials=0)
+        lp_equivalence(space, basis, [2.0], num_trials=0)
 
 
 def test_random_signs_cover_basis():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
     signs = random_signs(basis, seed=5)
-    want = {(k, p) for k, sl in basis.blocks.items()
-            for p in basis.centers[sl]}
-    assert set(signs) == want
-    assert set(signs.values()) <= {-1, 1}
-    assert signs == random_signs(basis, seed=5)
-    assert signs != random_signs(basis, seed=6)
+    # one sign per wavelet row, each level's block one draw of the stream
+    assert signs.shape == (len(basis.rows) - 1,)
+    rng = stream_rng(5, STREAM_SIGNS)
+    for sl in basis.blocks.values():
+        want = 2 * rng.integers(0, 2, size=sl.stop - sl.start) - 1
+        assert np.array_equal(signs[sl.start - 1:sl.stop - 1], want)
+    assert set(signs.tolist()) <= {-1, 1}
+    assert np.array_equal(signs, random_signs(basis, seed=5))
+    assert not np.array_equal(signs, random_signs(basis, seed=6))
 
 
 def test_sign_operator_all_plus_and_minus():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
-    keys = [(k, p) for k, sl in basis.blocks.items()
-            for p in basis.centers[sl]]
+    count = len(basis.rows) - 1
     rng = np.random.default_rng(11)
     f = mean_zero(space, rng.standard_normal(space.n))
     ones = np.ones(space.n)
-    T = random_sign_operator(space, basis, {key: 1 for key in keys})
+    T = random_sign_operator(space, basis, np.ones(count, dtype=int))
     assert np.abs(T @ f - f).max() <= 1e-10
     assert np.abs(T @ ones - ones).max() <= 1e-10
-    T = random_sign_operator(space, basis, {key: -1 for key in keys})
+    T = random_sign_operator(space, basis, -np.ones(count, dtype=int))
     assert np.abs(T @ f + f).max() <= 1e-10
     assert np.abs(T @ ones - ones).max() <= 1e-10
 
@@ -376,14 +383,12 @@ def test_sign_operator_isometry():
 def test_sign_operator_incomplete_and_bad_values():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
     signs = random_signs(basis, seed=0)
-    key = next(iter(signs))
-    broken = dict(signs)
-    del broken[key]
-    with pytest.raises(IncompleteSigns):
-        random_sign_operator(space, basis, broken)
-    broken = dict(signs)
-    broken[key] = 0
-    with pytest.raises(BadParams):
+    for broken in (signs[1:], np.r_[signs, 1], signs[None, :]):
+        with pytest.raises(IncompleteSigns):
+            random_sign_operator(space, basis, broken)
+    broken = signs.copy()
+    broken[3] = 0
+    with pytest.raises(BadParams, match="sign 3 is 0"):
         random_sign_operator(space, basis, broken)
 
 
@@ -524,7 +529,7 @@ def test_substitute_inequality_bad_params():
 
 def test_growth_sequence_cyclic():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 64})
-    report = growth_sequence(space, nets, x=0, r=space.minsep)
+    report = growth_sequence(space, nets, lp, x=0, r=space.minsep)
     assert report["eps"] > 0.0
     ks = report["ks"]
     assert len(ks) >= 3
@@ -537,16 +542,16 @@ def test_growth_sequence_cyclic():
 
 def test_growth_sequence_large_radius():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
-    report = growth_sequence(space, nets, x=0, r=1.01 * space.diam)
+    report = growth_sequence(space, nets, lp, x=0, r=1.01 * space.diam)
     assert len(report["ks"]) <= 1
-    report = growth_sequence(space, nets, x=0,
+    report = growth_sequence(space, nets, lp, x=0,
                              r=2.0 * nets.scale(nets.k_min))
     assert report["ks"] == []
 
 
 def test_growth_sequence_two_cluster_skips_gap():
     space, nets, mra, basis, lp = assemble_space(two_cluster())
-    report = growth_sequence(space, nets, x=0, r=1.0)
+    report = growth_sequence(space, nets, lp, x=0, r=1.0)
     scales = [nets.scale(k) for k in report["ks"]]
     assert all(not (16.0 < s < 128.0) for s in scales)
     assert any(s >= 128.0 for s in scales)
@@ -556,7 +561,7 @@ def test_growth_sequence_two_cluster_skips_gap():
 def test_growth_sequence_bad_radius():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
     with pytest.raises(BadParams):
-        growth_sequence(space, nets, x=0, r=0.0)
+        growth_sequence(space, nets, lp, x=0, r=0.0)
 
 
 def test_single_point_space_structure():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dyadwave.cli import write_json
-from dyadwave.errors import BadDelta, BadParams, TooLarge
+from dyadwave.errors import BadDelta, TooLarge
 from dyadwave.nets import (
     build_nets,
     farthest_first_order,
@@ -16,7 +16,7 @@ from dyadwave.space import build_space, gen_example
 
 def test_cyclic8_reference_hierarchy():
     sp = gen_example("cyclic", n=8)
-    nets = build_nets(sp, 0.5, order_policy="input_order")
+    nets = build_nets(sp, 0.5)
     assert nets.k_min == -3
     assert nets.k_max == 0
     assert [len(nets.levels[k]) for k in nets.level_range] == [1, 2, 4, 8]
@@ -38,7 +38,7 @@ def test_two_point_hierarchy():
 
 def test_binary_tree_levels():
     sp = gen_example("binary_tree", depth=4)
-    nets = build_nets(sp, 0.5, order_policy="input_order")
+    nets = build_nets(sp, 0.5)
     assert nets.k_max == -1
     assert nets.k_min == -4
     assert [len(nets.levels[k]) for k in nets.level_range] == [1, 2, 8, 16]
@@ -62,14 +62,16 @@ def test_interval_level_count():
     ("koranyi_sphere", {"n": 30, "dim": 2}),
     ("snowflake", {"n": 24, "eps": 0.7}),
 ])
-@pytest.mark.parametrize("policy", ["input_order", "farthest_first"])
+# farthest-first is the one scan order; the parameter keeps the test ids
+@pytest.mark.parametrize("policy", ["farthest_first"])
 def test_invariants_across_fleet(kind, params, policy):
     sp = gen_example(kind, seed=1, **params)
-    nets = build_nets(sp, 0.5, order_policy=policy)
+    nets = build_nets(sp, 0.5)
+    assert nets.order_policy == policy
     report = verify_nets(nets, sp)
     for k, entry in report["levels"].items():
-        assert entry["separation_ok"], (kind, policy, k)
-        assert entry["nested_ok"], (kind, policy, k)
+        assert entry["separation_ok"], (kind, k)
+        assert entry["nested_ok"], (kind, k)
     assert report["root_ok"] and report["finest_ok"]
     # strict subset chain sizes
     sizes = [len(nets.levels[k]) for k in nets.level_range]
@@ -102,13 +104,15 @@ def test_farthest_first_is_permutation():
 
 
 def test_determinism_and_policy_difference():
+    # the greedy scans follow the stored farthest-first order, not the
+    # input order, and repeat exactly
     sp = gen_example("interval", n=64)
-    a = build_nets(sp, 0.5, order_policy="farthest_first")
-    b = build_nets(sp, 0.5, order_policy="farthest_first")
+    a = build_nets(sp, 0.5)
+    b = build_nets(sp, 0.5)
     for k in a.level_range:
         assert np.array_equal(a.levels[k], b.levels[k])
-    c = build_nets(sp, 0.5, order_policy="input_order")
-    assert a.k_min == c.k_min and a.k_max == c.k_max
+    assert np.array_equal(a.scan_order, farthest_first_order(sp.dist))
+    assert not np.array_equal(a.scan_order, np.arange(sp.n))
 
 
 def test_bad_delta_rejected():
@@ -116,8 +120,6 @@ def test_bad_delta_rejected():
     for delta in (0.0, 1.0, 1.5, -0.25):
         with pytest.raises(BadDelta):
             build_nets(sp, delta)
-    with pytest.raises(BadParams):
-        build_nets(sp, 0.5, order_policy="random")
 
 
 def test_delta_near_one_rejected_as_too_large():

@@ -13,6 +13,7 @@ from dyadwave.errors import DyadwaveError, OrderViolation
 from dyadwave.nets import NestedNets, build_nets
 from dyadwave.randgrid import (
     _T975,
+    FIT_MIN_POINTS,
     LevelTable,
     _center_stats,
     boundary_layer_stats,
@@ -36,8 +37,8 @@ def two_point():
     return build_space(np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(2))
 
 
-def setup(space, delta=0.5, policy="input_order"):
-    nets = build_nets(space, delta, order_policy=policy)
+def setup(space, delta=0.5):
+    nets = build_nets(space, delta)
     return (nets,) + build_grid(space, nets)
 
 
@@ -97,9 +98,12 @@ def test_cyclic8_family_shapes():
     sp = gen_example("cyclic", n=8)
     nets, labels, _ = setup(sp)
     ref = reference(sp, nets)
-    # ties attach both odd ends to the first listed parent
+    # farthest-first lists level -1 as [0, 4, 2, 6]; each odd point ties
+    # between its two even neighbours and takes the first listed: 1 and 7
+    # go to 0, 3 and 5 to 4, so 0 and 4 keep three children, 2 and 6 one
+    assert nets.levels[-1].tolist() == [0, 4, 2, 6]
     sizes = sorted(np.bincount(ref[-1], minlength=len(nets.levels[-1])))
-    assert sizes == [1, 2, 2, 3]
+    assert sizes == [1, 1, 3, 3]
     assert sorted((labels.child_by_rank[-1] >= 0).sum(axis=1)) == sizes
     assert labels.M == 3
     assert labels.L == 0
@@ -198,7 +202,7 @@ def test_grid_checks_exact_gates_on_fleet():
                          ("point_cloud", {"n": 40, "dim": 2}),
                          ("koranyi_sphere", {"n": 30, "dim": 2})]:
         sp = gen_example(kind, seed=1, **params)
-        nets, labels, tables = setup(sp, policy="farthest_first")
+        nets, labels, tables = setup(sp)
         rep = grid_checks(sp, nets, labels, tables, seed=2, num_samples=12)
         assert rep["center_containment_violations"] == 0, kind
         assert rep["covering_violations"] == 0, kind
@@ -347,7 +351,7 @@ def test_center_stats_reads_rows_of_points_far_from_every_center():
 
 def test_boundary_stats_monotone_and_deterministic():
     sp = gen_example("interval", n=32)
-    nets, labels, tables = setup(sp, policy="farthest_first")
+    nets, labels, tables = setup(sp)
     eps = [0.05, 0.1, 0.2, 0.4]
     s1 = boundary_layer_stats(sp, nets, labels, tables, eps, 300, seed=3)
     s2 = boundary_layer_stats(sp, nets, labels, tables, eps, 300, seed=3)
@@ -423,7 +427,7 @@ def assert_matches_oracle(sp, nets, labels, tables, grid_samples,
 @pytest.mark.parametrize("kind,params,delta", GENERATORS)
 def test_batched_samplers_match_oracle_on_generators(kind, params, delta):
     sp = gen_example(kind, seed=1, **params)
-    nets, labels, tables = setup(sp, delta=delta, policy="farthest_first")
+    nets, labels, tables = setup(sp, delta=delta)
     # 300 boundary draws span two RNG chunks, so jobs=2 really splits them
     assert_matches_oracle(sp, nets, labels, tables, grid_samples=12,
                           bnd_samples=300, seed=4, jobs=(1, 2))
@@ -510,9 +514,9 @@ def test_fit_boundary_exponent_equals_scipy():
     cases.append({"eps_grid": [0.1, 0.2, 0.4], "mean_freq": [0.3, 0.3, 0.3]})
     dofs = []
     for stats in cases:
-        if (np.array(stats["mean_freq"]) > 0).sum() < 2:
+        if (np.array(stats["mean_freq"]) > 0).sum() < FIT_MIN_POINTS:
             continue
-        got = fit_boundary_exponent(stats, min_points=2)
+        got = fit_boundary_exponent(stats)
         want = scipy_fit(stats)
         assert got.keys() == want.keys()
         for key, val in want.items():

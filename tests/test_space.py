@@ -166,7 +166,10 @@ def test_snowflake_quasi_but_not_metric():
     assert not sp.lipschitz
     with pytest.raises(BadExponent):
         gen_example("snowflake", n=8, eps=1.5)
-    noiseless = gen_example("snowflake", n=24, eps=0.6, seed=2, noise=0.0)
+    # without the noise factor |x - y|^0.6 is a metric
+    x = np.linspace(0.0, 1.0, 24)
+    noiseless = build_space(np.abs(x[:, None] - x[None, :]) ** 0.6,
+                            np.ones(24))
     assert noiseless.a0 == 1.0
 
 

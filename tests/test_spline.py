@@ -121,7 +121,7 @@ def test_metric_fleet_inner_plateau(kind, params):
 
 def test_farthest_first_policy_also_exact():
     space = gen_example("point_cloud", seed=2, n=30, dim=3)
-    nets = build_nets(space, 0.5, order_policy="farthest_first")
+    nets = build_nets(space, 0.5)
     labels, tables = build_grid(space, nets)
     system = compute_splines(space, nets, tables)
     assert verify_splines(system, space, nets)["ok"]

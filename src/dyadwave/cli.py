@@ -4,9 +4,11 @@ Five subcommands cover the workflow end to end: ``gen`` writes example
 spaces, ``build`` constructs nets, splines, and the wavelet basis into
 an artifact directory, ``verify`` re-checks a built directory and emits
 an analysis report, ``analyze`` expands a signal in the basis, and
-``boundary`` samples boundary-layer frequencies.  All floats are
-serialized with 17 significant digits and dictionary keys in a fixed
-order, so the same configuration produces byte-identical files.
+``boundary`` samples boundary-layer frequencies.  The artifacts keep the
+space as raw float64 bits, ``dist.npy`` and ``weights.npy``, so no command
+after ``build`` parses its n^2 distances; every other float is serialized
+with 17 significant digits and dictionary keys in a fixed order, so the
+same configuration produces byte-identical files.
 """
 
 import argparse
@@ -32,8 +34,9 @@ from .lpanalysis import (build_lp, cz_kernel_bound, growth_sequence,
 from .nets import build_nets, load_nets_json, nets_to_dict, verify_nets
 from .randgrid import (boundary_layer_stats, build_grid,
                        fit_boundary_exponent, grid_checks)
-from .space import (GENERATOR_KINDS, exponent_a, gen_example, load_space_csv,
-                    load_space_json, space_to_dict, use_stored_a0)
+from .space import (GENERATOR_KINDS, build_space, check_weights, exponent_a,
+                    gen_example, load_space_csv, load_space_json,
+                    space_to_dict, use_stored_a0)
 from .spline import compute_splines, verify_splines
 from .wavelet import (build_mra, build_wavelet_basis,
                       gram_decay_certificates, orthonormality_devs,
@@ -157,6 +160,16 @@ def _write_text(path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
+    os.replace(tmp, path)
+
+
+def _write_array(path, arr) -> None:
+    """``arr`` as a .npy file, written whole under its name like the texts."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("wb") as fh:
+        np.save(fh, arr, allow_pickle=False)
     os.replace(tmp, path)
 
 
@@ -298,11 +311,10 @@ def _load_space(cfg):
 
 
 def _versions() -> dict:
-    import scipy
+    # numpy's BLAS sets the rounding; build and verify run no SciPy code
     return {
         "dyadwave": __version__,
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "python": platform.python_version(),
     }
 
@@ -412,7 +424,8 @@ def cmd_build(args) -> int:
             f"delta={delta:g}; use a smaller delta")
 
     out = Path(cfg["out"])
-    write_json(out / "space.json", space_to_dict(space))
+    _write_array(out / "dist.npy", space.dist)
+    _write_array(out / "weights.npy", space.weights)
     write_json(out / "nets.json", nets_to_dict(nets))
     for k, vals in system.values.items():
         write_csv(out / "splines" / f"level_{k}.csv", vals)
@@ -455,6 +468,37 @@ def _load_matrix(path) -> np.ndarray:
         return np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as exc:
         raise MissingArtifact(f"cannot read {path}: {exc}") from exc
+
+
+def _load_array(path, ndim: int) -> np.ndarray:
+    """The float64 array of rank ``ndim`` in a .npy artifact, C-contiguous.
+
+    Never unpickles: an unreadable file, a pickle, a zip, a header that
+    claims more entries than memory holds or an array of another dtype or
+    rank raises MissingArtifact.  A Fortran-ordered or byte-swapped file is
+    copied to C order, so BLAS rounds as at build.
+    """
+    try:
+        with open(path, "rb") as fh:
+            arr = np.load(fh, allow_pickle=False)
+    except (OSError, ValueError, EOFError, MemoryError) as exc:
+        raise MissingArtifact(f"cannot read {path}: {exc}") from exc
+    if not isinstance(arr, np.ndarray):
+        raise MissingArtifact(f"{path} is a zip archive, not one array")
+    if arr.dtype.kind != "f" or arr.dtype.itemsize != 8 or arr.ndim != ndim:
+        raise MissingArtifact(f"{path} holds a rank-{arr.ndim} {arr.dtype} "
+                              f"array, not a rank-{ndim} float64 one")
+    return np.ascontiguousarray(arr, dtype=float)
+
+
+def _stored_space(art: Path):
+    """The space of dist.npy and weights.npy, through every axiom check."""
+    dist = _load_array(art / "dist.npy", 2)
+    weights = _load_array(art / "weights.npy", 1)
+    if len(weights) != len(dist):
+        raise DimensionMismatch(f"weights.npy has {len(weights)} entries for "
+                                f"the {len(dist)} rows of dist.npy")
+    return build_space(dist, weights)
 
 
 def _load_basis(art: Path, n: int) -> tuple:
@@ -516,10 +560,11 @@ def _chk(measured, tol) -> dict:
 
 def cmd_verify(args) -> int:
     art = Path(args.artifacts)
-    _require_artifacts(art, ["space.json", "nets.json", "basis.json",
-                             "basis_values.csv", "build_config.json",
-                             "build_report.json", "splines"])
-    space = load_space_json(art / "space.json")
+    _require_artifacts(art, ["dist.npy", "weights.npy", "nets.json",
+                             "basis.json", "basis_values.csv",
+                             "build_config.json", "build_report.json",
+                             "splines"])
+    space = _stored_space(art)
     stored_nets = load_nets_json(art / "nets.json")
     stored = _load_artifact_json(art / "build_config.json")
     cfg = _resolve_config(stored.get("config", {}),
@@ -655,19 +700,21 @@ def cmd_verify(args) -> int:
 
 def cmd_analyze(args) -> int:
     art = Path(args.artifacts)
-    _require_artifacts(art, ["space.json", "basis.json", "basis_values.csv"])
-    space = load_space_json(art / "space.json")
-    B, _, row_labels, blocks = _load_basis(art, space.n)
+    _require_artifacts(art, ["weights.npy", "basis.json", "basis_values.csv"])
+    # the expansion needs only the measure, never the distances
+    w = _load_array(art / "weights.npy", 1)
+    check_weights(w)
+    n = len(w)
+    B, _, row_labels, blocks = _load_basis(art, n)
     if len(row_labels) != B.shape[0]:
         raise DimensionMismatch(
             f"basis.json labels {len(row_labels)} rows, basis_values.csv "
             f"holds {B.shape[0]}")
     signal = _load_matrix(args.signal).ravel()
-    if signal.shape != (space.n,):
+    if signal.shape != (n,):
         raise DimensionMismatch(
-            f"signal has {signal.size} values for {space.n} points")
+            f"signal has {signal.size} values for {n} points")
 
-    w = space.weights
     coeffs = B @ (w * signal)
     recon_dev = float(np.abs(B.T @ coeffs - signal).max())
     energy = float(w @ signal ** 2)
@@ -686,7 +733,7 @@ def cmd_analyze(args) -> int:
     sf_lines += [f"{i},{v}" for i, v in enumerate(_fmt_rows(sf[:, None]))]
     _write_text(out / "sf.csv", "\n".join(sf_lines) + "\n")
     write_json(out / "analyze_report.json", {
-        "n": space.n,
+        "n": n,
         "signal": str(args.signal),
         "energy": energy,
         "coeff_energy": coeff_energy,
@@ -696,20 +743,20 @@ def cmd_analyze(args) -> int:
         "mean_coefficient": float(coeffs[0]),
         "sf_l2": float(math.sqrt(w @ sf ** 2)),
     })
-    print(f"analyzed {space.n} values: parseval residual {parseval_abs:.3e}, "
+    print(f"analyzed {n} values: parseval residual {parseval_abs:.3e}, "
           f"reconstruction deviation {recon_dev:.3e} -> {out}")
     return 0
 
 
 def cmd_boundary(args) -> int:
     art = Path(args.artifacts)
-    _require_artifacts(art, ["space.json", "nets.json", "build_config.json",
-                             "build_report.json"])
-    space = load_space_json(art / "space.json")
+    _require_artifacts(art, ["dist.npy", "weights.npy", "nets.json",
+                             "build_config.json", "build_report.json"])
+    space = _stored_space(art)
     nets = load_nets_json(art / "nets.json")
     if len(nets.scan_order) != space.n:
         raise DimensionMismatch(f"nets.json covers {len(nets.scan_order)} "
-                                f"points, space.json {space.n}")
+                                f"points, dist.npy {space.n}")
     stored = _load_artifact_json(art / "build_config.json")
     cfg = _resolve_config(stored.get("config", {}),
                           {"num_samples": args.num_samples,

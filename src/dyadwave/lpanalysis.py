@@ -312,10 +312,13 @@ def substitute_inequality_check(space: QuasiMetricSpace, nets: NestedNets,
     if any(r <= 0.0 for r in r_grid):
         raise BadParams("radii must be positive")
     points = np.arange(space.n)
+    # a radius that is a level scale reads that level's table, the same call
+    level = {nets.scale(k): k for k in nets.level_range}
     rows = []
     for r in r_grid:
         ks = [k for k in nets.level_range if nets.scale(k) >= r]
-        base = space.ball_masses(points, r) ** (-nu)
+        base = (lp.mass[level[r]] if r in level
+                else space.ball_masses(points, r)) ** (-nu)
         restricted = np.zeros(space.n)
         unrestricted = np.zeros(space.n)
         for k in ks:

@@ -139,6 +139,12 @@ def use_stored_a0(space: QuasiMetricSpace, a0) -> None:
     vars(space)["a0"] = float(a0)
 
 
+def check_weights(weights: np.ndarray) -> None:
+    """Refuse point masses that are not all positive and finite."""
+    if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
+        raise AxiomViolation("weights must be positive and finite")
+
+
 def build_space(dist, weights, coords=None) -> QuasiMetricSpace:
     """Validate axioms and compute the diameter and minimal separation.
 
@@ -176,8 +182,7 @@ def build_space(dist, weights, coords=None) -> QuasiMetricSpace:
         raise AxiomViolation("weights must have one entry per point")
     if not np.all(np.isfinite(dist)):
         raise AxiomViolation("distances must be finite")
-    if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
-        raise AxiomViolation("weights must be positive and finite")
+    check_weights(weights)
     if np.any(np.diag(dist) != 0):
         raise AxiomViolation("d(x, x) must be 0")
     if not np.array_equal(dist, dist.T):

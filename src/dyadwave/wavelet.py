@@ -55,9 +55,8 @@ class WaveletBasis:
     mass_center: dict    # k -> mu(B(center, delta^k)), decay norm
 
 
-def normalized_gram(space: QuasiMetricSpace, rows: np.ndarray,
-                    masses) -> np.ndarray:
-    """L2(mu) Gram of ``rows`` over the geometric mean of their ball masses.
+def normalized_gram(gram: np.ndarray, masses) -> np.ndarray:
+    """An L2(mu) Gram over the geometric mean of its rows' ball masses.
 
     Entry (alpha, beta) is <r_alpha, r_beta> / sqrt(m_alpha m_beta); the
     spline and the pre-wavelet Grams are both this matrix.
@@ -65,8 +64,7 @@ def normalized_gram(space: QuasiMetricSpace, rows: np.ndarray,
     masses = np.asarray(masses, dtype=float)
     if (masses <= 0.0).any():
         raise ZeroBallMass("a Gram row has a ball without mass")
-    G = (rows * space.weights) @ rows.T
-    return G / np.sqrt(np.outer(masses, masses))
+    return gram / np.sqrt(np.outer(masses, masses))
 
 
 def gram_components(gram: np.ndarray) -> list:
@@ -142,7 +140,8 @@ def component_inverse_sqrt(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def gram_matrix(space: QuasiMetricSpace, system: SplineSystem,
                 k: int) -> np.ndarray:
     """Spline Gram at level k, normalized by the net ball masses."""
-    return normalized_gram(space, system.values[k], system.ball_mass[k])
+    S = system.values[k]
+    return normalized_gram((S * space.weights) @ S.T, system.ball_mass[k])
 
 
 def dual_splines(space: QuasiMetricSpace, system: SplineSystem,
@@ -178,8 +177,9 @@ def spline_projector(space: QuasiMetricSpace, mra: MRA,
 
 
 def pre_wavelets(space: QuasiMetricSpace, nets: NestedNets, mra: MRA,
-                 k: int) -> np.ndarray:
-    """Level-k pre-wavelets: fine splines at the new points, minus V_k.
+                 k: int) -> tuple:
+    """Level-k pre-wavelets, fine splines at the new points minus V_k, and
+    their L2(mu) Gram.
 
     Rows follow the order of appearance of the new points inside level
     k+1.  The residual family must span the full complement.  Rows in
@@ -190,25 +190,28 @@ def pre_wavelets(space: QuasiMetricSpace, nets: NestedNets, mra: MRA,
     rows = nets.positions(k + 1, space.n)[nets.ydiff[k]]
     base = fine[rows]
     resid = base - (spline_projector(space, mra, k) @ base.T).T
+    gram = (resid * space.weights) @ resid.T
     rank = sum(int(np.linalg.matrix_rank(resid[idx]).sum())
-               for idx in gram_components((resid * space.weights) @ resid.T))
+               for idx in gram_components(gram))
     if rank < len(rows):
         raise RankDeficiency(
             f"level {k} pre-wavelets span only rank {rank} of {len(rows)}")
-    return resid
+    return resid, gram
 
 
-def orthonormalize(space: QuasiMetricSpace, prewavelets: np.ndarray,
+def orthonormalize(prewavelets: np.ndarray, gram: np.ndarray,
                    masses: np.ndarray, centers=None):
-    """Mix the pre-wavelets into an L2(mu)-orthonormal family.
+    """Mix the pre-wavelets, whose L2(mu) Gram is ``gram``, into an
+    L2(mu)-orthonormal family.
 
     Applies the inverse square root of the normalized pre-wavelet Gram,
     one Gram component at a time, and flips each sign so the value at the
-    wavelet's own center is non-negative.  Returns (wavelets, gram).
+    wavelet's own center is non-negative.  Returns (wavelets, normalized
+    gram).
     """
     if prewavelets.shape[0] == 0:
         return prewavelets.copy(), np.zeros((0, 0))
-    mg = normalized_gram(space, prewavelets, masses)
+    mg = normalized_gram(gram, masses)
     psi = component_inverse_sqrt(
         mg, prewavelets / np.sqrt(np.asarray(masses, float))[:, None])
     if centers is not None:
@@ -230,10 +233,10 @@ def build_wavelet_basis(space: QuasiMetricSpace, nets: NestedNets,
     rows[0] = 1.0 / math.sqrt(space.total_mass)
     mgrams, mass_fine, mass_center = {}, {}, {}
     for k, sl in blocks.items():
-        base = pre_wavelets(space, nets, mra, k)
+        base, gram = pre_wavelets(space, nets, mra, k)
         pos = nets.positions(k + 1, space.n)[centers[sl]]
         masses = np.asarray(system.ball_mass[k + 1], dtype=float)[pos]
-        rows[sl], mgrams[k] = orthonormalize(space, base, masses,
+        rows[sl], mgrams[k] = orthonormalize(base, gram, masses,
                                              centers=centers[sl])
         mass_fine[k] = masses
         mass_center[k] = space.ball_masses(centers[sl], nets.scale(k))

@@ -48,7 +48,8 @@ def wavelets(space, nets, mra) -> dict:
         base = mra.system.values[k + 1][rows]
         resid = base - (proj[k] @ base.T).T
         masses = np.asarray(mra.system.ball_mass[k + 1], dtype=float)[rows]
-        out[k] = orthonormalize(space, resid, masses, centers=centers)[0]
+        out[k] = orthonormalize(resid, (resid * space.weights) @ resid.T,
+                                masses, centers=centers)[0]
     return out
 
 

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import io
 import itertools
 import json
 import math
@@ -102,8 +103,8 @@ def test_gen_rejects_bad_params(tmp_path):
 # build
 
 def test_build_layout_and_counts(built):
-    for name in ("space.json", "nets.json", "basis.json", "basis_values.csv",
-                 "build_config.json", "build_report.json"):
+    for name in ("dist.npy", "weights.npy", "nets.json", "basis.json",
+                 "basis_values.csv", "build_config.json", "build_report.json"):
         assert (built / name).exists()
     meta = json.loads((built / "basis.json").read_text())
     assert meta["count"] == 7
@@ -273,7 +274,8 @@ def test_build_from_csv_pair(tmp_path):
     art = tmp_path / "art"
     assert run("build", "--input", tmp_path / "dist.csv",
                "--weights", tmp_path / "w.csv", "--out", art) == 0
-    assert load_space_json(art / "space.json").n == 6
+    assert np.load(art / "dist.npy").shape == (6, 6)
+    assert np.load(art / "weights.npy").shape == (6,)
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +493,7 @@ def test_verify_forms_block_projectors_once(tmp_path, monkeypatch):
 def test_verify_forms_one_ball_mass_table_per_level(tmp_path, monkeypatch):
     # the kernel estimates, restricted level sums and growth sequence read
     # each level's masses over all points from build_lp; the restricted
-    # sums add one call at each radius of their own
+    # sums add one call at each radius that is no level scale
     from collections import Counter
 
     from dyadwave.space import QuasiMetricSpace
@@ -514,7 +516,9 @@ def test_verify_forms_one_ball_mass_table_per_level(tmp_path, monkeypatch):
     scales = [nets["delta"] ** k
               for k in range(nets["k_min"], nets["k_max"] + 1)]
     assert len(scales) > 2
-    assert Counter(radii) == Counter(scales + cfg["r_grid"])
+    own = [r for r in cfg["r_grid"] if r not in scales]
+    assert len(own) < len(cfg["r_grid"])
+    assert Counter(radii) == Counter(scales + own)
 
 
 def test_a0_computed_only_by_commands_that_read_it(tmp_path, monkeypatch):
@@ -566,12 +570,12 @@ def test_build_and_verify_byte_identical(tmp_path):
         assert run("verify", "--artifacts", art) == 0
         arts.append(art)
     a, b = arts
-    for name in ("space.json", "nets.json", "basis.json", "basis_values.csv",
-                 "build_config.json", "build_report.json", "report.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
-    for sub in ("splines", "transitions"):
-        for fa in sorted((a / sub).iterdir()):
-            assert fa.read_bytes() == (b / sub / fa.name).read_bytes()
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(b) for p in b.rglob("*")
+                           if p.is_file())
+    assert {"dist.npy", "weights.npy", "report.json"} <= set(map(str, files))
+    for name in files:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -648,17 +652,17 @@ def test_analyze_square_function_matches_gather_oracle(tmp_path, gen):
     the square function equals the list-gather one bit for bit."""
     art = tmp_path / "art"
     assert run("build", "--gen", *gen, "--out", art) == 0
-    space = load_space_json(art / "space.json")
+    weights = np.load(art / "weights.npy")
     B = np.loadtxt(art / "basis_values.csv", delimiter=",", ndmin=2)
     labels = json.loads((art / "basis.json").read_text())["row_labels"]
-    signal = np.random.default_rng(6).standard_normal(space.n)
+    signal = np.random.default_rng(6).standard_normal(len(weights))
     np.savetxt(tmp_path / "sig.csv", signal, delimiter=",")
     assert run("analyze", "--artifacts", art, "--signal", tmp_path / "sig.csv",
                "--out", tmp_path / "out") == 0
     signal = np.loadtxt(tmp_path / "sig.csv", delimiter=",", ndmin=2).ravel()
     want = lp_oracle.gather_square_function(
         B, [None if lvl == "const" else lvl for lvl, _ in labels],
-        B @ (space.weights * signal))
+        B @ (weights * signal))
     got = [float(line.split(",")[1]) for line
            in (tmp_path / "out" / "sf.csv").read_text().splitlines()[1:]]
     assert got == want.tolist()
@@ -742,14 +746,16 @@ def test_boundary_missing_artifacts(tmp_path):
 # malformed artifacts
 
 @pytest.mark.parametrize("command,name", [
-    ("verify", "space.json"),
+    ("verify", "dist.npy"),
+    ("verify", "weights.npy"),
     ("verify", "nets.json"),
     ("verify", "build_config.json"),
     ("verify", "basis.json"),
-    ("analyze", "space.json"),
+    ("analyze", "weights.npy"),
     ("analyze", "basis.json"),
     ("verify", "build_report.json"),
-    ("boundary", "space.json"),
+    ("boundary", "dist.npy"),
+    ("boundary", "weights.npy"),
     ("boundary", "nets.json"),
     ("boundary", "build_config.json"),
     ("boundary", "build_report.json"),
@@ -758,6 +764,7 @@ def test_boundary_missing_artifacts(tmp_path):
                                      b"[1, 2]"])
 def test_malformed_artifact_json_exits_8(built, tmp_path, capsys, command,
                                          name, payload):
+    # each payload is neither a JSON object nor a .npy array
     import shutil
     bad = tmp_path / "bad"
     shutil.copytree(built, bad)
@@ -769,12 +776,8 @@ def test_malformed_artifact_json_exits_8(built, tmp_path, capsys, command,
             "boundary": ["--num-samples", 4, "--out", tmp_path / "out"]}
     rc = run(command, "--artifacts", bad, *args[command])
     err = capsys.readouterr().err
-    if name == "space.json" and payload == b"[1, 2]":
-        # readable JSON without distances fails the space axioms instead
-        assert rc == 2, err
-    else:
-        assert rc == 8, err
-        assert "MissingArtifact" in err
+    assert rc == 8, err
+    assert "MissingArtifact" in err
 
 
 def _drop_last_column(path):
@@ -808,6 +811,105 @@ def _first_cell_abc(path):
     path.write_text("abc" + text[text.index(","):])
 
 
+def _saves(name, transform):
+    """A corruption, called ``name``, that stores ``transform`` of the
+    stored array in its place."""
+    def corrupt(path):
+        np.save(path, transform(np.load(path)))
+    corrupt.__name__ = name
+    return corrupt
+
+
+def _with_entries(value, *index):
+    """A copy of an array with ``value(old)`` at each index."""
+    def transform(arr):
+        arr = arr.copy()
+        for i in index:
+            arr[i] = value(arr[i])
+        return arr
+    return transform
+
+
+def _directory_in_place(path):
+    path.unlink()
+    path.mkdir()
+
+
+def _cut_three_bytes(path):
+    path.write_bytes(path.read_bytes()[:-3])
+
+
+def _empty(path):
+    path.write_bytes(b"")
+
+
+def _zip_archive(path):
+    arr = np.load(path)
+    with open(path, "wb") as fh:
+        np.savez(fh, arr=arr)
+
+
+def _claims_huge_shape(path):
+    # np.load allocates the header's 8 TB before it reads the 8 bytes
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {
+        "descr": "<f8", "fortran_order": False, "shape": (10 ** 6, 10 ** 6)})
+    path.write_bytes(buf.getvalue() + bytes(8))
+
+
+class _MakesDir:
+    """Makes a directory when unpickled, so a test can see a pickle load."""
+
+    def __init__(self, path):
+        self.path = str(path)
+
+    def __reduce__(self):
+        return os.mkdir, (self.path,)
+
+
+def _pickle_making_a_dir(path):
+    # an object array whose load, with pickles allowed, makes "unpickled"
+    marker = path.parent / "unpickled"
+    np.save(path, np.array([_MakesDir(marker)], dtype=object),
+            allow_pickle=True)
+    np.load(path, allow_pickle=True)
+    marker.rmdir()
+
+
+def _delete(path):
+    path.unlink()
+
+
+def _drop_last_point(path):
+    # dist.npy and weights.npy agree with each other, not with nets.json
+    art = path.parent
+    np.save(art / "dist.npy", np.load(art / "dist.npy")[:-1, :-1])
+    np.save(art / "weights.npy", np.load(art / "weights.npy")[:-1])
+
+
+# every reader case runs on each command's read of each space file
+NPY_READER_CASES = [
+    (_directory_in_place, 8),
+    (_cut_three_bytes, 8),
+    (_empty, 8),
+    (_zip_archive, 8),
+    (_claims_huge_shape, 8),
+    (_pickle_making_a_dir, 8),
+    (_saves("int64", lambda a: a.astype(np.int64)), 8),
+    (_saves("bool", lambda a: a != 0), 8),
+    (_saves("complex128", lambda a: a.astype(complex)), 8),
+    (_saves("float32", lambda a: a.astype(np.float32)), 8),
+    (_saves("rank_up", lambda a: a[None]), 8),
+    (_saves("nan_entry", _with_entries(lambda v: np.nan, 1)), 2),
+    (_saves("inf_entry", _with_entries(lambda v: np.inf, 1)), 2),
+    (_saves("fortran_order", np.asfortranarray), 0),
+    (_saves("big_endian", lambda a: a.astype(">f8")), 0),
+]
+SPACE_READS = [("verify", "dist.npy"), ("verify", "weights.npy"),
+               ("boundary", "dist.npy"), ("boundary", "weights.npy"),
+               ("analyze", "weights.npy")]
+
+
 @pytest.mark.parametrize("command,name,corrupt,code", [
     ("verify", "splines/level_0.csv", _first_cell_abc, 8),
     ("verify", "transitions/level_-1.csv", _first_cell_abc, 8),
@@ -826,7 +928,26 @@ def _first_cell_abc(path):
     ("boundary", "build_report.json", _set_key("a0", 0.5), 8),
     ("boundary", "build_report.json", _set_key("a0", 10 ** 400), 8),
     ("verify", "build_report.json", _set_key("a0", 1.25), EXIT_CHECKS_FAILED),
-])
+    ("verify", "dist.npy", _saves("non_square", lambda a: a[:, :-1]), 2),
+    ("boundary", "dist.npy", _saves("non_square", lambda a: a[:, :-1]), 2),
+    ("verify", "dist.npy",
+     _saves("asymmetric", _with_entries(lambda v: 2.0 * v, (0, 1))), 2),
+    ("verify", "dist.npy", _saves("symmetric_change", _with_entries(
+        lambda v: 1.5 * v, (0, 1), (1, 0))), EXIT_CHECKS_FAILED),
+    ("verify", "weights.npy",
+     _saves("zero_weight", _with_entries(lambda v: 0.0, 0)), 2),
+    ("boundary", "weights.npy",
+     _saves("negative_weight", _with_entries(lambda v: -v, 0)), 2),
+    ("analyze", "weights.npy",
+     _saves("zero_weight", _with_entries(lambda v: 0.0, 0)), 2),
+    ("verify", "weights.npy", _saves("one_short", lambda a: a[:-1]), 9),
+    ("boundary", "weights.npy", _saves("one_short", lambda a: a[:-1]), 9),
+    ("analyze", "weights.npy", _saves("one_short", lambda a: a[:-1]), 9),
+    ("verify", "dist.npy", _drop_last_point, 9),
+    ("boundary", "dist.npy", _drop_last_point, 9),
+    ("analyze", "dist.npy", _delete, 0),
+] + [(command, name, corrupt, code) for command, name in SPACE_READS
+     for corrupt, code in NPY_READER_CASES])
 def test_malformed_artifact_exit_codes(built, tmp_path, capsys, command,
                                        name, corrupt, code):
     import shutil
@@ -840,6 +961,25 @@ def test_malformed_artifact_exit_codes(built, tmp_path, capsys, command,
             "boundary": ["--num-samples", 4, "--out", tmp_path / "out"]}
     rc = run(command, "--artifacts", bad, *args[command])
     assert rc == code, capsys.readouterr().err
+    assert not (bad / "unpickled").exists()
+
+
+def test_stored_space_is_the_input_bit_for_bit(tmp_path):
+    src = tmp_path / "space.json"
+    assert run("gen", "snowflake", "24", "0.5", "--out", src) == 0
+    art = tmp_path / "art"
+    assert run("build", "--input", src, "--out", art) == 0
+    space = load_space_json(src)
+    for name, want in (("dist.npy", space.dist),
+                       ("weights.npy", space.weights)):
+        got = np.load(art / name, allow_pickle=False)
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # a Fortran-ordered copy reads back C-contiguous with the same bits
+    np.save(tmp_path / "f.npy", np.asfortranarray(space.dist))
+    back = cli._load_array(tmp_path / "f.npy", 2)
+    assert back.flags.c_contiguous
+    assert np.array_equal(back.view(np.uint64), space.dist.view(np.uint64))
 
 
 NUMBER = re.compile(r"-?\d[\d.eE+-]*")
@@ -849,16 +989,48 @@ def _reads(command, name):
     """Whether a command reads an artifact; boundary takes a0 from
     build_report.json, and verify checks it."""
     if command == "analyze":
-        return name in ("space.json", "basis.json", "basis_values.csv")
+        return name in ("weights.npy", "basis.json", "basis_values.csv")
     if command == "boundary":
-        return name in ("space.json", "nets.json", "build_config.json",
-                        "build_report.json")
+        return name in ("dist.npy", "weights.npy", "nets.json",
+                        "build_config.json", "build_report.json")
     return True
+
+
+TEXT_KINDS = ["delete", "truncate", "non_numeric", "drop_row", "drop_column",
+              "invalid_json", "json_non_object"]
+NPY_KINDS = ["delete", "truncate", "bad_header", "pickled", "int_dtype",
+             "bool_dtype", "wrong_rank", "nan_entry"]
+
+
+def _corrupt_npy(path, kind, data):
+    raw = path.read_bytes()
+    arr = np.load(path)
+    if kind == "truncate":
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    elif kind == "bad_header":
+        # flipping every bit of one byte of the magic, version, length or
+        # header dict leaves no loadable file
+        i = data.draw(st.integers(0, raw.index(b"\n")))
+        path.write_bytes(raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1:])
+    elif kind == "pickled":
+        np.save(path, np.array([1.0, "x"], dtype=object), allow_pickle=True)
+    elif kind == "int_dtype":
+        np.save(path, arr.astype(np.int64))
+    elif kind == "bool_dtype":
+        np.save(path, arr != 0)
+    elif kind == "wrong_rank":
+        np.save(path, arr.reshape(1, *arr.shape))
+    else:
+        arr.flat[data.draw(st.integers(0, arr.size - 1))] = np.nan
+        np.save(path, arr)
 
 
 def _corrupt_one(path, kind, data):
     if kind == "delete":
         path.unlink()
+        return
+    if path.suffix == ".npy":
+        _corrupt_npy(path, kind, data)
         return
     text = path.read_text()
     lines = text.splitlines(keepends=True)
@@ -883,25 +1055,23 @@ def _corrupt_one(path, kind, data):
     path.write_text(text)
 
 
-ARTIFACT_FILES = ["space.json", "nets.json", "basis.json", "basis_values.csv",
-                  "build_config.json", "build_report.json", "splines",
-                  "transitions"]
+ARTIFACT_FILES = ["dist.npy", "weights.npy", "nets.json", "basis.json",
+                  "basis_values.csv", "build_config.json", "build_report.json",
+                  "splines", "transitions"]
 
 
 @pytest.mark.parametrize("target", ARTIFACT_FILES)
 @settings(max_examples=20)
-@given(data=st.data(),
-       kind=st.sampled_from(["delete", "truncate", "non_numeric", "drop_row",
-                             "drop_column", "invalid_json",
-                             "json_non_object"]))
-def test_single_file_corruption_exits_documented_code(built, target, data,
-                                                      kind):
+@given(data=st.data())
+def test_single_file_corruption_exits_documented_code(built, target, data):
     import shutil
     import tempfile
     name = target
-    if not target.endswith((".json", ".csv")):
+    if not target.endswith((".json", ".csv", ".npy")):
         name = data.draw(st.sampled_from(sorted(
             f"{target}/{p.name}" for p in (built / target).iterdir())))
+    kind = data.draw(st.sampled_from(
+        NPY_KINDS if name.endswith(".npy") else TEXT_KINDS))
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         bad = tmp / "bad"
@@ -914,7 +1084,7 @@ def test_single_file_corruption_exits_documented_code(built, target, data,
                 "boundary": ["--num-samples", "8", "--out", tmp / "o"]}
         for command, extra in args.items():
             rc = run(command, "--artifacts", bad, *extra)
-            # 2: space.json parses but holds no quasi-metric space;
+            # 2: dist.npy or weights.npy holds no quasi-metric space;
             # 4: a stored config value has the wrong type
             assert rc in (0, 2, 4, 8, 9, EXIT_CHECKS_FAILED), (command, rc)
             if not _reads(command, name):
@@ -1088,9 +1258,10 @@ if json.load(open("art/boundary_fit.json"))["n_points"] != 4:
 @pytest.mark.parametrize("work", ["", SESSION, BOUNDARY_SESSION],
                          ids=["import", "session", "boundary"])
 def test_cli_import_leaves_scipy_stats_unloaded(tmp_path, work):
-    # no command needs a scipy submodule
+    # no command of these sessions imports SciPy, not even to stamp its
+    # version into build_config.json or report.json
     code = ("import sys, dyadwave.cli\n" + work +
-            "\nprint([m for m in ('scipy.stats', 'scipy.linalg', "
+            "\nprint([m for m in ('scipy', 'scipy.stats', 'scipy.linalg', "
             "'scipy.special') if m in sys.modules])")
     src = Path(__file__).resolve().parents[1] / "src"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,

@@ -82,7 +82,7 @@ def test_basis_vanishes_outside_its_component_support(kind, params, delta):
     space, nets, system, mra, basis = assemble(kind, params, delta=delta)
     zeros = 0
     for k, sl in basis.blocks.items():
-        base = pre_wavelets(space, nets, mra, k)
+        base, _ = pre_wavelets(space, nets, mra, k)
         count, label = connected_components(basis.mgram[k] != 0.0,
                                              directed=False)
         # columns where some pre-wavelet of the component is nonzero

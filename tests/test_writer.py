@@ -176,6 +176,8 @@ def test_session_files_match_oracle(tmp_path, monkeypatch):
                         record(cli.write_json, oracle.json_text))
     monkeypatch.setattr(cli, "write_csv",
                         record(cli.write_csv, oracle.csv_text))
+    monkeypatch.setattr(cli, "_write_array",
+                        record(cli._write_array, oracle.npy_data))
     monkeypatch.setattr(cli, "boundary_layer_stats", record_stats)
     monkeypatch.setattr(cli, "square_function", record_sf)
     signal = tmp_path / "signal.csv"
@@ -191,7 +193,13 @@ def test_session_files_match_oracle(tmp_path, monkeypatch):
     assert written == set(expected)
     assert len(expected) > 10
     for path, text in expected.items():
-        assert path.read_text() == text, path
+        if path.suffix == ".npy":
+            # a .npy header, then the raw bits of the array written
+            data = path.read_bytes()
+            assert data.startswith(b"\x93NUMPY") and data.endswith(text)
+            assert np.load(path).nbytes == len(text), path
+        else:
+            assert path.read_text() == text, path
     core = json.loads((art / "build_config.json").read_text())
     want = hashlib.sha256(oracle.dumps(core["config"]).encode()).hexdigest()
     assert core["config_sha256"] == want

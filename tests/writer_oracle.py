@@ -110,3 +110,9 @@ def sf_csv_text(sf) -> str:
     lines = ["# index,square_function"]
     lines += [f"{i},{fmt(v)}" for i, v in enumerate(sf)]
     return "\n".join(lines) + "\n"
+
+
+def npy_data(arr) -> bytes:
+    """The bytes after the header of what ``build`` puts in dist.npy and
+    weights.npy: every float64 entry's raw little-endian bits, C order."""
+    return np.asarray(arr, dtype="<f8").tobytes(order="C")

@@ -6,17 +6,21 @@ an artifact directory, ``verify`` re-checks a built directory and emits
 an analysis report, ``analyze`` expands a signal in the basis, and
 ``boundary`` samples boundary-layer frequencies.  The artifacts keep the
 space as raw float64 bits, ``dist.npy`` and ``weights.npy``, so no command
-after ``build`` parses its n^2 distances; every other float is serialized
-with 17 significant digits and dictionary keys in a fixed order, so the
-same configuration produces byte-identical files.
+after ``build`` parses its n^2 distances, and each spline level as the
+float64 ``(row, col, value)`` triples of its stored entries; every other
+float is serialized with 17 significant digits and dictionary keys in a
+fixed order, so the same configuration produces byte-identical files.
+
+At module level this file imports only the standard library, NumPy,
+``errors`` and ``space``; each command imports the modules it runs, so
+``analyze`` loads none of the construction and ``boundary`` none of the
+splines, wavelets or Littlewood-Paley analysis.
 """
 
 import argparse
-import hashlib
 import json
 import math
 import os
-import platform
 import sys
 from pathlib import Path
 
@@ -27,20 +31,9 @@ from .errors import (BadDelta, BadParams, DeltaTooLarge, DimensionMismatch,
                      DyadwaveError, MissingArtifact, NoConvergence,
                      NotPositiveDefinite, RankDeficiency, TooLarge,
                      exit_code_for)
-from .lpanalysis import (build_lp, cz_kernel_bound, growth_sequence,
-                         kernel_estimates, lp_equivalence, lp_projectors,
-                         random_sign_operator, random_signs, square_function,
-                         substitute_inequality_check)
-from .nets import build_nets, load_nets_json, nets_to_dict, verify_nets
-from .randgrid import (boundary_layer_stats, build_grid,
-                       fit_boundary_exponent, grid_checks)
 from .space import (GENERATOR_KINDS, build_space, check_weights, exponent_a,
                     gen_example, load_space_csv, load_space_json,
-                    space_to_dict, use_stored_a0)
-from .spline import compute_splines, verify_splines
-from .wavelet import (build_mra, build_wavelet_basis,
-                      gram_decay_certificates, orthonormality_devs,
-                      spline_projector, verify_wavelet_theorem)
+                    space_to_dict, square_function, use_stored_a0)
 
 # 0 is success, 1 is reserved for unexpected crashes, and the error
 # classes own 2-14, so failed verification checks get their own code.
@@ -171,6 +164,18 @@ def _write_array(path, arr) -> None:
     with tmp.open("wb") as fh:
         np.save(fh, arr, allow_pickle=False)
     os.replace(tmp, path)
+
+
+def _write_sparse(path, M) -> None:
+    """A matrix as a .npy of float64 ``(row, col, value)`` triples, in
+    row-major order, of every entry whose bits are not +0.0 (a -0.0 is
+    kept, so the dense matrix reads back bit for bit)."""
+    M = np.asarray(M, dtype=float)
+    at = np.argwhere(M.view(np.uint64))
+    triples = np.empty((len(at), 3))
+    triples[:, :2] = at
+    triples[:, 2] = M[at[:, 0], at[:, 1]]
+    _write_array(path, triples)
 
 
 def write_json(path, payload) -> None:
@@ -312,6 +317,7 @@ def _load_space(cfg):
 
 def _versions() -> dict:
     # numpy's BLAS sets the rounding; build and verify run no SciPy code
+    import platform
     return {
         "dyadwave": __version__,
         "numpy": np.__version__,
@@ -320,6 +326,7 @@ def _versions() -> dict:
 
 
 def _config_sha(core: dict) -> str:
+    import hashlib
     return hashlib.sha256(_dumps(core).encode()).hexdigest()
 
 
@@ -342,6 +349,12 @@ def _construct(space, cfg):
     artifacts with it.  Each level's parent table is built once and serves
     both the splines and the sampled grid checks.
     """
+    from .nets import build_nets, verify_nets
+    from .randgrid import build_grid, grid_checks
+    from .spline import compute_splines, verify_splines
+    from .wavelet import (build_mra, build_wavelet_basis,
+                          verify_wavelet_theorem)
+
     nets = build_nets(space, cfg["delta"])
     labels, tables = build_grid(space, nets)
     system = compute_splines(space, nets, tables)
@@ -396,6 +409,8 @@ def _build_report(space, nets, checks, delta) -> dict:
 
 
 def cmd_build(args) -> int:
+    from .nets import nets_to_dict
+
     flags = {key: getattr(args, key) for key in
              ("input", "weights", "delta", "seed", "out", "grid_samples")}
     flags["gen"] = _parse_gen_spec(args.gen) if args.gen else None
@@ -428,9 +443,7 @@ def cmd_build(args) -> int:
     _write_array(out / "weights.npy", space.weights)
     write_json(out / "nets.json", nets_to_dict(nets))
     for k, vals in system.values.items():
-        write_csv(out / "splines" / f"level_{k}.csv", vals)
-    for k, T in system.transitions.items():
-        write_csv(out / "transitions" / f"level_{k}.csv", T)
+        _write_sparse(out / "splines" / f"level_{k}.npy", vals)
     write_csv(out / "basis_values.csv", basis.rows)
     write_json(out / "basis.json", _basis_meta(space, nets, basis))
     core = {k: cfg[k] for k in cfg if k not in ("out", "jobs")}
@@ -530,18 +543,53 @@ def _load_basis(art: Path, n: int) -> tuple:
     return B, meta, labels, blocks
 
 
-def _stored_dev(folder: Path, rebuilt: dict) -> float:
-    """Largest deviation of folder/level_k.csv from each rebuilt level k.
+def _load_sparse(path, shape):
+    """The matrix of ``shape`` stored as triples by ``_write_sparse``, or
+    None when an index lies past ``shape``.
 
-    Infinite when a stored matrix has the wrong shape.
+    The indices must be non-negative integers in strictly increasing
+    row-major order, so each entry is stored once; other triples raise
+    MissingArtifact.
     """
-    dev = 0.0
-    for k in sorted(rebuilt):
-        loaded = _load_matrix(folder / f"level_{k}.csv")
-        if loaded.shape != rebuilt[k].shape:
-            return math.inf
-        dev = max(dev, float(np.abs(loaded - rebuilt[k]).max()))
-    return dev
+    arr = _load_array(path, 2)
+    if arr.shape[1] != 3:
+        raise MissingArtifact(f"{path} holds {arr.shape[1]} columns, not "
+                              "the row, column and value of each entry")
+    idx = arr[:, :2]
+    if not np.all(np.isfinite(idx) & (idx >= 0) & (idx == np.floor(idx))):
+        raise MissingArtifact(f"{path} holds an index that is not a "
+                              "non-negative integer")
+    rows, cols = idx.T
+    step, drift = np.diff(rows), np.diff(cols)
+    if not np.all((step > 0) | (step == 0) & (drift > 0)):
+        raise MissingArtifact(f"{path} lists its entries out of row-major "
+                              "order or twice")
+    if len(arr) and (rows[-1] >= shape[0] or cols.max() >= shape[1]):
+        return None
+    M = np.zeros(shape)
+    M[rows.astype(np.intp), cols.astype(np.intp)] = arr[:, 2]
+    return M
+
+
+def _spline_devs(folder: Path, system, nets) -> tuple:
+    """Largest deviations of the stored spline levels from the rebuilt
+    ``S_k``, and of their columns at the net points of level k + 1 from the
+    rebuilt ``T_k``, which equals those columns bit for bit.
+
+    Both are infinite when a stored level does not fit the rebuilt shape.
+    Each level is read, compared and dropped in turn.
+    """
+    spline_dev = transition_dev = 0.0
+    for k, S in sorted(system.values.items()):
+        stored = _load_sparse(folder / f"level_{k}.npy", S.shape)
+        if stored is None:
+            return math.inf, math.inf
+        spline_dev = max(spline_dev, float(np.abs(stored - S).max()))
+        if k in system.transitions:
+            T = stored[:, nets.levels[k + 1]]
+            transition_dev = max(transition_dev, float(
+                np.abs(T - system.transitions[k]).max()))
+    return spline_dev, transition_dev
 
 
 def _same_json(stored: dict, rebuilt: dict) -> bool:
@@ -559,6 +607,14 @@ def _chk(measured, tol) -> dict:
 
 
 def cmd_verify(args) -> int:
+    from .lpanalysis import (build_lp, cz_kernel_bound, growth_sequence,
+                             kernel_estimates, lp_equivalence, lp_projectors,
+                             random_sign_operator, random_signs,
+                             substitute_inequality_check)
+    from .nets import load_nets_json, nets_to_dict
+    from .wavelet import (gram_decay_certificates, orthonormality_devs,
+                          spline_projector)
+
     art = Path(args.artifacts)
     _require_artifacts(art, ["dist.npy", "weights.npy", "nets.json",
                              "basis.json", "basis_values.csv",
@@ -584,8 +640,7 @@ def cmd_verify(args) -> int:
     nets_match = (nets_to_dict(stored_nets) == nets_to_dict(nets)
                   and _same_json(stored_report, _build_report(
                       space, nets, checks, cfg["delta"])))
-    splines_dev = _stored_dev(art / "splines", system.values)
-    trans_dev = _stored_dev(art / "transitions", system.transitions)
+    splines_dev, trans_dev = _spline_devs(art / "splines", system, nets)
     rebuilt = basis.rows
     basis_dev = (float(np.abs(B - rebuilt).max())
                  if B.shape == rebuilt.shape
@@ -749,6 +804,10 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_boundary(args) -> int:
+    from .nets import load_nets_json
+    from .randgrid import (boundary_layer_stats, build_grid,
+                           fit_boundary_exponent)
+
     art = Path(args.artifacts)
     _require_artifacts(art, ["dist.npy", "weights.npy", "nets.json",
                              "build_config.json", "build_report.json"])

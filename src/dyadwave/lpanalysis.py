@@ -14,15 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decaymat import above_floor, envelope_fit
-from .errors import (
-    BadExponent,
-    BadParams,
-    DimensionMismatch,
-    IncompleteSigns,
-)
+from .errors import BadExponent, BadParams, IncompleteSigns
 from .nets import NestedNets
 from .seeding import STREAM_SIGNS, STREAM_TRIALS, stream_rng
-from .space import QuasiMetricSpace, exponent_a
+from .space import QuasiMetricSpace, exponent_a, square_function
 from .spline import HOLDER_BUDGET, close_pair_ladder, holder_fit
 from .wavelet import WaveletBasis
 
@@ -68,23 +63,6 @@ def lp_projectors(space: QuasiMetricSpace, nets: NestedNets,
 def lp_norm(space: QuasiMetricSpace, f, p: float) -> float:
     f = np.asarray(f, dtype=float)
     return float(np.sum(space.weights * np.abs(f) ** p) ** (1.0 / p))
-
-
-def square_function(rows: np.ndarray, blocks: dict, coeffs) -> np.ndarray:
-    """Pointwise l2 size of the level blocks Q_k f.
-
-    ``coeffs`` are the inner products of f with the basis ``rows``, and
-    ``blocks`` maps each level to its slice of them.  Each block is
-    projected back from its own rows and coefficients, coarse to fine.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (rows.shape[0],):
-        raise DimensionMismatch(
-            f"{coeffs.shape} coefficients for {rows.shape[0]} basis rows")
-    total = np.zeros(rows.shape[1])
-    for k in sorted(blocks):
-        total += (rows[blocks[k]].T @ coeffs[blocks[k]]) ** 2
-    return np.sqrt(total)
 
 
 def lp_equivalence(space: QuasiMetricSpace, basis: WaveletBasis, p_list,

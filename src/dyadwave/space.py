@@ -6,6 +6,9 @@ from the min-plus square of the distance on first use, balls are strict
 sublevel sets of the distance, and the measure is the weight vector itself.
 On a finite set every subset is measurable, so the usual caveat that balls
 need not be Borel is moot here.
+
+The square function of an expansion in a stored basis lives here too, so
+``analyze`` needs no module of the construction.
 """
 
 import json
@@ -17,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (AxiomViolation, BadExponent, BadParams, DegenerateSpace,
-                     MissingArtifact)
+                     DimensionMismatch, MissingArtifact)
 
 # Relative slack used when deciding whether a0 is exactly 1.
 LIPSCHITZ_TOL = 1e-12
@@ -143,6 +146,23 @@ def check_weights(weights: np.ndarray) -> None:
     """Refuse point masses that are not all positive and finite."""
     if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
         raise AxiomViolation("weights must be positive and finite")
+
+
+def square_function(rows: np.ndarray, blocks: dict, coeffs) -> np.ndarray:
+    """Pointwise l2 size of the level blocks Q_k f.
+
+    ``coeffs`` are the inner products of f with the basis ``rows``, and
+    ``blocks`` maps each level to its slice of them.  Each block is
+    projected back from its own rows and coefficients, coarse to fine.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (rows.shape[0],):
+        raise DimensionMismatch(
+            f"{coeffs.shape} coefficients for {rows.shape[0]} basis rows")
+    total = np.zeros(rows.shape[1])
+    for k in sorted(blocks):
+        total += (rows[blocks[k]].T @ coeffs[blocks[k]]) ** 2
+    return np.sqrt(total)
 
 
 def build_space(dist, weights, coords=None) -> QuasiMetricSpace:

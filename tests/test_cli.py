@@ -113,7 +113,11 @@ def test_build_layout_and_counts(built):
     assert B.shape == (8, 8)
     report = json.loads((built / "build_report.json").read_text())
     assert report["ok"] is True
-    assert (built / "splines").is_dir() and (built / "transitions").is_dir()
+    # one .npy of triples per spline level, and no copy of their columns
+    levels = json.loads((built / "nets.json").read_text())["levels"]
+    assert sorted(p.name for p in (built / "splines").iterdir()) \
+        == sorted(f"level_{k}.npy" for k in levels)
+    assert not (built / "transitions").exists()
 
 
 def test_build_single_point(tmp_path):
@@ -336,10 +340,9 @@ def test_verify_tampered_spline_fails(built, tmp_path):
     bad = tmp_path / "bad"
     shutil.copytree(built, bad)
     target = sorted((bad / "splines").iterdir())[0]
-    M = np.loadtxt(target, delimiter=",", ndmin=2)
-    M[0, 0] += 1e-6
-    lines = [",".join(format(v, ".17g") for v in row) for row in M]
-    target.write_text("\n".join(lines) + "\n")
+    triples = np.load(target)
+    triples[0, 2] += 1e-6
+    np.save(target, triples)
     assert run("verify", "--artifacts", bad) == EXIT_CHECKS_FAILED
     report = json.loads((bad / "report.json").read_text())
     assert not report["exact"]["artifact_splines_match"]["ok"]
@@ -562,18 +565,22 @@ def test_verify_single_point(tmp_path):
     assert run("verify", "--artifacts", art) == 0
 
 
-def test_build_and_verify_byte_identical(tmp_path):
+def test_build_and_verify_byte_identical(tmp_path, capsys):
     arts = []
     for name in ("a", "b"):
         art = tmp_path / name
         assert run("build", "--gen", "cyclic", "8", "--out", art) == 0
         assert run("verify", "--artifacts", art) == 0
+        assert "verify: ok (22/22 exact checks)" in capsys.readouterr().out
         arts.append(art)
     a, b = arts
     files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
     assert files == sorted(p.relative_to(b) for p in b.rglob("*")
                            if p.is_file())
-    assert {"dist.npy", "weights.npy", "report.json"} <= set(map(str, files))
+    assert {"dist.npy", "weights.npy", "report.json",
+            "splines/level_0.npy"} <= set(map(str, files))
+    # the transitions are the splines' net columns, so none are written
+    assert not any(name.parts[0] == "transitions" for name in files)
     for name in files:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
@@ -910,9 +917,32 @@ SPACE_READS = [("verify", "dist.npy"), ("verify", "weights.npy"),
                ("analyze", "weights.npy")]
 
 
+def _swap_first_two(a):
+    return a[[1, 0, *range(2, len(a))]]
+
+
+def _repeat_first(a):
+    return a[[0, *range(len(a))]]
+
+
+# level 0 of the cyclic(8) fixture holds one entry per row, the last at
+# (7, 7), so each case below breaks exactly one rule of the triples
+SPLINE_CASES = [
+    (_saves("fractional_index", _with_entries(lambda v: v + 0.5, (1, 1))), 8),
+    (_saves("nan_index", _with_entries(lambda v: np.nan, (1, 0))), 8),
+    (_saves("negative_index", _with_entries(lambda v: -1.0, (0, 1))), 8),
+    (_saves("repeated_pair", _repeat_first), 8),
+    (_saves("unsorted_pair", _swap_first_two), 8),
+    (_saves("two_columns", lambda a: a[:, :2]), 8),
+    (_saves("four_columns", lambda a: np.column_stack([a, a[:, 2]])), 8),
+    (_saves("column_past_shape", _with_entries(lambda v: 8.0, (-1, 1))),
+     EXIT_CHECKS_FAILED),
+    (_saves("row_past_shape", _with_entries(lambda v: 8.0, (-1, 0))),
+     EXIT_CHECKS_FAILED),
+]
+
+
 @pytest.mark.parametrize("command,name,corrupt,code", [
-    ("verify", "splines/level_0.csv", _first_cell_abc, 8),
-    ("verify", "transitions/level_-1.csv", _first_cell_abc, 8),
     ("verify", "basis_values.csv", _first_cell_abc, 8),
     ("verify", "basis_values.csv", _drop_last_column, 9),
     ("verify", "basis.json", _drop_key("count"), 8),
@@ -946,7 +976,9 @@ SPACE_READS = [("verify", "dist.npy"), ("verify", "weights.npy"),
     ("verify", "dist.npy", _drop_last_point, 9),
     ("boundary", "dist.npy", _drop_last_point, 9),
     ("analyze", "dist.npy", _delete, 0),
-] + [(command, name, corrupt, code) for command, name in SPACE_READS
+] + [("verify", "splines/level_0.npy", corrupt, code)
+     for corrupt, code in SPLINE_CASES]
+  + [(command, name, corrupt, code) for command, name in SPACE_READS
      for corrupt, code in NPY_READER_CASES])
 def test_malformed_artifact_exit_codes(built, tmp_path, capsys, command,
                                        name, corrupt, code):
@@ -980,6 +1012,38 @@ def test_stored_space_is_the_input_bit_for_bit(tmp_path):
     back = cli._load_array(tmp_path / "f.npy", 2)
     assert back.flags.c_contiguous
     assert np.array_equal(back.view(np.uint64), space.dist.view(np.uint64))
+
+
+@pytest.mark.parametrize("tamper,failed", [
+    ("net_column", {"artifact_splines_match": 0.25,
+                    "artifact_transitions_match": 0.25}),
+    ("other_column", {"artifact_splines_match": 0.25}),
+    ("past_shape", {"artifact_splines_match": math.inf,
+                    "artifact_transitions_match": math.inf}),
+])
+def test_verify_reads_the_transitions_from_the_stored_splines(
+        built, tmp_path, tamper, failed):
+    """T_k is S_k at the net points of level k + 1, so a stored spline value
+    in such a column fails both artifact checks and one elsewhere only the
+    splines' check; an index past the shape reads as infinitely far."""
+    import shutil
+    bad = tmp_path / "bad"
+    shutil.copytree(built, bad)
+    levels = json.loads((bad / "nets.json").read_text())["levels"]
+    k = min(map(int, levels)) + 1
+    path = bad / "splines" / f"level_{k}.npy"
+    triples = np.load(path)
+    if tamper == "past_shape":
+        triples[-1, 1] = len(levels["0"])
+    else:
+        in_net = [int(col) in levels[str(k + 1)] for col in triples[:, 1]]
+        triples[in_net.index(tamper == "net_column"), 2] += 0.25
+    np.save(path, triples)
+    assert run("verify", "--artifacts", bad, "--report",
+               tmp_path / "r.json") == EXIT_CHECKS_FAILED
+    exact = json.loads((tmp_path / "r.json").read_text())["exact"]
+    assert {name: item["measured"] for name, item in exact.items()
+            if not item["ok"]} == failed
 
 
 NUMBER = re.compile(r"-?\d[\d.eE+-]*")
@@ -1057,7 +1121,7 @@ def _corrupt_one(path, kind, data):
 
 ARTIFACT_FILES = ["dist.npy", "weights.npy", "nets.json", "basis.json",
                   "basis_values.csv", "build_config.json", "build_report.json",
-                  "splines", "transitions"]
+                  "splines"]
 
 
 @pytest.mark.parametrize("target", ARTIFACT_FILES)
@@ -1194,7 +1258,7 @@ def test_basis_is_read_in_place():
                and getattr(node.func, "attr", getattr(node.func, "id", None))
                == "stacked"]
     assert stacked == []
-    tree = ast.parse((pkg / "lpanalysis.py").read_text())
+    tree = ast.parse((pkg / "space.py").read_text())
     (sf,) = [node for node in tree.body
              if getattr(node, "name", None) == "square_function"]
     gathers = [node.lineno for node in ast.walk(sf)
@@ -1218,7 +1282,7 @@ def test_verify_fails_when_a_level_misses_a_wavelet(tmp_path, monkeypatch,
         return lp_projectors(space, nets,
                              dataclasses.replace(basis, blocks=blocks))
 
-    monkeypatch.setattr(cli, "lp_projectors", short)
+    # verify imports the name from lpanalysis when it runs
     monkeypatch.setattr(lpanalysis, "lp_projectors", short)
     capsys.readouterr()
     rc = run("verify", "--artifacts", art, "--report", tmp_path / "r.json")
@@ -1268,6 +1332,42 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path, work):
                          text=True, check=True, timeout=120, cwd=tmp_path,
                          env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+IMPORT_PROBE = """
+import sys
+from dyadwave.cli import main
+if main(sys.argv[1:]) != 0:
+    raise SystemExit("command failed")
+print([m for m in {modules!r} if m in sys.modules])
+"""
+CONSTRUCTION = ("dyadwave.nets", "dyadwave.randgrid", "dyadwave.seeding",
+                "dyadwave.spline", "dyadwave.wavelet", "dyadwave.decaymat",
+                "dyadwave.lpanalysis", "numpy.random")
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    # analyze expands a signal in the stored basis and needs none of the
+    # construction; boundary samples cubes and needs no splines, wavelets
+    # or Littlewood-Paley analysis; build checks no LP kernels
+    src = Path(__file__).resolve().parents[1] / "src"
+    (tmp_path / "sig.csv").write_text("1.5\n" * 16)
+    sessions = [
+        (["build", "--gen", "cyclic", "16", "--out", "art"],
+         tuple(m for m in CONSTRUCTION if m != "dyadwave.lpanalysis")),
+        (["verify", "--artifacts", "art"], CONSTRUCTION),
+        (["analyze", "--artifacts", "art", "--signal", "sig.csv"], ()),
+        (["boundary", "--artifacts", "art", "--num-samples", "8"],
+         ("dyadwave.nets", "dyadwave.randgrid", "dyadwave.seeding",
+          "numpy.random")),
+    ]
+    for argv, want in sessions:
+        out = subprocess.run(
+            [sys.executable, "-c", IMPORT_PROBE.format(modules=CONSTRUCTION),
+             *argv], capture_output=True, text=True, timeout=120,
+            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)})
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip().splitlines()[-1] == str(list(want)), argv[0]
 
 
 MA_SESSION = """

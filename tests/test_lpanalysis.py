@@ -23,13 +23,13 @@ from dyadwave.lpanalysis import (
     lp_projectors,
     random_sign_operator,
     random_signs,
-    square_function,
     substitute_inequality_check,
 )
 from dyadwave.nets import build_nets
 from dyadwave.randgrid import build_grid
 from dyadwave.seeding import STREAM_SIGNS, stream_rng
-from dyadwave.space import build_space, exponent_a, gen_example
+from dyadwave.space import (build_space, exponent_a, gen_example,
+                            square_function)
 from dyadwave.spline import compute_splines
 from dyadwave.wavelet import build_mra, build_wavelet_basis, spline_projector
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import writer_oracle as oracle
-from dyadwave import cli
+from dyadwave import cli, randgrid
 
 SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
             2.2250738585072014e-308, 1.7976931348623157e308, 1e300, -1e300,
@@ -111,6 +111,20 @@ def test_dumps_of_array_equals_dumps_of_its_list(a):
     assert cli._dumps({"a": [a]}) == cli._dumps({"a": [a.tolist()]})
 
 
+@given(st.one_of(POOL_MATRICES, MATRICES))
+def test_write_sparse_matches_oracle_and_reads_back(out_dir, M):
+    """The stored triples keep every entry whose bits are not +0.0 (-0.0
+    and each NaN payload included), and read back to the same bits."""
+    path = out_dir / "s.npy"
+    cli._write_sparse(path, M)
+    data = path.read_bytes()
+    assert data.startswith(b"\x93NUMPY")
+    assert data.endswith(oracle.sparse_npy_data(M))
+    assert np.load(path).nbytes == len(oracle.sparse_npy_data(M))
+    back = cli._load_sparse(path, M.shape)
+    assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
+
+
 def test_write_csv_formats_each_distinct_float_once(out_dir, monkeypatch):
     """A 200 x 200 matrix of three bit patterns costs three formatted
     floats, not 40,000."""
@@ -151,9 +165,11 @@ def test_session_files_match_oracle(tmp_path, monkeypatch):
     expected = {}
 
     def record(writer, render):
+        # recorded after the write, so a writer that calls another one
+        # leaves the outer writer's oracle text
         def wrapped(path, payload):
-            expected[Path(path)] = render(payload)
             writer(path, payload)
+            expected[Path(path)] = render(payload)
         return wrapped
 
     def record_stats(*args, **kwargs):
@@ -170,7 +186,7 @@ def test_session_files_match_oracle(tmp_path, monkeypatch):
         return sf
 
     art = tmp_path / "art"
-    boundary_layer_stats = cli.boundary_layer_stats
+    boundary_layer_stats = randgrid.boundary_layer_stats
     square_function = cli.square_function
     monkeypatch.setattr(cli, "write_json",
                         record(cli.write_json, oracle.json_text))
@@ -178,7 +194,10 @@ def test_session_files_match_oracle(tmp_path, monkeypatch):
                         record(cli.write_csv, oracle.csv_text))
     monkeypatch.setattr(cli, "_write_array",
                         record(cli._write_array, oracle.npy_data))
-    monkeypatch.setattr(cli, "boundary_layer_stats", record_stats)
+    monkeypatch.setattr(cli, "_write_sparse",
+                        record(cli._write_sparse, oracle.sparse_npy_data))
+    # boundary imports the sampler from randgrid when it runs
+    monkeypatch.setattr(randgrid, "boundary_layer_stats", record_stats)
     monkeypatch.setattr(cli, "square_function", record_sf)
     signal = tmp_path / "signal.csv"
     signal.write_text("".join(f"{math.sin(i) * 1e3!r}\n" for i in range(16)))

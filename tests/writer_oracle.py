@@ -9,6 +9,7 @@ the library's bytes to equal these exactly.
 
 import json
 import math
+import struct
 
 import numpy as np
 
@@ -116,3 +117,17 @@ def npy_data(arr) -> bytes:
     """The bytes after the header of what ``build`` puts in dist.npy and
     weights.npy: every float64 entry's raw little-endian bits, C order."""
     return np.asarray(arr, dtype="<f8").tobytes(order="C")
+
+
+def sparse_npy_data(M) -> bytes:
+    """The bytes after the header of what ``build`` puts in
+    splines/level_k.npy: for each entry of ``M`` in row-major order whose
+    bits are not those of +0.0 (so -0.0 is kept), its row, its column and
+    its value as little-endian float64."""
+    M = np.atleast_2d(np.asarray(M, dtype=float))
+    out = b""
+    for i, row in enumerate(M.tolist()):
+        for j, x in enumerate(row):
+            if struct.pack("<d", x) != bytes(8):
+                out += struct.pack("<ddd", i, j, x)
+    return out

@@ -32,42 +32,65 @@ def above_floor(values) -> np.ndarray:
     return np.asarray(values) >= TINY
 
 
+def kept_rows(v, keep) -> np.ndarray:
+    """v[x] at each true entry (x, y) of the 2-D mask ``keep``, in row-major
+    order, gathered from a broadcast view."""
+    return np.broadcast_to(v[:, None], keep.shape)[keep]
+
+
+def kept_cols(v, keep) -> np.ndarray:
+    """v[y] at each true entry (x, y) of the 2-D mask ``keep``, in row-major
+    order, gathered from a broadcast view."""
+    return np.broadcast_to(v, keep.shape)[keep]
+
+
 def envelope_fit(xs, values, x_cut: float = 1.0) -> dict:
     """Fit the tightest envelope values <= C exp(-c * xs) with the largest c.
 
     ``xs`` and ``values`` are arrays of one shape, of any rank: the scaled
     distances and the magnitudes.  The samples are the entries
-    ``above_floor``, in row-major order, fitted in the log domain.  The
-    intercept is anchored at the largest sample, the rate is the slackest
-    slope over the far field (xs >= x_cut), capped at DEFAULT_C_MAX, and
-    the constant is then lifted so the bound covers every sample.  A rate
-    <= 0 refutes exponential decay; the five worst offending samples are
-    reported, ties in row-major order.
+    ``above_floor``, in row-major order, fitted in the log domain; when
+    every entry is one, the arrays are read in place.  The intercept is
+    anchored at the largest sample, the rate is the slackest slope over
+    the far field (xs >= x_cut), capped at DEFAULT_C_MAX, and the constant
+    is then lifted so the bound covers every sample.  A rate <= 0 refutes
+    exponential decay; the five worst offending samples are reported, ties
+    in row-major order.
     """
     xs = np.asarray(xs, dtype=float)
     values = np.asarray(values, dtype=float)
     if xs.shape != values.shape:
         raise ValueError("xs and values must have the same shape")
+    xs, values = xs.ravel(), values.ravel()
     keep = above_floor(values)
-    xs = xs[keep]
-    ys = np.log(values[keep])
+    if keep.all():
+        ys = np.log(values)
+    else:
+        xs, ys = xs[keep], values[keep]
+        np.log(ys, out=ys)
     if xs.size == 0:
         return {"C": math.nan, "c": math.nan, "refuted": False,
                 "n_pairs": 0, "n_far": 0, "worst": []}
     log_c0 = float(ys.max())
-    far = xs >= x_cut
-    slopes = (log_c0 - ys[far]) / xs[far]
-    c = float(slopes.min(initial=DEFAULT_C_MAX))
+    # one buffer holds the slopes, +inf off the far field, and then the
+    # cover exponents
+    buf = np.subtract(log_c0, ys)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        buf /= xs
+    near = xs < x_cut
+    buf[near] = np.inf
+    c = float(buf.min(initial=DEFAULT_C_MAX))
     refuted = c <= 0.0
-    cover = float((ys + c * xs).max())
     worst = []
     if refuted:
-        slopes_all = np.full_like(xs, np.inf)
-        slopes_all[far] = slopes
-        order = np.argsort(slopes_all, kind="stable")[:5]
+        order = np.argsort(buf, kind="stable")[:5]
         worst = [{"x": float(xs[i]), "log_value": float(ys[i]),
-                  "slope": float(slopes_all[i])} for i in order]
-    return {"n_pairs": int(xs.size), "n_far": int(far.sum()), "c": c,
+                  "slope": float(buf[i])} for i in order]
+    np.multiply(xs, c, out=buf)
+    buf += ys
+    cover = float(buf.max())
+    return {"n_pairs": int(xs.size),
+            "n_far": int(xs.size - np.count_nonzero(near)), "c": c,
             "C": float(math.exp(min(cover, 700.0))),
             "refuted": bool(refuted), "worst": worst}
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decaymat import above_floor, envelope_fit
+from .decaymat import above_floor, envelope_fit, kept_cols, kept_rows
 from .errors import BadExponent, BadParams, IncompleteSigns
 from .nets import NestedNets
 from .seeding import STREAM_SIGNS, STREAM_TRIALS, stream_rng
@@ -155,17 +155,19 @@ def cz_kernel_bound(space: QuasiMetricSpace, basis: WaveletBasis) -> dict:
     return {"c_hat": best, "pair": pair, "n_pairs": n * (n - 1)}
 
 
-def _reg_quotients(space, kernel, mass, scale, gamma, s, pairs, pair_budget,
-                   seed):
+def _reg_quotients(kernel_t, att, mass, pairs, pair_budget, seed):
     """(x, y, count): x = -log(d / scale) and y the largest log quotient
     over the rows, per sampled close pair with one kept (count).
 
-    ``pairs`` is the level's strict ``close_pair_ladder`` triple.  Only the
-    entries whose difference is ``above_floor`` get a denominator and a
-    log, over blocks of max(1, pair_budget // (8 n)) pairs, so a block
+    ``kernel_t`` is the kernel transposed and C-ordered, so a pair's two
+    kernel columns are two contiguous rows of it.  ``att`` holds the
+    attenuations exp(-gamma (d / scale)^s), symmetric as the distances
+    are, and ``pairs`` is the level's strict ``close_pair_ladder`` triple.
+    Only the entries whose difference is ``above_floor`` get a denominator
+    and a log, over blocks of max(1, pair_budget // (8 n)) pairs, so a block
     holds an eighth of the budget's entries.
     """
-    n = space.n
+    n = len(mass)
     iu, ju, rel = pairs
     if iu.size * n > pair_budget and iu.size > 0:
         take = max(1, pair_budget // n)
@@ -180,19 +182,17 @@ def _reg_quotients(space, kernel, mass, scale, gamma, s, pairs, pair_budget,
     step = max(1, pair_budget // (8 * n))
     for lo in range(0, iu.size, step):
         bi, bj = iu[lo:lo + step], ju[lo:lo + step]
-        diff = np.abs(kernel[:, bi] - kernel[:, bj])
+        # row p of a block is the pair (bi[p], bj[p]), column x the point x
+        diff = np.abs(kernel_t[bi] - kernel_t[bj])
         keep = above_floor(diff)
-        diff = diff[keep]
-        x = np.broadcast_to(np.arange(n)[:, None], keep.shape)[keep]
-        p = np.broadcast_to(np.arange(len(bi)), keep.shape)[keep]
-        i, j = bi[p], bj[p]
-        att_i = np.exp(-gamma * (space.dist[x, i] / scale) ** s)
-        att_j = np.exp(-gamma * (space.dist[x, j] / scale) ** s)
-        denom = att_i * rm[x] * rm[i] + att_j * rm[x] * rm[j]
+        p = kept_rows(np.arange(len(bi)), keep)
+        rx = kept_cols(rm, keep)
+        denom = (att[bi][keep] * rx * rm[bi[p]]
+                 + att[bj][keep] * rx * rm[bj[p]])
         ok = above_floor(denom)
         p = p[ok]
         np.maximum.at(top[lo:lo + step], p,
-                      np.log(diff[ok]) - np.log(denom[ok]))
+                      np.log(diff[keep][ok]) - np.log(denom[ok]))
         kept[lo:lo + step] += np.bincount(p, minlength=len(bi))
     return -np.log(rel[kept > 0]), top[kept > 0], int(kept.sum())
 
@@ -210,6 +210,12 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
     and kernel symmetry are checked exactly.  The close pairs of the P_k
     regularity quotients come from one ``close_pair_ladder`` over the
     levels.
+
+    Each level raises the n x n scaled distances to the power s once: the
+    same array feeds the P_k size fit and then, turned in place into
+    exp(-gamma (d/scale)^s), the regularity quotients.  The Q_k size fit is
+    formed only on the nonzero entries of Q_k, gathered through a mask over
+    broadcast views of the row and column vectors.
     """
     s = 1.0 / (1.0 + math.log2(space.a0))
     a = exponent_a(space)
@@ -223,16 +229,31 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
         rm = np.sqrt(mass)
         entry = {}
 
-        P = P / w[None, :]
-        entry["p_sym_dev"] = float(np.abs(P - P.T).max())
-        entry["p_rowsum_dev"] = float(np.abs(w @ P - 1.0).max())
-        entry["p_size"] = envelope_fit((space.dist / scale) ** s,
-                                       np.abs(P) * np.outer(rm, rm))
+        # P_k / w becomes the magnitudes |P_k / w| rm rm^T in place
+        mags = P / w[None, :]
+        entry["p_rowsum_dev"] = float(np.abs(w @ mags - 1.0).max())
+        np.abs(mags, out=mags)
+        mags *= np.outer(rm, rm)
+        xs = space.dist / scale
+        np.power(xs, s, out=xs)
+        entry["p_size"] = envelope_fit(xs, mags)
+        del mags
         gamma = entry["p_size"]["c"]
         pairs = next(ladder)
+        # the kernel P_k / w transposed, so a pair's two kernel columns are
+        # two contiguous rows; P_k / w minus it is the asymmetry
+        kernel_t = np.ascontiguousarray(P.T)
+        kernel_t /= w[:, None]
+        asym = P / w[None, :]
+        asym -= kernel_t
+        entry["p_sym_dev"] = float(np.abs(asym, out=asym).max())
+        del asym
         if gamma > 0.0:
-            hx, hy, n_kept = _reg_quotients(space, P, mass, scale, gamma,
-                                            s, pairs, pair_budget, seed)
+            # the scaled distances become the attenuations in place
+            np.multiply(xs, -gamma, out=xs)
+            np.exp(xs, out=xs)
+            hx, hy, n_kept = _reg_quotients(kernel_t, xs, mass, pairs,
+                                            pair_budget, seed)
             # Budget convention: the admissible constant sits at the budget
             # factor above the observed sup of the quotient, keeping the
             # fitted exponent scale-free.
@@ -247,16 +268,15 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
             entry["p_reg"] = {"eta_hat": math.nan, "budget": HOLDER_BUDGET,
                               "const": math.nan, "n_pairs": 0}
             report["nonpositive"].append((k, "p_size"))
-        # the Q_k fit sets the peak; while it runs, only the ladder keeps
-        # this level's pairs
-        del pairs
+        # while the Q_k fit runs, only the ladder keeps this level's pairs
+        del kernel_t, xs, pairs
 
         if Q is not None:
             Q = Q / w[None, :]
             entry["q_rowsum_dev"] = float(np.abs(w @ Q).max())
-            if np.abs(Q).max() < 1e-14:
-                entry["q_size"] = {"empty": True,
-                                   "max_abs": float(np.abs(Q).max())}
+            np.abs(Q, out=Q)
+            if Q.max() < 1e-14:
+                entry["q_size"] = {"empty": True, "max_abs": float(Q.max())}
             else:
                 hvec = (lp.holes_dist[k] / scale) ** a
                 # The hole shifts push even zero-distance pairs out to
@@ -264,9 +284,23 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
                 # clear that band or the anchor pair lands in its own far
                 # set.
                 cut = 1.0 + 2.0 * float(hvec.max())
-                xs = (space.dist / scale) ** a + hvec[:, None] + hvec[None, :]
-                entry["q_size"] = envelope_fit(
-                    xs, np.abs(Q) * np.outer(rm, rm), x_cut=cut)
+                # the samples at the nonzero entries of |Q_k / w|, in
+                # row-major order, each factor gathered through the mask
+                keep = Q > 0.0
+                mags = Q[keep]
+                del Q
+                rr = kept_rows(rm, keep)
+                rr *= kept_cols(rm, keep)
+                mags *= rr
+                del rr
+                xs = space.dist[keep]
+                xs /= scale
+                np.power(xs, a, out=xs)
+                xs += kept_rows(hvec, keep)
+                xs += kept_cols(hvec, keep)
+                del keep
+                entry["q_size"] = envelope_fit(xs, mags, x_cut=cut)
+                del xs, mags
                 if entry["q_size"]["c"] <= 0.0:
                     report["nonpositive"].append((k, "q_size"))
         report["levels"][k] = entry

@@ -182,19 +182,27 @@ def transition_parents(space: QuasiMetricSpace, nets: NestedNets,
     centers = np.where(swap, fine[kids], coarse)
     close = pairs[2] < 0.25 * space.a0 ** -2 * nets.scale(k)
     child, point = pairs[0][close], pairs[1][close]
-    parents = np.empty(centers.shape[:2] + (len(fine),), dtype=np.intp)
-    for ell, m in np.ndindex(*centers.shape[:2]):
-        pos = np.full(space.n, -1, dtype=np.intp)
-        pos[centers[ell, m]] = np.arange(len(coarse))
-        hit = pos[point]
-        cap = hit >= 0
-        if np.any(np.bincount(child[cap], minlength=len(fine)) > 1):
-            raise OrderViolation(
-                f"level {k}: several perturbed centers capture one child "
-                f"under coordinate ({ell}, {m + 1})")
-        par = parent[k].copy()
-        par[child[cap]] = hit[cap]
-        parents[ell, m] = par
+    # one pass over all coordinates, flattened in (ell, m) order: pos holds
+    # each coordinate's center position of every point, or -1
+    flat = centers.reshape(-1, len(coarse))
+    coords = np.arange(len(flat))
+    pos = np.full((len(flat), space.n), -1, dtype=np.intp)
+    pos[coords[:, None], flat] = np.arange(len(coarse))
+    hit = pos[:, point]
+    cap = hit >= 0
+    coord = np.broadcast_to(coords[:, None], cap.shape)[cap]
+    kid = np.broadcast_to(child, cap.shape)[cap]
+    twice = np.bincount(coord * len(fine) + kid,
+                        minlength=len(flat) * len(fine)) > 1
+    if twice.any():
+        ell, m = divmod(int(twice.argmax()) // len(fine), centers.shape[1])
+        raise OrderViolation(
+            f"level {k}: several perturbed centers capture one child "
+            f"under coordinate ({ell}, {m + 1})")
+    parents = np.empty((len(flat), len(fine)), dtype=np.intp)
+    parents[:] = parent[k]
+    parents[coord, kid] = hit[cap]
+    parents = parents.reshape(centers.shape[:2] + (len(fine),))
     return LevelTable(parents, centers, pairs)
 
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decaymat import decay_certificate, envelope_fit, require_symmetric
+from .decaymat import (above_floor, decay_certificate, envelope_fit,
+                       kept_cols, kept_rows, require_symmetric)
 from .errors import (
     NotPositiveDefinite,
     RankDeficiency,
@@ -315,9 +316,12 @@ def verify_wavelet_theorem(space: QuasiMetricSpace, nets: NestedNets,
     scale = np.repeat([nets.scale(k) for k in basis.blocks],
                       [sl.stop - sl.start for sl in basis.blocks.values()])
     mass = np.concatenate([np.zeros(0), *basis.mass_center.values()])
-    decay = envelope_fit(
-        (space.dist[basis.centers[1:]] / scale[:, None]) ** a,
-        np.abs(basis.rows[1:]) * np.sqrt(mass)[:, None])
+    # the scaled distances only at the kept entries, in row-major order
+    values = np.abs(basis.rows[1:]) * np.sqrt(mass)[:, None]
+    keep = above_floor(values)
+    dist = space.dist[kept_rows(basis.centers[1:], keep),
+                      kept_cols(np.arange(space.n), keep)]
+    decay = envelope_fit((dist / kept_rows(scale, keep)) ** a, values[keep])
     hx, hy, n_pairs = _holder_samples(space, nets, basis)
     # Scaled wavelet differences are not bounded by 1 the way spline
     # differences are; the admissible constant sits at the budget factor

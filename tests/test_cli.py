@@ -335,6 +335,54 @@ def test_verify_corrupted_basis_fails(built, tmp_path):
     assert not report["exact"]["artifact_basis_match"]["ok"]
 
 
+def test_verify_checks_the_loaded_basis_only_when_it_differs(
+        built, tmp_path, monkeypatch):
+    # the rebuilt basis is checked by verify_wavelet_theorem; a stored basis
+    # with the same bits reuses those deviations, and one with other bits
+    # gets checked on its own
+    import shutil
+
+    from dyadwave import wavelet
+    calls = []
+    original = wavelet.orthonormality_devs
+
+    def counting(B, w, seed=0):
+        calls.append(B.shape)
+        return original(B, w, seed)
+
+    # every module that bound the name at import gets the counter
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("dyadwave")
+                and getattr(module, "orthonormality_devs", None) is original):
+            monkeypatch.setattr(module, "orthonormality_devs", counting)
+    art = tmp_path / "art"
+    shutil.copytree(built, art)
+    assert run("verify", "--artifacts", art) == 0
+    assert len(calls) == 1
+    clean = json.loads((art / "report.json").read_text())
+
+    B = np.loadtxt(art / "basis_values.csv", delimiter=",", ndmin=2)
+    B[2, 3] += 1e-9
+    lines = [",".join(format(v, ".17g") for v in row) for row in B]
+    (art / "basis_values.csv").write_text("\n".join(lines) + "\n")
+    B = np.loadtxt(art / "basis_values.csv", delimiter=",", ndmin=2)
+    calls.clear()
+    assert run("verify", "--artifacts", art) == EXIT_CHECKS_FAILED
+    assert len(calls) == 2
+    exact = json.loads((art / "report.json").read_text())["exact"]
+    w = np.load(art / "weights.npy")
+    gram_dev = original(B, w, clean["seed"])[0]
+    assert exact["basis_gram"] == {"measured": gram_dev, "tol": 1e-10,
+                                   "ok": gram_dev <= 1e-10}
+    assert exact["basis_gram"]["measured"] != (
+        clean["exact"]["basis_gram"]["measured"])
+    rebuilt = np.loadtxt(built / "basis_values.csv", delimiter=",",
+                         ndmin=2)
+    assert exact["artifact_basis_match"] == {
+        "measured": float(np.abs(B - rebuilt).max()), "tol": 1e-12,
+        "ok": False}
+
+
 def test_verify_tampered_spline_fails(built, tmp_path):
     import shutil
     bad = tmp_path / "bad"

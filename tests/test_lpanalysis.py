@@ -205,6 +205,27 @@ def test_build_and_lp_hold_no_dense_projectors():
     assert held - kept < 2 * space.n * space.n * 8
 
 
+def test_kernel_estimates_peak_stays_below_eight_dense_arrays():
+    """Each level raises the scaled distances to the power s once, turns
+    them into the attenuations in place, and forms the Q_k size fit only on
+    the nonzero entries, so the traced peak, with the projectors it is fed,
+    stays at or below 8 n x n float64 arrays (10.4 when each step kept its
+    own array)."""
+    space, nets, mra, basis, lp = assemble("snowflake",
+                                           {"n": 384, "eps": 0.5},
+                                           delta=0.5, seed=0)
+    space.a0    # computed on first read, outside the traced call
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        kernel_estimates(space, nets, lp, lp_projectors(space, nets, basis))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * space.n * space.n * 8, peak / (space.n ** 2 * 8)
+
+
 def test_holes_distances():
     space, nets, mra, basis, lp = assemble("cyclic", {"n": 16})
     assert np.all(np.isinf(lp.holes_dist[nets.k_max]))

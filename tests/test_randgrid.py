@@ -321,7 +321,37 @@ def test_transition_parents_rejects_two_capturing_centers():
     assert labels.child_by_rank[0][0, 1] == 2      # c is p0's second child
     with pytest.raises(OrderViolation, match="capture one child"):
         oracle.parents(sp, fake, ref, labels, 0, ell, 2)
-    with pytest.raises(OrderViolation, match="capture one child"):
+    with pytest.raises(OrderViolation, match=re.escape(
+            f"capture one child under coordinate ({ell}, 2)")):
+        transition_parents(sp, fake, ref, labels, 0, pairs[0])
+
+
+def test_transition_parents_names_the_first_violating_coordinate():
+    # c lies 0.01 from p1 but is p0's child, and c2 lies 0.01 from p0 but
+    # is p1's child; p0 and p1 take different colors, so the coordinates
+    # (ell, 2) of both colors put two centers within delta^k / (4 a0^2) of
+    # one child, and the error names the first of them in (ell, m) order
+    p0, p1, c, c2 = 0, 1, 2, 3
+    x = np.array([0.0, 1.0, 1.01, 0.01])
+    sp = build_space(np.abs(x[:, None] - x[None, :]), np.ones(4))
+    fake = NestedNets(
+        delta=0.5, k_min=0, k_max=1,
+        levels={0: np.array([p0, p1]), 1: np.array([p0, p1, c, c2])},
+        ydiff={0: np.array([c, c2])},
+        order_policy="input_order", scan_order=np.arange(4))
+    ref = {0: np.array([0, 1, 0, 1])}
+    pairs = level_pairs(sp, fake)
+    labels = grid_labels(sp, fake, ref, pairs)
+    violating = []
+    for ell, m in itertools.product(range(labels.L + 1),
+                                    range(1, labels.M + 1)):
+        try:
+            oracle.parents(sp, fake, ref, labels, 0, ell, m)
+        except OrderViolation:
+            violating.append((ell, m))
+    assert violating == [(0, 2), (1, 2)]
+    with pytest.raises(OrderViolation, match=re.escape(
+            "capture one child under coordinate (0, 2)")):
         transition_parents(sp, fake, ref, labels, 0, pairs[0])
 
 

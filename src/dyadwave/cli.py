@@ -27,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (BadDelta, BadParams, DeltaTooLarge, DimensionMismatch,
-                     DyadwaveError, MissingArtifact, NoConvergence,
-                     NotPositiveDefinite, RankDeficiency, TooLarge,
-                     exit_code_for)
+from .errors import (BadDelta, BadExponent, BadParams, DeltaTooLarge,
+                     DimensionMismatch, DyadwaveError, MissingArtifact,
+                     NoConvergence, NotPositiveDefinite, RankDeficiency,
+                     TooLarge, exit_code_for)
 from .space import (GENERATOR_KINDS, build_space, check_weights, exponent_a,
                     gen_example, load_space_csv, load_space_json,
                     space_to_dict, square_function, use_stored_a0)
@@ -266,6 +266,9 @@ def _validate_config(cfg: dict) -> dict:
         if not vals or not all(v > 0 for v in vals):
             raise BadParams(f"{key} needs positive entries")
         cfg[key] = vals
+    if not all(1.0 < p < math.inf for p in cfg["p_list"]):
+        raise BadExponent(f"p_list entries must lie in (1, inf), "
+                          f"got {cfg['p_list']}")
     cfg["seed"] = _number(int, "seed", cfg["seed"])
     if cfg["seed"] < 0:
         raise BadParams("seed must be non-negative")
@@ -347,7 +350,8 @@ def _construct(space, cfg):
 
     ``build`` writes what this returns and ``verify`` compares the stored
     artifacts with it.  Each level's parent table is built once and serves
-    both the splines and the sampled grid checks.
+    both the splines and the sampled grid checks, and is dropped before
+    the duals and the basis exist.
     """
     from .nets import build_nets, verify_nets
     from .randgrid import build_grid, grid_checks
@@ -358,8 +362,6 @@ def _construct(space, cfg):
     nets = build_nets(space, cfg["delta"])
     labels, tables = build_grid(space, nets)
     system = compute_splines(space, nets, tables)
-    mra = build_mra(space, system)
-    basis = build_wavelet_basis(space, nets, mra)
     checks = {
         "nets": verify_nets(nets, space),
         "random_grid": grid_checks(space, nets, labels, tables,
@@ -367,17 +369,19 @@ def _construct(space, cfg):
                                    num_samples=cfg["grid_samples"]),
         "splines": verify_splines(system, space, nets,
                                   tol=cfg["tolerances"]["exact"]),
-        "wavelets": verify_wavelet_theorem(space, nets, basis,
-                                           seed=cfg["seed"],
-                                           tol=cfg["tolerances"]["ortho"]),
     }
+    del labels, tables
+    mra = build_mra(space, system)
+    basis = build_wavelet_basis(space, nets, mra)
+    checks["wavelets"] = verify_wavelet_theorem(
+        space, nets, basis, seed=cfg["seed"], tol=cfg["tolerances"]["ortho"])
     return nets, system, mra, basis, checks
 
 
 def _basis_meta(space, nets, basis) -> dict:
     """What ``build`` writes to basis.json."""
     return {
-        "delta": basis.delta,
+        "delta": nets.delta,
         "n": space.n,
         "count": len(basis.rows) - 1,
         "k_min": nets.k_min,
@@ -573,22 +577,23 @@ def _load_sparse(path, shape):
 
 def _spline_devs(folder: Path, system, nets) -> tuple:
     """Largest deviations of the stored spline levels from the rebuilt
-    ``S_k``, and of their columns at the net points of level k + 1 from the
-    rebuilt ``T_k``, which equals those columns bit for bit.
+    ``S_k``, and of their columns at the net points of level k + 1, where
+    ``S_k`` is the transition ``T_k`` bit for bit.
 
     Both are infinite when a stored level does not fit the rebuilt shape.
-    Each level is read, compared and dropped in turn.
+    Each level is read, made its deviation in place and dropped in turn.
     """
     spline_dev = transition_dev = 0.0
     for k, S in sorted(system.values.items()):
-        stored = _load_sparse(folder / f"level_{k}.npy", S.shape)
-        if stored is None:
+        dev = _load_sparse(folder / f"level_{k}.npy", S.shape)
+        if dev is None:
             return math.inf, math.inf
-        spline_dev = max(spline_dev, float(np.abs(stored - S).max()))
-        if k in system.transitions:
-            T = stored[:, nets.levels[k + 1]]
-            transition_dev = max(transition_dev, float(
-                np.abs(T - system.transitions[k]).max()))
+        dev -= S
+        np.abs(dev, out=dev)
+        spline_dev = max(spline_dev, float(dev.max()))
+        if k < nets.k_max:
+            transition_dev = max(transition_dev,
+                                 float(dev[:, nets.levels[k + 1]].max()))
     return spline_dev, transition_dev
 
 
@@ -658,6 +663,8 @@ def cmd_verify(args) -> int:
             for key in ("gram_dev", "mean_dev", "recon_dev"))
     else:
         gram_dev, mean_dev, recon_dev = orthonormality_devs(B, w, seed)
+    # the checks below read the rebuilt basis only
+    del B
 
     lp = build_lp(space, nets, basis)
     tele_devs = []

@@ -39,7 +39,6 @@ class QuasiMetricSpace:
     weights: np.ndarray
     diam: float
     minsep: float
-    coords: np.ndarray | None = None
 
     @cached_property
     def a0(self) -> float:
@@ -165,7 +164,7 @@ def square_function(rows: np.ndarray, blocks: dict, coeffs) -> np.ndarray:
     return np.sqrt(total)
 
 
-def build_space(dist, weights, coords=None) -> QuasiMetricSpace:
+def build_space(dist, weights) -> QuasiMetricSpace:
     """Validate axioms and compute the diameter and minimal separation.
 
     The quasi-triangle constant ``a0`` is computed on first use.
@@ -177,8 +176,6 @@ def build_space(dist, weights, coords=None) -> QuasiMetricSpace:
         positive off-diagonal entries.
     weights : array_like, shape (n,)
         Positive point masses.
-    coords : array_like, optional
-        Coordinate payload carried along for generators; not validated.
 
     Returns
     -------
@@ -219,10 +216,7 @@ def build_space(dist, weights, coords=None) -> QuasiMetricSpace:
     minsep = float(dist[off].min()) if n > 1 else 0.0
     dist.setflags(write=False)
     weights.setflags(write=False)
-    if coords is not None:
-        coords = np.array(coords)
-        coords.setflags(write=False)
-    return QuasiMetricSpace(dist, weights, diam, minsep, coords)
+    return QuasiMetricSpace(dist, weights, diam, minsep)
 
 
 def exponent_a(space: QuasiMetricSpace) -> float:
@@ -249,7 +243,7 @@ def _interval(n: int) -> QuasiMetricSpace:
         raise BadParams("interval size must be >= 1")
     x = np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
     dist = np.abs(x[:, None] - x[None, :])
-    return build_space(dist, np.ones(n), coords=x[:, None])
+    return build_space(dist, np.ones(n))
 
 
 def _binary_tree(depth: int) -> QuasiMetricSpace:
@@ -274,7 +268,7 @@ def _point_cloud(n: int, dim: int, seed: int) -> QuasiMetricSpace:
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
     np.fill_diagonal(dist, 0.0)
-    return build_space(dist, np.ones(n), coords=pts)
+    return build_space(dist, np.ones(n))
 
 
 def _koranyi_sphere(n: int, dim: int, seed: int) -> QuasiMetricSpace:
@@ -287,7 +281,7 @@ def _koranyi_sphere(n: int, dim: int, seed: int) -> QuasiMetricSpace:
     dist = np.abs(1.0 - inner)
     dist = 0.5 * (dist + dist.T)
     np.fill_diagonal(dist, 0.0)
-    return build_space(dist, np.full(n, 1.0 / n), coords=z)
+    return build_space(dist, np.full(n, 1.0 / n))
 
 
 def _snowflake(n: int, eps: float, seed: int) -> QuasiMetricSpace:
@@ -302,7 +296,7 @@ def _snowflake(n: int, eps: float, seed: int) -> QuasiMetricSpace:
     bump = 0.5 * (bump + bump.T)
     dist = base * np.exp(bump)
     np.fill_diagonal(dist, 0.0)
-    return build_space(dist, np.ones(n), coords=x[:, None])
+    return build_space(dist, np.ones(n))
 
 
 GENERATOR_KINDS = ("cyclic", "interval", "binary_tree", "point_cloud",

@@ -28,13 +28,9 @@ INNER_SUPPORT = 0.125  # plateau radius factor a0^-3 delta^k, times this
 
 @dataclass(frozen=True)
 class SplineSystem:
-    """Spline values, level transitions, and net ball masses."""
+    """Spline values and net ball masses."""
 
-    delta: float
-    k_min: int
-    k_max: int
     values: dict      # k -> (n_k, n) rows are net positions, columns points
-    transitions: dict  # k -> (n_k, n_{k+1}) column-stochastic
     ball_mass: dict   # k -> (n_k,) masses of B(x^k_alpha, delta^k)
 
 
@@ -55,17 +51,14 @@ def compute_splines(space: QuasiMetricSpace, nets: NestedNets,
     base = np.zeros((len(finest), n))
     base[np.arange(len(finest)), finest] = 1.0
     values[nets.k_max] = base
-    transitions = {}
     for k in reversed(list(transition_levels(nets))):
         parents = tables[k].parents
         T = column_frequencies(parents.reshape(-1, parents.shape[2]),
                                len(nets.levels[k]))
-        transitions[k] = T
         values[k] = T @ values[k + 1]
     ball_mass = {k: space.ball_masses(nets.levels[k], nets.scale(k))
                  for k in nets.level_range}
-    return SplineSystem(nets.delta, nets.k_min, nets.k_max,
-                        values, transitions, ball_mass)
+    return SplineSystem(values, ball_mass)
 
 
 def mc_membership_frequencies(nets: NestedNets, labels: GridLabels,
@@ -161,7 +154,7 @@ def holder_estimate(system: SplineSystem, space: QuasiMetricSpace,
     const_at_eta = 0.0
     eta_hat = HOLDER_ETA_CAP
     n_pairs = 0
-    levels = range(system.k_min, system.k_max + 1)
+    levels = nets.level_range
     ladder = close_pair_ladder(space.dist, [nets.scale(k) for k in levels])
     for k in levels:
         rel, diff, _ = pair_maxima(system.values[k], next(ladder))
@@ -180,15 +173,17 @@ def verify_splines(system: SplineSystem, space: QuasiMetricSpace,
     """Exact identities of the spline family, plus reported observations.
 
     Gating items (``ok``): partition of unity, interpolation at net points,
-    refinement through the stored transitions, column-stochastic transitions,
-    nonnegativity, and persisting-point columns.  Support radii and
-    smoothness are measured and reported but do not gate.
+    refinement through the transitions, column-stochastic transitions,
+    nonnegativity, and persisting-point columns.  The transition of level
+    k is its spline at the net points of level k + 1, where the finer
+    spline is exactly the identity.  Support radii and smoothness are
+    measured and reported but do not gate.
     """
     report = {}
     part_dev = 0.0
     interp_dev = 0.0
     nonneg_min = np.inf
-    for k in range(system.k_min, system.k_max + 1):
+    for k in nets.level_range:
         V = system.values[k]
         part_dev = max(part_dev, float(np.abs(V.sum(axis=0) - 1.0).max()))
         eye = np.eye(V.shape[0])
@@ -198,8 +193,8 @@ def verify_splines(system: SplineSystem, space: QuasiMetricSpace,
     refine_dev = 0.0
     stoch_dev = 0.0
     persist_dev = 0.0
-    for k in range(system.k_min, system.k_max):
-        T = system.transitions[k]
+    for k in transition_levels(nets):
+        T = system.values[k][:, nets.levels[k + 1]]
         refine_dev = max(refine_dev, float(
             np.abs(system.values[k] - T @ system.values[k + 1]).max()))
         stoch_dev = max(stoch_dev, float(np.abs(T.sum(axis=0) - 1.0).max()))
@@ -216,7 +211,7 @@ def verify_splines(system: SplineSystem, space: QuasiMetricSpace,
     inner_viol = 0
     row_lo, row_hi = np.inf, -np.inf
     a0 = space.a0
-    for k in range(system.k_min, system.k_max + 1):
+    for k in nets.level_range:
         V = system.values[k]
         D = space.dist[nets.levels[k]]
         scale = nets.scale(k)

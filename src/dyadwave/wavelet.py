@@ -47,7 +47,6 @@ class WaveletBasis:
     """The basis as the one matrix ``build`` writes: the normalized constant,
     then level k's wavelets in ``rows[blocks[k]]``, levels coarse to fine."""
 
-    delta: float
     rows: np.ndarray     # (1 + count, n) basis rows, orthonormal in L2(mu)
     blocks: dict         # k -> slice of rows, for ks with a new point
     centers: np.ndarray  # center point per row, -1 for the constant
@@ -168,7 +167,7 @@ def dual_splines(space: QuasiMetricSpace, system: SplineSystem,
 
 def build_mra(space: QuasiMetricSpace, system: SplineSystem) -> MRA:
     return MRA(system, {k: dual_splines(space, system, k)
-                        for k in range(system.k_min, system.k_max + 1)})
+                        for k in sorted(system.values)})
 
 
 def spline_projector(space: QuasiMetricSpace, mra: MRA,
@@ -201,24 +200,21 @@ def pre_wavelets(space: QuasiMetricSpace, nets: NestedNets, mra: MRA,
 
 
 def orthonormalize(prewavelets: np.ndarray, gram: np.ndarray,
-                   masses: np.ndarray, centers=None):
+                   masses: np.ndarray, centers):
     """Mix the pre-wavelets, whose L2(mu) Gram is ``gram``, into an
     L2(mu)-orthonormal family.
 
     Applies the inverse square root of the normalized pre-wavelet Gram,
     one Gram component at a time, and flips each sign so the value at the
-    wavelet's own center is non-negative.  Returns (wavelets, normalized
-    gram).
+    wavelet's own center, in ``centers``, is non-negative.  Returns
+    (wavelets, normalized gram).
     """
-    if prewavelets.shape[0] == 0:
-        return prewavelets.copy(), np.zeros((0, 0))
     mg = normalized_gram(gram, masses)
     psi = component_inverse_sqrt(
         mg, prewavelets / np.sqrt(np.asarray(masses, float))[:, None])
-    if centers is not None:
-        centers = np.asarray(centers, dtype=int)
-        vals = psi[np.arange(len(centers)), centers]
-        psi = psi * np.where(vals < 0.0, -1.0, 1.0)[:, None]
+    centers = np.asarray(centers, dtype=int)
+    vals = psi[np.arange(len(centers)), centers]
+    psi = psi * np.where(vals < 0.0, -1.0, 1.0)[:, None]
     return psi, mg
 
 
@@ -237,12 +233,10 @@ def build_wavelet_basis(space: QuasiMetricSpace, nets: NestedNets,
         base, gram = pre_wavelets(space, nets, mra, k)
         pos = nets.positions(k + 1, space.n)[centers[sl]]
         masses = np.asarray(system.ball_mass[k + 1], dtype=float)[pos]
-        rows[sl], mgrams[k] = orthonormalize(base, gram, masses,
-                                             centers=centers[sl])
+        rows[sl], mgrams[k] = orthonormalize(base, gram, masses, centers[sl])
         mass_fine[k] = masses
         mass_center[k] = space.ball_masses(centers[sl], nets.scale(k))
-    return WaveletBasis(system.delta, rows, blocks, centers, mgrams,
-                        mass_fine, mass_center)
+    return WaveletBasis(rows, blocks, centers, mgrams, mass_fine, mass_center)
 
 
 def gram_decay_certificates(space: QuasiMetricSpace, nets: NestedNets,

@@ -42,7 +42,7 @@ def holder_estimate(system, space, nets, eta=None):
     xs_all = []
     ys_all = []
     n_pairs = 0
-    for k in range(system.k_min, system.k_max + 1):
+    for k in nets.level_range:
         rel = d / nets.scale(k)
         near = rel <= 1.0
         if not near.any():

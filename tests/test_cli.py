@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import io
 import itertools
 import json
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import lp_oracle
@@ -19,7 +21,8 @@ from hypothesis import strategies as st
 from dyadwave import cli, lpanalysis
 from dyadwave.cli import EXIT_CHECKS_FAILED, _dumps, _fmt, main, write_json
 from dyadwave.lpanalysis import lp_projectors
-from dyadwave.space import build_space, load_space_json, space_to_dict
+from dyadwave.space import (build_space, gen_example, load_space_json,
+                            space_to_dict)
 
 
 def run(*args):
@@ -239,6 +242,10 @@ CONVERTIBLE = [{"num_samples": 2.7}, {"seed": "5"}, {"delta": "0.25"},
     ({"tolerances": {"foo": 1e-3}}, 4),
     # values are not converted: no truncation, no numbers read from strings
     *((config, 4) for config in CONVERTIBLE),
+    # the Littlewood-Paley exponents lie in (1, inf)
+    ({"p_list": [1.0]}, 13),
+    ({"p_list": [2.0, 0.5]}, 13),
+    ({"p_list": [math.inf]}, 13),
 ])
 def test_build_config_bad_values(tmp_path, capsys, config, code):
     cfg = tmp_path / "cfg.json"
@@ -631,6 +638,52 @@ def test_build_and_verify_byte_identical(tmp_path, capsys):
     assert not any(name.parts[0] == "transitions" for name in files)
     for name in files:
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+def traced_peak(call, n):
+    """(result, traced peak of ``call()`` in n x n float64 arrays).
+
+    The modules the commands import are loaded first, so their code and
+    constants are not counted."""
+    for mod in ("nets", "randgrid", "spline", "wavelet", "lpanalysis"):
+        importlib.import_module(f"dyadwave.{mod}")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return result, peak / (n * n * 8)
+
+
+def test_construct_peak_holds_no_transitions_or_grid_tables():
+    """The transitions are read from the splines' net columns, and the
+    grid tables are dropped after the spline checks, before the duals and
+    the basis exist: at point_cloud 256 2 (delta 0.4) the construction's
+    traced peak stays at or below 18 n x n float64 arrays (24.3 with a
+    dense copy of each transition and the tables held to the end)."""
+    space = gen_example("point_cloud", seed=0, n=256, dim=2)
+    space.a0    # computed on first read, outside the traced call
+    cfg = cli._resolve_config({}, {"delta": 0.4})
+    _, peak = traced_peak(lambda: cli._construct(space, cfg), space.n)
+    assert peak <= 18, peak
+
+
+def test_verify_peak_holds_one_basis(tmp_path):
+    """verify drops the loaded basis_values.csv matrix once its checks
+    have read it, so the Littlewood-Paley stage holds the rebuilt basis
+    only: at point_cloud 256 2 (delta 0.4) the traced peak of the command
+    stays at or below 22 n x n float64 arrays (26.5 with both bases, the
+    transitions and the grid tables held)."""
+    art = tmp_path / "art"
+    assert run("build", "--gen", "point_cloud", "256", "2", "--delta", 0.4,
+               "--out", art) == 0
+    rc, peak = traced_peak(lambda: run("verify", "--artifacts", art,
+                                       "--report", tmp_path / "r.json"), 256)
+    assert rc == 0
+    assert peak <= 22, peak
 
 
 # ---------------------------------------------------------------------------
@@ -1270,6 +1323,25 @@ def test_every_default_is_set_by_package_code():
     assert len(defaulted) > 20
     assert sorted(defaulted - set_by_calls - criteria) == []
     assert criteria <= defaulted
+
+
+def test_every_dataclass_field_is_read_by_package_code():
+    # a record field that no package code reads is a copy of a fact held
+    # elsewhere, or one nothing needs
+    pkg = Path(__file__).resolve().parents[1] / "src" / "dyadwave"
+    trees = [ast.parse(path.read_text()) for path in sorted(pkg.glob("*.py"))]
+    fields = [f"{cls.name}.{stmt.target.id}"
+              for tree in trees for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef)
+              and any(getattr(dec, "func", dec).id == "dataclass"
+                      for dec in cls.decorator_list)
+              for stmt in cls.body
+              if isinstance(stmt, ast.AnnAssign)]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    assert len(fields) > 20
+    assert [name for name in fields if name.split(".")[1] not in read] == []
 
 
 def test_pairs_are_enumerated_in_one_place():

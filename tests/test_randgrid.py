@@ -512,8 +512,47 @@ def test_grid_is_deterministic_when_capture_stays_below_separation(
     for k, table in tables.items():
         assert table.parents.shape[:2] == (labels.L + 1, labels.M)
         assert (table.parents == ref[k]).all()
-    for T in compute_splines(sp, nets, tables).transitions.values():
+    values = compute_splines(sp, nets, tables).values
+    for k in transition_levels(nets):
+        T = values[k][:, nets.levels[k + 1]]
         assert set(np.unique(T)) <= {0.0, 1.0}
+
+
+def assert_transitions_are_net_columns(sp, nets, tables):
+    """The column histogram of each parent table, the transition of its
+    level, is the level's spline at the next level's net points, bit for
+    bit: the finer spline is exactly the identity there."""
+    values = compute_splines(sp, nets, tables).values
+    for k in transition_levels(nets):
+        parents = tables[k].parents
+        T = column_frequencies(parents.reshape(-1, parents.shape[2]),
+                               len(nets.levels[k]))
+        cols = values[k][:, nets.levels[k + 1]]
+        assert np.array_equal(cols.view(np.uint64), T.view(np.uint64)), k
+
+
+@given(quasi_metric_spaces(), st.floats(0.2, 0.95))
+def test_transitions_are_the_spline_net_columns_on_random_spaces(case, frac):
+    # below delta = 1/(4 a0^2) a center can capture other children, so
+    # the transitions can hold fractions
+    dist, weights, _ = case
+    try:
+        sp = build_space(dist, weights)
+        nets, labels, tables = setup(sp, delta=frac * 0.25 * sp.a0 ** -2)
+    except DyadwaveError:
+        assume(False)
+    assert_transitions_are_net_columns(sp, nets, tables)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("cyclic", {"n": 32}), ("interval", {"n": 40}),
+    ("binary_tree", {"depth": 5}), ("point_cloud", {"n": 48, "dim": 2}),
+    ("koranyi_sphere", {"n": 40, "dim": 2}),
+    ("snowflake", {"n": 40, "eps": 0.5})])
+def test_transitions_are_the_spline_net_columns_on_generators(kind, params):
+    sp = gen_example(kind, seed=3, **params)
+    nets, labels, tables = setup(sp, delta=0.5 * 0.25 * sp.a0 ** -2)
+    assert_transitions_are_net_columns(sp, nets, tables)
 
 
 def scipy_fit(stats):

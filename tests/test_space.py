@@ -150,7 +150,14 @@ def test_exponent_a_values():
 
 def test_koranyi_comparable_to_euclidean():
     sp = gen_example("koranyi_sphere", n=40, dim=2, seed=1)
-    z = sp.coords
+    # the generator's own draws: unit vectors of C^2 and d = |1 - <z, w>|
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(1)))
+    z = rng.normal(size=(40, 2)) + 1j * rng.normal(size=(40, 2))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    want = np.abs(1.0 - z @ z.conj().T)
+    want = 0.5 * (want + want.T)
+    np.fill_diagonal(want, 0.0)
+    assert np.array_equal(sp.dist.view(np.uint64), want.view(np.uint64))
     diff = np.linalg.norm(z[:, None, :] - z[None, :, :], axis=2)
     off = ~np.eye(sp.n, dtype=bool)
     ratio_low = sp.dist[off] / diff[off] ** 2

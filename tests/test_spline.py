@@ -57,10 +57,12 @@ def all_grid_averages(space, nets, labels, tables):
 def test_two_point_exact():
     space, nets, labels, tables = setup("cyclic", {"n": 2})
     system = compute_splines(space, nets, tables)
-    assert system.k_max == 0 and system.k_min == -1
+    assert sorted(system.values) == list(nets.level_range) == [-1, 0]
     assert np.array_equal(system.values[0], np.eye(2))
     assert np.array_equal(system.values[-1], np.ones((1, 2)))
-    assert np.array_equal(system.transitions[-1], np.ones((1, 2)))
+    # the transition is the coarse spline at the fine net points
+    assert np.array_equal(system.values[-1][:, nets.levels[0]],
+                          np.ones((1, 2)))
 
 
 def test_cyclic8_matches_full_grid_enumeration():
@@ -85,7 +87,7 @@ def test_transition_matrix_is_column_stochastic_probability_table():
     space, nets, labels, tables = setup("cyclic", {"n": 8})
     system = compute_splines(space, nets, tables)
     for k in transition_levels(nets):
-        T = system.transitions[k]
+        T = system.values[k][:, nets.levels[k + 1]]
         assert np.allclose(T.sum(axis=0), 1.0, atol=1e-14)
         assert T.min() >= 0.0
         # every entry is a count over the finite coordinate set
@@ -205,7 +207,7 @@ def test_holder_estimate_reports_positive_rate():
     assert out["eta_hat"] > 0
     # the fitted exponent certifies a constant within the budget
     iu = np.triu_indices(space.n, k=1)
-    for k in range(system.k_min, system.k_max + 1):
+    for k in nets.level_range:
         rel = space.dist[iu] / nets.scale(k)
         near = rel <= 1.0
         V = system.values[k]

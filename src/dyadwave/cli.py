@@ -780,6 +780,9 @@ def cmd_analyze(args) -> int:
             f"basis.json labels {len(row_labels)} rows, basis_values.csv "
             f"holds {B.shape[0]}")
     signal = _load_matrix(args.signal).ravel()
+    if not np.isfinite(signal).all():
+        raise MissingArtifact(f"{args.signal} holds a value that is not "
+                              f"a finite number")
     if signal.shape != (n,):
         raise DimensionMismatch(
             f"signal has {signal.size} values for {n} points")

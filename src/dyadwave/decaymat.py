@@ -32,18 +32,6 @@ def above_floor(values) -> np.ndarray:
     return np.asarray(values) >= TINY
 
 
-def kept_rows(v, keep) -> np.ndarray:
-    """v[x] at each true entry (x, y) of the 2-D mask ``keep``, in row-major
-    order, gathered from a broadcast view."""
-    return np.broadcast_to(v[:, None], keep.shape)[keep]
-
-
-def kept_cols(v, keep) -> np.ndarray:
-    """v[y] at each true entry (x, y) of the 2-D mask ``keep``, in row-major
-    order, gathered from a broadcast view."""
-    return np.broadcast_to(v, keep.shape)[keep]
-
-
 def envelope_fit(xs, values, x_cut: float = 1.0) -> dict:
     """Fit the tightest envelope values <= C exp(-c * xs) with the largest c.
 
@@ -163,8 +151,12 @@ def chain_constants(dist, n_max: int, exact_budget: int = 512,
 # spectral estimates
 
 def require_symmetric(M: np.ndarray) -> None:
-    """Raise NotPositiveDefinite unless M equals its transpose up to rounding."""
-    if not np.allclose(M, M.T, rtol=1e-10, atol=1e-12):
+    """Raise NotPositiveDefinite unless M equals its transpose up to rounding.
+
+    Exact symmetry, the usual case, is tried first: it is the cheaper test.
+    """
+    if not (np.array_equal(M, M.T)
+            or np.allclose(M, M.T, rtol=1e-10, atol=1e-12)):
         raise NotPositiveDefinite("matrix is not symmetric")
 
 

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decaymat import above_floor, envelope_fit, kept_cols, kept_rows
+from .decaymat import above_floor, envelope_fit
 from .errors import BadExponent, BadParams, IncompleteSigns
 from .nets import NestedNets
 from .seeding import STREAM_SIGNS, STREAM_TRIALS, stream_rng
-from .space import QuasiMetricSpace, exponent_a, square_function
+from .space import (QuasiMetricSpace, exponent_a, kept_cols, kept_rows,
+                    square_function)
 from .spline import HOLDER_BUDGET, close_pair_ladder, holder_fit
 from .wavelet import WaveletBasis
 

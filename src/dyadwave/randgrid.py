@@ -24,7 +24,7 @@ import numpy as np
 from .errors import InsufficientSamples, OrderViolation
 from .nets import NestedNets
 from .seeding import STREAM_BOUNDARY, STREAM_OMEGA, stream_rng
-from .space import QuasiMetricSpace, near_pairs
+from .space import QuasiMetricSpace, kept_cols, kept_rows, near_pairs
 
 # the boundary slope fit needs this many positive means, so its t quantile
 # has at least one degree of freedom
@@ -124,17 +124,24 @@ def grid_labels(space: QuasiMetricSpace, nets: NestedNets,
         row, point, d = pairs[k]
         col = nets.positions(k + 1, space.n)[point]
         near = (col >= 0) & (d < nets.scale(k) / (2.0 * space.a0))
-        A = np.zeros((nc, nc), dtype=bool)
-        A[par[row[near]], par[col[near]]] = True
-        np.fill_diagonal(A, False)
-        L = max(L, int(A.sum(axis=1).max()))
-        colors = np.full(nc, -1, dtype=int)
-        for a in range(nc):
-            used = set(colors[np.flatnonzero(A[a])].tolist())
+        src, dst = par[row[near]], par[col[near]]
+        off = src != dst
+        # each neighbour edge once, grouped by its first node
+        edge = np.sort(src[off] * nc + dst[off])
+        first, second = np.divmod(edge[np.diff(edge, prepend=-1) > 0], nc)
+        degree = np.bincount(first, minlength=nc)
+        L = max(L, int(degree.max()))
+        second = second.tolist()
+        colors = [-1] * nc
+        lo = 0
+        for a, hi in enumerate(np.cumsum(degree).tolist()):
+            used = {colors[b] for b in second[lo:hi]}
             c = 0
             while c in used:
                 c += 1
             colors[a] = c
+            lo = hi
+        colors = np.array(colors)
         if colors.max(initial=0) > L:
             raise OrderViolation(
                 f"level {k}: greedy coloring needs {colors.max() + 1} colors "
@@ -258,25 +265,60 @@ def _center_stats(space, fine, table, codes, inner_z, r_chain, r_iter):
     two centers, the largest distance from a point to its nearest center,
     the number of (center, point) pairs closer than ``inner_z``, and per
     point the number of centers closer than ``r_chain`` and ``r_iter``.
-    All but the first read the table's neighbour list over the rows of
-    ``fine``; a point with no pair there reads its own row.
+
+    One pass over the table's neighbour list scores every coordinate.  The
+    list is grouped by row of ``fine`` and lists each row's own point, so
+    every (coordinate, center) pair of a (coordinate, row) mask owns one
+    non-empty run of it, and each value is a grouped minimum or count over
+    the runs.  The list holds every pair closer than 2 a0 delta^k, above
+    the count radii, so the counts are exact, and so is the separation of
+    a coordinate with a listed pair of two centers.  A coordinate with none
+    reads its center x center block, and a point with no listed center its
+    distances to the centers.
     """
+    n = space.n
     row, point, d = table.pairs
-    stats = []
-    for z in table.centers.reshape(-1, table.centers.shape[2])[codes]:
-        Dzz = np.take(space.dist[z], z, axis=1)
-        np.fill_diagonal(Dzz, np.inf)
-        sel = np.isin(fine, z, kind="table")[row]
-        pz, dz = point[sel], d[sel]
-        nearest = np.full(space.n, np.inf)
-        np.minimum.at(nearest, pz, dz)
-        rest = np.isinf(nearest)
-        nearest[rest] = space.dist[np.ix_(rest, z)].min(axis=1)
-        stats.append((Dzz.min(), nearest.max(),
-                      np.count_nonzero(dz < inner_z),
-                      np.bincount(pz[dz < r_chain], minlength=space.n),
-                      np.bincount(pz[dz < r_iter], minlength=space.n)))
-    return [np.array(column) for column in zip(*stats)]
+    z = table.centers.reshape(-1, table.centers.shape[2])[codes]
+    coords = np.arange(len(z))
+    is_center = np.zeros((len(z), n), dtype=bool)
+    is_center[coords[:, None], z] = True
+    member = is_center[:, fine]
+    # the list positions of every (coordinate, center) run, end to end
+    size = np.bincount(row, minlength=len(fine))
+    center = kept_cols(np.arange(len(fine)), member)
+    run = size[center]
+    end = np.cumsum(run)
+    at = np.arange(end[-1]) + np.repeat(
+        (np.cumsum(size) - size)[center] - (end - run), run)
+    code = np.repeat(kept_rows(coords, member), run)
+    key = code * n + point[at]
+    dz = d[at]
+    nearest = np.full(len(z) * n, np.inf)
+    np.minimum.at(nearest, key, dz)
+    nearest = nearest.reshape(len(z), n)
+    for c in np.flatnonzero(np.isinf(nearest).any(axis=1)):
+        rest = np.isinf(nearest[c])
+        nearest[c, rest] = space.dist[np.ix_(rest, z[c])].min(axis=1)
+    # the runs follow the coordinates in order; a pair of two distinct
+    # centers counts towards the separation
+    sep = np.minimum.reduceat(
+        np.where(is_center.ravel()[key] & (dz > 0), dz, np.inf),
+        np.searchsorted(code, coords))
+    lone = np.flatnonzero(np.isinf(sep))
+    diag = np.arange(z.shape[1])
+    # blocks of coordinates keep each center x center gather within n x n
+    step = max(1, n * n // z.shape[1] ** 2)
+    for b0 in range(0, len(lone), step):
+        zl = z[lone[b0:b0 + step]]
+        block = space.dist[zl[:, :, None], zl[:, None, :]]
+        block[:, diag, diag] = np.inf
+        sep[lone[b0:b0 + step]] = block.min(axis=(1, 2))
+    return (sep, nearest.max(axis=1),
+            np.bincount(code[dz < inner_z], minlength=len(z)),
+            np.bincount(key[dz < r_chain],
+                        minlength=len(z) * n).reshape(len(z), n),
+            np.bincount(key[dz < r_iter],
+                        minlength=len(z) * n).reshape(len(z), n))
 
 
 def grid_checks(space: QuasiMetricSpace, nets: NestedNets, labels: GridLabels,
@@ -291,7 +333,8 @@ def grid_checks(space: QuasiMetricSpace, nets: NestedNets, labels: GridLabels,
     the union of its children.  The key stays in the report.
 
     Quantities that depend on one level's centers only are computed once
-    per distinct drawn coordinate.  Pair counts such as "points near a
+    per distinct drawn coordinate, all in one pass over the level's
+    neighbour list (``_center_stats``).  Pair counts such as "points near a
     center but outside its cube" are all near pairs minus the near pairs
     that stay inside a cube, so every per-draw term is a gather of length n.
     ``tables`` are the level tables of ``build_grid``.
@@ -322,6 +365,7 @@ def grid_checks(space: QuasiMetricSpace, nets: NestedNets, labels: GridLabels,
         part = {k: (ell[b0:b0 + n], m[b0:b0 + n])
                 for k, (ell, m) in draws.items()}
         count = min(n, num_samples - b0)
+        draw = np.arange(count)[:, None]
         asg = dict(cube_assignments(nets, parents, part, count))
         par = {k: parents[k][ell, m - 1] for k, (ell, m) in part.items()}
         zpos = {k: tables[k].centers[ell, m - 1]
@@ -351,12 +395,17 @@ def grid_checks(space: QuasiMetricSpace, nets: NestedNets, labels: GridLabels,
             rep["center_containment_violations"] += int(
                 (a[:, pts] != np.arange(len(pts))).sum())
             # sandwiches: distance from every point to its own cube's center
-            dz = space.dist[np.take_along_axis(z, a, axis=1), cols]
+            dz = space.dist[z[draw, a], cols]
             dx = space.dist[pts[a], cols]
             rep["inner_sandwich_z_violations"] += int(
                 inner[u].sum() - (dz < inner_z).sum())
+            # level k lies inside level k + 1, and inner_x < 2 a0 delta^k,
+            # so the level's list holds every level-k pair closer than it
+            row, _, d = tables[k].pairs
+            in_k = np.zeros(len(nets.levels[k + 1]), dtype=bool)
+            in_k[nets.positions(k + 1, n)[pts]] = True
             rep["inner_sandwich_x_violations"] += int(
-                count * np.count_nonzero(space.dist[pts] < inner_x)
+                count * np.count_nonzero(in_k[row] & (d < inner_x))
                 - (dx < inner_x).sum())
             rep["outer_z_max_ratio"] = max(
                 rep["outer_z_max_ratio"],
@@ -370,10 +419,10 @@ def grid_checks(space: QuasiMetricSpace, nets: NestedNets, labels: GridLabels,
             anc = par[k]
             for lvl in range(k + 1, nets.k_max + 1):
                 if lvl > k + 1:
-                    anc = np.take_along_axis(anc, par[lvl - 1], axis=1)
+                    anc = anc[draw, par[lvl - 1]]
                 key, low, bound, near = chain if lvl == k + 1 else iterated
                 zf = zpos[lvl]
-                dpar = space.dist[zf, np.take_along_axis(z, anc, axis=1)]
+                dpar = space.dist[zf, z[draw, anc]]
                 rep[f"{key}_lower_violations"] += int(
                     near[u[:, None], zf].sum() - (dpar < low).sum())
                 rep[f"{key}_upper_max_ratio"] = max(

@@ -80,6 +80,18 @@ def near_pairs(dist: np.ndarray, radius: float, strict: bool = True) -> tuple:
     return i, j, dist[i, j]
 
 
+def kept_rows(v, keep) -> np.ndarray:
+    """v[x] at each true entry (x, y) of the 2-D mask ``keep``, in row-major
+    order, gathered from a broadcast view."""
+    return np.broadcast_to(v[:, None], keep.shape)[keep]
+
+
+def kept_cols(v, keep) -> np.ndarray:
+    """v[y] at each true entry (x, y) of the 2-D mask ``keep``, in row-major
+    order, gathered from a broadcast view."""
+    return np.broadcast_to(v, keep.shape)[keep]
+
+
 def minplus(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Min-plus product C[x, z] = min_y A[x, y] + B[y, z], exactly.
 

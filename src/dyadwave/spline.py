@@ -99,21 +99,33 @@ def holder_fit(xs, ys) -> float:
                      HOLDER_ETA_CAP))
 
 
+def _upper_pairs(dist: np.ndarray, scale: float, strict: bool) -> tuple:
+    """``near_pairs`` of ``dist`` at ``scale`` over i < j, in row-major
+    order with int32 indices, scanned in blocks of rows that keep each
+    scan within n^2 / 8 entries."""
+    step = max(1, len(dist) // 8)
+    blocks = []
+    for r0 in range(0, len(dist), step):
+        i, j, d = near_pairs(dist[r0:r0 + step, r0:], scale, strict)
+        up = i < j
+        blocks.append((i[up].astype(np.int32) + r0,
+                       j[up].astype(np.int32) + r0, d[up]))
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
 def close_pair_ladder(dist: np.ndarray, scales, strict: bool = False):
     """Yield (i, j, rel = d(i, j) / scale) for each of the non-increasing
     ``scales``, in row-major order over the pairs i < j with d <= scale, so
     rel <= 1 (< if ``strict``; rounding keeps positive quotients on their
     side of 1).  Every Hölder fit reads these, one ladder per loop over the
-    levels.  Only the first scale scans ``dist``; each later list masks the
-    one before, which keeps its row-major order.  The indices are int32, so
-    the list kept between levels is 16 bytes a pair.
+    levels.  Only the first scale scans ``dist`` (``_upper_pairs``); each
+    later list masks the one before, which keeps its row-major order.  The
+    indices are int32, so the list kept between levels is 16 bytes a pair.
     """
     i = last = None
     for scale in scales:
         if i is None:
-            i, j, d = near_pairs(dist, scale, strict)
-            up = i < j
-            i, j, d = i[up].astype(np.int32), j[up].astype(np.int32), d[up]
+            i, j, d = _upper_pairs(dist, scale, strict)
         elif scale > last:
             raise ValueError(f"scale {scale} above the previous {last}")
         else:
@@ -127,11 +139,11 @@ def pair_maxima(rows, pairs) -> tuple:
     """(rel, sup, count) over one ``close_pair_ladder`` triple ``pairs``: per
     pair, max over rows of |r(i) - r(j)| and how many of those are
     ``above_floor``.  Blocks of pairs keep each difference array within
-    n x n entries."""
+    n x n / 8 entries."""
     i, j, rel = pairs
     sup = np.empty(len(i))
     count = np.empty(len(i), dtype=np.int64)
-    step = max(1, rows.shape[1] ** 2 // rows.shape[0])
+    step = max(1, rows.shape[1] ** 2 // (8 * rows.shape[0]))
     for lo in range(0, len(i), step):
         blk = slice(lo, lo + step)
         diff = np.take(rows, i[blk], axis=1)
@@ -179,6 +191,8 @@ def verify_splines(system: SplineSystem, space: QuasiMetricSpace,
     spline is exactly the identity.  Support radii and smoothness are
     measured and reported but do not gate.
     """
+    # the smoothness fit runs first, before any per-level temporary exists
+    holder = holder_estimate(system, space, nets)
     report = {}
     part_dev = 0.0
     interp_dev = 0.0
@@ -186,9 +200,10 @@ def verify_splines(system: SplineSystem, space: QuasiMetricSpace,
     for k in nets.level_range:
         V = system.values[k]
         part_dev = max(part_dev, float(np.abs(V.sum(axis=0) - 1.0).max()))
-        eye = np.eye(V.shape[0])
-        interp_dev = max(interp_dev,
-                         float(np.abs(V[:, nets.levels[k]] - eye).max()))
+        at_net = V[:, nets.levels[k]]
+        diag = np.arange(len(at_net))
+        at_net[diag, diag] -= 1.0
+        interp_dev = max(interp_dev, float(np.abs(at_net).max()))
         nonneg_min = min(nonneg_min, float(V.min()))
     refine_dev = 0.0
     stoch_dev = 0.0
@@ -211,18 +226,21 @@ def verify_splines(system: SplineSystem, space: QuasiMetricSpace,
     inner_viol = 0
     row_lo, row_hi = np.inf, -np.inf
     a0 = space.a0
+    # blocks of rows keep each distance block within n^2 / 8 entries
+    step = max(1, space.n // 8)
     for k in nets.level_range:
-        V = system.values[k]
-        D = space.dist[nets.levels[k]]
         scale = nets.scale(k)
-        ratio = D / (OUTER_SUPPORT * a0 ** 5 * scale)
-        on = V > 0
-        if on.any():
-            outer_max_ratio = max(outer_max_ratio, float(ratio[on].max()))
-            outer_viol += int((ratio[on] > 1 + 1e-12).sum())
-        plateau = D < INNER_SUPPORT * a0 ** -3 * scale
-        inner_viol += int((V[plateau] < 1.0 - 1e-12).sum())
-        rows = V.sum(axis=1)
+        for r0 in range(0, len(nets.levels[k]), step):
+            V = system.values[k][r0:r0 + step]
+            D = space.dist[nets.levels[k][r0:r0 + step]]
+            plateau = D < INNER_SUPPORT * a0 ** -3 * scale
+            inner_viol += int((V[plateau] < 1.0 - 1e-12).sum())
+            D /= OUTER_SUPPORT * a0 ** 5 * scale
+            ratio = D[V > 0]
+            outer_max_ratio = max(outer_max_ratio,
+                                  float(ratio.max(initial=0.0)))
+            outer_viol += int((ratio > 1 + 1e-12).sum())
+        rows = system.values[k].sum(axis=1)
         row_lo = min(row_lo, float(rows.min()))
         row_hi = max(row_hi, float(rows.max()))
     report.update(
@@ -230,7 +248,7 @@ def verify_splines(system: SplineSystem, space: QuasiMetricSpace,
         outer_support_max_ratio=outer_max_ratio,
         inner_plateau_violations=inner_viol,
         row_sum_range=(row_lo, row_hi),
-        holder=holder_estimate(system, space, nets))
+        holder=holder)
     report["ok"] = bool(
         part_dev <= tol and interp_dev <= tol and refine_dev <= tol
         and stoch_dev <= tol and nonneg_min >= -tol and persist_dev <= tol)

@@ -20,14 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decaymat import (above_floor, decay_certificate, envelope_fit,
-                       kept_cols, kept_rows, require_symmetric)
+                       require_symmetric)
 from .errors import (
     NotPositiveDefinite,
     RankDeficiency,
     ZeroBallMass,
 )
 from .nets import NestedNets
-from .space import QuasiMetricSpace, exponent_a, near_pairs
+from .space import (QuasiMetricSpace, exponent_a, kept_cols, kept_rows,
+                    near_pairs)
 from .spline import (HOLDER_BUDGET, SplineSystem, close_pair_ladder,
                      holder_fit, pair_maxima)
 

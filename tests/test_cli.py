@@ -662,13 +662,28 @@ def test_construct_peak_holds_no_transitions_or_grid_tables():
     """The transitions are read from the splines' net columns, and the
     grid tables are dropped after the spline checks, before the duals and
     the basis exist: at point_cloud 256 2 (delta 0.4) the construction's
-    traced peak stays at or below 18 n x n float64 arrays (24.3 with a
-    dense copy of each transition and the tables held to the end)."""
+    traced peak stays at or below 15.5 n x n float64 arrays (24.3 with a
+    dense copy of each transition and the tables held to the end, 16.6
+    with the spline checks' unbounded scans)."""
     space = gen_example("point_cloud", seed=0, n=256, dim=2)
     space.a0    # computed on first read, outside the traced call
     cfg = cli._resolve_config({}, {"delta": 0.4})
     _, peak = traced_peak(lambda: cli._construct(space, cfg), space.n)
-    assert peak <= 18, peak
+    assert peak <= 15.5, peak
+
+
+def test_construct_peak_bounds_the_spline_check_scans():
+    """The first close-pair scan runs over row blocks, the spline support
+    check holds no dense per-level temporary while the smoothness fit runs,
+    and each pair-difference block stays within n^2 / 8 entries: at
+    snowflake 384 0.5 (delta 0.5), where every pair is close at the
+    coarsest scale, the construction's traced peak stays at or below 11.5
+    n x n float64 arrays (13.0 with one scan of all n^2 entries)."""
+    space = gen_example("snowflake", seed=0, n=384, eps=0.5)
+    space.a0    # computed on first read, outside the traced call
+    cfg = cli._resolve_config({}, {"delta": 0.5})
+    _, peak = traced_peak(lambda: cli._construct(space, cfg), space.n)
+    assert peak <= 11.5, peak
 
 
 def test_verify_peak_holds_one_basis(tmp_path):
@@ -780,6 +795,22 @@ def test_analyze_dimension_mismatch(built, tmp_path):
     np.savetxt(tmp_path / "sig.csv", np.ones(5), delimiter=",")
     assert run("analyze", "--artifacts", built, "--signal",
                tmp_path / "sig.csv", "--out", tmp_path / "out") == 9
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_analyze_refuses_a_signal_value_that_is_not_finite(built, tmp_path,
+                                                           capsys, cell):
+    # np.loadtxt reads these cells as floats, so only a finiteness check
+    # keeps NaN out of the coefficients, the square function and the report
+    lines = ["1.5"] * 8
+    lines[3] = cell
+    (tmp_path / "sig.csv").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    rc = run("analyze", "--artifacts", built, "--signal",
+             tmp_path / "sig.csv", "--out", out)
+    assert rc == 8, capsys.readouterr().err
+    assert "not a finite number" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

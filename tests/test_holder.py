@@ -136,14 +136,16 @@ def test_close_pair_ladder_equals_close_pairs_at_each_scale():
 
 def test_each_fit_scans_the_distances_once(monkeypatch):
     # one close_pair_ladder per loop over the levels: the spline fit, the
-    # wavelet fit and the regularity quotients each list pairs once
+    # wavelet fit and the regularity quotients each list pairs once, at one
+    # radius, in row blocks that together cover each row of the upper
+    # triangle once
     space = gen_example("point_cloud", seed=1, n=40, dim=2)
     nets, system, basis = assemble(space, 0.4)
     lp = build_lp(space, nets, basis)
     calls = []
 
     def listing(dist, radius, strict=True):
-        calls.append(radius)
+        calls.append((radius, dist.shape))
         return near_pairs(dist, radius, strict)
 
     for name, module in list(sys.modules.items()):
@@ -158,7 +160,12 @@ def test_each_fit_scans_the_distances_once(monkeypatch):
     for fit in fits:
         calls.clear()
         fit()
-        assert len(calls) == 1
+        assert len({radius for radius, _ in calls}) == 1
+        rows = np.cumsum([0] + [shape[0] for _, shape in calls])
+        assert rows[-1] == space.n
+        # the block starting at row r0 scans the columns from r0 on
+        cols = [shape[1] for _, shape in calls]
+        assert cols == (space.n - rows[:-1]).tolist()
 
 
 @pytest.mark.parametrize("budget,cases", [

@@ -379,6 +379,45 @@ def test_center_stats_reads_rows_of_points_far_from_every_center():
         assert np.array_equal(g, w)
 
 
+def test_center_stats_reads_the_block_of_centers_with_no_listed_pair():
+    # under the first coordinate the two centers lie 5 apart, beyond the
+    # list radius 2 a0 delta^k = 2, so its separation falls back to the
+    # center x center block; under the second they are 0.1 apart
+    x = np.array([0.0, 0.1, 5.0, 5.1])
+    sp = build_space(np.abs(x[:, None] - x[None, :]), np.ones(4))
+    fine = np.arange(4)
+    centers = np.array([[[0, 2], [1, 0]]])
+    a0, scale = sp.a0, 1.0
+    table = LevelTable(np.zeros((1, 2, 4), dtype=np.intp), centers,
+                       near_pairs(sp.dist[fine], 2.0 * a0 * scale))
+    radii = (1.0 / 6.0 * a0 ** -5 * scale, (1.0 / 5.0) * a0 ** -3 * scale,
+             (1.0 / 6.0) * a0 ** -4 * scale)
+    codes = np.array([0, 1])
+    got = _center_stats(sp, fine, table, codes, *radii)
+    want = oracle.center_stats(sp, table, codes, *radii)
+    assert got[0].tolist() == [5.0, 0.1]
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("kind,params", [
+    ("interval", {"n": 40}), ("snowflake", {"n": 36, "eps": 0.5})])
+def test_center_stats_scores_every_coordinate_of_a_level(kind, params):
+    # every (ell, m) of each level drawn at once, in the randomized regime
+    sp = gen_example(kind, seed=1, **params)
+    nets, labels, tables = setup(sp, delta=0.5 * 0.25 * sp.a0 ** -2)
+    a0 = sp.a0
+    codes = np.arange((labels.L + 1) * labels.M)
+    for k, table in tables.items():
+        scale = nets.scale(k)
+        radii = (1.0 / 6.0 * a0 ** -5 * scale, (1.0 / 5.0) * a0 ** -3 * scale,
+                 (1.0 / 6.0) * a0 ** -4 * scale)
+        got = _center_stats(sp, nets.levels[k + 1], table, codes, *radii)
+        want = oracle.center_stats(sp, table, codes, *radii)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w), k
+
+
 def test_boundary_stats_monotone_and_deterministic():
     sp = gen_example("interval", n=32)
     nets, labels, tables = setup(sp)
@@ -463,6 +502,35 @@ def test_batched_samplers_match_oracle_on_generators(kind, params, delta):
                           bnd_samples=300, seed=4, jobs=(1, 2))
 
 
+# below delta = 1/(4 a0^2) a perturbed center can capture children other
+# than itself, so the parent tables depend on the coordinate
+RANDOMIZED_FRACS = (0.5, 0.9)
+
+
+@pytest.mark.parametrize("frac", RANDOMIZED_FRACS)
+@pytest.mark.parametrize("kind,params", [(kind, params)
+                                         for kind, params, _ in GENERATORS])
+def test_batched_samplers_match_oracle_in_the_randomized_regime(kind, params,
+                                                               frac):
+    sp = gen_example(kind, seed=1, **params)
+    nets, labels, tables = setup(sp, delta=frac * 0.25 * sp.a0 ** -2)
+    assert_matches_oracle(sp, nets, labels, tables, grid_samples=12,
+                          bnd_samples=40, seed=4)
+
+
+def test_randomized_regime_moves_parents_on_generators():
+    # the randomized-regime cases above do reach draws that move a child
+    moved = set()
+    for kind, params, _ in GENERATORS:
+        for frac in RANDOMIZED_FRACS:
+            sp = gen_example(kind, seed=1, **params)
+            nets, _, tables = setup(sp, delta=frac * 0.25 * sp.a0 ** -2)
+            ref = reference(sp, nets)
+            if any((t.parents != ref[k]).any() for k, t in tables.items()):
+                moved.add(kind)
+    assert {"cyclic", "interval", "snowflake"} <= moved
+
+
 @st.composite
 def quasi_metric_spaces(draw):
     """Powers |x - y|^p, p in [1, 2], of distances between lattice points.
@@ -488,6 +556,19 @@ def test_batched_samplers_match_oracle_on_random_spaces(case, seed):
     try:
         sp = build_space(dist, weights)
         nets, labels, tables = setup(sp, delta=delta)
+    except DyadwaveError:
+        assume(False)
+    assert_matches_oracle(sp, nets, labels, tables, grid_samples=6,
+                          bnd_samples=20, seed=seed)
+
+
+@given(quasi_metric_spaces(), st.floats(0.2, 0.95), st.integers(0, 2 ** 16))
+def test_batched_samplers_match_oracle_on_random_randomized_spaces(case, frac,
+                                                                   seed):
+    dist, weights, _ = case
+    try:
+        sp = build_space(dist, weights)
+        nets, labels, tables = setup(sp, delta=frac * 0.25 * sp.a0 ** -2)
     except DyadwaveError:
         assume(False)
     assert_matches_oracle(sp, nets, labels, tables, grid_samples=6,

@@ -351,7 +351,7 @@ def _construct(space, cfg):
     ``build`` writes what this returns and ``verify`` compares the stored
     artifacts with it.  Each level's parent table is built once and serves
     both the splines and the sampled grid checks, and is dropped before
-    the duals and the basis exist.
+    the spline Grams and the basis exist.
     """
     from .nets import build_nets, verify_nets
     from .randgrid import build_grid, grid_checks

@@ -62,12 +62,8 @@ def farthest_first_order(dist: np.ndarray) -> np.ndarray:
 
 def _greedy_extend(dist, threshold, scan, seed_points):
     """Add scan points at distance >= threshold from everything chosen."""
-    n = dist.shape[0]
     chosen = list(seed_points)
-    if chosen:
-        mind = dist[chosen].min(axis=0)
-    else:
-        mind = np.full(n, np.inf)
+    mind = dist[chosen].min(axis=0) if chosen else np.full(len(dist), np.inf)
     for x in scan:
         if mind[x] >= threshold:
             chosen.append(int(x))
@@ -204,6 +200,8 @@ def nets_from_dict(payload: dict) -> NestedNets:
     delta = float(payload["delta"])
     k_min = int(payload["k_min"])
     k_max = int(payload["k_max"])
+    if not isinstance(payload["levels"], dict):
+        raise MissingArtifact("stored nets hold no map of levels")
     levels = {int(k): np.array(v, dtype=int)
               for k, v in payload["levels"].items()}
     scan = np.array(payload["scan_order"], dtype=int)

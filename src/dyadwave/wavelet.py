@@ -37,10 +37,11 @@ GRAM_TOL = 1e-10
 
 @dataclass(frozen=True)
 class MRA:
-    """The splines and their per-level dual bases."""
+    """The splines and each level's normalized Gram, proven positive
+    definite; the projection onto V_k solves against it."""
 
     system: SplineSystem
-    duals: dict   # k -> (n_k, n) dual spline values
+    grams: dict   # k -> (n_k, n_k) normalized spline Gram
 
 
 @dataclass(frozen=True)
@@ -101,15 +102,9 @@ def _component_blocks(gram: np.ndarray):
         yield idx, gram[idx[:, :, None], idx[:, None, :]]
 
 
-def component_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Overwrite ``rhs`` with gram^{-1} rhs, one Gram component at a time,
-    and return it.
-
-    A Cholesky factorization proves each component positive definite, then
-    an LU solve runs against the component's rows of ``rhs``; components of
-    one size share one stacked call of each.  Working in place keeps one
-    rows-by-columns array fewer alive.
-    """
+def require_positive_definite(gram: np.ndarray) -> None:
+    """Raise NotPositiveDefinite unless each Gram component has a Cholesky
+    factor; components of one size share one stacked factorization."""
     for idx, blocks in _component_blocks(gram):
         try:
             np.linalg.cholesky(blocks)
@@ -117,6 +112,12 @@ def component_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
             raise NotPositiveDefinite(
                 f"a component of {idx.shape[1]} rows is not positive "
                 "definite") from exc
+
+
+def component_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Overwrite ``rhs`` with gram^{-1} rhs, one stacked solve per
+    component size of a Gram proven positive definite, and return it."""
+    for idx, blocks in _component_blocks(gram):
         rhs[idx] = np.linalg.solve(blocks, rhs[idx])
     return rhs
 
@@ -145,36 +146,39 @@ def gram_matrix(space: QuasiMetricSpace, system: SplineSystem,
     return normalized_gram((S * space.weights) @ S.T, system.ball_mass[k])
 
 
-def dual_splines(space: QuasiMetricSpace, system: SplineSystem,
-                 k: int) -> np.ndarray:
-    """The level-k dual splines.
-
-    Row alpha is sum_beta G^{-1}(alpha, beta) s_beta / sqrt(m_alpha m_beta)
-    with G the normalized Gram, so spline/dual pairings give the identity.
-    G must be symmetric; ``component_solve`` proves each of its components
-    positive definite and solves it against the scaled splines, so the
-    inverse is never formed.
-    """
-    gram = gram_matrix(space, system, k)
-    rs = 1.0 / np.sqrt(np.asarray(system.ball_mass[k], dtype=float))
-    try:
-        require_symmetric(gram)
-        duals = component_solve(gram, rs[:, None] * system.values[k])
-    except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(f"level {k} Gram: {exc}") from exc
-    duals *= rs[:, None]
-    return duals
-
-
 def build_mra(space: QuasiMetricSpace, system: SplineSystem) -> MRA:
-    return MRA(system, {k: dual_splines(space, system, k)
-                        for k in sorted(system.values)})
+    """Each level's spline Gram, formed once and proven positive definite."""
+    grams = {}
+    for k in sorted(system.values):
+        grams[k] = gram_matrix(space, system, k)
+        try:
+            require_symmetric(grams[k])
+            require_positive_definite(grams[k])
+        except NotPositiveDefinite as exc:
+            raise NotPositiveDefinite(f"level {k} Gram: {exc}") from exc
+    return MRA(system, grams)
+
+
+def _dual_solve(mra: MRA, k: int, rhs: np.ndarray) -> np.ndarray:
+    """Overwrite ``rhs``, one row per level-k spline, with
+    diag(rs) G_k^{-1} diag(rs) rhs, rs the inverse root ball masses."""
+    rs = 1.0 / np.sqrt(np.asarray(mra.system.ball_mass[k], dtype=float))
+    rhs *= rs[:, None]
+    component_solve(mra.grams[k], rhs)
+    rhs *= rs[:, None]
+    return rhs
+
+
+def dual_splines(space: QuasiMetricSpace, mra: MRA, k: int) -> np.ndarray:
+    """The (n_k, n) level-k duals: spline/dual pairings give the identity."""
+    return _dual_solve(mra, k, mra.system.values[k].copy())
 
 
 def spline_projector(space: QuasiMetricSpace, mra: MRA,
                      k: int) -> np.ndarray:
     """The (n, n) orthogonal projector onto V_k, formed on demand."""
-    return mra.system.values[k].T @ (mra.duals[k] * space.weights)
+    return mra.system.values[k].T @ (dual_splines(space, mra, k)
+                                     * space.weights)
 
 
 def pre_wavelets(space: QuasiMetricSpace, nets: NestedNets, mra: MRA,
@@ -187,10 +191,11 @@ def pre_wavelets(space: QuasiMetricSpace, nets: NestedNets, mra: MRA,
     different components of its Gram are orthogonal, so the rank is the
     sum of the ranks of the components.
     """
-    fine = mra.system.values[k + 1]
     rows = nets.positions(k + 1, space.n)[nets.ydiff[k]]
-    base = fine[rows]
-    resid = base - (spline_projector(space, mra, k) @ base.T).T
+    base = mra.system.values[k + 1][rows]
+    S = mra.system.values[k]
+    # base's projection onto V_k, applied without forming the projector
+    resid = base - _dual_solve(mra, k, (S * space.weights) @ base.T).T @ S
     gram = (resid * space.weights) @ resid.T
     rank = sum(int(np.linalg.matrix_rank(resid[idx]).sum())
                for idx in gram_components(gram))
@@ -222,7 +227,6 @@ def orthonormalize(prewavelets: np.ndarray, gram: np.ndarray,
 def build_wavelet_basis(space: QuasiMetricSpace, nets: NestedNets,
                         mra: MRA) -> WaveletBasis:
     """Orthonormalize each level's pre-wavelets into its slice of rows."""
-    system = mra.system
     ks = [k for k in range(nets.k_min, nets.k_max) if len(nets.ydiff[k])]
     ends = np.cumsum([1] + [len(nets.ydiff[k]) for k in ks]).tolist()
     blocks = {k: slice(a, b) for k, a, b in zip(ks, ends, ends[1:])}
@@ -233,7 +237,7 @@ def build_wavelet_basis(space: QuasiMetricSpace, nets: NestedNets,
     for k, sl in blocks.items():
         base, gram = pre_wavelets(space, nets, mra, k)
         pos = nets.positions(k + 1, space.n)[centers[sl]]
-        masses = np.asarray(system.ball_mass[k + 1], dtype=float)[pos]
+        masses = np.asarray(mra.system.ball_mass[k + 1], dtype=float)[pos]
         rows[sl], mgrams[k] = orthonormalize(base, gram, masses, centers[sl])
         mass_fine[k] = masses
         mass_center[k] = space.ball_masses(centers[sl], nets.scale(k))
@@ -247,19 +251,15 @@ def gram_decay_certificates(space: QuasiMetricSpace, nets: NestedNets,
     Net points at level k are delta^k-separated, so dividing the distance
     by the scale meets the certificate's separation precondition; the
     pre-wavelet centers live at level k+1 and use that scale instead.  The
-    spline Grams are formed here; the pre-wavelet ones are kept by the basis.
+    spline Grams are kept by the MRA and the pre-wavelet ones by the basis.
     """
-    out = {"spline": {}, "prewavelet": {}}
-    for k in range(nets.k_min, nets.k_max + 1):
-        pts = nets.levels[k]
-        dist = space.dist[np.ix_(pts, pts)] / nets.scale(k)
-        out["spline"][k] = decay_certificate(
-            gram_matrix(space, mra.system, k), dist)
-    for k, sl in basis.blocks.items():
-        pts = basis.centers[sl]
-        dist = space.dist[np.ix_(pts, pts)] / nets.scale(k + 1)
-        out["prewavelet"][k] = decay_certificate(basis.mgram[k], dist)
-    return out
+    def cert(gram, pts, scale):
+        return decay_certificate(gram, space.dist[np.ix_(pts, pts)] / scale)
+    return {"spline": {k: cert(gram, nets.levels[k], nets.scale(k))
+                       for k, gram in mra.grams.items()},
+            "prewavelet": {k: cert(basis.mgram[k], basis.centers[sl],
+                                   nets.scale(k + 1))
+                           for k, sl in basis.blocks.items()}}
 
 
 def _holder_samples(space, nets, basis):
@@ -317,6 +317,7 @@ def verify_wavelet_theorem(space: QuasiMetricSpace, nets: NestedNets,
     dist = space.dist[kept_rows(basis.centers[1:], keep),
                       kept_cols(np.arange(space.n), keep)]
     decay = envelope_fit((dist / kept_rows(scale, keep)) ** a, values[keep])
+    del values, keep, dist    # not held through the Hölder fit's scans
     hx, hy, n_pairs = _holder_samples(space, nets, basis)
     # Scaled wavelet differences are not bounded by 1 the way spline
     # differences are; the admissible constant sits at the budget factor

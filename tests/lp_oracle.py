@@ -8,6 +8,13 @@ sum of dense Q_k f.  Tests require the library's basis and kernel report
 to equal what these produce exactly, and its square function to agree
 to rounding.
 
+The library's pre-wavelets never form the projector onto V_k: they apply
+the Gram inverse to the splines' pairings with the new fine splines.
+``wavelets`` does the same arithmetic level by level, and the library's
+basis must equal it exactly; ``dense_prewavelets`` multiplies by the
+stored projectors instead, and tests require the library's pre-wavelets
+to agree with it to rounding.
+
 ``gather_square_function`` and ``lp_equivalence`` are the list-gather
 form: each level's rows and coefficients are copied out by a list of row
 indices, once per call.  The library reads each level as a slice of the
@@ -25,31 +32,48 @@ import numpy as np
 
 from dyadwave.lpanalysis import lp_norm
 from dyadwave.seeding import STREAM_TRIALS, stream_rng
-from dyadwave.wavelet import orthonormalize
+from dyadwave.wavelet import component_solve, dual_splines, orthonormalize
 
 
 def spline_projectors(space, mra) -> dict:
     """k -> (n, n) orthogonal projector onto V_k."""
     w = space.weights
-    return {k: mra.system.values[k].T @ (mra.duals[k] * w)
-            for k in mra.duals}
+    return {k: mra.system.values[k].T @ (dual_splines(space, mra, k) * w)
+            for k in mra.grams}
+
+
+def _new_fine_splines(space, nets, mra):
+    """(k, fine splines at the points new at level k+1, their positions)
+    for each level that adds a point."""
+    for k in range(nets.k_min, nets.k_max):
+        if len(nets.ydiff[k]):
+            rows = nets.positions(k + 1, space.n)[nets.ydiff[k]]
+            yield k, mra.system.values[k + 1][rows], rows
+
+
+def dense_prewavelets(space, nets, mra) -> dict:
+    """k -> pre-wavelets taken against the stored dense projectors: the new
+    fine splines minus their products with the projector onto V_k."""
+    proj = spline_projectors(space, mra)
+    return {k: base - (proj[k] @ base.T).T
+            for k, base, _ in _new_fine_splines(space, nets, mra)}
 
 
 def wavelets(space, nets, mra) -> dict:
-    """k -> orthonormal wavelet rows, from pre-wavelets taken against the
-    stored projectors."""
-    proj = spline_projectors(space, mra)
+    """k -> orthonormal wavelet rows, from pre-wavelets that apply each
+    level's Gram inverse to the new fine splines' pairings with the
+    splines."""
+    w = space.weights
     out = {}
-    for k in range(nets.k_min, nets.k_max):
-        centers = nets.ydiff[k]
-        if len(centers) == 0:
-            continue
-        rows = nets.positions(k + 1, space.n)[centers]
-        base = mra.system.values[k + 1][rows]
-        resid = base - (proj[k] @ base.T).T
+    for k, base, rows in _new_fine_splines(space, nets, mra):
+        S = mra.system.values[k]
+        rs = 1.0 / np.sqrt(np.asarray(mra.system.ball_mass[k], dtype=float))
+        coef = rs[:, None] * component_solve(
+            mra.grams[k], rs[:, None] * ((S * w) @ base.T))
+        resid = base - coef.T @ S
         masses = np.asarray(mra.system.ball_mass[k + 1], dtype=float)[rows]
-        out[k] = orthonormalize(resid, (resid * space.weights) @ resid.T,
-                                masses, centers=centers)[0]
+        out[k] = orthonormalize(resid, (resid * w) @ resid.T, masses,
+                                centers=nets.ydiff[k])[0]
     return out
 
 

@@ -278,6 +278,21 @@ def test_stored_config_not_a_map_exits_8(built, tmp_path, command):
     assert run(command, "--artifacts", bad, out, tmp_path / "out") == 8
 
 
+@pytest.mark.parametrize("command", ["verify", "boundary"])
+def test_nets_levels_not_a_map_exits_8(built, tmp_path, capsys, command):
+    import shutil
+    bad = tmp_path / "bad"
+    shutil.copytree(built, bad)
+    nets = json.loads((bad / "nets.json").read_text())
+    nets["levels"] = [1, 2]
+    (bad / "nets.json").write_text(json.dumps(nets))
+    out = {"verify": "--report", "boundary": "--out"}[command]
+    rc = run(command, "--artifacts", bad, out, tmp_path / "out")
+    err = capsys.readouterr().err
+    assert rc == 8, err
+    assert "MissingArtifact" in err
+
+
 def test_build_from_csv_pair(tmp_path):
     d = np.abs(np.arange(6)[:, None] - np.arange(6)[None, :]).astype(float)
     np.savetxt(tmp_path / "dist.csv", d, delimiter=",")
@@ -471,6 +486,48 @@ def test_each_level_table_built_once_per_command(tmp_path, monkeypatch):
         assert built_levels == Counter(levels), argv[0]
 
 
+def test_each_spline_gram_formed_once_per_command(tmp_path, monkeypatch):
+    # build_mra forms each level's Gram once, and the Gram decay
+    # certificates of verify read the ones the MRA keeps
+    from collections import Counter
+
+    from dyadwave import wavelet
+    formed = Counter()
+    original = wavelet.gram_matrix
+
+    def counting(space, system, k):
+        formed[k] += 1
+        return original(space, system, k)
+
+    monkeypatch.setattr(wavelet, "gram_matrix", counting)
+    art = tmp_path / "art"
+    commands = [("build", "--gen", "point_cloud", "32", "2", "--delta", "0.4",
+                 "--out", art),
+                ("verify", "--artifacts", art)]
+    for argv in commands:
+        formed.clear()
+        assert run(*argv) == 0
+        nets = json.loads((art / "nets.json").read_text())
+        levels = range(nets["k_min"], nets["k_max"] + 1)
+        assert len(levels) > 1
+        assert formed == Counter(levels), argv[0]
+
+
+def test_construct_forms_no_spline_projector(monkeypatch):
+    from dyadwave import wavelet
+
+    def refuse(*args):
+        raise AssertionError("spline_projector called")
+
+    monkeypatch.setattr(wavelet, "spline_projector", refuse)
+    space = gen_example("point_cloud", seed=0, n=48, dim=2)
+    cfg = cli._resolve_config({}, {"delta": 0.4})
+    nets, _, mra, basis, checks = cli._construct(space, cfg)
+    assert checks["wavelets"]["ok"]
+    assert sorted(mra.grams) == list(nets.level_range)
+    assert basis.rows.shape == (space.n, space.n)
+
+
 def test_grid_lists_each_level_once_per_command(tmp_path, monkeypatch):
     # every grid step filters one neighbour list per level transition, over
     # the level-(k+1) rows at 2 a0 delta^k, and the grid checks read the
@@ -660,16 +717,18 @@ def traced_peak(call, n):
 
 def test_construct_peak_holds_no_transitions_or_grid_tables():
     """The transitions are read from the splines' net columns, and the
-    grid tables are dropped after the spline checks, before the duals and
-    the basis exist: at point_cloud 256 2 (delta 0.4) the construction's
-    traced peak stays at or below 15.5 n x n float64 arrays (24.3 with a
-    dense copy of each transition and the tables held to the end, 16.6
-    with the spline checks' unbounded scans)."""
+    grid tables are dropped after the spline checks, before the spline
+    Grams and the basis exist, and the wavelet decay fit's temporaries are
+    dropped before the Hoelder fit: at point_cloud 256 2 (delta 0.4) the
+    construction's traced peak stays at or below 13.5 n x n float64 arrays
+    (24.3 with a dense copy of each transition and the tables held to the
+    end, 16.6 with the spline checks' unbounded scans, 14.9 with every
+    level's duals and the decay fit's temporaries held)."""
     space = gen_example("point_cloud", seed=0, n=256, dim=2)
     space.a0    # computed on first read, outside the traced call
     cfg = cli._resolve_config({}, {"delta": 0.4})
     _, peak = traced_peak(lambda: cli._construct(space, cfg), space.n)
-    assert peak <= 15.5, peak
+    assert peak <= 13.5, peak
 
 
 def test_construct_peak_bounds_the_spline_check_scans():
@@ -677,13 +736,14 @@ def test_construct_peak_bounds_the_spline_check_scans():
     check holds no dense per-level temporary while the smoothness fit runs,
     and each pair-difference block stays within n^2 / 8 entries: at
     snowflake 384 0.5 (delta 0.5), where every pair is close at the
-    coarsest scale, the construction's traced peak stays at or below 11.5
-    n x n float64 arrays (13.0 with one scan of all n^2 entries)."""
+    coarsest scale, the construction's traced peak stays at or below 9.5
+    n x n float64 arrays (13.0 with one scan of all n^2 entries, 10.6 with
+    every level's duals and the decay fit's temporaries held)."""
     space = gen_example("snowflake", seed=0, n=384, eps=0.5)
     space.a0    # computed on first read, outside the traced call
     cfg = cli._resolve_config({}, {"delta": 0.5})
     _, peak = traced_peak(lambda: cli._construct(space, cfg), space.n)
-    assert peak <= 11.5, peak
+    assert peak <= 9.5, peak
 
 
 def test_verify_peak_holds_one_basis(tmp_path):

@@ -31,7 +31,8 @@ from dyadwave.seeding import STREAM_SIGNS, stream_rng
 from dyadwave.space import (build_space, exponent_a, gen_example,
                             square_function)
 from dyadwave.spline import compute_splines
-from dyadwave.wavelet import build_mra, build_wavelet_basis, spline_projector
+from dyadwave.wavelet import (build_mra, build_wavelet_basis, pre_wavelets,
+                              spline_projector)
 
 FLEET = [
     ("cyclic", {"n": 16}),
@@ -166,6 +167,24 @@ def test_basis_matches_dense_projector_oracle(kind, params):
         assert np.array_equal(basis.rows[sl], dense[k]), k
 
 
+@pytest.mark.parametrize("kind,params,delta", [
+    *((kind, params, 0.5) for kind, params in FLEET),
+    ("point_cloud", {"n": 64, "dim": 2}, None),  # the randomized regime
+])
+def test_prewavelets_match_dense_projector_path(kind, params, delta):
+    space = gen_example(kind, seed=1, **params)
+    if delta is None:
+        delta = 0.5 * 0.25 * space.a0 ** -2
+    space, nets, mra, basis, lp = assemble_space(space, delta)
+    dense = oracle.dense_prewavelets(space, nets, mra)
+    assert sorted(dense) == list(basis.blocks)
+    for k, want in dense.items():
+        got, _ = pre_wavelets(space, nets, mra, k)
+        rows = nets.positions(k + 1, space.n)[nets.ydiff[k]]
+        scale = np.abs(mra.system.values[k + 1][rows]).max()
+        assert np.abs(got - want).max() <= 1e-13 * scale, k
+
+
 @pytest.mark.parametrize("kind,params", FLEET)
 def test_kernel_estimates_match_dense_oracle(kind, params):
     space, nets, mra, basis, lp = assemble(kind, params)
@@ -183,7 +202,7 @@ def test_kernel_estimates_match_dense_oracle(kind, params):
 
 
 def test_build_and_lp_hold_no_dense_projectors():
-    """What build_mra and build_lp keep, beyond the duals, stays below two
+    """What build_mra and build_lp keep, beyond the Grams, stays below two
     n x n arrays (one projector per level would be 2L of them)."""
     space = gen_example("point_cloud", seed=0, n=128, dim=2)
     nets = build_nets(space, 0.5)
@@ -201,7 +220,7 @@ def test_build_and_lp_hold_no_dense_projectors():
         held += tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for a in mra.duals.values())
+    kept = sum(a.nbytes for a in mra.grams.values())
     assert held - kept < 2 * space.n * space.n * 8
 
 

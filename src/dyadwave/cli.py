@@ -611,7 +611,75 @@ def _chk(measured, tol) -> dict:
     return {"measured": m, "tol": float(tol), "ok": bool(m <= tol)}
 
 
+def _keep_freed_heap() -> None:
+    """Let glibc keep freed n x n arrays in the heap for the next level.
+
+    Each level of ``verify`` allocates and frees about a dozen n x n
+    temporaries.  By default glibc maps every array above its mmap
+    threshold afresh and returns the top of the heap to the system once
+    more than two of them are free, so every level faults in and zeroes
+    its pages again.  Raising the mmap threshold to 1 GiB serves them from
+    the heap, and raising the trim threshold keeps the freed pages there.
+    The trim threshold is set only once the mmap threshold is accepted:
+    setting it alone freezes the mmap threshold at 128 KiB.  Placement
+    changes no value.  Where ``mallopt`` is missing or refuses, nothing
+    changes.
+    """
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        # no process symbol table (Windows) or no mallopt (macOS)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    m_trim_threshold, m_mmap_threshold = -1, -3
+    if mallopt(m_mmap_threshold, 1 << 30) == 1:
+        mallopt(m_trim_threshold, 1 << 30)
+
+
+_ABSENT = object()
+
+
+def _first_difference(stored, rebuilt, path=()):
+    """The dotted path of the first leaf, in written key order, where two
+    trees of parsed JSON differ as ``build`` writes them, with the text of
+    each side's leaf (``absent`` where one side lacks it), or None."""
+    if isinstance(stored, dict) and isinstance(rebuilt, dict):
+        keys = sorted(stored.keys() | rebuilt.keys(), key=_key_order)
+        pairs = [(key, stored.get(key, _ABSENT), rebuilt.get(key, _ABSENT))
+                 for key in keys]
+    elif isinstance(stored, list) and isinstance(rebuilt, list):
+        pairs = [(str(i),
+                  stored[i] if i < len(stored) else _ABSENT,
+                  rebuilt[i] if i < len(rebuilt) else _ABSENT)
+                 for i in range(max(len(stored), len(rebuilt)))]
+    else:
+        texts = ["absent" if side is _ABSENT else _dumps(side)
+                 for side in (stored, rebuilt)]
+        return None if texts[0] == texts[1] else (".".join(path), *texts)
+    for key, a, b in pairs:
+        found = _first_difference(a, b, path + (key,))
+        if found:
+            return found
+    return None
+
+
+def _report_nets_difference(files: dict) -> None:
+    """Name on stderr the first leaf where a stored artifact differs from
+    what ``build`` writes now; ``files`` maps each artifact's name to its
+    stored and rebuilt payloads, in the order to search."""
+    for name, (stored, rebuilt) in files.items():
+        found = _first_difference(json.loads(_dumps(stored)),
+                                  json.loads(_dumps(rebuilt)))
+        if found:
+            path, was, now = found
+            print(f"verify: nets: {name} differs at {path} "
+                  f"(stored {was}, rebuilt {now})", file=sys.stderr)
+            return
+
+
 def cmd_verify(args) -> int:
+    _keep_freed_heap()
     from .lpanalysis import (build_lp, cz_kernel_bound, growth_sequence,
                              kernel_estimates, lp_equivalence, lp_projectors,
                              random_sign_operator, random_signs,
@@ -642,9 +710,13 @@ def cmd_verify(args) -> int:
 
     nets, system, mra, basis, checks = _construct(space, cfg)
     # boundary trusts the stored nets and a0, so both must match
-    nets_match = (nets_to_dict(stored_nets) == nets_to_dict(nets)
-                  and _same_json(stored_report, _build_report(
-                      space, nets, checks, cfg["delta"])))
+    nets_pair = (nets_to_dict(stored_nets), nets_to_dict(nets))
+    report_pair = (stored_report,
+                   _build_report(space, nets, checks, cfg["delta"]))
+    nets_match = nets_pair[0] == nets_pair[1] and _same_json(*report_pair)
+    if not nets_match:
+        _report_nets_difference({"nets.json": nets_pair,
+                                 "build_report.json": report_pair})
     splines_dev, trans_dev = _spline_devs(art / "splines", system, nets)
     rebuilt = basis.rows
     basis_dev = (float(np.abs(B - rebuilt).max())

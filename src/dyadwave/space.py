@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (AxiomViolation, BadExponent, BadParams, DegenerateSpace,
-                     DimensionMismatch, MissingArtifact)
+                     DimensionMismatch, MissingArtifact, TooLarge)
 
 # Relative slack used when deciding whether a0 is exactly 1.
 LIPSCHITZ_TOL = 1e-12
@@ -347,6 +347,8 @@ def gen_example(kind: str, seed: int = 0, **params) -> QuasiMetricSpace:
         raise BadParams(f"missing parameter {exc} for kind {kind!r}") from exc
     except (TypeError, ValueError) as exc:
         raise BadParams(f"bad parameters for kind {kind!r}: {exc}") from exc
+    except MemoryError as exc:
+        raise TooLarge(f"cannot allocate the {kind} space: {exc}") from exc
     raise BadParams(f"unknown example kind {kind!r}")
 
 

@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -100,6 +101,17 @@ def test_gen_rejects_bad_params(tmp_path):
     assert run("gen", "cyclic", "--out", tmp_path / "x.json") == 4
     assert run("gen", "cyclic", "eight", "--out", tmp_path / "x.json") == 4
     assert run("gen", "point_cloud", "10", "--out", tmp_path / "x.json") == 4
+
+
+@pytest.mark.parametrize("spec", [("binary_tree", "59"),
+                                  ("point_cloud", "10000000", "2")])
+def test_space_too_large_to_allocate_exits_14(tmp_path, capsys, spec):
+    # 4 EiB of leaves and 1.4 PiB of coordinate differences exceed any
+    # address space, so both fail at once under every overcommit setting
+    assert run("gen", *spec, "--out", tmp_path / "x.json") == 14
+    assert run("build", "--gen", *spec, "--out", tmp_path / "art") == 14
+    assert "error[TooLarge]: cannot allocate" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +354,59 @@ def test_verify_passes_with_another_blas_thread_count(tmp_path):
     assert "verify: ok (22/22 exact checks)" in out.stdout
 
 
+def _cli_env():
+    src = Path(__file__).resolve().parents[1] / "src"
+    return {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"}
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap policy sets glibc's malloc thresholds")
+def test_keep_freed_heap_reuses_freed_pages(tmp_path):
+    # eight 1.28 MB arrays per round, about 2500 pages; with the policy
+    # the later rounds take them from the heap the first round faulted in
+    code = (
+        "import resource\n"
+        "import numpy as np\n"
+        "from dyadwave import cli\n"
+        "cli._keep_freed_heap()\n"
+        "faults = []\n"
+        "for _ in range(6):\n"
+        "    arrays = [np.ones((400, 400)) for _ in range(8)]\n"
+        "    del arrays\n"
+        "    faults.append(resource.getrusage("
+        "resource.RUSAGE_SELF).ru_minflt)\n"
+        "print(faults[-1] - faults[0])\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=60, env=_cli_env())
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) < 500
+
+
+def test_heap_policy_changes_no_report_bit(tmp_path):
+    # heap placement must never move a bit of what verify writes
+    env = _cli_env()
+
+    def cli_run(*args, policy=True):
+        prefix = ["-m", "dyadwave.cli"] if policy else [
+            "-c", "import sys; from dyadwave import cli; "
+            "cli._keep_freed_heap = lambda: None; "
+            "sys.exit(cli.main(sys.argv[1:]))"]
+        out = subprocess.run([sys.executable, *prefix, *map(str, args)],
+                             capture_output=True, text=True, timeout=300,
+                             cwd=tmp_path, env=env)
+        assert out.returncode == 0, out.stderr
+        return out
+
+    cli_run("gen", "snowflake", "128", "0.5", "--out", "space.json")
+    cli_run("build", "--input", "space.json", "--out", "art")
+    kept = cli_run("verify", "--artifacts", "art", "--report", "kept.json")
+    plain = cli_run("verify", "--artifacts", "art", "--report", "plain.json",
+                    policy=False)
+    assert kept.stdout.replace("kept", "plain") == plain.stdout
+    assert ((tmp_path / "kept.json").read_bytes()
+            == (tmp_path / "plain.json").read_bytes())
+
+
 def test_verify_corrupted_basis_fails(built, tmp_path):
     import shutil
     bad = tmp_path / "bad"
@@ -454,6 +519,41 @@ def test_verify_compares_stored_nets(built, tmp_path, change, code):
     assert report["exact"]["nets"]["ok"] is (code == 0)
     assert sum(not item["ok"] for item in report["exact"].values()) \
         == (code != 0)
+
+
+@pytest.mark.parametrize("name,tamper,line", [
+    ("build_report.json", lambda r: r.update(a0=1.25),
+     "build_report.json differs at a0 (stored 1.25, rebuilt 1)"),
+    ("build_report.json", lambda r: r["level_sizes"].update({"0": 5}),
+     "build_report.json differs at level_sizes.0 (stored 5, rebuilt 8)"),
+    ("nets.json", lambda r: r["scan_order"].insert(1, r["scan_order"].pop(2)),
+     "nets.json differs at scan_order.1 (stored 2, rebuilt 4)"),
+])
+def test_failed_nets_check_names_first_differing_leaf(
+        built, tmp_path, capsys, name, tamper, line):
+    import shutil
+    bad = tmp_path / "bad"
+    shutil.copytree(built, bad)
+    payload = json.loads((bad / name).read_text())
+    tamper(payload)
+    (bad / name).write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run("verify", "--artifacts", bad) == EXIT_CHECKS_FAILED
+    out, err = capsys.readouterr()
+    assert err == f"verify: nets: {line}\n"
+    assert "FAIL nets\n" in out
+
+
+def test_first_difference_walks_written_key_order():
+    stored = {"b": [1, 2.5], "10": 1, "2": {"x": None}}
+    assert cli._first_difference(stored, stored) is None
+    assert cli._first_difference(
+        stored, {"b": [1, 2.5], "10": 2, "2": {}}) == ("2.x", "null",
+                                                      "absent")
+    assert cli._first_difference(
+        stored, {"b": [1, 2.5, 3], "10": 1, "2": {"x": None}}) == (
+            "b.2", "absent", "3")
+    assert cli._first_difference(1.0, 1) is None
 
 
 def test_each_level_table_built_once_per_command(tmp_path, monkeypatch):

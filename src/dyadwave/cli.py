@@ -39,6 +39,9 @@ from .space import (GENERATOR_KINDS, build_space, check_weights, exponent_a,
 # classes own 2-14, so failed verification checks get their own code.
 EXIT_CHECKS_FAILED = 20
 
+# rows of the spline projector that verify's telescoping check forms at once
+PROJECTOR_ROWS = 128
+
 CONFIG_DEFAULTS = {
     "input": None,
     "weights": None,
@@ -470,14 +473,16 @@ def _require_artifacts(art: Path, names) -> None:
             f"{art} is missing {', '.join(missing)}; run build first")
 
 
-def _load_artifact_json(path) -> dict:
+def _read_artifact_json(path) -> tuple:
+    """The text of a JSON artifact and the object it holds."""
     try:
-        payload = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+        payload = json.loads(text)
     except (OSError, ValueError) as exc:
         raise MissingArtifact(f"cannot read {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise MissingArtifact(f"{path} does not hold a JSON object")
-    return payload
+    return text, payload
 
 
 def _load_matrix(path) -> np.ndarray:
@@ -519,15 +524,16 @@ def _stored_space(art: Path):
 
 
 def _load_basis(art: Path, n: int) -> tuple:
-    """Stored basis rows over n points, the parsed basis.json, row labels,
-    and the slice of rows of each level, read from labels in the order of
-    build.  The wavelet count ``meta["count"]`` is checked to be an integer.
+    """Stored basis rows over n points, the text and the parsed object of
+    basis.json, row labels, and the slice of rows of each level, read from
+    labels in the order of build.  The wavelet count ``meta["count"]`` is
+    checked to be an integer.
     """
     B = _load_matrix(art / "basis_values.csv")
     if B.shape[1] != n:
         raise DimensionMismatch(
             f"basis_values.csv has {B.shape[1]} columns for {n} points")
-    meta = _load_artifact_json(art / "basis.json")
+    meta_text, meta = _read_artifact_json(art / "basis.json")
     try:
         int(meta["count"])
         labels = [(lvl if lvl == "const" else int(lvl), int(center))
@@ -544,7 +550,7 @@ def _load_basis(art: Path, n: int) -> tuple:
     starts = [i for i in range(1, len(levels)) if levels[i] != levels[i - 1]]
     blocks = {levels[a]: slice(a, b)
               for a, b in zip(starts, starts[1:] + [len(levels)])}
-    return B, meta, labels, blocks
+    return B, (meta_text, meta), labels, blocks
 
 
 def _load_sparse(path, shape):
@@ -597,13 +603,18 @@ def _spline_devs(folder: Path, system, nets) -> tuple:
     return spline_dev, transition_dev
 
 
-def _same_json(stored: dict, rebuilt: dict) -> bool:
-    """Whether a parsed artifact holds the values ``build`` writes now.
+def _same_json(stored: tuple, rebuilt: dict) -> bool:
+    """Whether a stored artifact, a (text, parsed object) pair, holds the
+    values ``build`` writes now.
 
-    Both sides go through the one writer, so NaN compares equal to NaN and
-    an integral float to the integer it is written as.
+    A text equal to what ``build`` writes matches at once; ``_dumps``
+    round-trips its own output, so the parsed object would match too.  Any
+    other text is parsed and goes through the one writer, so NaN compares
+    equal to NaN and an integral float to the integer it is written as.
     """
-    return _dumps(stored) == _dumps(rebuilt)
+    text, payload = stored
+    written = _dumps(rebuilt) + "\n"
+    return text == written or _dumps(payload) + "\n" == written
 
 
 def _chk(measured, tol) -> dict:
@@ -695,13 +706,13 @@ def cmd_verify(args) -> int:
                              "splines"])
     space = _stored_space(art)
     stored_nets = load_nets_json(art / "nets.json")
-    stored = _load_artifact_json(art / "build_config.json")
+    stored = _read_artifact_json(art / "build_config.json")[1]
     cfg = _resolve_config(stored.get("config", {}),
                           {"num_trials": args.num_trials,
                            "pair_budget": args.pair_budget})
-    stored_report = _load_artifact_json(art / "build_report.json")
-    B, meta, _, _ = _load_basis(art, space.n)
-    count = int(meta["count"])
+    stored_report = _read_artifact_json(art / "build_report.json")
+    B, stored_meta, _, _ = _load_basis(art, space.n)
+    count = int(stored_meta[1]["count"])
     seed = cfg["seed"]
     tol_exact = float(cfg["tolerances"]["exact"])
     tol_ortho = float(cfg["tolerances"]["ortho"])
@@ -711,17 +722,18 @@ def cmd_verify(args) -> int:
     nets, system, mra, basis, checks = _construct(space, cfg)
     # boundary trusts the stored nets and a0, so both must match
     nets_pair = (nets_to_dict(stored_nets), nets_to_dict(nets))
-    report_pair = (stored_report,
-                   _build_report(space, nets, checks, cfg["delta"]))
-    nets_match = nets_pair[0] == nets_pair[1] and _same_json(*report_pair)
+    rebuilt_report = _build_report(space, nets, checks, cfg["delta"])
+    nets_match = (nets_pair[0] == nets_pair[1]
+                  and _same_json(stored_report, rebuilt_report))
     if not nets_match:
-        _report_nets_difference({"nets.json": nets_pair,
-                                 "build_report.json": report_pair})
+        _report_nets_difference({
+            "nets.json": nets_pair,
+            "build_report.json": (stored_report[1], rebuilt_report)})
     splines_dev, trans_dev = _spline_devs(art / "splines", system, nets)
     rebuilt = basis.rows
     basis_dev = (float(np.abs(B - rebuilt).max())
                  if B.shape == rebuilt.shape
-                 and _same_json(meta, _basis_meta(space, nets, basis))
+                 and _same_json(stored_meta, _basis_meta(space, nets, basis))
                  else math.inf)
     count_ok = count == n - 1 and B.shape == (count + 1, n)
 
@@ -743,9 +755,13 @@ def cmd_verify(args) -> int:
 
     def telescoped():
         # one pass over the block projectors serves the kernel estimates
-        # and compares each P_k with the spline projector onto V_k
+        # and compares each P_k with the spline projector onto V_k, one
+        # block of its rows at a time
         for k, P, Q in lp_projectors(space, nets, basis):
-            tele_devs.append(np.abs(P - spline_projector(space, mra, k)).max())
+            tele_devs.append(np.max([
+                np.abs(np.subtract(block, P[rows], out=block), out=block).max()
+                for rows, block in spline_projector(space, mra, k,
+                                                    PROJECTOR_ROWS)]))
             yield k, P, Q
 
     kern = kernel_estimates(space, nets, lp, telescoped(),
@@ -905,13 +921,13 @@ def cmd_boundary(args) -> int:
     if len(nets.scan_order) != space.n:
         raise DimensionMismatch(f"nets.json covers {len(nets.scan_order)} "
                                 f"points, dist.npy {space.n}")
-    stored = _load_artifact_json(art / "build_config.json")
+    stored = _read_artifact_json(art / "build_config.json")[1]
     cfg = _resolve_config(stored.get("config", {}),
                           {"num_samples": args.num_samples,
                            "eps_grid": args.eps_grid, "seed": args.seed,
                            "jobs": args.jobs})
     # build computed a0 and verify checks the stored value
-    report = _load_artifact_json(art / "build_report.json")
+    report = _read_artifact_json(art / "build_report.json")[1]
     use_stored_a0(space, report.get("a0"))
     stats = boundary_layer_stats(space, nets, *build_grid(space, nets),
                                  cfg["eps_grid"], cfg["num_samples"],

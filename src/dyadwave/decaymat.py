@@ -36,12 +36,15 @@ def envelope_fit(xs, values, x_cut: float = 1.0) -> dict:
     """Fit the tightest envelope values <= C exp(-c * xs) with the largest c.
 
     ``xs`` and ``values`` are arrays of one shape, of any rank: the scaled
-    distances and the magnitudes.  The samples are the entries
-    ``above_floor``, in row-major order, fitted in the log domain; when
-    every entry is one, the arrays are read in place.  The intercept is
-    anchored at the largest sample, the rate is the slackest slope over
-    the far field (xs >= x_cut), capped at DEFAULT_C_MAX, and the constant
-    is then lifted so the bound covers every sample.  A rate <= 0 refutes
+    distances, finite and non-negative, and the magnitudes.  The samples
+    are the entries ``above_floor``, in row-major order, fitted in the log
+    domain.  When at least half the entries are samples, the arrays are
+    read in place and every other entry takes the log value -inf, whose
+    slope +inf and cover exponent -inf move neither extreme; otherwise the
+    samples are gathered.  The intercept is anchored at the largest
+    sample, the rate is the slackest slope over the far field
+    (xs >= x_cut), capped at DEFAULT_C_MAX, and the constant is then
+    lifted so the bound covers every sample.  A rate <= 0 refutes
     exponential decay; the five worst offending samples are reported, ties
     in row-major order.
     """
@@ -51,17 +54,22 @@ def envelope_fit(xs, values, x_cut: float = 1.0) -> dict:
         raise ValueError("xs and values must have the same shape")
     xs, values = xs.ravel(), values.ravel()
     keep = above_floor(values)
-    if keep.all():
-        ys = np.log(values)
-    else:
-        xs, ys = xs[keep], values[keep]
-        np.log(ys, out=ys)
-    if xs.size == 0:
+    n_pairs = int(np.count_nonzero(keep))
+    if n_pairs == 0:
         return {"C": math.nan, "c": math.nan, "refuted": False,
                 "n_pairs": 0, "n_far": 0, "worst": []}
+    if 2 * n_pairs < values.size:
+        xs, ys = xs[keep], values[keep]
+        np.log(ys, out=ys)
+        keep = np.ones(n_pairs, dtype=bool)
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ys = np.log(values)
+        if n_pairs < values.size:
+            ys[~keep] = -np.inf
     log_c0 = float(ys.max())
-    # one buffer holds the slopes, +inf off the far field, and then the
-    # cover exponents
+    # one buffer holds the slopes, +inf off the far field and the samples,
+    # and then the cover exponents
     buf = np.subtract(log_c0, ys)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         buf /= xs
@@ -71,15 +79,16 @@ def envelope_fit(xs, values, x_cut: float = 1.0) -> dict:
     refuted = c <= 0.0
     worst = []
     if refuted:
-        order = np.argsort(buf, kind="stable")[:5]
+        at = np.flatnonzero(keep)
+        order = at[np.argsort(buf[at], kind="stable")[:5]]
         worst = [{"x": float(xs[i]), "log_value": float(ys[i]),
                   "slope": float(buf[i])} for i in order]
     np.multiply(xs, c, out=buf)
     buf += ys
     cover = float(buf.max())
-    return {"n_pairs": int(xs.size),
-            "n_far": int(xs.size - np.count_nonzero(near)), "c": c,
-            "C": float(math.exp(min(cover, 700.0))),
+    near &= keep
+    return {"n_pairs": n_pairs, "n_far": n_pairs - int(np.count_nonzero(near)),
+            "c": c, "C": float(math.exp(min(cover, 700.0))),
             "refuted": bool(refuted), "worst": worst}
 
 

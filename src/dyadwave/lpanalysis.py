@@ -61,9 +61,29 @@ def lp_projectors(space: QuasiMetricSpace, nets: NestedNets,
     yield nets.k_max, P, None
 
 
-def lp_norm(space: QuasiMetricSpace, f, p: float) -> float:
-    f = np.asarray(f, dtype=float)
-    return float(np.sum(space.weights * np.abs(f) ** p) ** (1.0 / p))
+def lp_norm(space: QuasiMetricSpace, f, p):
+    """The L^p(mu) norm of f, or for a list of exponents the list of norms.
+
+    The powers |f|^p fill the rows of one (len(p), n) array, which is
+    weighted and summed in one pass.  Each row is computed as the ``**``
+    operator computes it, ``np.square`` at p = 2 and ``np.power``
+    otherwise (pow at p = 2 rounds differently), and each root is a
+    scalar power (a power over an array rounds some roots differently):
+    both keep the bits of ``np.sum(w * np.abs(f) ** p) ** (1 / p)`` for
+    each p alone.
+    """
+    mag = np.abs(np.asarray(f, dtype=float))
+    ps = np.atleast_1d(p).tolist()
+    powers = np.empty((len(ps), mag.size))
+    for row, q in zip(powers, ps):
+        if q == 2:
+            np.square(mag, out=row)
+        else:
+            np.power(mag, q, out=row)
+    powers *= space.weights
+    norms = [float(total ** (1.0 / q))
+             for total, q in zip(powers.sum(axis=1), ps)]
+    return norms if np.ndim(p) else norms[0]
 
 
 def lp_equivalence(space: QuasiMetricSpace, basis: WaveletBasis, p_list,
@@ -71,8 +91,9 @@ def lp_equivalence(space: QuasiMetricSpace, basis: WaveletBasis, p_list,
     """Range of ||Sf||_p / ||f||_p over random mean-zero test vectors.
 
     Returns {p: (lo, hi)} for every p in ``p_list``; each trial vector and
-    its square function serve all exponents.  The constants are reported,
-    not thresholded; at p = 2 both ends collapse to 1 by orthogonality.
+    its square function serve all exponents, in one ``lp_norm`` each.  The
+    constants are reported, not thresholded; at p = 2 both ends collapse
+    to 1 by orthogonality.
     """
     for p in p_list:
         if not 1.0 < p < math.inf:
@@ -83,12 +104,15 @@ def lp_equivalence(space: QuasiMetricSpace, basis: WaveletBasis, p_list,
     total = space.total_mass
     rows, blocks = basis.rows, basis.blocks
     bounds = {p: (math.inf, 0.0) for p in p_list}
+    ps = list(bounds)
     for _ in range(num_trials):
         f = rng.standard_normal(space.n)
         f -= float(np.sum(space.weights * f)) / total
         sf = square_function(rows, blocks, rows @ (space.weights * f))
-        for p, (lo, hi) in bounds.items():
-            ratio = lp_norm(space, sf, p) / lp_norm(space, f, p)
+        for p, top, bottom in zip(ps, lp_norm(space, sf, ps),
+                                  lp_norm(space, f, ps)):
+            lo, hi = bounds[p]
+            ratio = top / bottom
             bounds[p] = (min(lo, ratio), max(hi, ratio))
     return bounds
 
@@ -125,8 +149,9 @@ def cz_kernel_bound(space: QuasiMetricSpace, basis: WaveletBasis) -> dict:
 
     Scans all pairs x != y for the largest mu(B(x, d(x, y))) times the
     total absolute wavelet kernel sum_k |psi(x) psi(y)|.  Blocks of
-    CZ_ROWS rows are sorted at once; the ball mass of a point is the
-    running weight sum up to the first point of its tie in the sorted row.
+    CZ_ROWS rows are sorted at once, stably only when a block has tied
+    distances; the ball mass of a point is the running weight sum up to
+    the first point of its tie in the sorted row.
     """
     B = basis.rows[1:]
     absk = np.abs(B).T @ np.abs(B)
@@ -134,12 +159,16 @@ def cz_kernel_bound(space: QuasiMetricSpace, basis: WaveletBasis) -> dict:
     best, pair = 0.0, (0, 0)
     for start in range(0, n, CZ_ROWS):
         rows = space.dist[start:start + CZ_ROWS]
-        order = np.argsort(rows, axis=1, kind="stable")
+        order = np.argsort(rows, axis=1)
         srt = np.take_along_axis(rows, order, axis=1)
+        tie_start = np.ones(srt.shape, dtype=bool)
+        np.not_equal(srt[:, 1:], srt[:, :-1], out=tie_start[:, 1:])
+        if not tie_start.all():
+            # tied distances may come in another order, and the running
+            # weight sums below read the order of the stable sort
+            order = np.argsort(rows, axis=1, kind="stable")
         cum = np.zeros((len(rows), n + 1))
         np.cumsum(space.weights[order], axis=1, out=cum[:, 1:])
-        tie_start = np.ones(srt.shape, dtype=bool)
-        tie_start[:, 1:] = srt[:, 1:] != srt[:, :-1]
         first = np.maximum.accumulate(np.where(tie_start, np.arange(n), 0),
                                       axis=1)
         mass = np.empty(srt.shape)

@@ -11,7 +11,9 @@ Both Grams split into small connected components, rows whose functions
 overlap, and every inverse, inverse square root and positive-definiteness
 proof here runs per component.  Entries between components are then exact
 zeros, so each dual and each wavelet vanishes outside the supports of its
-own component.
+own component.  Each Gram's components are found once and passed to every
+routine that runs over them.  A 1x1 component is solved in closed form,
+with the bits of the LAPACK path it replaces (``component_solve``).
 """
 
 import math
@@ -38,10 +40,12 @@ GRAM_TOL = 1e-10
 @dataclass(frozen=True)
 class MRA:
     """The splines and each level's normalized Gram, proven positive
-    definite; the projection onto V_k solves against it."""
+    definite, with its components; the projection onto V_k solves against
+    it."""
 
     system: SplineSystem
-    grams: dict   # k -> (n_k, n_k) normalized spline Gram
+    grams: dict       # k -> (n_k, n_k) normalized spline Gram
+    components: dict  # k -> gram_components(grams[k])
 
 
 @dataclass(frozen=True)
@@ -96,16 +100,34 @@ def gram_components(gram: np.ndarray) -> list:
             if count]
 
 
-def _component_blocks(gram: np.ndarray):
+def _component_blocks(gram: np.ndarray, components):
     """(rows, stacked diagonal blocks) of the Gram, one pair per size."""
-    for idx in gram_components(gram):
+    for idx in components:
         yield idx, gram[idx[:, :, None], idx[:, None, :]]
 
 
-def require_positive_definite(gram: np.ndarray) -> None:
+def _split_diagonal(gram: np.ndarray, components) -> tuple:
+    """(rows, entries) of the Gram's 1x1 components, and the larger ones.
+
+    ``gram_components`` lists the sizes ascending, so the 1x1 components
+    are the first array of the list when there are any.
+    """
+    if components and components[0].shape[1] == 1:
+        rows = components[0][:, 0]
+        return rows, gram[rows, rows], components[1:]
+    return np.zeros(0, dtype=np.intp), np.zeros(0), components
+
+
+def require_positive_definite(gram: np.ndarray, components) -> None:
     """Raise NotPositiveDefinite unless each Gram component has a Cholesky
-    factor; components of one size share one stacked factorization."""
-    for idx, blocks in _component_blocks(gram):
+    factor; components of one size share one stacked factorization, and a
+    1x1 component g has one exactly when g > 0 (OpenBLAS's factorization
+    also passes a NaN, which this refuses)."""
+    _, diag, larger = _split_diagonal(gram, components)
+    if not (diag > 0.0).all():
+        raise NotPositiveDefinite(
+            "a component of 1 rows is not positive definite")
+    for idx, blocks in _component_blocks(gram, larger):
         try:
             np.linalg.cholesky(blocks)
         except np.linalg.LinAlgError as exc:
@@ -114,29 +136,54 @@ def require_positive_definite(gram: np.ndarray) -> None:
                 "definite") from exc
 
 
-def component_solve(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def component_solve(gram: np.ndarray, components,
+                    rhs: np.ndarray) -> np.ndarray:
     """Overwrite ``rhs`` with gram^{-1} rhs, one stacked solve per
-    component size of a Gram proven positive definite, and return it."""
-    for idx, blocks in _component_blocks(gram):
+    component size of a Gram proven positive definite, and return it.
+
+    A 1x1 component g divides its row by g when ``rhs`` has one column,
+    and otherwise multiplies it by 1 / g.  That is what OpenBLAS's
+    triangular solves do, so the row has the bits of ``np.linalg.solve``;
+    the other operation rounds differently.
+    """
+    rows, diag, larger = _split_diagonal(gram, components)
+    if rhs.shape[1] == 1:
+        rhs[rows] /= diag[:, None]
+    else:
+        rhs[rows] *= (1.0 / diag)[:, None]
+    for idx, blocks in _component_blocks(gram, larger):
         rhs[idx] = np.linalg.solve(blocks, rhs[idx])
     return rhs
 
 
-def component_inverse_sqrt(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def component_inverse_sqrt(gram: np.ndarray, components,
+                           rhs: np.ndarray) -> np.ndarray:
     """Overwrite ``rhs`` with gram^{-1/2} rhs, one Gram component at a
     time, and return it.
 
     Components of one size share one stacked ``eigh``; a smallest
-    eigenvalue <= 0 raises NotPositiveDefinite.
+    eigenvalue <= 0 raises NotPositiveDefinite.  A 1x1 component g is its
+    own eigenvalue, with eigenvector 1, so its row scales by 1 / sqrt(g).
+    The matrix product of the ``eigh`` path sums from +0.0, so the closed
+    form adds 0.0 too, which turns -0.0 into +0.0: the bits of that path.
     """
-    for idx, blocks in _component_blocks(gram):
+    rows, diag, larger = _split_diagonal(gram, components)
+    _require_positive_eigenvalues(diag)
+    rhs[rows] = rhs[rows] * (1.0 / np.sqrt(diag))[:, None] + 0.0
+    for idx, blocks in _component_blocks(gram, larger):
         vals, vecs = np.linalg.eigh(blocks)
-        if (vals[:, 0] <= 0).any():
-            raise NotPositiveDefinite(
-                f"smallest eigenvalue {vals[:, 0].min():.3e} is not positive")
+        _require_positive_eigenvalues(vals[:, 0])
         root = (vecs * (1.0 / np.sqrt(vals))[:, None, :]) @ vecs.swapaxes(1, 2)
         rhs[idx] = root @ rhs[idx]
     return rhs
+
+
+def _require_positive_eigenvalues(smallest: np.ndarray) -> None:
+    """Raise NotPositiveDefinite unless every component's smallest
+    eigenvalue is > 0."""
+    if (smallest <= 0).any():
+        raise NotPositiveDefinite(
+            f"smallest eigenvalue {smallest.min():.3e} is not positive")
 
 
 def gram_matrix(space: QuasiMetricSpace, system: SplineSystem,
@@ -147,16 +194,18 @@ def gram_matrix(space: QuasiMetricSpace, system: SplineSystem,
 
 
 def build_mra(space: QuasiMetricSpace, system: SplineSystem) -> MRA:
-    """Each level's spline Gram, formed once and proven positive definite."""
-    grams = {}
+    """Each level's spline Gram, formed once, and its components, found
+    once while it is proven positive definite."""
+    grams, components = {}, {}
     for k in sorted(system.values):
         grams[k] = gram_matrix(space, system, k)
         try:
             require_symmetric(grams[k])
-            require_positive_definite(grams[k])
+            components[k] = gram_components(grams[k])
+            require_positive_definite(grams[k], components[k])
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(f"level {k} Gram: {exc}") from exc
-    return MRA(system, grams)
+    return MRA(system, grams, components)
 
 
 def _dual_solve(mra: MRA, k: int, rhs: np.ndarray) -> np.ndarray:
@@ -164,7 +213,7 @@ def _dual_solve(mra: MRA, k: int, rhs: np.ndarray) -> np.ndarray:
     diag(rs) G_k^{-1} diag(rs) rhs, rs the inverse root ball masses."""
     rs = 1.0 / np.sqrt(np.asarray(mra.system.ball_mass[k], dtype=float))
     rhs *= rs[:, None]
-    component_solve(mra.grams[k], rhs)
+    component_solve(mra.grams[k], mra.components[k], rhs)
     rhs *= rs[:, None]
     return rhs
 
@@ -174,17 +223,28 @@ def dual_splines(space: QuasiMetricSpace, mra: MRA, k: int) -> np.ndarray:
     return _dual_solve(mra, k, mra.system.values[k].copy())
 
 
-def spline_projector(space: QuasiMetricSpace, mra: MRA,
-                     k: int) -> np.ndarray:
-    """The (n, n) orthogonal projector onto V_k, formed on demand."""
-    return mra.system.values[k].T @ (dual_splines(space, mra, k)
-                                     * space.weights)
+def spline_projector(space: QuasiMetricSpace, mra: MRA, k: int, step: int):
+    """Yield the (n, n) orthogonal projector onto V_k as (rows, block)
+    pairs, consecutive row slices of at least ``step`` rows (all n rows in
+    one block when n < 2 step), each formed on demand from the duals.
+
+    A block has the bits of the same rows of the whole product, as long
+    as it has more than one row: one row would be a matrix-vector product,
+    which rounds otherwise.  So ``step`` must be at least 2.
+    """
+    S = mra.system.values[k]
+    duals_w = dual_splines(space, mra, k)
+    duals_w *= space.weights
+    parts = max(1, space.n // step)
+    bounds = [space.n * i // parts for i in range(parts + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield slice(lo, hi), S[:, lo:hi].T @ duals_w
 
 
 def pre_wavelets(space: QuasiMetricSpace, nets: NestedNets, mra: MRA,
                  k: int) -> tuple:
-    """Level-k pre-wavelets, fine splines at the new points minus V_k, and
-    their L2(mu) Gram.
+    """Level-k pre-wavelets, fine splines at the new points minus V_k,
+    their L2(mu) Gram and its components.
 
     Rows follow the order of appearance of the new points inside level
     k+1.  The residual family must span the full complement.  Rows in
@@ -197,27 +257,30 @@ def pre_wavelets(space: QuasiMetricSpace, nets: NestedNets, mra: MRA,
     # base's projection onto V_k, applied without forming the projector
     resid = base - _dual_solve(mra, k, (S * space.weights) @ base.T).T @ S
     gram = (resid * space.weights) @ resid.T
+    components = gram_components(gram)
     rank = sum(int(np.linalg.matrix_rank(resid[idx]).sum())
-               for idx in gram_components(gram))
+               for idx in components)
     if rank < len(rows):
         raise RankDeficiency(
             f"level {k} pre-wavelets span only rank {rank} of {len(rows)}")
-    return resid, gram
+    return resid, gram, components
 
 
-def orthonormalize(prewavelets: np.ndarray, gram: np.ndarray,
+def orthonormalize(prewavelets: np.ndarray, gram: np.ndarray, components,
                    masses: np.ndarray, centers):
-    """Mix the pre-wavelets, whose L2(mu) Gram is ``gram``, into an
-    L2(mu)-orthonormal family.
+    """Mix the pre-wavelets, whose L2(mu) Gram is ``gram`` with
+    ``components``, into an L2(mu)-orthonormal family.
 
     Applies the inverse square root of the normalized pre-wavelet Gram,
     one Gram component at a time, and flips each sign so the value at the
-    wavelet's own center, in ``centers``, is non-negative.  Returns
-    (wavelets, normalized gram).
+    wavelet's own center, in ``centers``, is non-negative.  Normalizing
+    by the positive ball masses keeps the components.  Returns (wavelets,
+    normalized gram).
     """
     mg = normalized_gram(gram, masses)
     psi = component_inverse_sqrt(
-        mg, prewavelets / np.sqrt(np.asarray(masses, float))[:, None])
+        mg, components,
+        prewavelets / np.sqrt(np.asarray(masses, float))[:, None])
     centers = np.asarray(centers, dtype=int)
     vals = psi[np.arange(len(centers)), centers]
     psi = psi * np.where(vals < 0.0, -1.0, 1.0)[:, None]
@@ -235,10 +298,11 @@ def build_wavelet_basis(space: QuasiMetricSpace, nets: NestedNets,
     rows[0] = 1.0 / math.sqrt(space.total_mass)
     mgrams, mass_fine, mass_center = {}, {}, {}
     for k, sl in blocks.items():
-        base, gram = pre_wavelets(space, nets, mra, k)
+        base, gram, components = pre_wavelets(space, nets, mra, k)
         pos = nets.positions(k + 1, space.n)[centers[sl]]
         masses = np.asarray(mra.system.ball_mass[k + 1], dtype=float)[pos]
-        rows[sl], mgrams[k] = orthonormalize(base, gram, masses, centers[sl])
+        rows[sl], mgrams[k] = orthonormalize(base, gram, components, masses,
+                                             centers[sl])
         mass_fine[k] = masses
         mass_center[k] = space.ball_masses(centers[sl], nets.scale(k))
     return WaveletBasis(rows, blocks, centers, mgrams, mass_fine, mass_center)

@@ -117,3 +117,40 @@ def kernel_sizes(space, nets, lp, projectors):
         vals = np.abs(Q / w[None, :]) * np.outer(rm, rm)
         out[k]["q_size"] = masked_fit(xs, vals, x_cut=1.0 + 2.0 * hvec.max())
     return out
+
+
+def gathered_envelope_fit(xs, values, x_cut=1.0):
+    """``decaymat.envelope_fit`` as it was written before it read partly
+    kept arrays in place: the samples are gathered unless every entry is
+    one."""
+    xs = np.asarray(xs, dtype=float).ravel()
+    values = np.asarray(values, dtype=float).ravel()
+    keep = values >= TINY
+    if keep.all():
+        ys = np.log(values)
+    else:
+        xs, ys = xs[keep], values[keep]
+        np.log(ys, out=ys)
+    if xs.size == 0:
+        return {"C": math.nan, "c": math.nan, "refuted": False,
+                "n_pairs": 0, "n_far": 0, "worst": []}
+    log_c0 = float(ys.max())
+    buf = np.subtract(log_c0, ys)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        buf /= xs
+    near = xs < x_cut
+    buf[near] = np.inf
+    c = float(buf.min(initial=DEFAULT_C_MAX))
+    refuted = c <= 0.0
+    worst = []
+    if refuted:
+        order = np.argsort(buf, kind="stable")[:5]
+        worst = [{"x": float(xs[i]), "log_value": float(ys[i]),
+                  "slope": float(buf[i])} for i in order]
+    np.multiply(xs, c, out=buf)
+    buf += ys
+    cover = float(buf.max())
+    return {"n_pairs": int(xs.size),
+            "n_far": int(xs.size - np.count_nonzero(near)), "c": c,
+            "C": float(math.exp(min(cover, 700.0))),
+            "refuted": bool(refuted), "worst": worst}

@@ -17,22 +17,30 @@ to agree with it to rounding.
 
 ``gather_square_function`` and ``lp_equivalence`` are the list-gather
 form: each level's rows and coefficients are copied out by a list of row
-indices, once per call.  The library reads each level as a slice of the
-basis rows; tests require its bounds and square function to equal these
-exactly.
+indices, once per call, and each norm is taken for one exponent at a
+time (``lp_norm``).  The library reads each level as a slice of the
+basis rows and takes the norms of all exponents at once; tests require
+its bounds and square function to equal these exactly.
 
 ``cz_kernel_bound`` is the per-point form of the singular-kernel scan; the
 library sorts blocks of rows at once and must report the same constant
-and pair.
+and pair.  ``blocked_cz_kernel_bound`` sorts the same blocks, always with
+the stable sort; the library must report its bits.
 """
 
 import math
 
 import numpy as np
 
-from dyadwave.lpanalysis import lp_norm
 from dyadwave.seeding import STREAM_TRIALS, stream_rng
-from dyadwave.wavelet import component_solve, dual_splines, orthonormalize
+from dyadwave.wavelet import (component_solve, dual_splines, gram_components,
+                              orthonormalize)
+
+
+def lp_norm(space, f, p) -> float:
+    """The L^p(mu) norm of f for one exponent."""
+    f = np.asarray(f, dtype=float)
+    return float(np.sum(space.weights * np.abs(f) ** p) ** (1.0 / p))
 
 
 def spline_projectors(space, mra) -> dict:
@@ -69,10 +77,11 @@ def wavelets(space, nets, mra) -> dict:
         S = mra.system.values[k]
         rs = 1.0 / np.sqrt(np.asarray(mra.system.ball_mass[k], dtype=float))
         coef = rs[:, None] * component_solve(
-            mra.grams[k], rs[:, None] * ((S * w) @ base.T))
+            mra.grams[k], mra.components[k], rs[:, None] * ((S * w) @ base.T))
         resid = base - coef.T @ S
         masses = np.asarray(mra.system.ball_mass[k + 1], dtype=float)[rows]
-        out[k] = orthonormalize(resid, (resid * w) @ resid.T, masses,
+        gram = (resid * w) @ resid.T
+        out[k] = orthonormalize(resid, gram, gram_components(gram), masses,
                                 centers=nets.ydiff[k])[0]
     return out
 
@@ -162,4 +171,36 @@ def cz_kernel_bound(space, basis) -> dict:
         y = int(scores.argmax())
         if scores[y] > best:
             best, pair = float(scores[y]), (x, y)
+    return {"c_hat": best, "pair": pair, "n_pairs": n * (n - 1)}
+
+
+def blocked_cz_kernel_bound(space, basis, block_rows=64) -> dict:
+    """The report of ``lpanalysis.cz_kernel_bound`` as it was written
+    before it tried the default sort first: every block of rows sorted
+    with the stable sort."""
+    B = basis.rows[1:]
+    absk = np.abs(B).T @ np.abs(B)
+    n = space.n
+    best, pair = 0.0, (0, 0)
+    for start in range(0, n, block_rows):
+        rows = space.dist[start:start + block_rows]
+        order = np.argsort(rows, axis=1, kind="stable")
+        srt = np.take_along_axis(rows, order, axis=1)
+        cum = np.zeros((len(rows), n + 1))
+        np.cumsum(space.weights[order], axis=1, out=cum[:, 1:])
+        tie_start = np.ones(srt.shape, dtype=bool)
+        tie_start[:, 1:] = srt[:, 1:] != srt[:, :-1]
+        first = np.maximum.accumulate(np.where(tie_start, np.arange(n), 0),
+                                      axis=1)
+        mass = np.empty(srt.shape)
+        np.put_along_axis(mass, order,
+                          np.take_along_axis(cum, first, axis=1), axis=1)
+        scores = mass * absk[start:start + len(rows)]
+        x = np.arange(len(rows))
+        scores[x, start + x] = -1.0
+        y = scores.argmax(axis=1)
+        top = scores[x, y]
+        r = int(top.argmax())
+        if top[r] > best:
+            best, pair = float(top[r]), (start + r, int(y[r]))
     return {"c_hat": best, "pair": pair, "n_pairs": n * (n - 1)}

@@ -556,6 +556,88 @@ def test_first_difference_walks_written_key_order():
     assert cli._first_difference(1.0, 1) is None
 
 
+@pytest.mark.parametrize("name", ["build_report.json", "basis.json"])
+def test_reindented_artifact_still_matches(built, tmp_path, capsys, name):
+    # a stored text that differs from what build writes is parsed and
+    # compared through the writer, so another layout of the same values
+    # still passes every check
+    import shutil
+    art = tmp_path / "art"
+    shutil.copytree(built, art)
+    text = (art / name).read_text()
+    (art / name).write_text(json.dumps(json.loads(text), indent=4))
+    assert (art / name).read_text() != text
+    capsys.readouterr()
+    assert run("verify", "--artifacts", art,
+               "--report", tmp_path / "r.json") == 0
+    out, err = capsys.readouterr()
+    assert "verify: ok (22/22 exact checks)" in out
+    assert err == ""
+
+
+def test_one_leaf_edit_in_written_layout_fails_nets(built, tmp_path, capsys):
+    # the same layout as build writes, one leaf changed: the texts differ,
+    # so the parsed report is compared and the leaf is named
+    import shutil
+    art = tmp_path / "art"
+    shutil.copytree(built, art)
+    report = json.loads((art / "build_report.json").read_text())
+    k_min = report["k_min"]
+    report["k_min"] = k_min - 1
+    (art / "build_report.json").write_text(_dumps(report) + "\n")
+    capsys.readouterr()
+    assert run("verify", "--artifacts", art,
+               "--report", tmp_path / "r.json") == EXIT_CHECKS_FAILED
+    out, err = capsys.readouterr()
+    assert err == (f"verify: nets: build_report.json differs at k_min "
+                   f"(stored {k_min - 1}, rebuilt {k_min})\n")
+    assert "FAIL nets\n" in out
+
+
+def test_one_by_one_gram_blocks_call_no_lapack(tmp_path, monkeypatch):
+    """At snowflake 64 0.5 (delta 0.5) every spline Gram component is 1x1:
+    build and verify prove and solve them in closed form, with no
+    np.linalg.cholesky or solve.  The pre-wavelet Grams have components
+    of 2 to 4 rows there, which keep their stacked eigh, but no eigh runs
+    on 1x1 blocks.  Each command finds the components of each Gram once
+    (build found the spline Grams' twice and the pre-wavelet Grams' twice,
+    verify once more per level)."""
+    from dyadwave import wavelet
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on a Gram of 1x1 blocks")
+
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    eigh = np.linalg.eigh
+
+    def larger_blocks_only(blocks):
+        assert blocks.shape[1] > 1, blocks.shape
+        return eigh(blocks)
+
+    monkeypatch.setattr(np.linalg, "eigh", larger_blocks_only)
+    calls = []
+    original = wavelet.gram_components
+
+    def counting(gram):
+        calls.append(len(gram))
+        return original(gram)
+
+    monkeypatch.setattr(wavelet, "gram_components", counting)
+    art = tmp_path / "art"
+    commands = [("build", "--gen", "snowflake", "64", "0.5", "--delta", 0.5,
+                 "--out", art),
+                ("verify", "--artifacts", art,
+                 "--report", tmp_path / "r.json")]
+    for argv in commands:
+        calls.clear()
+        assert run(*argv) == 0
+        nets = json.loads((art / "nets.json").read_text())
+        basis = json.loads((art / "basis.json").read_text())
+        grams = nets["k_max"] - nets["k_min"] + 1 + len(basis["levels"])
+        assert 0 < len(calls) <= grams, (argv[0], len(calls), grams)
+
+
 def test_each_level_table_built_once_per_command(tmp_path, monkeypatch):
     from collections import Counter
 
@@ -849,16 +931,18 @@ def test_construct_peak_bounds_the_spline_check_scans():
 def test_verify_peak_holds_one_basis(tmp_path):
     """verify drops the loaded basis_values.csv matrix once its checks
     have read it, so the Littlewood-Paley stage holds the rebuilt basis
-    only: at point_cloud 256 2 (delta 0.4) the traced peak of the command
-    stays at or below 22 n x n float64 arrays (26.5 with both bases, the
-    transitions and the grid tables held)."""
+    only, and compares each P_k with the spline projector one block of
+    rows at a time: at point_cloud 256 2 (delta 0.4) the traced peak of
+    the command stays at or below 18.4 n x n float64 arrays (18.5 with
+    the whole projector and its difference formed, 26.5 with both bases,
+    the transitions and the grid tables held)."""
     art = tmp_path / "art"
     assert run("build", "--gen", "point_cloud", "256", "2", "--delta", 0.4,
                "--out", art) == 0
     rc, peak = traced_peak(lambda: run("verify", "--artifacts", art,
                                        "--report", tmp_path / "r.json"), 256)
     assert rc == 0
-    assert peak <= 22, peak
+    assert peak <= 18.4, peak
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,12 @@ def block_spd_matrices(draw):
 @given(block_spd_matrices())
 def test_component_inverse_sqrt_is_the_spectral_root_per_block(case):
     M, same = case
-    root = component_inverse_sqrt(M, np.eye(len(M)))
+    parts = gram_components(M)
+    root = component_inverse_sqrt(M, parts, np.eye(len(M)))
     oracle = spectral_inverse_sqrt(M)
     assert np.abs(root - oracle)[same].max() <= 1e-13
     assert (root[~same] == 0.0).all()
-    inv = component_solve(M, np.eye(len(M)))
+    inv = component_solve(M, parts, np.eye(len(M)))
     assert np.abs(inv - np.linalg.inv(M))[same].max() <= 1e-13
     assert (inv[~same] == 0.0).all()
 
@@ -70,9 +71,9 @@ def test_indefinite_component_is_refused():
     M = np.diag([1.0, 2.0, 3.0])
     M[1, 2] = M[2, 1] = 5.0
     with pytest.raises(NotPositiveDefinite, match="2 rows"):
-        require_positive_definite(M)
+        require_positive_definite(M, gram_components(M))
     with pytest.raises(NotPositiveDefinite, match="smallest eigenvalue"):
-        component_inverse_sqrt(M, np.eye(3))
+        component_inverse_sqrt(M, gram_components(M), np.eye(3))
 
 
 @pytest.mark.parametrize("kind,params,delta", [
@@ -83,7 +84,7 @@ def test_basis_vanishes_outside_its_component_support(kind, params, delta):
     space, nets, system, mra, basis = assemble(kind, params, delta=delta)
     zeros = 0
     for k, sl in basis.blocks.items():
-        base, _ = pre_wavelets(space, nets, mra, k)
+        base = pre_wavelets(space, nets, mra, k)[0]
         count, label = connected_components(basis.mgram[k] != 0.0,
                                              directed=False)
         # columns where some pre-wavelet of the component is nonzero
@@ -102,3 +103,86 @@ def test_basis_vanishes_outside_its_component_support(kind, params, delta):
         np.logical_or.at(support, label, system.values[k] != 0.0)
         assert (D[~support[label]] == 0.0).all(), k
     assert zeros > basis.rows[1:].size // 2
+
+
+def lapack_solve(gram, parts, rhs):
+    """The stacked LAPACK path for every component size, 1x1 included."""
+    for idx in parts:
+        rhs[idx] = np.linalg.solve(gram[idx[:, :, None], idx[:, None, :]],
+                                   rhs[idx])
+    return rhs
+
+
+def lapack_inverse_sqrt(gram, parts, rhs):
+    """The stacked eigh path for every component size, 1x1 included."""
+    for idx in parts:
+        vals, vecs = np.linalg.eigh(gram[idx[:, :, None], idx[:, None, :]])
+        root = (vecs * (1.0 / np.sqrt(vals))[:, None, :]) @ vecs.swapaxes(1, 2)
+        rhs[idx] = root @ rhs[idx]
+    return rhs
+
+
+@st.composite
+def mixed_component_systems(draw):
+    """(M, rhs): a permuted block-diagonal SPD matrix of positive 1x1
+    blocks of any magnitude, subnormal to huge, mixed with 2x2 and 3x3 SPD
+    blocks, and a random right-hand side."""
+    sizes = draw(st.lists(st.sampled_from([1, 1, 1, 2, 3]), min_size=1,
+                          max_size=16))
+    n = sum(sizes)
+    M = np.zeros((n, n))
+    start = 0
+    for b in sizes:
+        if b == 1:
+            M[start, start] = draw(st.floats(5e-324, 1e300))
+        else:
+            A = draw(hnp.arrays(float, (b, b),
+                                elements=st.floats(-1.0, 1.0)))
+            M[start:start + b, start:start + b] = (
+                A @ A.T + draw(st.floats(0.5, 2.0)) * np.eye(b))
+        start += b
+    perm = np.asarray(draw(st.permutations(range(n))))
+    cols = draw(st.integers(1, 4))
+    rhs = draw(hnp.arrays(float, (n, cols), elements=st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e100, 1e100))))
+    return M[np.ix_(perm, perm)], rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(mixed_component_systems())
+def test_closed_form_blocks_have_the_bits_of_lapack(case):
+    # 1 / g times the row is what OpenBLAS's triangular solve computes for
+    # a 1x1 block, and 1 / sqrt(g) what eigh's root applies; a BLAS that
+    # rounds otherwise fails here
+    M, rhs = case
+    parts = gram_components(M)
+    for closed, lapack in ((component_solve, lapack_solve),
+                           (component_inverse_sqrt, lapack_inverse_sqrt)):
+        # 1 / g overflows for the smallest subnormal g, on both paths
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = closed(M, parts, rhs.copy())
+            want = lapack(M, parts, rhs.copy())
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
+            closed.__name__
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(float, st.integers(1, 8), elements=st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -1.0, np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True))))
+def test_one_by_one_proof_is_the_cholesky_outcome(diag):
+    # OpenBLAS factors a NaN 1x1 block without complaint; the proof
+    # refuses it, as it refuses every g that is not > 0
+    M = np.diag(diag)
+    parts = [np.arange(len(diag)).reshape(-1, 1)]
+    try:
+        np.linalg.cholesky(diag.reshape(-1, 1, 1))
+        factored = not np.isnan(diag).any()
+    except np.linalg.LinAlgError:
+        factored = False
+    try:
+        require_positive_definite(M, parts)
+        proven = True
+    except NotPositiveDefinite:
+        proven = False
+    assert proven == factored

@@ -89,3 +89,80 @@ def test_decay_fits_match_oracle_on_random_spaces(case):
     except DyadwaveError:
         assume(False)
     assert_fits_match_oracle(space, nets, mra, basis)
+
+
+def float_bits(report):
+    """The report with every float replaced by its IEEE bit pattern."""
+    if isinstance(report, dict):
+        return {key: float_bits(val) for key, val in report.items()}
+    if isinstance(report, list):
+        return [float_bits(val) for val in report]
+    if isinstance(report, float):
+        return np.float64(report).view(np.uint64).item()
+    return report
+
+
+@st.composite
+def partly_kept_samples(draw):
+    """(xs, values, x_cut) of up to 3 x 12 x 12 entries, a share of them
+    below the floor (zeros, subnormals, one ulp under TINY) between none
+    and all, so both the in-place and the gathering path run."""
+    shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=12))
+    xs = draw(hnp.arrays(float, shape, elements=st.one_of(
+        st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 40.0))))
+    kept = draw(hnp.arrays(float, shape, elements=st.floats(1e-300, 1e3)))
+    dropped = draw(hnp.arrays(float, shape, elements=st.sampled_from(
+        [0.0, 5e-324, 1e-310, float(np.nextafter(TINY, 0.0))])))
+    share = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+    mask = draw(hnp.arrays(float, shape, elements=st.floats(0.0, 1.0))) < share
+    return xs, np.where(mask, dropped, kept), draw(st.sampled_from([1.0, 2.5]))
+
+
+@given(partly_kept_samples())
+def test_envelope_fit_has_the_bits_of_the_gathering_fit(case):
+    xs, vals, x_cut = case
+    assert (float_bits(envelope_fit(xs, vals, x_cut))
+            == float_bits(oracle.gathered_envelope_fit(xs, vals, x_cut)))
+
+
+@pytest.mark.parametrize("share", [0.0, 0.5, 0.51, 0.9])
+@pytest.mark.parametrize("below", [0.0, 5e-324, 1e-310])
+def test_envelope_fit_reads_half_kept_arrays_in_place(share, below):
+    # at most half dropped: the fit reads the arrays in place; more than
+    # half: it gathers; both equal the gathering fit bit for bit
+    rng = np.random.default_rng(3)
+    xs = rng.uniform(0.0, 6.0, (24, 24))
+    vals = np.exp(-2.0 * xs) * rng.uniform(0.5, 1.0, xs.shape)
+    vals.ravel()[:int(share * vals.size)] = below
+    got = envelope_fit(xs, vals)
+    assert got["n_pairs"] == vals.size - int(share * vals.size)
+    assert float_bits(got) == float_bits(
+        oracle.gathered_envelope_fit(xs, vals))
+
+
+@pytest.mark.parametrize("below", [0.0, 1e-310])
+def test_refuted_fit_names_the_same_worst_samples(below):
+    # values that grow with the distance refute decay; the five worst
+    # samples are the kept ones, whatever entries below the floor sit
+    # between them
+    xs = np.tile([0.5, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], 4)
+    vals = np.exp(0.3 * xs)
+    vals[1::3] = below
+    got = envelope_fit(xs, vals)
+    assert got["refuted"] and len(got["worst"]) == 5
+    assert all(w["log_value"] > -np.inf for w in got["worst"])
+    assert float_bits(got) == float_bits(
+        oracle.gathered_envelope_fit(xs, vals))
+
+
+@pytest.mark.parametrize("below", [1e-310, -1.0, np.nan])
+def test_dropped_entries_move_no_extreme(below):
+    # a far entry below the floor would have the slackest slope (713 / 40
+    # for 1e-310, NaN for a negative or NaN value); read in place, it must
+    # count as absent, so the rate stays at the cap
+    xs = np.array([0.0, 1.0, 40.0])
+    vals = np.array([1.0, np.exp(-100.0), below])
+    got = envelope_fit(xs, vals)
+    assert got["c"] == 50.0 and got["n_pairs"] == 2 and got["n_far"] == 1
+    assert float_bits(got) == float_bits(
+        oracle.gathered_envelope_fit(xs, vals))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import lp_oracle
 import numpy as np
 import pytest
 
@@ -18,6 +19,7 @@ from dyadwave.wavelet import (
     build_mra,
     build_wavelet_basis,
     dual_splines,
+    gram_components,
     gram_decay_certificates,
     gram_matrix,
     orthonormalize,
@@ -49,6 +51,13 @@ def assemble(kind, params, delta=0.5, seed=1):
     mra = build_mra(space, system)
     basis = build_wavelet_basis(space, nets, mra)
     return space, nets, system, mra, basis
+
+
+def projector(space, mra, k):
+    """The whole (n, n) projector onto V_k, as one block of rows."""
+    ((rows, P),) = spline_projector(space, mra, k, space.n)
+    assert rows == slice(0, space.n)
+    return P
 
 
 def mu_dot(space, f, g):
@@ -147,7 +156,7 @@ def test_projection_fixes_range_kills_complement():
     space, nets, system, mra, basis = assemble("cyclic", {"n": 16})
     rng = np.random.default_rng(5)
     for k, sl in basis.blocks.items():
-        P = spline_projector(space, mra, k)
+        P = projector(space, mra, k)
         f = rng.standard_normal(len(nets.levels[k])) @ system.values[k]
         assert np.abs(P @ f - f).max() <= 1e-10
         psi = basis.rows[sl][0]
@@ -161,7 +170,7 @@ def test_projection_contraction_idempotent_selfadjoint():
     f = rng.standard_normal(space.n)
     g = rng.standard_normal(space.n)
     for k in nets.level_range:
-        P = spline_projector(space, mra, k)
+        P = projector(space, mra, k)
         pf = P @ f
         assert mu_dot(space, pf, pf) <= mu_dot(space, f, f) + 1e-12
         assert np.abs(P @ pf - pf).max() <= 1e-10
@@ -175,10 +184,29 @@ def test_projector_nesting(kind, params):
     space, nets, system = setup(kind, params)
     mra = build_mra(space, system)
     for k in range(nets.k_min, nets.k_max):
-        coarse = spline_projector(space, mra, k)
-        fine = spline_projector(space, mra, k + 1)
+        coarse = projector(space, mra, k)
+        fine = projector(space, mra, k + 1)
         assert np.abs(coarse @ fine - coarse).max() <= 1e-10
         assert np.abs(fine @ coarse - coarse).max() <= 1e-10
+
+
+@pytest.mark.parametrize("kind,params", FLEET)
+def test_projector_row_blocks_have_the_bits_of_the_whole_product(kind,
+                                                                 params):
+    space, nets, system = setup(kind, params)
+    mra = build_mra(space, system)
+    whole = lp_oracle.spline_projectors(space, mra)
+    for k in nets.level_range:
+        for step in (2, 3, 5, 16):
+            blocks = list(spline_projector(space, mra, k, step))
+            starts = [rows.start for rows, _ in blocks]
+            stops = [rows.stop for rows, _ in blocks]
+            assert starts == [0] + stops[:-1] and stops[-1] == space.n
+            assert all(b - a >= min(step, space.n) for a, b in
+                       zip(starts, stops)), (k, step)
+            stacked = np.vstack([block for _, block in blocks])
+            assert np.array_equal(stacked.view(np.uint64),
+                                  whole[k].view(np.uint64)), (kind, k, step)
 
 
 def test_projector_endpoints():
@@ -187,9 +215,9 @@ def test_projector_endpoints():
     rng = np.random.default_rng(3)
     f = rng.standard_normal(space.n)
     mean = mu_dot(space, f, np.ones(space.n)) / space.total_mass
-    coarse = spline_projector(space, mra, nets.k_min) @ f
+    coarse = projector(space, mra, nets.k_min) @ f
     assert np.abs(coarse - mean).max() <= 1e-12
-    finest = spline_projector(space, mra, nets.k_max)
+    finest = projector(space, mra, nets.k_max)
     assert np.abs(finest - np.eye(space.n)).max() <= 1e-10
 
 
@@ -200,7 +228,7 @@ def test_prewavelets_orthogonal_to_coarse_space(kind, params):
     for k in range(nets.k_min, nets.k_max):
         if len(nets.ydiff[k]) == 0:
             continue
-        base, _ = pre_wavelets(space, nets, mra, k)
+        base = pre_wavelets(space, nets, mra, k)[0]
         S = system.values[k]
         assert np.abs((S * space.weights) @ base.T).max() <= 1e-10
         assert np.linalg.matrix_rank(base) == len(nets.ydiff[k])
@@ -211,7 +239,7 @@ def test_two_point_closed_form():
     assert len(basis.rows) - 1 == 1
     (k,) = basis.blocks
     center = int(basis.centers[basis.blocks[k]][0])
-    base, _ = pre_wavelets(space, nets, mra, k)
+    base = pre_wavelets(space, nets, mra, k)[0]
     assert np.allclose(np.abs(base[0]), [0.5, 0.5], atol=1e-12)
     assert math.isclose(base[0] @ space.weights, 0.0, abs_tol=1e-12)
     assert np.allclose(basis.mgram[k], [[0.5]], atol=1e-12)
@@ -238,7 +266,8 @@ def test_orthonormalize_single_vector():
     space, _, _ = setup("cyclic", {"n": 8})
     rng = np.random.default_rng(11)
     v = rng.standard_normal((1, 8))
-    psi, mg = orthonormalize(v, (v * space.weights) @ v.T, np.array([3.0]),
+    gram = (v * space.weights) @ v.T
+    psi, mg = orthonormalize(v, gram, gram_components(gram), np.array([3.0]),
                              [0])
     norm = math.sqrt(mu_dot(space, v[0], v[0]))
     assert np.allclose(np.abs(psi[0]), np.abs(v[0]) / norm, atol=1e-12)
@@ -255,8 +284,9 @@ def test_orthonormalize_fixes_already_orthonormal():
             row = row - mu_dot(space, row, prev) * prev
         ortho.append(row / math.sqrt(mu_dot(space, row, row)))
     ortho = np.array(ortho)
-    psi, mg = orthonormalize(ortho, (ortho * space.weights) @ ortho.T,
-                             np.ones(3), [0, 1, 2])
+    gram = (ortho * space.weights) @ ortho.T
+    psi, mg = orthonormalize(ortho, gram, gram_components(gram), np.ones(3),
+                             [0, 1, 2])
     assert np.abs(mg - np.eye(3)).max() <= 1e-12
     assert np.abs(np.abs(psi) - np.abs(ortho)).max() <= 1e-10
 
@@ -396,8 +426,8 @@ def test_indefinite_prewavelet_gram_rejected():
     space, _, _ = setup("cyclic", {"n": 8})
     dup = np.ones((2, 8))
     with pytest.raises(NotPositiveDefinite):
-        orthonormalize(dup, (dup * space.weights) @ dup.T, np.ones(2),
-                       [0, 1])
+        gram = (dup * space.weights) @ dup.T
+        orthonormalize(dup, gram, gram_components(gram), np.ones(2), [0, 1])
 
 
 @pytest.mark.parametrize("delta", [0.5, 0.2])

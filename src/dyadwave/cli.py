@@ -169,18 +169,6 @@ def _write_array(path, arr) -> None:
     os.replace(tmp, path)
 
 
-def _write_sparse(path, M) -> None:
-    """A matrix as a .npy of float64 ``(row, col, value)`` triples, in
-    row-major order, of every entry whose bits are not +0.0 (a -0.0 is
-    kept, so the dense matrix reads back bit for bit)."""
-    M = np.asarray(M, dtype=float)
-    at = np.argwhere(M.view(np.uint64))
-    triples = np.empty((len(at), 3))
-    triples[:, :2] = at
-    triples[:, 2] = M[at[:, 0], at[:, 1]]
-    _write_array(path, triples)
-
-
 def write_json(path, payload) -> None:
     _write_text(path, _dumps(payload) + "\n")
 
@@ -449,8 +437,8 @@ def cmd_build(args) -> int:
     _write_array(out / "dist.npy", space.dist)
     _write_array(out / "weights.npy", space.weights)
     write_json(out / "nets.json", nets_to_dict(nets))
-    for k, vals in system.values.items():
-        _write_sparse(out / "splines" / f"level_{k}.npy", vals)
+    for k, triples in system.triples.items():
+        _write_array(out / "splines" / f"level_{k}.npy", triples)
     write_csv(out / "basis_values.csv", basis.rows)
     write_json(out / "basis.json", _basis_meta(space, nets, basis))
     core = {k: cfg[k] for k in cfg if k not in ("out", "jobs")}
@@ -553,9 +541,10 @@ def _load_basis(art: Path, n: int) -> tuple:
     return B, (meta_text, meta), labels, blocks
 
 
-def _load_sparse(path, shape):
-    """The matrix of ``shape`` stored as triples by ``_write_sparse``, or
-    None when an index lies past ``shape``.
+def _load_triples(path, shape):
+    """The ``(row, col, value)`` triples ``build`` stored for a matrix of
+    ``shape`` (``spline.sparse_triples``), or None when an index lies past
+    ``shape``.
 
     The indices must be non-negative integers in strictly increasing
     row-major order, so each entry is stored once; other triples raise
@@ -576,9 +565,23 @@ def _load_sparse(path, shape):
                               "order or twice")
     if len(arr) and (rows[-1] >= shape[0] or cols.max() >= shape[1]):
         return None
-    M = np.zeros(shape)
-    M[rows.astype(np.intp), cols.astype(np.intp)] = arr[:, 2]
-    return M
+    return arr
+
+
+def _triple_devs(stored: np.ndarray, rebuilt: np.ndarray, n: int) -> tuple:
+    """(|stored - rebuilt|, column) at each entry of an n-column matrix
+    that either set of row-major triples holds; every other entry is 0 on
+    both sides."""
+    key_s, key_r = (t[:, 0].astype(np.int64) * n + t[:, 1].astype(np.int64)
+                    for t in (stored, rebuilt))
+    at = np.searchsorted(key_s, key_r)
+    hit = np.zeros(len(key_r), dtype=bool)
+    inside = at < len(key_s)
+    hit[inside] = key_s[at[inside]] == key_r[inside]
+    dev = stored[:, 2].copy()
+    dev[at[hit]] -= rebuilt[hit, 2]
+    return (np.abs(np.concatenate([dev, rebuilt[~hit, 2]])),
+            np.concatenate([stored[:, 1], rebuilt[~hit, 1]]).astype(np.intp))
 
 
 def _spline_devs(folder: Path, system, nets) -> tuple:
@@ -587,19 +590,22 @@ def _spline_devs(folder: Path, system, nets) -> tuple:
     ``S_k`` is the transition ``T_k`` bit for bit.
 
     Both are infinite when a stored level does not fit the rebuilt shape.
-    Each level is read, made its deviation in place and dropped in turn.
+    The stored and rebuilt triples are compared as they are, one level at
+    a time.
     """
     spline_dev = transition_dev = 0.0
-    for k, S in sorted(system.values.items()):
-        dev = _load_sparse(folder / f"level_{k}.npy", S.shape)
-        if dev is None:
+    for k, rebuilt in sorted(system.triples.items()):
+        stored = _load_triples(folder / f"level_{k}.npy",
+                               (len(nets.levels[k]), system.n))
+        if stored is None:
             return math.inf, math.inf
-        dev -= S
-        np.abs(dev, out=dev)
-        spline_dev = max(spline_dev, float(dev.max()))
+        dev, cols = _triple_devs(stored, rebuilt, system.n)
+        spline_dev = max(spline_dev, float(dev.max(initial=0.0)))
         if k < nets.k_max:
+            at_net = np.zeros(system.n, dtype=bool)
+            at_net[nets.levels[k + 1]] = True
             transition_dev = max(transition_dev,
-                                 float(dev[:, nets.levels[k + 1]].max()))
+                                 float(dev[at_net[cols]].max(initial=0.0)))
     return spline_dev, transition_dev
 
 

@@ -24,6 +24,7 @@ from .wavelet import WaveletBasis
 
 PAIR_BUDGET = 200_000
 CZ_ROWS = 64
+SYM_TILE = 128   # side of the square tiles of the kernel asymmetry
 
 
 @dataclass(frozen=True)
@@ -271,13 +272,21 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
         gamma = entry["p_size"]["c"]
         pairs = next(ladder)
         # the kernel P_k / w transposed, so a pair's two kernel columns are
-        # two contiguous rows; P_k / w minus it is the asymmetry
+        # two contiguous rows.  P_k / w minus it, the asymmetry, is
+        # kernel_t.T - kernel_t bit for bit, and exactly antisymmetric, so
+        # its largest magnitude is that of the tiles on and above the
+        # diagonal, formed one at a time
         kernel_t = np.ascontiguousarray(P.T)
         kernel_t /= w[:, None]
-        asym = P / w[None, :]
-        asym -= kernel_t
-        entry["p_sym_dev"] = float(np.abs(asym, out=asym).max())
-        del asym
+        sym_devs = []
+        for r0 in range(0, space.n, SYM_TILE):
+            rows = slice(r0, r0 + SYM_TILE)
+            for c0 in range(r0, space.n, SYM_TILE):
+                cols = slice(c0, c0 + SYM_TILE)
+                asym = kernel_t[cols, rows].T - kernel_t[rows, cols]
+                sym_devs.append(np.abs(asym, out=asym).max())
+        entry["p_sym_dev"] = float(np.max(sym_devs))
+        del asym    # the last tile would stay through the fits below
         if gamma > 0.0:
             # the scaled distances become the attenuations in place
             np.multiply(xs, -gamma, out=xs)

@@ -277,8 +277,11 @@ def _point_cloud(n: int, dim: int, seed: int) -> QuasiMetricSpace:
         raise BadParams("point cloud needs n >= 1 and dim >= 1")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     pts = rng.uniform(size=(n, dim))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=2))
+    dist = np.empty((n, n))
+    # blocks of rows keep the coordinate differences within n * dim * 64
+    for lo in range(0, n, 64):
+        diff = pts[lo:lo + 64, None, :] - pts[None, :, :]
+        np.sqrt((diff * diff).sum(axis=2), out=dist[lo:lo + 64])
     np.fill_diagonal(dist, 0.0)
     return build_space(dist, np.ones(n))
 

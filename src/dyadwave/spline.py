@@ -7,6 +7,7 @@ can be enumerated exactly and the values follow by a downward product.
 """
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +27,59 @@ OUTER_SUPPORT = 8.0    # support radius factor a0^5 delta^k, times this
 INNER_SUPPORT = 0.125  # plateau radius factor a0^-3 delta^k, times this
 
 
+def sparse_triples(M) -> np.ndarray:
+    """The float64 ``(row, col, value)`` triples of a matrix, in row-major
+    order, of every entry whose bits are not +0.0 (a -0.0 is kept, so
+    ``dense_from_triples`` forms the matrix back bit for bit)."""
+    M = np.asarray(M, dtype=float)
+    flat = M.reshape(-1)
+    at = np.flatnonzero(flat.view(np.uint64))
+    triples = np.empty((len(at), 3))
+    triples[:, 0], triples[:, 1] = np.divmod(at, M.shape[1])
+    triples[:, 2] = flat[at]
+    return triples
+
+
+def dense_from_triples(triples: np.ndarray, shape) -> np.ndarray:
+    """The matrix of ``shape`` holding ``triples``, +0.0 elsewhere."""
+    M = np.zeros(shape)
+    M[triples[:, 0].astype(np.intp), triples[:, 1].astype(np.intp)] = \
+        triples[:, 2]
+    return M
+
+
 @dataclass(frozen=True)
 class SplineSystem:
-    """Spline values and net ball masses."""
+    """Spline values, each level as the ``sparse_triples`` of its (n_k, n)
+    matrix, whose rows are net positions and columns points, and net ball
+    masses."""
 
-    values: dict      # k -> (n_k, n) rows are net positions, columns points
+    triples: dict     # k -> (nnz, 3) triples of level k's values
+    n: int            # points, the columns of every level
     ball_mass: dict   # k -> (n_k,) masses of B(x^k_alpha, delta^k)
+
+    @property
+    def values(self) -> Mapping:
+        """k -> level k's dense (n_k, n) values, formed anew at each read."""
+        return _DenseLevels(self)
+
+
+class _DenseLevels(Mapping):
+    """The read-only map ``SplineSystem.values``."""
+
+    def __init__(self, system: SplineSystem):
+        self._system = system
+
+    def __getitem__(self, k) -> np.ndarray:
+        system = self._system
+        return dense_from_triples(system.triples[k],
+                                  (len(system.ball_mass[k]), system.n))
+
+    def __iter__(self):
+        return iter(self._system.triples)
+
+    def __len__(self) -> int:
+        return len(self._system.triples)
 
 
 def compute_splines(space: QuasiMetricSpace, nets: NestedNets,
@@ -43,22 +91,23 @@ def compute_splines(space: QuasiMetricSpace, nets: NestedNets,
     transition matrix applied to the previous one.  The transition matrix
     of level k, P(perturbed parent of child beta is alpha), is the column
     histogram of that level's table in ``tables`` (``build_grid``) over
-    all its coordinates.
+    all its coordinates.  Only the level in hand and the one before it
+    are dense; each is kept as its triples.
     """
     n = space.n
     finest = nets.levels[nets.k_max]
-    values = {}
-    base = np.zeros((len(finest), n))
-    base[np.arange(len(finest)), finest] = 1.0
-    values[nets.k_max] = base
+    values = np.zeros((len(finest), n))
+    values[np.arange(len(finest)), finest] = 1.0
+    triples = {nets.k_max: sparse_triples(values)}
     for k in reversed(list(transition_levels(nets))):
         parents = tables[k].parents
         T = column_frequencies(parents.reshape(-1, parents.shape[2]),
                                len(nets.levels[k]))
-        values[k] = T @ values[k + 1]
+        values = T @ values
+        triples[k] = sparse_triples(values)
     ball_mass = {k: space.ball_masses(nets.levels[k], nets.scale(k))
                  for k in nets.level_range}
-    return SplineSystem(values, ball_mass)
+    return SplineSystem(triples, n, ball_mass)
 
 
 def mc_membership_frequencies(nets: NestedNets, labels: GridLabels,
@@ -193,57 +242,56 @@ def verify_splines(system: SplineSystem, space: QuasiMetricSpace,
     """
     # the smoothness fit runs first, before any per-level temporary exists
     holder = holder_estimate(system, space, nets)
-    report = {}
-    part_dev = 0.0
-    interp_dev = 0.0
+    part_dev = interp_dev = refine_dev = stoch_dev = persist_dev = 0.0
     nonneg_min = np.inf
+    outer_viol = inner_viol = 0
+    outer_max_ratio = 0.0
+    row_lo, row_hi = np.inf, -np.inf
+    a0 = space.a0
+    # blocks of rows keep each distance block within n^2 / 8 entries
+    step = max(1, space.n // 8)
+    # one pass coarse to fine holds levels k and k + 1 dense
+    fine = system.values[nets.k_min]
     for k in nets.level_range:
-        V = system.values[k]
+        V = fine
         part_dev = max(part_dev, float(np.abs(V.sum(axis=0) - 1.0).max()))
         at_net = V[:, nets.levels[k]]
         diag = np.arange(len(at_net))
         at_net[diag, diag] -= 1.0
         interp_dev = max(interp_dev, float(np.abs(at_net).max()))
         nonneg_min = min(nonneg_min, float(V.min()))
-    refine_dev = 0.0
-    stoch_dev = 0.0
-    persist_dev = 0.0
-    for k in transition_levels(nets):
-        T = system.values[k][:, nets.levels[k + 1]]
-        refine_dev = max(refine_dev, float(
-            np.abs(system.values[k] - T @ system.values[k + 1]).max()))
-        stoch_dev = max(stoch_dev, float(np.abs(T.sum(axis=0) - 1.0).max()))
-        kept = nets.positions(k + 1, space.n)[nets.levels[k]]
-        persist_dev = max(persist_dev, float(
-            np.abs(T[np.arange(len(kept)), kept] - 1.0).max()))
-    report.update(
-        partition_dev=part_dev, interpolation_dev=interp_dev,
-        refinement_dev=refine_dev, stochastic_dev=stoch_dev,
-        min_value=nonneg_min, persistence_dev=persist_dev)
-
-    outer_viol = 0
-    outer_max_ratio = 0.0
-    inner_viol = 0
-    row_lo, row_hi = np.inf, -np.inf
-    a0 = space.a0
-    # blocks of rows keep each distance block within n^2 / 8 entries
-    step = max(1, space.n // 8)
-    for k in nets.level_range:
+        del at_net
+        if k < nets.k_max:
+            fine = system.values[k + 1]
+            T = V[:, nets.levels[k + 1]]
+            # |T S_{k+1} - S_k| has the bits of |S_k - T S_{k+1}|
+            dev = T @ fine
+            dev -= V
+            refine_dev = max(refine_dev, float(np.abs(dev, out=dev).max()))
+            del dev
+            stoch_dev = max(stoch_dev,
+                            float(np.abs(T.sum(axis=0) - 1.0).max()))
+            kept = nets.positions(k + 1, space.n)[nets.levels[k]]
+            persist_dev = max(persist_dev, float(
+                np.abs(T[np.arange(len(kept)), kept] - 1.0).max()))
         scale = nets.scale(k)
         for r0 in range(0, len(nets.levels[k]), step):
-            V = system.values[k][r0:r0 + step]
+            rows = V[r0:r0 + step]
             D = space.dist[nets.levels[k][r0:r0 + step]]
             plateau = D < INNER_SUPPORT * a0 ** -3 * scale
-            inner_viol += int((V[plateau] < 1.0 - 1e-12).sum())
+            inner_viol += int((rows[plateau] < 1.0 - 1e-12).sum())
             D /= OUTER_SUPPORT * a0 ** 5 * scale
-            ratio = D[V > 0]
+            ratio = D[rows > 0]
             outer_max_ratio = max(outer_max_ratio,
                                   float(ratio.max(initial=0.0)))
             outer_viol += int((ratio > 1 + 1e-12).sum())
-        rows = system.values[k].sum(axis=1)
-        row_lo = min(row_lo, float(rows.min()))
-        row_hi = max(row_hi, float(rows.max()))
-    report.update(
+        sums = V.sum(axis=1)
+        row_lo = min(row_lo, float(sums.min()))
+        row_hi = max(row_hi, float(sums.max()))
+    report = dict(
+        partition_dev=part_dev, interpolation_dev=interp_dev,
+        refinement_dev=refine_dev, stochastic_dev=stoch_dev,
+        min_value=nonneg_min, persistence_dev=persist_dev,
         outer_support_violations=outer_viol,
         outer_support_max_ratio=outer_max_ratio,
         inner_plateau_violations=inner_viol,

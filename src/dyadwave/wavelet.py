@@ -11,9 +11,10 @@ Both Grams split into small connected components, rows whose functions
 overlap, and every inverse, inverse square root and positive-definiteness
 proof here runs per component.  Entries between components are then exact
 zeros, so each dual and each wavelet vanishes outside the supports of its
-own component.  Each Gram's components are found once and passed to every
-routine that runs over them.  A 1x1 component is solved in closed form,
-with the bits of the LAPACK path it replaces (``component_solve``).
+own component.  Each Gram's components are found once, and every routine
+that runs over them reads the Gram as its component blocks
+(``GramBlocks``).  A 1x1 component is solved in closed form, with the bits
+of the LAPACK path it replaces (``component_solve``).
 """
 
 import math
@@ -38,14 +39,34 @@ GRAM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
+class GramBlocks:
+    """A square Gram held as the diagonal blocks of its components
+    (``gram_components``), outside of which every entry is zero: the rows
+    and entries of the 1x1 components, and for each larger size, ascending,
+    the (count, size) rows and the stacked (count, size, size) blocks."""
+
+    size: int         # rows of the Gram
+    rows: np.ndarray  # rows of the 1x1 components
+    diag: np.ndarray  # their entries
+    larger: list      # (rows, blocks) per component size above 1
+
+    def dense(self) -> np.ndarray:
+        """The Gram, with +0.0 outside its components."""
+        gram = np.zeros((self.size, self.size))
+        gram[self.rows, self.rows] = self.diag
+        for idx, blocks in self.larger:
+            gram[idx[:, :, None], idx[:, None, :]] = blocks
+        return gram
+
+
+@dataclass(frozen=True)
 class MRA:
     """The splines and each level's normalized Gram, proven positive
-    definite, with its components; the projection onto V_k solves against
-    it."""
+    definite, as its component blocks; the projection onto V_k solves
+    against it."""
 
     system: SplineSystem
-    grams: dict       # k -> (n_k, n_k) normalized spline Gram
-    components: dict  # k -> gram_components(grams[k])
+    grams: dict       # k -> GramBlocks of the (n_k, n_k) normalized Gram
 
 
 @dataclass(frozen=True)
@@ -100,34 +121,35 @@ def gram_components(gram: np.ndarray) -> list:
             if count]
 
 
-def _component_blocks(gram: np.ndarray, components):
-    """(rows, stacked diagonal blocks) of the Gram, one pair per size."""
-    for idx in components:
-        yield idx, gram[idx[:, :, None], idx[:, None, :]]
-
-
-def _split_diagonal(gram: np.ndarray, components) -> tuple:
-    """(rows, entries) of the Gram's 1x1 components, and the larger ones.
-
-    ``gram_components`` lists the sizes ascending, so the 1x1 components
-    are the first array of the list when there are any.
-    """
+def gram_blocks(gram: np.ndarray, components) -> GramBlocks:
+    """The blocks of ``gram`` on its ``components``; ``gram_components``
+    lists the sizes ascending, so the 1x1 components are the first array of
+    the list when there are any."""
     if components and components[0].shape[1] == 1:
         rows = components[0][:, 0]
-        return rows, gram[rows, rows], components[1:]
-    return np.zeros(0, dtype=np.intp), np.zeros(0), components
+        diag, components = gram[rows, rows], components[1:]
+    else:
+        rows, diag = np.zeros(0, dtype=np.intp), np.zeros(0)
+    return GramBlocks(len(gram), rows, diag,
+                      [(idx, gram[idx[:, :, None], idx[:, None, :]])
+                       for idx in components])
 
 
-def require_positive_definite(gram: np.ndarray, components) -> None:
-    """Raise NotPositiveDefinite unless each Gram component has a Cholesky
-    factor; components of one size share one stacked factorization, and a
-    1x1 component g has one exactly when g > 0 (OpenBLAS's factorization
-    also passes a NaN, which this refuses)."""
-    _, diag, larger = _split_diagonal(gram, components)
-    if not (diag > 0.0).all():
+def require_positive_definite(gram: GramBlocks) -> None:
+    """Raise NotPositiveDefinite unless each Gram component is finite and
+    has a Cholesky factor; components of one size share one stacked
+    factorization, and a 1x1 component g has one exactly when g > 0.
+    OpenBLAS also factors a block that holds a NaN, or an infinite 1x1
+    block, so non-finite entries are refused first."""
+    diag = gram.diag
+    if not ((diag > 0.0) & np.isfinite(diag)).all():
         raise NotPositiveDefinite(
             "a component of 1 rows is not positive definite")
-    for idx, blocks in _component_blocks(gram, larger):
+    for idx, blocks in gram.larger:
+        if not np.isfinite(blocks).all():
+            raise NotPositiveDefinite(
+                f"a component of {idx.shape[1]} rows has an entry that is "
+                "not finite")
         try:
             np.linalg.cholesky(blocks)
         except np.linalg.LinAlgError as exc:
@@ -136,8 +158,7 @@ def require_positive_definite(gram: np.ndarray, components) -> None:
                 "definite") from exc
 
 
-def component_solve(gram: np.ndarray, components,
-                    rhs: np.ndarray) -> np.ndarray:
+def component_solve(gram: GramBlocks, rhs: np.ndarray) -> np.ndarray:
     """Overwrite ``rhs`` with gram^{-1} rhs, one stacked solve per
     component size of a Gram proven positive definite, and return it.
 
@@ -146,18 +167,17 @@ def component_solve(gram: np.ndarray, components,
     triangular solves do, so the row has the bits of ``np.linalg.solve``;
     the other operation rounds differently.
     """
-    rows, diag, larger = _split_diagonal(gram, components)
+    rows, diag = gram.rows, gram.diag
     if rhs.shape[1] == 1:
         rhs[rows] /= diag[:, None]
     else:
         rhs[rows] *= (1.0 / diag)[:, None]
-    for idx, blocks in _component_blocks(gram, larger):
+    for idx, blocks in gram.larger:
         rhs[idx] = np.linalg.solve(blocks, rhs[idx])
     return rhs
 
 
-def component_inverse_sqrt(gram: np.ndarray, components,
-                           rhs: np.ndarray) -> np.ndarray:
+def component_inverse_sqrt(gram: GramBlocks, rhs: np.ndarray) -> np.ndarray:
     """Overwrite ``rhs`` with gram^{-1/2} rhs, one Gram component at a
     time, and return it.
 
@@ -167,10 +187,10 @@ def component_inverse_sqrt(gram: np.ndarray, components,
     The matrix product of the ``eigh`` path sums from +0.0, so the closed
     form adds 0.0 too, which turns -0.0 into +0.0: the bits of that path.
     """
-    rows, diag, larger = _split_diagonal(gram, components)
+    rows, diag = gram.rows, gram.diag
     _require_positive_eigenvalues(diag)
     rhs[rows] = rhs[rows] * (1.0 / np.sqrt(diag))[:, None] + 0.0
-    for idx, blocks in _component_blocks(gram, larger):
+    for idx, blocks in gram.larger:
         vals, vecs = np.linalg.eigh(blocks)
         _require_positive_eigenvalues(vals[:, 0])
         root = (vecs * (1.0 / np.sqrt(vals))[:, None, :]) @ vecs.swapaxes(1, 2)
@@ -188,24 +208,29 @@ def _require_positive_eigenvalues(smallest: np.ndarray) -> None:
 
 def gram_matrix(space: QuasiMetricSpace, system: SplineSystem,
                 k: int) -> np.ndarray:
-    """Spline Gram at level k, normalized by the net ball masses."""
+    """Spline Gram at level k, normalized by the net ball masses; the dense
+    level is dropped before the normalization."""
     S = system.values[k]
-    return normalized_gram((S * space.weights) @ S.T, system.ball_mass[k])
+    gram = (S * space.weights) @ S.T
+    del S
+    return normalized_gram(gram, system.ball_mass[k])
 
 
 def build_mra(space: QuasiMetricSpace, system: SplineSystem) -> MRA:
-    """Each level's spline Gram, formed once, and its components, found
-    once while it is proven positive definite."""
-    grams, components = {}, {}
-    for k in sorted(system.values):
-        grams[k] = gram_matrix(space, system, k)
+    """Each level's spline Gram, formed once and dense only while its
+    components are found, kept as its blocks, and proven positive
+    definite.  A NaN anywhere fails the symmetry test, so no nonzero entry
+    lies outside the blocks."""
+    grams = {}
+    for k in sorted(system.triples):
+        gram = gram_matrix(space, system, k)
         try:
-            require_symmetric(grams[k])
-            components[k] = gram_components(grams[k])
-            require_positive_definite(grams[k], components[k])
+            require_symmetric(gram)
+            grams[k] = gram_blocks(gram, gram_components(gram))
+            require_positive_definite(grams[k])
         except NotPositiveDefinite as exc:
             raise NotPositiveDefinite(f"level {k} Gram: {exc}") from exc
-    return MRA(system, grams, components)
+    return MRA(system, grams)
 
 
 def _dual_solve(mra: MRA, k: int, rhs: np.ndarray) -> np.ndarray:
@@ -213,14 +238,15 @@ def _dual_solve(mra: MRA, k: int, rhs: np.ndarray) -> np.ndarray:
     diag(rs) G_k^{-1} diag(rs) rhs, rs the inverse root ball masses."""
     rs = 1.0 / np.sqrt(np.asarray(mra.system.ball_mass[k], dtype=float))
     rhs *= rs[:, None]
-    component_solve(mra.grams[k], mra.components[k], rhs)
+    component_solve(mra.grams[k], rhs)
     rhs *= rs[:, None]
     return rhs
 
 
 def dual_splines(space: QuasiMetricSpace, mra: MRA, k: int) -> np.ndarray:
-    """The (n_k, n) level-k duals: spline/dual pairings give the identity."""
-    return _dual_solve(mra, k, mra.system.values[k].copy())
+    """The (n_k, n) level-k duals: spline/dual pairings give the identity.
+    They overwrite the level's values, formed afresh at each read."""
+    return _dual_solve(mra, k, mra.system.values[k])
 
 
 def spline_projector(space: QuasiMetricSpace, mra: MRA, k: int, step: int):
@@ -258,12 +284,25 @@ def pre_wavelets(space: QuasiMetricSpace, nets: NestedNets, mra: MRA,
     resid = base - _dual_solve(mra, k, (S * space.weights) @ base.T).T @ S
     gram = (resid * space.weights) @ resid.T
     components = gram_components(gram)
-    rank = sum(int(np.linalg.matrix_rank(resid[idx]).sum())
-               for idx in components)
+    rank = sum(component_rank(resid[idx]) for idx in components)
     if rank < len(rows):
         raise RankDeficiency(
             f"level {k} pre-wavelets span only rank {rank} of {len(rows)}")
     return resid, gram, components
+
+
+def component_rank(rows: np.ndarray) -> int:
+    """Summed rank of a (count, size, n) stack of components' rows.
+
+    One row has rank 1 exactly when it is finite and not all zero: the
+    decision of ``np.linalg.matrix_rank``'s SVD wherever the row's norm is
+    finite (the SVD raises on a NaN instead).  Larger components take
+    that SVD.
+    """
+    if rows.shape[1] == 1:
+        return int(np.count_nonzero(np.isfinite(rows).all(axis=(1, 2))
+                                    & rows.any(axis=(1, 2))))
+    return int(np.linalg.matrix_rank(rows).sum())
 
 
 def orthonormalize(prewavelets: np.ndarray, gram: np.ndarray, components,
@@ -279,7 +318,7 @@ def orthonormalize(prewavelets: np.ndarray, gram: np.ndarray, components,
     """
     mg = normalized_gram(gram, masses)
     psi = component_inverse_sqrt(
-        mg, components,
+        gram_blocks(mg, components),
         prewavelets / np.sqrt(np.asarray(masses, float))[:, None])
     centers = np.asarray(centers, dtype=int)
     vals = psi[np.arange(len(centers)), centers]
@@ -315,11 +354,13 @@ def gram_decay_certificates(space: QuasiMetricSpace, nets: NestedNets,
     Net points at level k are delta^k-separated, so dividing the distance
     by the scale meets the certificate's separation precondition; the
     pre-wavelet centers live at level k+1 and use that scale instead.  The
-    spline Grams are kept by the MRA and the pre-wavelet ones by the basis.
+    spline Grams are kept by the MRA as blocks, each made dense for its
+    certificate alone, and the pre-wavelet ones by the basis.
     """
     def cert(gram, pts, scale):
         return decay_certificate(gram, space.dist[np.ix_(pts, pts)] / scale)
-    return {"spline": {k: cert(gram, nets.levels[k], nets.scale(k))
+    return {"spline": {k: cert(gram.dense(), nets.levels[k],
+                               nets.scale(k))
                        for k, gram in mra.grams.items()},
             "prewavelet": {k: cert(basis.mgram[k], basis.centers[sl],
                                    nets.scale(k + 1))

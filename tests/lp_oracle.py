@@ -77,7 +77,7 @@ def wavelets(space, nets, mra) -> dict:
         S = mra.system.values[k]
         rs = 1.0 / np.sqrt(np.asarray(mra.system.ball_mass[k], dtype=float))
         coef = rs[:, None] * component_solve(
-            mra.grams[k], mra.components[k], rs[:, None] * ((S * w) @ base.T))
+            mra.grams[k], rs[:, None] * ((S * w) @ base.T))
         resid = base - coef.T @ S
         masses = np.asarray(mra.system.ball_mass[k + 1], dtype=float)[rows]
         gram = (resid * w) @ resid.T

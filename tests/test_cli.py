@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import importlib
 import io
 import itertools
 import json
@@ -10,20 +9,22 @@ import platform
 import re
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import lp_oracle
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from dyadwave import cli, lpanalysis
 from dyadwave.cli import EXIT_CHECKS_FAILED, _dumps, _fmt, main, write_json
 from dyadwave.lpanalysis import lp_projectors
 from dyadwave.space import (build_space, gen_example, load_space_json,
                             space_to_dict)
+from dyadwave.spline import sparse_triples
 
 
 def run(*args):
@@ -879,38 +880,55 @@ def test_build_and_verify_byte_identical(tmp_path, capsys):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-def traced_peak(call, n):
-    """(result, traced peak of ``call()`` in n x n float64 arrays).
-
-    The modules the commands import are loaded first, so their code and
-    constants are not counted."""
-    for mod in ("nets", "randgrid", "spline", "wavelet", "lpanalysis"):
-        importlib.import_module(f"dyadwave.{mod}")
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        result = call()
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    return result, peak / (n * n * 8)
-
-
 def test_construct_peak_holds_no_transitions_or_grid_tables():
     """The transitions are read from the splines' net columns, and the
     grid tables are dropped after the spline checks, before the spline
     Grams and the basis exist, and the wavelet decay fit's temporaries are
     dropped before the Hoelder fit: at point_cloud 256 2 (delta 0.4) the
-    construction's traced peak stays at or below 13.5 n x n float64 arrays
+    construction's traced peak stays at or below 8.0 n x n float64 arrays
     (24.3 with a dense copy of each transition and the tables held to the
     end, 16.6 with the spline checks' unbounded scans, 14.9 with every
-    level's duals and the decay fit's temporaries held)."""
+    level's duals and the decay fit's temporaries held, 13.1 with every
+    spline level and spline Gram held dense)."""
     space = gen_example("point_cloud", seed=0, n=256, dim=2)
     space.a0    # computed on first read, outside the traced call
     cfg = cli._resolve_config({}, {"delta": 0.4})
     _, peak = traced_peak(lambda: cli._construct(space, cfg), space.n)
-    assert peak <= 13.5, peak
+    assert peak <= 8.0, peak
+
+
+def _arrays(obj):
+    """Every NumPy array reachable from ``obj`` through dataclass fields,
+    dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for field in dataclasses.fields(obj):
+            yield from _arrays(getattr(obj, field.name))
+    elif isinstance(obj, dict):
+        for val in obj.values():
+            yield from _arrays(val)
+    elif isinstance(obj, (list, tuple)):
+        for val in obj:
+            yield from _arrays(val)
+
+
+def test_construct_keeps_no_dense_spline_level_or_gram():
+    """The splines are kept as triples and the spline Grams as component
+    blocks, so after the construction neither holds an (n_k, n) or an
+    (n_k, n_k) float array, and together they hold under a third of one
+    n x n float64 array (the dense levels and Grams were 8.1)."""
+    space = gen_example("point_cloud", seed=0, n=256, dim=2)
+    cfg = cli._resolve_config({}, {"delta": 0.4})
+    nets, system, mra, _, _ = cli._construct(space, cfg)
+    dense = {shape for k in nets.level_range
+             for shape in ((len(nets.levels[k]), space.n),
+                           (len(nets.levels[k]),) * 2)}
+    held = list(_arrays(system)) + list(_arrays(mra))
+    assert len(held) > 2 * len(dense)
+    assert [a.shape for a in held
+            if a.dtype.kind == "f" and a.shape in dense] == []
+    assert sum(a.nbytes for a in held) < space.n ** 2 * 8 / 3
 
 
 def test_construct_peak_bounds_the_spline_check_scans():
@@ -918,31 +936,34 @@ def test_construct_peak_bounds_the_spline_check_scans():
     check holds no dense per-level temporary while the smoothness fit runs,
     and each pair-difference block stays within n^2 / 8 entries: at
     snowflake 384 0.5 (delta 0.5), where every pair is close at the
-    coarsest scale, the construction's traced peak stays at or below 9.5
+    coarsest scale, the construction's traced peak stays at or below 6.5
     n x n float64 arrays (13.0 with one scan of all n^2 entries, 10.6 with
-    every level's duals and the decay fit's temporaries held)."""
+    every level's duals and the decay fit's temporaries held, 9.1 with
+    every spline level and spline Gram held dense)."""
     space = gen_example("snowflake", seed=0, n=384, eps=0.5)
     space.a0    # computed on first read, outside the traced call
     cfg = cli._resolve_config({}, {"delta": 0.5})
     _, peak = traced_peak(lambda: cli._construct(space, cfg), space.n)
-    assert peak <= 9.5, peak
+    assert peak <= 6.5, peak
 
 
 def test_verify_peak_holds_one_basis(tmp_path):
     """verify drops the loaded basis_values.csv matrix once its checks
     have read it, so the Littlewood-Paley stage holds the rebuilt basis
     only, and compares each P_k with the spline projector one block of
-    rows at a time: at point_cloud 256 2 (delta 0.4) the traced peak of
-    the command stays at or below 18.4 n x n float64 arrays (18.5 with
-    the whole projector and its difference formed, 26.5 with both bases,
-    the transitions and the grid tables held)."""
+    rows at a time, and the kernel asymmetry one tile at a time: at
+    point_cloud 256 2 (delta 0.4) the traced peak of the command stays at
+    or below 10.5 n x n float64 arrays (18.5 with the whole projector and
+    its difference formed, 26.5 with both bases, the transitions and the
+    grid tables held, 18.2 with every spline level and spline Gram held
+    dense and the whole asymmetry formed)."""
     art = tmp_path / "art"
     assert run("build", "--gen", "point_cloud", "256", "2", "--delta", 0.4,
                "--out", art) == 0
     rc, peak = traced_peak(lambda: run("verify", "--artifacts", art,
                                        "--report", tmp_path / "r.json"), 256)
     assert rc == 0
-    assert peak <= 18.4, peak
+    assert peak <= 10.5, peak
 
 
 # ---------------------------------------------------------------------------
@@ -1420,6 +1441,25 @@ def test_verify_reads_the_transitions_from_the_stored_splines(
     exact = json.loads((tmp_path / "r.json").read_text())["exact"]
     assert {name: item["measured"] for name, item in exact.items()
             if not item["ok"]} == failed
+
+
+SPARSE_ENTRIES = st.sampled_from([0.0, 0.0, 0.0, -0.0, 0.25, 1.0, -1.0,
+                                  5e-324, math.nan, math.inf])
+
+
+@given(st.integers(1, 6).flatmap(lambda rows: st.integers(1, 6).flatmap(
+    lambda cols: st.tuples(*[hnp.arrays(float, (rows, cols),
+                                        elements=SPARSE_ENTRIES)] * 2))))
+def test_triple_deviations_are_the_dense_ones(pair):
+    """Each column's largest |stored - rebuilt| over the stored triples
+    has the bits of the dense difference's, entries on one side included."""
+    stored, rebuilt = pair
+    with np.errstate(invalid="ignore"):    # inf - inf, on both paths
+        dev, cols = cli._triple_devs(sparse_triples(stored),
+                                     sparse_triples(rebuilt), stored.shape[1])
+        dense = np.abs(stored - rebuilt)
+    got = [dev[cols == c].max(initial=0.0) for c in range(dense.shape[1])]
+    assert np.array_equal(got, dense.max(axis=0), equal_nan=True)
 
 
 NUMBER = re.compile(r"-?\d[\d.eE+-]*")

@@ -1,6 +1,8 @@
 """Block-local Gram algebra: components, per-component solves and roots,
 and the exact zeros they leave in the duals and the basis."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,8 +12,9 @@ from scipy.sparse.csgraph import connected_components
 
 from dyadwave.decaymat import spectral_inverse_sqrt
 from dyadwave.errors import NotPositiveDefinite
-from dyadwave.wavelet import (component_inverse_sqrt, component_solve,
-                              dual_splines, gram_components, pre_wavelets,
+from dyadwave.wavelet import (component_inverse_sqrt, component_rank,
+                              component_solve, dual_splines, gram_blocks,
+                              gram_components, pre_wavelets,
                               require_positive_definite)
 from test_wavelet import assemble
 
@@ -38,12 +41,12 @@ def block_spd_matrices(draw):
 @given(block_spd_matrices())
 def test_component_inverse_sqrt_is_the_spectral_root_per_block(case):
     M, same = case
-    parts = gram_components(M)
-    root = component_inverse_sqrt(M, parts, np.eye(len(M)))
+    blocks = gram_blocks(M, gram_components(M))
+    root = component_inverse_sqrt(blocks, np.eye(len(M)))
     oracle = spectral_inverse_sqrt(M)
     assert np.abs(root - oracle)[same].max() <= 1e-13
     assert (root[~same] == 0.0).all()
-    inv = component_solve(M, parts, np.eye(len(M)))
+    inv = component_solve(blocks, np.eye(len(M)))
     assert np.abs(inv - np.linalg.inv(M))[same].max() <= 1e-13
     assert (inv[~same] == 0.0).all()
 
@@ -70,10 +73,49 @@ def test_components_are_the_connected_components(edges):
 def test_indefinite_component_is_refused():
     M = np.diag([1.0, 2.0, 3.0])
     M[1, 2] = M[2, 1] = 5.0
+    blocks = gram_blocks(M, gram_components(M))
     with pytest.raises(NotPositiveDefinite, match="2 rows"):
-        require_positive_definite(M, gram_components(M))
+        require_positive_definite(blocks)
     with pytest.raises(NotPositiveDefinite, match="smallest eigenvalue"):
-        component_inverse_sqrt(M, gram_components(M), np.eye(3))
+        component_inverse_sqrt(blocks, np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("M", [[[0.0]], [[0.0, 0.0], [0.0, 1.0]],
+                               [[1.0, 0.0], [0.0, 1.0]],
+                               [[2.0, 1.0], [1.0, 0.0]]])
+def test_component_with_an_entry_that_is_not_finite_is_refused(M, bad):
+    # OpenBLAS factors each of these with a NaN where a 0 stands here, and
+    # the 1x1 one with an infinity, without error; every entry set to
+    # ``bad`` sits in the one component that spans the whole matrix
+    M = np.array(M)
+    M[M == 0.0] = bad
+    with pytest.raises(NotPositiveDefinite, match=f"{len(M)} rows"):
+        require_positive_definite(
+            gram_blocks(M, [np.arange(len(M)).reshape(1, -1)]))
+
+
+ROW_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324,
+                     -5e-324, 1e-310, 1e300, -1e300]),
+    st.floats(-1e300, 1e300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hnp.arrays(float, st.tuples(st.integers(1, 6), st.just(1),
+                                   st.integers(1, 16)),
+                  elements=ROW_ENTRIES))
+def test_one_row_rank_is_the_svd_decision(rows):
+    # matrix_rank raises on a NaN, where the row has no rank to count
+    want = []
+    for row in rows:
+        try:
+            want.append(int(np.linalg.matrix_rank(row)))
+        except np.linalg.LinAlgError:
+            assert np.isnan(row).any()
+            want.append(0)
+    assert [component_rank(row[None]) for row in rows] == want
+    assert component_rank(rows) == sum(want)
 
 
 @pytest.mark.parametrize("kind,params,delta", [
@@ -160,7 +202,7 @@ def test_closed_form_blocks_have_the_bits_of_lapack(case):
                            (component_inverse_sqrt, lapack_inverse_sqrt)):
         # 1 / g overflows for the smallest subnormal g, on both paths
         with np.errstate(over="ignore", invalid="ignore"):
-            got = closed(M, parts, rhs.copy())
+            got = closed(gram_blocks(M, parts), rhs.copy())
             want = lapack(M, parts, rhs.copy())
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), \
             closed.__name__
@@ -171,17 +213,17 @@ def test_closed_form_blocks_have_the_bits_of_lapack(case):
     st.sampled_from([0.0, -0.0, 5e-324, -1.0, np.inf, np.nan]),
     st.floats(allow_nan=True, allow_infinity=True))))
 def test_one_by_one_proof_is_the_cholesky_outcome(diag):
-    # OpenBLAS factors a NaN 1x1 block without complaint; the proof
-    # refuses it, as it refuses every g that is not > 0
+    # OpenBLAS factors a NaN or an infinite 1x1 block without complaint;
+    # the proof refuses both, as it refuses every g that is not > 0
     M = np.diag(diag)
     parts = [np.arange(len(diag)).reshape(-1, 1)]
     try:
         np.linalg.cholesky(diag.reshape(-1, 1, 1))
-        factored = not np.isnan(diag).any()
+        factored = np.isfinite(diag).all()
     except np.linalg.LinAlgError:
         factored = False
     try:
-        require_positive_definite(M, parts)
+        require_positive_definite(gram_blocks(M, parts))
         proven = True
     except NotPositiveDefinite:
         proven = False

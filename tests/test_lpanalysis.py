@@ -201,6 +201,29 @@ def test_kernel_estimates_match_dense_oracle(kind, params):
         assert dev <= 1e-12 * max(1.0, float(np.abs(want).max())), dev
 
 
+@pytest.mark.parametrize("kind,params,delta", [
+    ("snowflake", {"n": 300, "eps": 0.5}, 0.5),
+    ("point_cloud", {"n": 150, "dim": 2}, 0.2),
+    ("koranyi_sphere", {"n": 140, "dim": 2}, 0.3),
+    ("cyclic", {"n": 40}, 0.5)])
+def test_kernel_symmetry_tiles_have_the_bits_of_the_whole_asymmetry(
+        kind, params, delta):
+    # uneven weights leave rounding-level asymmetries in every space; the
+    # tiles are whole and partial, and one tile covers the smallest n
+    base = gen_example(kind, seed=0, **params)
+    weights = np.random.default_rng(1).uniform(0.5, 2.0, base.n)
+    space, nets, mra, basis, lp = assemble_space(
+        build_space(base.dist, weights), delta)
+    w = space.weights
+    report = kernel_estimates(space, nets, lp,
+                              lp_projectors(space, nets, basis))
+    for k, P, _ in lp_projectors(space, nets, basis):
+        asym = P / w[None, :] - np.ascontiguousarray(P.T) / w[:, None]
+        assert report["levels"][k]["p_sym_dev"] == np.abs(asym).max(), k
+    assert max(entry["p_sym_dev"] for entry in report["levels"].values()) \
+        > 0.0
+
+
 def test_build_and_lp_hold_no_dense_projectors():
     """What build_mra and build_lp keep, beyond the Grams, stays below two
     n x n arrays (one projector per level would be 2L of them)."""
@@ -220,7 +243,9 @@ def test_build_and_lp_hold_no_dense_projectors():
         held += tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    kept = sum(a.nbytes for a in mra.grams.values())
+    kept = sum(g.rows.nbytes + g.diag.nbytes
+               + sum(idx.nbytes + blocks.nbytes for idx, blocks in g.larger)
+               for g in mra.grams.values())
     assert held - kept < 2 * space.n * space.n * 8
 
 

@@ -188,6 +188,26 @@ def test_generator_determinism():
     assert not np.array_equal(a.dist, c.dist)
 
 
+def whole_cloud_dist(n, dim, seed):
+    """Point cloud distances from one (n, n, dim) array of differences."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    pts = rng.uniform(size=(n, dim))
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(dist, 0.0)
+    return dist
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 9])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_point_cloud_row_blocks_have_the_bits_of_one_array(dim, seed):
+    # one partial block after two whole ones, and a single short block
+    for n in (150, 7):
+        got = gen_example("point_cloud", n=n, dim=dim, seed=seed).dist
+        want = whole_cloud_dist(n, dim, seed)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_unknown_kind_and_bad_params():
     with pytest.raises(BadParams):
         gen_example("moebius", n=4)

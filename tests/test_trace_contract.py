@@ -61,6 +61,14 @@ def probe_inputs():
     }
 
 
+def test_spline_density_reads_the_dense_levels(probe_inputs):
+    # the fraction of the dense per-level values, before they were stored
+    # as triples: 320 nonzeros over 136 rows of 40 points
+    trace = load("trace")
+    assert trace._spline_density(*probe_inputs["spline.compute_splines"]) \
+        == {"spline.values_nnz_frac": 320 / 5440}
+
+
 def test_every_probe_gives_finite_numbers(probe_inputs):
     trace, run = load("trace"), load("run")
     assert probe_inputs.keys() == trace.PROBES.keys()

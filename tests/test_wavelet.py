@@ -14,7 +14,7 @@ from dyadwave.errors import (
 from dyadwave.nets import build_nets
 from dyadwave.randgrid import build_grid
 from dyadwave.space import build_space, exponent_a, gen_example
-from dyadwave.spline import compute_splines
+from dyadwave.spline import compute_splines, sparse_triples
 from dyadwave.wavelet import (
     build_mra,
     build_wavelet_basis,
@@ -138,9 +138,10 @@ def test_duals_match_cholesky_inverse(kind, params):
 def test_dual_splines_rejects_indefinite_gram():
     space, nets, system = setup("cyclic", {"n": 8})
     k = next(k for k in nets.level_range if len(nets.levels[k]) >= 2)
-    values = system.values[k].copy()
+    values = system.values[k]
     values[0] = 0.0                    # the Gram gets a zero eigenvalue
-    broken = dataclasses.replace(system, values={**system.values, k: values})
+    broken = dataclasses.replace(
+        system, triples={**system.triples, k: sparse_triples(values)})
     with pytest.raises(NotPositiveDefinite, match=f"level {k} Gram"):
         build_mra(space, broken)
 
@@ -408,7 +409,9 @@ def test_rank_deficiency_guard():
              if len(nets.ydiff[k]) > 1)
     # two new points with the same fine spline leave equal residuals
     rows = nets.positions(k + 1, space.n)[nets.ydiff[k]]
-    system.values[k + 1][rows[1]] = system.values[k + 1][rows[0]]
+    values = system.values[k + 1]
+    values[rows[1]] = values[rows[0]]
+    system.triples[k + 1] = sparse_triples(values)
     with pytest.raises(RankDeficiency):
         pre_wavelets(space, nets, mra, k)
 

@@ -11,6 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import writer_oracle as oracle
 from dyadwave import cli, randgrid
+from dyadwave.spline import dense_from_triples, sparse_triples
 
 SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
             2.2250738585072014e-308, 1.7976931348623157e308, 1e300, -1e300,
@@ -116,12 +117,12 @@ def test_write_sparse_matches_oracle_and_reads_back(out_dir, M):
     """The stored triples keep every entry whose bits are not +0.0 (-0.0
     and each NaN payload included), and read back to the same bits."""
     path = out_dir / "s.npy"
-    cli._write_sparse(path, M)
+    cli._write_array(path, sparse_triples(M))
     data = path.read_bytes()
     assert data.startswith(b"\x93NUMPY")
     assert data.endswith(oracle.sparse_npy_data(M))
     assert np.load(path).nbytes == len(oracle.sparse_npy_data(M))
-    back = cli._load_sparse(path, M.shape)
+    back = dense_from_triples(cli._load_triples(path, M.shape), M.shape)
     assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
 
 
@@ -194,8 +195,6 @@ def test_session_files_match_oracle(tmp_path, monkeypatch):
                         record(cli.write_csv, oracle.csv_text))
     monkeypatch.setattr(cli, "_write_array",
                         record(cli._write_array, oracle.npy_data))
-    monkeypatch.setattr(cli, "_write_sparse",
-                        record(cli._write_sparse, oracle.sparse_npy_data))
     # boundary imports the sampler from randgrid when it runs
     monkeypatch.setattr(randgrid, "boundary_layer_stats", record_stats)
     monkeypatch.setattr(cli, "square_function", record_sf)
@@ -219,6 +218,12 @@ def test_session_files_match_oracle(tmp_path, monkeypatch):
             assert np.load(path).nbytes == len(text), path
         else:
             assert path.read_text() == text, path
+    # each spline level is stored as the oracle's triples of its values
+    report = json.loads((art / "build_report.json").read_text())
+    for k, size in report["level_sizes"].items():
+        path = art / "splines" / f"level_{k}.npy"
+        values = dense_from_triples(np.load(path), (size, report["n"]))
+        assert path.read_bytes().endswith(oracle.sparse_npy_data(values)), k
     core = json.loads((art / "build_config.json").read_text())
     want = hashlib.sha256(oracle.dumps(core["config"]).encode()).hexdigest()
     assert core["config_sha256"] == want

@@ -42,6 +42,9 @@ EXIT_CHECKS_FAILED = 20
 # rows of the spline projector that verify's telescoping check forms at once
 PROJECTOR_ROWS = 128
 
+# entries of basis_values.csv that write_csv formats at once
+CSV_BLOCK = 1 << 13
+
 CONFIG_DEFAULTS = {
     "input": None,
     "weights": None,
@@ -84,18 +87,30 @@ def _fmt_floats(row, sep: str = ",") -> str:
     return text.replace("nan", "NaN").replace("inf", "Infinity")
 
 
-def _fmt_rows(M, sep: str = ",") -> list:
+def _fmt_rows(M, sep: str = ",", known=None) -> list:
     """One text per row of a 1-D or 2-D float array, entries joined by ``sep``.
 
     The text of a float depends only on its bits, so each distinct bit
     pattern is formatted once, by one ``_fmt_floats`` call, and the rows
     are joined from those texts.  +0.0 and -0.0 are distinct patterns, and
-    so is every NaN payload.
+    so is every NaN payload.  ``known``, when given, maps the patterns of
+    the array formatted before to their texts, which are not formatted
+    again; on return it maps this array's patterns instead.
     """
     M = np.atleast_2d(np.asarray(M, dtype=float))
     bits, inverse = np.unique(M.view(np.uint64), return_inverse=True)
-    texts = np.array(_fmt_floats(bits.view(float).tolist(), "\n").split("\n"),
-                     dtype=object)
+    if known is None:
+        texts = _fmt_floats(bits.view(float).tolist(), "\n").split("\n")
+    else:
+        keys = bits.tolist()
+        new = [key for key in keys if key not in known]
+        known.update(zip(new, _fmt_floats(
+            np.array(new, dtype=np.uint64).view(float).tolist(), "\n")
+            .split("\n")))
+        texts = [known[key] for key in keys]
+        known.clear()
+        known.update(zip(keys, texts))
+    texts = np.array(texts, dtype=object)
     return [sep.join(row) for row in texts[inverse.reshape(M.shape)].tolist()]
 
 
@@ -174,7 +189,15 @@ def write_json(path, payload) -> None:
 
 
 def write_csv(path, rows) -> None:
-    _write_text(path, "\n".join(_fmt_rows(rows)) + "\n")
+    """The rows as CSV, formatted one block of rows of about CSV_BLOCK
+    entries at a time; the bit patterns of the block before are not
+    formatted again."""
+    M = np.atleast_2d(np.asarray(rows, dtype=float))
+    step = max(1, CSV_BLOCK // max(1, M.shape[1]))
+    known = {}
+    blocks = ("\n".join(_fmt_rows(M[r0:r0 + step], known=known)) + "\n"
+              for r0 in range(0, len(M), step))
+    _write_text(path, "".join(blocks) or "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -779,6 +802,7 @@ def cmd_verify(args) -> int:
     signs = random_signs(basis, seed=seed)
     T = random_sign_operator(space, basis, signs)
     iso_dev = float(np.abs(T.T @ (w[:, None] * T) - np.diag(w)).max())
+    del T    # no later check reads the operator
 
     equivalence = {}
     parseval_dev = 0.0

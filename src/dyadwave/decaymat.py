@@ -26,6 +26,9 @@ TINY = 1e-300
 
 DEFAULT_C_MAX = 50.0
 
+# entries of the slopes and cover exponents a fit forms at once
+FIT_BLOCK = 1 << 14
+
 
 def above_floor(values) -> np.ndarray:
     """The entries that count as samples: magnitudes at or above TINY."""
@@ -52,7 +55,19 @@ def envelope_fit(xs, values, x_cut: float = 1.0) -> dict:
     values = np.asarray(values, dtype=float)
     if xs.shape != values.shape:
         raise ValueError("xs and values must have the same shape")
-    xs, values = xs.ravel(), values.ravel()
+    return fit_samples(xs.ravel(), values.ravel(), x_cut, overwrite=False)
+
+
+def fit_samples(xs, values, x_cut: float, overwrite: bool) -> dict:
+    """``envelope_fit`` of the 1-D ``xs`` and ``values``; with
+    ``overwrite`` the logs are taken in the buffer of ``values``, which
+    the caller gives up.
+
+    The slopes and the cover exponents are formed FIT_BLOCK entries at a
+    time, in one buffer; their extremes are exact, so the blocks keep
+    every bit.  Only a refuted fit forms all its slopes at once, to rank
+    the worst.
+    """
     keep = above_floor(values)
     n_pairs = int(np.count_nonzero(keep))
     if n_pairs == 0:
@@ -64,32 +79,85 @@ def envelope_fit(xs, values, x_cut: float = 1.0) -> dict:
         keep = np.ones(n_pairs, dtype=bool)
     else:
         with np.errstate(divide="ignore", invalid="ignore"):
-            ys = np.log(values)
+            ys = np.log(values, out=values if overwrite else None)
         if n_pairs < values.size:
             ys[~keep] = -np.inf
     log_c0 = float(ys.max())
-    # one buffer holds the slopes, +inf off the far field and the samples,
-    # and then the cover exponents
-    buf = np.subtract(log_c0, ys)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        buf /= xs
-    near = xs < x_cut
-    buf[near] = np.inf
-    c = float(buf.min(initial=DEFAULT_C_MAX))
+    size = ys.size
+    blocks = [slice(lo, min(lo + FIT_BLOCK, size))
+              for lo in range(0, size, FIT_BLOCK)]
+    # one buffer of values and one of flags serve every block
+    buf = np.empty(min(FIT_BLOCK, size))
+    flags = np.empty(len(buf), dtype=bool)
+
+    def slopes(at, out, near):
+        # (log_c0 - y) / x, and +inf off the far field
+        np.subtract(log_c0, ys[at], out=out)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            out /= xs[at]
+        np.less(xs[at], x_cut, out=near)
+        out[near] = np.inf
+        return out
+
+    c = float(np.min([slopes(at, buf[:at.stop - at.start],
+                             flags[:at.stop - at.start]).min()
+                      for at in blocks], initial=DEFAULT_C_MAX))
     refuted = c <= 0.0
     worst = []
     if refuted:
+        every = slopes(slice(0, size), np.empty(size),
+                       np.empty(size, dtype=bool))
         at = np.flatnonzero(keep)
-        order = at[np.argsort(buf[at], kind="stable")[:5]]
+        order = at[np.argsort(every[at], kind="stable")[:5]]
         worst = [{"x": float(xs[i]), "log_value": float(ys[i]),
-                  "slope": float(buf[i])} for i in order]
-    np.multiply(xs, c, out=buf)
-    buf += ys
-    cover = float(buf.max())
-    near &= keep
-    return {"n_pairs": n_pairs, "n_far": n_pairs - int(np.count_nonzero(near)),
+                  "slope": float(every[i])} for i in order]
+        del every
+    covers, n_near = [], 0
+    for at in blocks:
+        out, near = buf[:at.stop - at.start], flags[:at.stop - at.start]
+        np.multiply(xs[at], c, out=out)
+        out += ys[at]
+        covers.append(out.max())
+        np.less(xs[at], x_cut, out=near)
+        near &= keep[at]
+        n_near += int(np.count_nonzero(near))
+    cover = float(np.max(covers))
+    return {"n_pairs": n_pairs, "n_far": n_pairs - n_near,
             "c": c, "C": float(math.exp(min(cover, 700.0))),
             "refuted": bool(refuted), "worst": worst}
+
+
+def require_separated(row_blocks, s: float) -> None:
+    """Raise BadParams unless a square matrix of index distances, given as
+    consecutive blocks of its rows, is 1-separated: its smallest
+    off-diagonal entry dmin has dmin^s <= dmin, with only rounding below 1
+    allowed.  Each block is a fresh array, whose diagonal entries are
+    overwritten."""
+    mins, r0 = [], 0
+    for block in row_blocks:
+        at = np.arange(len(block))
+        block[at, r0 + at] = np.inf
+        mins.append(block.min())
+        r0 += len(block)
+    dmin = float(np.min(mins))
+    if not (dmin >= 1.0 - 1e-9 and dmin ** s <= dmin * (1 + 1e-12)):
+        raise BadParams(
+            f"index set not 1-separated (min distance {dmin:.3e})")
+
+
+def certificate_fit(index_dist, values, anchor: float, s: float) -> dict:
+    """The fit of a decay certificate from its off-diagonal samples.
+
+    ``index_dist`` and ``values`` hold off-diagonal distances and entries
+    in row-major order; the entries left out are zeros, which are no
+    samples.  ``anchor``, the largest diagonal magnitude but at least
+    TINY, is one more sample at x = 0.  The index set is 1-separated, so
+    the far field starts at x = 1 and holds every other sample.
+    """
+    fit = envelope_fit(np.r_[index_dist ** s, 0.0],
+                       np.r_[np.abs(values), max(anchor, TINY)], x_cut=1.0)
+    fit.update(s=float(s), n_pairs=fit["n_pairs"] - 1)
+    return fit
 
 
 def decay_certificate(matrix, index_dist, s: float = 1.0) -> dict:
@@ -98,7 +166,9 @@ def decay_certificate(matrix, index_dist, s: float = 1.0) -> dict:
     The index set must be 1-separated under the supplied (renormalized)
     quasi-distance, so d^s <= d off the diagonal.  The off-diagonal
     entries are the samples; the diagonal only feeds the anchor, its
-    largest magnitude (at least TINY) placed at x = 0.
+    largest magnitude (at least TINY) placed at x = 0.  Only the nonzero
+    entries are gathered, and the separation test reads blocks of rows,
+    so no other array of the matrix's size is formed.
     """
     matrix = np.asarray(matrix, dtype=float)
     index_dist = np.asarray(index_dist, dtype=float)
@@ -107,18 +177,16 @@ def decay_certificate(matrix, index_dist, s: float = 1.0) -> dict:
             "matrix and index distances must have equal square shape")
     if not 0.0 < s <= 1.0:
         raise BadParams(f"decay exponent s={s} outside (0, 1]")
-    off = ~np.eye(matrix.shape[0], dtype=bool)
-    if off.any():
-        dmin = float(index_dist[off].min())
-        # d^s <= d needs d >= 1; allow only rounding below it
-        if not (dmin >= 1.0 - 1e-9 and dmin ** s <= dmin * (1 + 1e-12)):
-            raise BadParams(
-                f"index set not 1-separated (min distance {dmin:.3e})")
-    anchor = max(float(np.abs(np.diag(matrix)).max()), TINY)
-    fit = envelope_fit(np.r_[index_dist[off] ** s, 0.0],
-                       np.r_[np.abs(matrix[off]), anchor])
-    fit.update(s=float(s), n_pairs=fit["n_pairs"] - 1)
-    return fit
+    m = len(matrix)
+    if m > 1:
+        step = max(1, m // 8)
+        require_separated((index_dist[r0:r0 + step].copy()
+                           for r0 in range(0, m, step)), s)
+    rows, cols = np.divmod(np.flatnonzero(matrix), m)
+    off = rows != cols
+    rows, cols = rows[off], cols[off]
+    return certificate_fit(index_dist[rows, cols], matrix[rows, cols],
+                           float(np.abs(np.diagonal(matrix)).max()), s)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decaymat import above_floor, envelope_fit
+from .decaymat import above_floor, fit_samples
 from .errors import BadExponent, BadParams, IncompleteSigns
 from .nets import NestedNets
 from .seeding import STREAM_SIGNS, STREAM_TRIALS, stream_rng
@@ -25,6 +25,7 @@ from .wavelet import WaveletBasis
 PAIR_BUDGET = 200_000
 CZ_ROWS = 64
 SYM_TILE = 128   # side of the square tiles of the kernel asymmetry
+Q_BLOCK = 1 << 13   # samples of the Q_k size fit gathered at once
 
 
 @dataclass(frozen=True)
@@ -186,46 +187,104 @@ def cz_kernel_bound(space: QuasiMetricSpace, basis: WaveletBasis) -> dict:
     return {"c_hat": best, "pair": pair, "n_pairs": n * (n - 1)}
 
 
-def _reg_quotients(kernel_t, att, mass, pairs, pair_budget, seed):
-    """(x, y, count): x = -log(d / scale) and y the largest log quotient
-    over the rows, per sampled close pair with one kept (count).
-
-    ``kernel_t`` is the kernel transposed and C-ordered, so a pair's two
-    kernel columns are two contiguous rows of it.  ``att`` holds the
-    attenuations exp(-gamma (d / scale)^s), symmetric as the distances
-    are, and ``pairs`` is the level's strict ``close_pair_ladder`` triple.
-    Only the entries whose difference is ``above_floor`` get a denominator
-    and a log, over blocks of max(1, pair_budget // (8 n)) pairs, so a block
-    holds an eighth of the budget's entries.
-    """
-    n = len(mass)
+def _sample_pairs(pairs, n, pair_budget, seed):
+    """The close pairs, a ``close_pair_ladder`` triple, whose regularity
+    quotients are taken: all of them while they have at most
+    ``pair_budget`` entries over n points, else a draw of pair_budget // n
+    of them."""
     iu, ju, rel = pairs
     if iu.size * n > pair_budget and iu.size > 0:
         take = max(1, pair_budget // n)
         idx = stream_rng(seed, STREAM_TRIALS, 1).choice(iu.size, size=take,
                                                         replace=False)
         iu, ju, rel = iu[idx], ju[idx], rel[idx]
+    return iu, ju, rel
+
+
+def _reg_quotients(kernel_t, att, mass, pairs, pair_budget):
+    """(x, y, count): x = -log(d / scale) and y the largest log quotient
+    over the rows, per sampled close pair with one kept (count).
+
+    ``kernel_t`` is the kernel transposed and C-ordered, so a pair's two
+    kernel columns are two contiguous rows of it.  ``att`` holds the
+    attenuations exp(-gamma (d / scale)^s), symmetric as the distances
+    are, and ``pairs`` the level's ``_sample_pairs``.  Only the entries
+    whose difference is ``above_floor`` get a denominator and a log, over
+    blocks of max(1, pair_budget // (16 n)) pairs, so a block holds a
+    sixteenth of the budget's entries.  A pair's kept quotients are one
+    run of the block's, whose length is its count and whose maximum, exact
+    in any order, its largest quotient.
+    """
+    n = len(mass)
+    iu, ju, rel = pairs
     if iu.size == 0:
         return np.zeros(0), np.zeros(0), 0
     rm = 1.0 / np.sqrt(mass)
     top = np.full(iu.size, -np.inf)
     kept = np.zeros(iu.size, dtype=np.int64)
-    step = max(1, pair_budget // (8 * n))
+    step = max(1, pair_budget // (16 * n))
     for lo in range(0, iu.size, step):
         bi, bj = iu[lo:lo + step], ju[lo:lo + step]
         # row p of a block is the pair (bi[p], bj[p]), column x the point x
-        diff = np.abs(kernel_t[bi] - kernel_t[bj])
+        diff = kernel_t[bi]
+        diff -= kernel_t[bj]
+        np.abs(diff, out=diff)
         keep = above_floor(diff)
+        quot = diff[keep]
+        del diff
+        # the denominators att_i rx rm_i + att_j rx rm_j, formed in place
         p = kept_rows(np.arange(len(bi)), keep)
         rx = kept_cols(rm, keep)
-        denom = (att[bi][keep] * rx * rm[bi[p]]
-                 + att[bj][keep] * rx * rm[bj[p]])
+        denom = att[bi][keep]
+        denom *= rx
+        denom *= rm[bi][p]
+        other = att[bj][keep]
+        other *= rx
+        other *= rm[bj][p]
+        denom += other
+        del rx, other
         ok = above_floor(denom)
         p = p[ok]
-        np.maximum.at(top[lo:lo + step], p,
-                      np.log(diff[keep][ok]) - np.log(denom[ok]))
-        kept[lo:lo + step] += np.bincount(p, minlength=len(bi))
+        quot = np.log(quot[ok]) - np.log(denom[ok])
+        # p ascends, so each pair's quotients are one run of them
+        runs = np.searchsorted(p, np.arange(len(bi) + 1))
+        counts = np.diff(runs)
+        has = counts > 0
+        top[lo:lo + step][has] = np.maximum.reduceat(quot, runs[:-1][has])
+        kept[lo:lo + step] = counts
+        # no block's arrays are held while the next one is formed
+        del keep, p, denom, ok, quot
     return -np.log(rel[kept > 0]), top[kept > 0], int(kept.sum())
+
+
+def _q_size_samples(dist, scale, a, hvec, rm, keep, mags):
+    """The distances of the Q_k size fit at the true entries of ``keep``,
+    in row-major order: (d / scale)^a shifted by the holes ``hvec`` of
+    both points.  ``mags``, the magnitudes |Q_k / w| gathered through
+    ``keep``, is scaled in place by rm rm^T.  Each factor is gathered
+    through the mask over blocks of rows that hold about Q_BLOCK samples,
+    so no temporary has the size of the samples."""
+    xs = np.empty_like(mags)
+    # the samples of rows r0 to r1 are entries starts[r0] to starts[r1]
+    starts = np.r_[0, np.cumsum(np.count_nonzero(keep, axis=1))]
+    # row r begins a block where starts[r] first reaches a multiple of
+    # Q_BLOCK, so a block holds at most Q_BLOCK samples and one row more
+    cuts = np.r_[0, np.searchsorted(
+        starts, np.arange(Q_BLOCK, starts[-1], Q_BLOCK), side="right") - 1,
+        len(keep)]
+    for r0, r1 in zip(cuts, cuts[1:]):
+        blk = keep[r0:r1]
+        at = slice(starts[r0], starts[r1])
+        rr = kept_rows(rm[r0:r1], blk)
+        rr *= kept_cols(rm, blk)
+        mags[at] *= rr
+        x = dist[r0:r1][blk]
+        x /= scale
+        np.power(x, a, out=x)
+        x += kept_rows(hvec[r0:r1], blk)
+        x += kept_cols(hvec, blk)
+        xs[at] = x
+    return xs
 
 
 def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
@@ -267,10 +326,17 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
         mags *= np.outer(rm, rm)
         xs = space.dist / scale
         np.power(xs, s, out=xs)
-        entry["p_size"] = envelope_fit(xs, mags)
+        # the fit takes its logs in the magnitudes' own buffer
+        entry["p_size"] = fit_samples(xs.ravel(), mags.ravel(), 1.0,
+                                      overwrite=True)
         del mags
         gamma = entry["p_size"]["c"]
-        pairs = next(ladder)
+        # the level's pairs are sampled as the ladder yields them, so the
+        # list of every close pair is not held beside the kernel below
+        if gamma > 0.0:
+            pairs = _sample_pairs(next(ladder), space.n, pair_budget, seed)
+        else:
+            next(ladder)
         # the kernel P_k / w transposed, so a pair's two kernel columns are
         # two contiguous rows.  P_k / w minus it, the asymmetry, is
         # kernel_t.T - kernel_t bit for bit, and exactly antisymmetric, so
@@ -292,7 +358,7 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
             np.multiply(xs, -gamma, out=xs)
             np.exp(xs, out=xs)
             hx, hy, n_kept = _reg_quotients(kernel_t, xs, mass, pairs,
-                                            pair_budget, seed)
+                                            pair_budget)
             # Budget convention: the admissible constant sits at the budget
             # factor above the observed sup of the quotient, keeping the
             # fitted exponent scale-free.
@@ -303,12 +369,12 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
                 "const": math.exp(min(shift, 700.0)) if hx.size else math.nan,
                 "n_pairs": n_kept,
             }
+            del pairs
         else:
             entry["p_reg"] = {"eta_hat": math.nan, "budget": HOLDER_BUDGET,
                               "const": math.nan, "n_pairs": 0}
             report["nonpositive"].append((k, "p_size"))
-        # while the Q_k fit runs, only the ladder keeps this level's pairs
-        del kernel_t, xs, pairs
+        del kernel_t, xs
 
         if Q is not None:
             Q = Q / w[None, :]
@@ -316,6 +382,7 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
             np.abs(Q, out=Q)
             if Q.max() < 1e-14:
                 entry["q_size"] = {"empty": True, "max_abs": float(Q.max())}
+                del Q
             else:
                 hvec = (lp.holes_dist[k] / scale) ** a
                 # The hole shifts push even zero-distance pairs out to
@@ -323,26 +390,19 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
                 # clear that band or the anchor pair lands in its own far
                 # set.
                 cut = 1.0 + 2.0 * float(hvec.max())
-                # the samples at the nonzero entries of |Q_k / w|, in
-                # row-major order, each factor gathered through the mask
                 keep = Q > 0.0
                 mags = Q[keep]
                 del Q
-                rr = kept_rows(rm, keep)
-                rr *= kept_cols(rm, keep)
-                mags *= rr
-                del rr
-                xs = space.dist[keep]
-                xs /= scale
-                np.power(xs, a, out=xs)
-                xs += kept_rows(hvec, keep)
-                xs += kept_cols(hvec, keep)
+                xs = _q_size_samples(space.dist, scale, a, hvec, rm, keep,
+                                     mags)
                 del keep
-                entry["q_size"] = envelope_fit(xs, mags, x_cut=cut)
+                entry["q_size"] = fit_samples(xs, mags, cut, overwrite=True)
                 del xs, mags
                 if entry["q_size"]["c"] <= 0.0:
                     report["nonpositive"].append((k, "q_size"))
         report["levels"][k] = entry
+        # neither P_k nor Q_k / w is held while the next level is formed
+        del P
     return report
 
 

@@ -63,6 +63,18 @@ class SplineSystem:
         """k -> level k's dense (n_k, n) values, formed anew at each read."""
         return _DenseLevels(self)
 
+    def dense_rows(self, k: int, rows) -> np.ndarray:
+        """The distinct rows ``rows`` of level k's dense values, in that
+        order, formed from those rows' triples alone."""
+        triples = self.triples[k]
+        where = np.full(len(self.ball_mass[k]), -1)
+        where[rows] = np.arange(len(rows))
+        at = where[triples[:, 0].astype(np.intp)]
+        mine = at >= 0
+        out = np.zeros((len(rows), self.n))
+        out[at[mine], triples[mine, 1].astype(np.intp)] = triples[mine, 2]
+        return out
+
 
 class _DenseLevels(Mapping):
     """The read-only map ``SplineSystem.values``."""

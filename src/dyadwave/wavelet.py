@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decaymat import (above_floor, decay_certificate, envelope_fit,
-                       require_symmetric)
+from .decaymat import (above_floor, certificate_fit, decay_certificate,
+                       envelope_fit, require_separated, require_symmetric)
 from .errors import (
     NotPositiveDefinite,
     RankDeficiency,
@@ -32,8 +32,8 @@ from .errors import (
 from .nets import NestedNets
 from .space import (QuasiMetricSpace, exponent_a, kept_cols, kept_rows,
                     near_pairs)
-from .spline import (HOLDER_BUDGET, SplineSystem, close_pair_ladder,
-                     holder_fit, pair_maxima)
+from .spline import (HOLDER_BUDGET, HOLDER_ETA_CAP, SplineSystem,
+                     close_pair_ladder, holder_fit, pair_maxima)
 
 GRAM_TOL = 1e-10
 
@@ -165,13 +165,17 @@ def component_solve(gram: GramBlocks, rhs: np.ndarray) -> np.ndarray:
     A 1x1 component g divides its row by g when ``rhs`` has one column,
     and otherwise multiplies it by 1 / g.  That is what OpenBLAS's
     triangular solves do, so the row has the bits of ``np.linalg.solve``;
-    the other operation rounds differently.
+    the other operation rounds differently.  Every other row is divided or
+    multiplied by 1.0 in the same pass, which keeps its bits, so no row is
+    gathered.
     """
-    rows, diag = gram.rows, gram.diag
+    factor = np.ones(len(rhs))
     if rhs.shape[1] == 1:
-        rhs[rows] /= diag[:, None]
+        factor[gram.rows] = gram.diag
+        rhs /= factor[:, None]
     else:
-        rhs[rows] *= (1.0 / diag)[:, None]
+        factor[gram.rows] = 1.0 / gram.diag
+        rhs *= factor[:, None]
     for idx, blocks in gram.larger:
         rhs[idx] = np.linalg.solve(blocks, rhs[idx])
     return rhs
@@ -278,7 +282,7 @@ def pre_wavelets(space: QuasiMetricSpace, nets: NestedNets, mra: MRA,
     sum of the ranks of the components.
     """
     rows = nets.positions(k + 1, space.n)[nets.ydiff[k]]
-    base = mra.system.values[k + 1][rows]
+    base = mra.system.dense_rows(k + 1, rows)
     S = mra.system.values[k]
     # base's projection onto V_k, applied without forming the projector
     resid = base - _dual_solve(mra, k, (S * space.weights) @ base.T).T @ S
@@ -354,32 +358,81 @@ def gram_decay_certificates(space: QuasiMetricSpace, nets: NestedNets,
     Net points at level k are delta^k-separated, so dividing the distance
     by the scale meets the certificate's separation precondition; the
     pre-wavelet centers live at level k+1 and use that scale instead.  The
-    spline Grams are kept by the MRA as blocks, each made dense for its
-    certificate alone, and the pre-wavelet ones by the basis.
+    spline Grams are read from the blocks the MRA keeps, whose entries
+    inside the components are the only ones that can be samples, and the
+    pre-wavelet ones from their nonzero entries.  Each certificate has the
+    bits of ``decay_certificate`` of the dense Gram, and no square array of
+    a level's size is formed.
     """
-    def cert(gram, pts, scale):
-        return decay_certificate(gram, space.dist[np.ix_(pts, pts)] / scale)
-    return {"spline": {k: cert(gram.dense(), nets.levels[k],
-                               nets.scale(k))
-                       for k, gram in mra.grams.items()},
-            "prewavelet": {k: cert(basis.mgram[k], basis.centers[sl],
-                                   nets.scale(k + 1))
-                           for k, sl in basis.blocks.items()}}
+    spline = {k: _certificate(space, nets.levels[k], nets.scale(k),
+                              *_component_entries(gram))
+              for k, gram in mra.grams.items()}
+    prewavelet = {}
+    for k, sl in basis.blocks.items():
+        pts = basis.centers[sl]
+        index_dist = space.dist[np.ix_(pts, pts)]
+        index_dist /= nets.scale(k + 1)
+        prewavelet[k] = decay_certificate(basis.mgram[k], index_dist)
+    return {"spline": spline, "prewavelet": prewavelet}
+
+
+def _component_entries(gram: GramBlocks) -> tuple:
+    """(rows, cols, values, diagonal): the off-diagonal entries of a Gram
+    inside its components, and its diagonal, read from its blocks."""
+    parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp),
+              np.zeros(0), gram.diag)]
+    for idx, blocks in gram.larger:
+        off = ~np.eye(idx.shape[1], dtype=bool)
+        parts.append((np.broadcast_to(idx[:, :, None], blocks.shape)[:, off],
+                      np.broadcast_to(idx[:, None, :], blocks.shape)[:, off],
+                      blocks[:, off], blocks[:, ~off]))
+    return tuple(np.concatenate([a.ravel() for a in part])
+                 for part in zip(*parts))
+
+
+def _certificate(space, pts, scale, rows, cols, vals, diag) -> dict:
+    """``decay_certificate`` of the Gram over the points ``pts`` that holds
+    ``vals`` at the off-diagonal positions (``rows``, ``cols``), ``diag``
+    on its diagonal and zeros elsewhere, against d / ``scale``.
+
+    The positions may come in any order; the samples are fitted in
+    row-major order.  The 1-separation test reads the distances between
+    the points in blocks of rows, each within len(pts)^2 / 8 entries.
+    """
+    m = len(pts)
+    if m > 1:
+        step = max(1, m // 8)
+        require_separated((space.dist[np.ix_(pts[r0:r0 + step], pts)] / scale
+                           for r0 in range(0, m, step)), 1.0)
+    order = np.argsort(rows * m + cols)
+    rows, cols = rows[order], cols[order]
+    return certificate_fit(space.dist[pts[rows], pts[cols]] / scale,
+                           vals[order], float(np.abs(diag).max()), 1.0)
 
 
 def _holder_samples(space, nets, basis):
-    """(x, y, count): x = -log(d / scale) and y the log of the largest
-    scaled wavelet difference, per close pair with one kept (count)."""
-    xs, ys, count = [np.zeros(0)], [np.zeros(0)], 0
+    """(xs, ys, count): per level with a sample, x = -log(d / scale) and y
+    the log of the largest scaled wavelet difference, per close pair with
+    one kept (count).  Each level keeps its own two arrays, and nothing
+    holds the samples of every level at once."""
+    xs, ys, count = [], [], 0
     ladder = close_pair_ladder(
         space.dist, [nets.scale(k) for k in basis.blocks], strict=True)
     for k, sl in basis.blocks.items():
         psi = basis.rows[sl] * np.sqrt(basis.mass_center[k])[:, None]
         rel, sup, kept = pair_maxima(psi, next(ladder))
-        xs.append(-np.log(rel[kept > 0]))
-        ys.append(np.log(sup[kept > 0]))
+        del psi
         count += int(kept.sum())
-    return np.concatenate(xs), np.concatenate(ys), count
+        kept = kept > 0
+        x = rel[kept]
+        del rel
+        y = sup[kept]
+        del sup, kept
+        if x.size:
+            np.negative(np.log(x, out=x), out=x)
+            xs.append(x)
+            ys.append(np.log(y, out=y))
+    return xs, ys, count
 
 
 def orthonormality_devs(B: np.ndarray, w: np.ndarray, seed: int = 0) -> tuple:
@@ -426,12 +479,16 @@ def verify_wavelet_theorem(space: QuasiMetricSpace, nets: NestedNets,
     hx, hy, n_pairs = _holder_samples(space, nets, basis)
     # Scaled wavelet differences are not bounded by 1 the way spline
     # differences are; the admissible constant sits at the budget factor
-    # above the observed sup, so the exponent stays scale-free.
-    shift = float(hy.max()) if hx.size else 0.0
-    eta_hat = holder_fit(hx, hy - shift)
+    # above the observed sup, so the exponent stays scale-free.  Each step
+    # reduces over the levels' sample arrays in turn, with the bits of one
+    # fit of their concatenation.
+    shift = max((float(y.max()) for y in hy), default=0.0)
+    eta_hat = min((holder_fit(x, y - shift) for x, y in zip(hx, hy)),
+                  default=HOLDER_ETA_CAP)
+    cover = max((float((y + eta_hat * x).max()) for x, y in zip(hx, hy)),
+                default=None)
     holder = {"eta_hat": eta_hat, "budget": HOLDER_BUDGET, "n_pairs": n_pairs,
-              "const": float(np.exp((hy + eta_hat * hx).max()))
-              if hx.size else 0.0}
+              "const": 0.0 if cover is None else float(np.exp(cover))}
 
     return {
         "n": space.n,

@@ -199,8 +199,8 @@ def test_reg_quotients_at_kept_entries_match_oracle(budget, cases):
         if pairs and np.ptp(kernel) == 0.0:
             assert entry["p_reg"]["n_pairs"] == 0
             seen.add("constant")
-        # blocks of budget // (8 n) pairs, at least one
-        if sampled > max(1, budget // (8 * space.n)):
+        # blocks of budget // (16 n) pairs, at least one
+        if sampled > max(1, budget // (16 * space.n)):
             seen.add("blocks")
     assert seen == cases
 

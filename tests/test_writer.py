@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import stage_oracle
 import writer_oracle as oracle
 from dyadwave import cli, randgrid
 from dyadwave.spline import dense_from_triples, sparse_triples
@@ -152,6 +153,30 @@ def test_write_csv_edge_shapes(out_dir):
     for rows in ([], np.zeros((0, 3)), [[1, 2]], 7.0, np.float32(0.1)):
         cli.write_csv(path, rows)
         assert path.read_text() == oracle.csv_text(rows)
+
+
+@pytest.mark.parametrize("cols", [100, 1, cli.CSV_BLOCK + 3])
+def test_write_csv_blocks_keep_the_bytes_of_edge_values(tmp_path, cols):
+    """NaN payloads, signed zeros and infinities on both sides of a block
+    boundary, and a pattern of the block before that recurs after it."""
+    step = max(1, cli.CSV_BLOCK // cols)
+    rows = 2 * step + 3
+    M = np.random.default_rng(0).standard_normal((rows, cols))
+    M[::5] = 0.0
+    edge = np.array([_nan_bits(0x7FF0000000000001),
+                     _nan_bits(0x7FF8000000000000),
+                     _nan_bits(0xFFF0000000000005), np.inf, -np.inf, -0.0,
+                     0.0, 5e-324, -1.7976931348623157e308])
+    for r in (step - 1, step, 2 * step):
+        vals = np.roll(edge, r)[:cols]
+        M[r, :len(vals)] = vals
+    bits = set(M.view(np.uint64).ravel().tolist())
+    assert len(set(edge.view(np.uint64).tolist()) & bits) >= min(cols, 9)
+    path = tmp_path / "b.csv"
+    cli.write_csv(path, M)
+    stage_oracle.write_csv(tmp_path / "w.csv", M)
+    assert path.read_bytes() == (tmp_path / "w.csv").read_bytes()
+    assert path.read_text() == oracle.csv_text(M)
 
 
 @given(PAYLOADS)

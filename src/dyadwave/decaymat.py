@@ -127,35 +127,38 @@ def fit_samples(xs, values, x_cut: float, overwrite: bool) -> dict:
             "refuted": bool(refuted), "worst": worst}
 
 
-def require_separated(row_blocks, s: float) -> None:
-    """Raise BadParams unless a square matrix of index distances, given as
-    consecutive blocks of its rows, is 1-separated: its smallest
-    off-diagonal entry dmin has dmin^s <= dmin, with only rounding below 1
-    allowed.  Each block is a fresh array, whose diagonal entries are
-    overwritten."""
-    mins, r0 = [], 0
-    for block in row_blocks:
-        at = np.arange(len(block))
-        block[at, r0 + at] = np.inf
-        mins.append(block.min())
-        r0 += len(block)
-    dmin = float(np.min(mins))
-    if not (dmin >= 1.0 - 1e-9 and dmin ** s <= dmin * (1 + 1e-12)):
-        raise BadParams(
-            f"index set not 1-separated (min distance {dmin:.3e})")
+def entry_certificate(dist, m: int, rows, cols, values, diag,
+                      s: float) -> dict:
+    """``decay_certificate`` of the m x m matrix that holds ``values`` at
+    the off-diagonal positions (``rows``, ``cols``), ``diag`` on its
+    diagonal and zeros elsewhere.
 
-
-def certificate_fit(index_dist, values, anchor: float, s: float) -> dict:
-    """The fit of a decay certificate from its off-diagonal samples.
-
-    ``index_dist`` and ``values`` hold off-diagonal distances and entries
-    in row-major order; the entries left out are zeros, which are no
-    samples.  ``anchor``, the largest diagonal magnitude but at least
-    TINY, is one more sample at x = 0.  The index set is 1-separated, so
-    the far field starts at x = 1 and holds every other sample.
+    ``dist(r, c)`` returns, as a fresh array, the index distances at the
+    broadcast index arrays ``r`` and ``c``.  The positions may come in any
+    order; the samples are fitted in row-major order, and the zeros left
+    out are no samples.  The 1-separation test reads the distances in
+    blocks of rows, each within m^2 / 8 entries, so no m x m array is
+    formed here.
     """
-    fit = envelope_fit(np.r_[index_dist ** s, 0.0],
-                       np.r_[np.abs(values), max(anchor, TINY)], x_cut=1.0)
+    if m > 1:
+        step, mins = max(1, m // 8), []
+        for r0 in range(0, m, step):
+            at = np.arange(r0, min(r0 + step, m))
+            block = dist(at[:, None], np.arange(m))
+            block[at - r0, at] = np.inf
+            mins.append(block.min())
+        dmin = float(np.min(mins))
+        # d^s <= d needs d >= 1; allow only rounding below it
+        if not (dmin >= 1.0 - 1e-9 and dmin ** s <= dmin * (1 + 1e-12)):
+            raise BadParams(
+                f"index set not 1-separated (min distance {dmin:.3e})")
+    order = np.argsort(rows * m + cols)
+    rows, cols = rows[order], cols[order]
+    # the anchor, the largest diagonal magnitude (at least TINY), is one
+    # more sample at x = 0; every other sample is in the far field x >= 1
+    anchor = max(float(np.abs(diag).max()), TINY)
+    fit = envelope_fit(np.r_[dist(rows, cols) ** s, 0.0],
+                       np.r_[np.abs(values[order]), anchor], x_cut=1.0)
     fit.update(s=float(s), n_pairs=fit["n_pairs"] - 1)
     return fit
 
@@ -166,9 +169,8 @@ def decay_certificate(matrix, index_dist, s: float = 1.0) -> dict:
     The index set must be 1-separated under the supplied (renormalized)
     quasi-distance, so d^s <= d off the diagonal.  The off-diagonal
     entries are the samples; the diagonal only feeds the anchor, its
-    largest magnitude (at least TINY) placed at x = 0.  Only the nonzero
-    entries are gathered, and the separation test reads blocks of rows,
-    so no other array of the matrix's size is formed.
+    largest magnitude (at least TINY) placed at x = 0.  The nonzero
+    entries go to ``entry_certificate``.
     """
     matrix = np.asarray(matrix, dtype=float)
     index_dist = np.asarray(index_dist, dtype=float)
@@ -178,15 +180,11 @@ def decay_certificate(matrix, index_dist, s: float = 1.0) -> dict:
     if not 0.0 < s <= 1.0:
         raise BadParams(f"decay exponent s={s} outside (0, 1]")
     m = len(matrix)
-    if m > 1:
-        step = max(1, m // 8)
-        require_separated((index_dist[r0:r0 + step].copy()
-                           for r0 in range(0, m, step)), s)
     rows, cols = np.divmod(np.flatnonzero(matrix), m)
     off = rows != cols
     rows, cols = rows[off], cols[off]
-    return certificate_fit(index_dist[rows, cols], matrix[rows, cols],
-                           float(np.abs(np.diagonal(matrix)).max()), s)
+    return entry_certificate(lambda r, c: index_dist[r, c], m, rows, cols,
+                             matrix[rows, cols], np.diagonal(matrix), s)
 
 
 # ---------------------------------------------------------------------------

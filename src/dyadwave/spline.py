@@ -67,13 +67,12 @@ class SplineSystem:
         """The distinct rows ``rows`` of level k's dense values, in that
         order, formed from those rows' triples alone."""
         triples = self.triples[k]
-        where = np.full(len(self.ball_mass[k]), -1)
+        where = np.full(len(self.ball_mass[k]), -1.0)
         where[rows] = np.arange(len(rows))
         at = where[triples[:, 0].astype(np.intp)]
-        mine = at >= 0
-        out = np.zeros((len(rows), self.n))
-        out[at[mine], triples[mine, 1].astype(np.intp)] = triples[mine, 2]
-        return out
+        mine = triples[at >= 0]
+        mine[:, 0] = at[at >= 0]
+        return dense_from_triples(mine, (len(rows), self.n))
 
 
 class _DenseLevels(Mapping):

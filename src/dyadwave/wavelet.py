@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decaymat import (above_floor, certificate_fit, decay_certificate,
-                       envelope_fit, require_separated, require_symmetric)
+from .decaymat import (above_floor, decay_certificate, entry_certificate,
+                       envelope_fit, require_symmetric)
 from .errors import (
     NotPositiveDefinite,
     RankDeficiency,
@@ -359,14 +359,19 @@ def gram_decay_certificates(space: QuasiMetricSpace, nets: NestedNets,
     by the scale meets the certificate's separation precondition; the
     pre-wavelet centers live at level k+1 and use that scale instead.  The
     spline Grams are read from the blocks the MRA keeps, whose entries
-    inside the components are the only ones that can be samples, and the
-    pre-wavelet ones from their nonzero entries.  Each certificate has the
-    bits of ``decay_certificate`` of the dense Gram, and no square array of
-    a level's size is formed.
+    inside the components are the only ones that can be samples, so no
+    square array of a level's size is formed; each certificate has the
+    bits of ``decay_certificate`` of the dense Gram.  The pre-wavelet
+    Grams are dense already, and go to ``decay_certificate`` with their
+    centers' distances.
     """
-    spline = {k: _certificate(space, nets.levels[k], nets.scale(k),
-                              *_component_entries(gram))
-              for k, gram in mra.grams.items()}
+    def spline_certificate(k, gram):
+        pts, scale = nets.levels[k], nets.scale(k)
+        return entry_certificate(
+            lambda r, c: space.dist[pts[r], pts[c]] / scale, len(pts),
+            *_component_entries(gram), 1.0)
+
+    spline = {k: spline_certificate(k, gram) for k, gram in mra.grams.items()}
     prewavelet = {}
     for k, sl in basis.blocks.items():
         pts = basis.centers[sl]
@@ -388,26 +393,6 @@ def _component_entries(gram: GramBlocks) -> tuple:
                       blocks[:, off], blocks[:, ~off]))
     return tuple(np.concatenate([a.ravel() for a in part])
                  for part in zip(*parts))
-
-
-def _certificate(space, pts, scale, rows, cols, vals, diag) -> dict:
-    """``decay_certificate`` of the Gram over the points ``pts`` that holds
-    ``vals`` at the off-diagonal positions (``rows``, ``cols``), ``diag``
-    on its diagonal and zeros elsewhere, against d / ``scale``.
-
-    The positions may come in any order; the samples are fitted in
-    row-major order.  The 1-separation test reads the distances between
-    the points in blocks of rows, each within len(pts)^2 / 8 entries.
-    """
-    m = len(pts)
-    if m > 1:
-        step = max(1, m // 8)
-        require_separated((space.dist[np.ix_(pts[r0:r0 + step], pts)] / scale
-                           for r0 in range(0, m, step)), 1.0)
-    order = np.argsort(rows * m + cols)
-    rows, cols = rows[order], cols[order]
-    return certificate_fit(space.dist[pts[rows], pts[cols]] / scale,
-                           vals[order], float(np.abs(diag).max()), 1.0)
 
 
 def _holder_samples(space, nets, basis):
@@ -480,15 +465,18 @@ def verify_wavelet_theorem(space: QuasiMetricSpace, nets: NestedNets,
     # Scaled wavelet differences are not bounded by 1 the way spline
     # differences are; the admissible constant sits at the budget factor
     # above the observed sup, so the exponent stays scale-free.  Each step
-    # reduces over the levels' sample arrays in turn, with the bits of one
-    # fit of their concatenation.
-    shift = max((float(y.max()) for y in hy), default=0.0)
-    eta_hat = min((holder_fit(x, y - shift) for x, y in zip(hx, hy)),
-                  default=HOLDER_ETA_CAP)
-    cover = max((float((y + eta_hat * x).max()) for x, y in zip(hx, hy)),
-                default=None)
+    # is one NumPy reduction over the levels' results, which has the bits
+    # of one fit of their concatenation, a NaN sample included.
+    if hx:
+        shift = float(np.max([y.max() for y in hy]))
+        eta_hat = float(np.min([holder_fit(x, y - shift)
+                                for x, y in zip(hx, hy)]))
+        const = float(np.exp(np.max([(y + eta_hat * x).max()
+                                     for x, y in zip(hx, hy)])))
+    else:
+        eta_hat, const = HOLDER_ETA_CAP, 0.0
     holder = {"eta_hat": eta_hat, "budget": HOLDER_BUDGET, "n_pairs": n_pairs,
-              "const": 0.0 if cover is None else float(np.exp(cover))}
+              "const": const}
 
     return {
         "n": space.n,

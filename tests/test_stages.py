@@ -61,6 +61,21 @@ def test_stages_match_oracles_in_the_randomized_regime(kind, params, delta,
     assert_stages_match_oracles(space, nets, mra, basis, tmp_path)
 
 
+def test_wavelet_holder_keeps_a_nan_sample_of_a_later_level():
+    # a NaN in a row of the finest wavelets makes that level's pair maxima
+    # NaN while the coarser levels' stay finite; the fit over the levels
+    # must report it as the one fit of their concatenated samples does
+    space = gen_example(*RANDOMIZED[1][:1], seed=0, **RANDOMIZED[1][1])
+    nets, mra, basis = assemble(space, RANDOMIZED[1][2])
+    rows = basis.rows.copy()
+    rows[list(basis.blocks.values())[-1].start] = np.nan
+    basis = dataclasses.replace(basis, rows=rows)
+    want = oracle.wavelet_holder(space, nets, basis)
+    assert np.isnan(want["eta_hat"]) and len(basis.blocks) > 1
+    assert (_dumps(verify_wavelet_theorem(space, nets, basis)["holder"])
+            == _dumps(want))
+
+
 def test_gram_certificates_never_form_a_dense_spline_gram(monkeypatch):
     space = gen_example(*RANDOMIZED[0][:1], seed=0, **RANDOMIZED[0][1])
     nets, mra, basis = assemble(space, RANDOMIZED[0][2])

@@ -332,26 +332,42 @@ def test_verify_fresh_build_passes(built):
     assert fits["norm_equivalence"]["2"]["lo"] == pytest.approx(1.0)
 
 
+def _verify_on_two_threads(tmp_path, gen, delta):
+    """``gen`` and ``build`` on one OpenBLAS thread, then ``verify`` on two."""
+    env = _cli_env()
+
+    def cli_run(threads, *args):
+        return subprocess.run(
+            [sys.executable, "-m", "dyadwave.cli", *map(str, args)],
+            capture_output=True, text=True, timeout=300, cwd=tmp_path,
+            env={**env, "OPENBLAS_NUM_THREADS": threads})
+
+    assert cli_run("1", "gen", *gen, "--seed", "0",
+                   "--out", "space.json").returncode == 0
+    assert cli_run("1", "build", "--input", "space.json", "--delta", delta,
+                   "--seed", "0", "--out", "art").returncode == 0
+    return cli_run("2", "verify", "--artifacts", "art")
+
+
 def test_verify_passes_with_another_blas_thread_count(tmp_path):
     # build_report.json holds wavelet fit counts; with the off-component
     # entries exactly zero, a verify on two OpenBLAS threads rebuilds the
     # report that a build on one thread wrote
-    src = Path(__file__).resolve().parents[1] / "src"
-
-    def cli_run(threads, *args):
-        env = {**os.environ, "PYTHONPATH": str(src),
-               "OPENBLAS_NUM_THREADS": threads}
-        return subprocess.run(
-            [sys.executable, "-m", "dyadwave.cli", *map(str, args)],
-            capture_output=True, text=True, timeout=300, cwd=tmp_path,
-            env=env)
-
-    assert cli_run("1", "gen", "snowflake", "384", "0.5", "--seed", "0",
-                   "--out", "space.json").returncode == 0
-    assert cli_run("1", "build", "--input", "space.json", "--delta", "0.5",
-                   "--seed", "0", "--out", "art").returncode == 0
-    out = cli_run("2", "verify", "--artifacts", "art")
+    out = _verify_on_two_threads(tmp_path, ("snowflake", "384", "0.5"), "0.5")
     assert out.returncode == 0, out.stdout
+    assert "verify: ok (22/22 exact checks)" in out.stdout
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="two BLAS threads need two CPUs")
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 2: holder.n_pairs counts rounding-level differences "
+    "above TINY, so it moves with the BLAS summation order"))
+def test_randomized_verify_passes_with_another_blas_thread_count(tmp_path):
+    # exits 20 at checks.wavelets.holder.n_pairs (stored 1862514, rebuilt
+    # 1862518)
+    out = _verify_on_two_threads(tmp_path, ("point_cloud", "384", "2"), "0.2")
+    assert out.returncode == 0, out.stderr
     assert "verify: ok (22/22 exact checks)" in out.stdout
 
 
@@ -1579,6 +1595,29 @@ def test_package_has_no_assert_statements():
              for path in sorted(pkg.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
+    assert len(list(pkg.glob("*.py"))) > 5
+    assert found == []
+
+
+def test_package_uses_nothing_the_fast_exit_skips():
+    # cli.run ends the process with os._exit, which runs no atexit
+    # handler, joins no thread and calls no finalizer; the process pool
+    # of boundary --jobs is shut down by its with block before main returns
+    pkg = Path(__file__).resolve().parents[1] / "src" / "dyadwave"
+    found = []
+    for path in sorted(pkg.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.FunctionDef) and node.name == "__del__":
+                names = ["__del__"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}:{name}" for name in names
+                      if name.split(".")[0] in ("atexit", "threading",
+                                                "__del__")]
     assert len(list(pkg.glob("*.py"))) > 5
     assert found == []
 

@@ -2,6 +2,15 @@
 
 __version__ = "0.1.0"
 
-from .space import QuasiMetricSpace, build_space, gen_example
-
 __all__ = ["QuasiMetricSpace", "build_space", "gen_example", "__version__"]
+
+
+def _from_space(name: str):
+    # space loads on first use: ``import dyadwave`` loads no NumPy
+    if name not in __all__[:3]:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import space
+    return getattr(space, name)
+
+
+__getattr__ = _from_space

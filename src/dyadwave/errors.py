@@ -65,10 +65,6 @@ class TooLarge(DyadwaveError):
     """Problem size exceeds the exact-computation budget."""
 
 
-class InsufficientSamples(Warning):
-    """Monte Carlo sample count too small for the requested confidence."""
-
-
 # Stable CLI exit codes.  0 is success; 1 is reserved for unexpected crashes.
 EXIT_CODES = {
     AxiomViolation: 2,

@@ -15,10 +15,10 @@ import numpy as np
 
 from .decaymat import above_floor, fit_samples
 from .errors import BadExponent, BadParams, IncompleteSigns
+from .measure import square_function
 from .nets import NestedNets
 from .seeding import STREAM_SIGNS, STREAM_TRIALS, stream_rng
-from .space import (QuasiMetricSpace, exponent_a, kept_cols, kept_rows,
-                    square_function)
+from .space import QuasiMetricSpace, exponent_a, kept_cols, kept_rows
 from .spline import HOLDER_BUDGET, close_pair_ladder, holder_fit
 from .wavelet import WaveletBasis
 

@@ -16,12 +16,11 @@ rows of these tables into cube assignments for a whole batch of draws.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientSamples, OrderViolation
+from .errors import OrderViolation
 from .nets import NestedNets
 from .seeding import STREAM_BOUNDARY, STREAM_OMEGA, stream_rng
 from .space import QuasiMetricSpace, kept_cols, kept_rows, near_pairs
@@ -537,7 +536,8 @@ def fit_boundary_exponent(stats: dict) -> dict:
 
     The arithmetic is that of ``scipy.stats.linregress`` and its slope
     standard error; the 95% interval uses the Student t quantile.  Fewer
-    than FIT_MIN_POINTS positive means, or a single eps, give no fit.
+    than FIT_MIN_POINTS positive means, or a single eps, give no fit: every
+    fitted field is NaN.
     """
     eps = np.array(stats["eps_grid"])
     mean = np.array(stats["mean_freq"])
@@ -546,8 +546,6 @@ def fit_boundary_exponent(stats: dict) -> dict:
     x = np.log(eps[keep])
     y = np.log(mean[keep])
     if keep.sum() < FIT_MIN_POINTS or x.min() == x.max():
-        warnings.warn("too few positive frequencies for a slope fit",
-                      InsufficientSamples)
         out.update(eta=math.nan, log_c=math.nan, ci95=(math.nan, math.nan),
                    stderr=math.nan, r2=math.nan)
         return out

@@ -6,9 +6,6 @@ from the min-plus square of the distance on first use, balls are strict
 sublevel sets of the distance, and the measure is the weight vector itself.
 On a finite set every subset is measurable, so the usual caveat that balls
 need not be Borel is moot here.
-
-The square function of an expansion in a stored basis lives here too, so
-``analyze`` needs no module of the construction.
 """
 
 import json
@@ -20,7 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (AxiomViolation, BadExponent, BadParams, DegenerateSpace,
-                     DimensionMismatch, MissingArtifact, TooLarge)
+                     MissingArtifact, TooLarge)
+from .measure import check_weights
 
 # Relative slack used when deciding whether a0 is exactly 1.
 LIPSCHITZ_TOL = 1e-12
@@ -153,52 +151,13 @@ def use_stored_a0(space: QuasiMetricSpace, a0) -> None:
     vars(space)["a0"] = float(a0)
 
 
-def check_weights(weights: np.ndarray) -> None:
-    """Refuse point masses that are not all positive and finite."""
-    if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
-        raise AxiomViolation("weights must be positive and finite")
-
-
-def square_function(rows: np.ndarray, blocks: dict, coeffs) -> np.ndarray:
-    """Pointwise l2 size of the level blocks Q_k f.
-
-    ``coeffs`` are the inner products of f with the basis ``rows``, and
-    ``blocks`` maps each level to its slice of them.  Each block is
-    projected back from its own rows and coefficients, coarse to fine.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (rows.shape[0],):
-        raise DimensionMismatch(
-            f"{coeffs.shape} coefficients for {rows.shape[0]} basis rows")
-    total = np.zeros(rows.shape[1])
-    for k in sorted(blocks):
-        total += (rows[blocks[k]].T @ coeffs[blocks[k]]) ** 2
-    return np.sqrt(total)
-
-
 def build_space(dist, weights) -> QuasiMetricSpace:
-    """Validate axioms and compute the diameter and minimal separation.
+    """The space of a quasi-distance matrix and its point masses.
 
-    The quasi-triangle constant ``a0`` is computed on first use.
-
-    Parameters
-    ----------
-    dist : array_like, shape (n, n)
-        Quasi-distance matrix.  Must be symmetric with zero diagonal and
-        positive off-diagonal entries.
-    weights : array_like, shape (n,)
-        Positive point masses.
-
-    Returns
-    -------
-    QuasiMetricSpace
-
-    Raises
-    ------
-    DegenerateSpace
-        If the point set is empty.
-    AxiomViolation
-        If any quasi-distance axiom or the weight positivity fails.
+    ``dist`` (n x n) must be finite and symmetric, with zero diagonal and
+    positive entries off it, and ``weights`` (n,) positive: otherwise
+    AxiomViolation, or DegenerateSpace when n = 0.  The diameter and the
+    minimal separation are computed here, ``a0`` on first use.
     """
     dist = np.array(dist, dtype=float)
     weights = np.array(weights, dtype=float)
@@ -312,10 +271,6 @@ def _snowflake(n: int, eps: float, seed: int) -> QuasiMetricSpace:
     dist = base * np.exp(bump)
     np.fill_diagonal(dist, 0.0)
     return build_space(dist, np.ones(n))
-
-
-GENERATOR_KINDS = ("cyclic", "interval", "binary_tree", "point_cloud",
-                   "koranyi_sphere", "snowflake")
 
 
 def gen_example(kind: str, seed: int = 0, **params) -> QuasiMetricSpace:

@@ -16,7 +16,8 @@ def traced_peak(call, n):
 
     The modules the commands import are loaded first, so their code and
     constants are not counted."""
-    for mod in ("nets", "randgrid", "spline", "wavelet", "lpanalysis"):
+    for mod in ("nets", "randgrid", "spline", "wavelet", "lpanalysis",
+                "pipeline"):
         importlib.import_module(f"dyadwave.{mod}")
     tracemalloc.start()
     try:
@@ -39,7 +40,8 @@ def stage_peaks(call, n, stages):
     wherever the package looks it up at call time.  A stage's peak
     counts its own temporaries and whatever its callees and arguments'
     generators form while it runs, not what was held at its entry."""
-    for mod in ("nets", "randgrid", "spline", "wavelet", "lpanalysis"):
+    for mod in ("nets", "randgrid", "spline", "wavelet", "lpanalysis",
+                "pipeline"):
         importlib.import_module(f"dyadwave.{mod}")
     frames, peaks = [], {}
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from dyadwave import cli, lpanalysis
+from dyadwave import cli, lpanalysis, pipeline
 from dyadwave.cli import EXIT_CHECKS_FAILED, _dumps, _fmt, main, write_json
 from dyadwave.lpanalysis import lp_projectors
 from dyadwave.space import (build_space, gen_example, load_space_json,
@@ -102,6 +102,42 @@ def test_gen_rejects_bad_params(tmp_path):
     assert run("gen", "cyclic", "--out", tmp_path / "x.json") == 4
     assert run("gen", "cyclic", "eight", "--out", tmp_path / "x.json") == 4
     assert run("gen", "point_cloud", "10", "--out", tmp_path / "x.json") == 4
+
+
+GEN_HELP = """\
+usage: dyadwave gen [-h] [--seed SEED] [--out OUT]
+                    {cyclic,interval,binary_tree,point_cloud,koranyi_sphere,snowflake}
+                    [params ...]
+
+positional arguments:
+  {cyclic,interval,binary_tree,point_cloud,koranyi_sphere,snowflake}
+  params                generator parameters in order, e.g. n [dim]
+
+options:
+  -h, --help            show this help message and exit
+  --seed SEED
+  --out OUT             output path (default <kind>.json)
+"""
+
+
+def test_generator_kinds_read_in_the_order_of_one_table(monkeypatch, capsys):
+    # the parser's choices and the unknown-kind message list the kinds of
+    # cli.PARAM_NAMES, in its order
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as stop:
+        run("gen", "--help")
+    assert (stop.value.code, capsys.readouterr().out) == (0, GEN_HELP)
+    with pytest.raises(SystemExit) as stop:
+        run("gen", "foo", "3")
+    assert stop.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "dyadwave gen: error: argument kind: invalid choice: 'foo' (choose "
+        "from 'cyclic', 'interval', 'binary_tree', 'point_cloud', "
+        "'koranyi_sphere', 'snowflake')")
+    assert run("build", "--gen", "foo", "3") == 4
+    assert capsys.readouterr().err == (
+        "error[BadParams]: unknown example kind 'foo'; choose from cyclic, "
+        "interval, binary_tree, point_cloud, koranyi_sphere, snowflake\n")
 
 
 @pytest.mark.parametrize("spec", [("binary_tree", "59"),
@@ -384,8 +420,8 @@ def test_keep_freed_heap_reuses_freed_pages(tmp_path):
     code = (
         "import resource\n"
         "import numpy as np\n"
-        "from dyadwave import cli\n"
-        "cli._keep_freed_heap()\n"
+        "from dyadwave import pipeline\n"
+        "pipeline._keep_freed_heap()\n"
         "faults = []\n"
         "for _ in range(6):\n"
         "    arrays = [np.ones((400, 400)) for _ in range(8)]\n"
@@ -405,8 +441,8 @@ def test_heap_policy_changes_no_report_bit(tmp_path):
 
     def cli_run(*args, policy=True):
         prefix = ["-m", "dyadwave.cli"] if policy else [
-            "-c", "import sys; from dyadwave import cli; "
-            "cli._keep_freed_heap = lambda: None; "
+            "-c", "import sys; from dyadwave import cli, pipeline; "
+            "pipeline._keep_freed_heap = lambda: None; "
             "sys.exit(cli.main(sys.argv[1:]))"]
         out = subprocess.run([sys.executable, *prefix, *map(str, args)],
                              capture_output=True, text=True, timeout=300,
@@ -563,14 +599,14 @@ def test_failed_nets_check_names_first_differing_leaf(
 
 def test_first_difference_walks_written_key_order():
     stored = {"b": [1, 2.5], "10": 1, "2": {"x": None}}
-    assert cli._first_difference(stored, stored) is None
-    assert cli._first_difference(
+    assert pipeline._first_difference(stored, stored) is None
+    assert pipeline._first_difference(
         stored, {"b": [1, 2.5], "10": 2, "2": {}}) == ("2.x", "null",
                                                       "absent")
-    assert cli._first_difference(
+    assert pipeline._first_difference(
         stored, {"b": [1, 2.5, 3], "10": 1, "2": {"x": None}}) == (
             "b.2", "absent", "3")
-    assert cli._first_difference(1.0, 1) is None
+    assert pipeline._first_difference(1.0, 1) is None
 
 
 @pytest.mark.parametrize("name", ["build_report.json", "basis.json"])
@@ -721,7 +757,7 @@ def test_construct_forms_no_spline_projector(monkeypatch):
     monkeypatch.setattr(wavelet, "spline_projector", refuse)
     space = gen_example("point_cloud", seed=0, n=48, dim=2)
     cfg = cli._resolve_config({}, {"delta": 0.4})
-    nets, _, mra, basis, checks = cli._construct(space, cfg)
+    nets, _, mra, basis, checks = pipeline._construct(space, cfg)
     assert checks["wavelets"]["ok"]
     assert sorted(mra.grams) == list(nets.level_range)
     assert basis.rows.shape == (space.n, space.n)
@@ -909,7 +945,7 @@ def test_construct_peak_holds_no_transitions_or_grid_tables():
     space = gen_example("point_cloud", seed=0, n=256, dim=2)
     space.a0    # computed on first read, outside the traced call
     cfg = cli._resolve_config({}, {"delta": 0.4})
-    _, peak = traced_peak(lambda: cli._construct(space, cfg), space.n)
+    _, peak = traced_peak(lambda: pipeline._construct(space, cfg), space.n)
     assert peak <= 8.0, peak
 
 
@@ -936,7 +972,7 @@ def test_construct_keeps_no_dense_spline_level_or_gram():
     n x n float64 array (the dense levels and Grams were 8.1)."""
     space = gen_example("point_cloud", seed=0, n=256, dim=2)
     cfg = cli._resolve_config({}, {"delta": 0.4})
-    nets, system, mra, _, _ = cli._construct(space, cfg)
+    nets, system, mra, _, _ = pipeline._construct(space, cfg)
     dense = {shape for k in nets.level_range
              for shape in ((len(nets.levels[k]), space.n),
                            (len(nets.levels[k]),) * 2)}
@@ -960,7 +996,7 @@ def test_construct_peak_bounds_the_spline_check_scans():
     space = gen_example("snowflake", seed=0, n=384, eps=0.5)
     space.a0    # computed on first read, outside the traced call
     cfg = cli._resolve_config({}, {"delta": 0.5})
-    _, peak = traced_peak(lambda: cli._construct(space, cfg), space.n)
+    _, peak = traced_peak(lambda: pipeline._construct(space, cfg), space.n)
     assert peak <= 6.0, peak
 
 
@@ -1120,6 +1156,18 @@ def test_boundary_outputs(tmp_path):
     fit = json.loads((art / "boundary_fit.json").read_text())
     for key in ("eta", "ci95", "stderr", "n_points", "eps_grid"):
         assert key in fit
+
+
+def test_boundary_says_on_one_line_that_it_fits_no_slope(built, tmp_path,
+                                                         capsys):
+    # one repeated eps gives no slope; the line names no file or source line
+    assert run("boundary", "--artifacts", built, "--num-samples", 8,
+               "--eps-grid", 0.4, 0.4, 0.4, "--out", tmp_path) == 0
+    assert capsys.readouterr().err == (
+        "boundary: too few eps values with a positive mean frequency for a "
+        "slope fit; the exponent is NaN\n")
+    assert math.isnan(json.loads(
+        (tmp_path / "boundary_fit.json").read_text())["eta"])
 
 
 def test_boundary_stderr_shrinks_with_samples(tmp_path):
@@ -1472,8 +1520,9 @@ def test_triple_deviations_are_the_dense_ones(pair):
     has the bits of the dense difference's, entries on one side included."""
     stored, rebuilt = pair
     with np.errstate(invalid="ignore"):    # inf - inf, on both paths
-        dev, cols = cli._triple_devs(sparse_triples(stored),
-                                     sparse_triples(rebuilt), stored.shape[1])
+        dev, cols = pipeline._triple_devs(sparse_triples(stored),
+                                          sparse_triples(rebuilt),
+                                          stored.shape[1])
         dense = np.abs(stored - rebuilt)
     got = [dev[cols == c].max(initial=0.0) for c in range(dense.shape[1])]
     assert np.array_equal(got, dense.max(axis=0), equal_nan=True)
@@ -1733,7 +1782,7 @@ def test_basis_is_read_in_place():
                and getattr(node.func, "attr", getattr(node.func, "id", None))
                == "stacked"]
     assert stacked == []
-    tree = ast.parse((pkg / "space.py").read_text())
+    tree = ast.parse((pkg / "measure.py").read_text())
     (sf,) = [node for node in tree.body
              if getattr(node, "name", None) == "square_function"]
     gathers = [node.lineno for node in ast.walk(sf)
@@ -1810,39 +1859,87 @@ def test_cli_import_leaves_scipy_stats_unloaded(tmp_path, work):
 
 
 IMPORT_PROBE = """
-import sys
+import os, sys
 from dyadwave.cli import main
 if main(sys.argv[1:]) != 0:
     raise SystemExit("command failed")
+package = [m for m in sys.modules if m.startswith("dyadwave")]
+print(sum(os.path.getsize(sys.modules[m].__file__) for m in package))
 print([m for m in {modules!r} if m in sys.modules])
 """
 CONSTRUCTION = ("dyadwave.nets", "dyadwave.randgrid", "dyadwave.seeding",
                 "dyadwave.spline", "dyadwave.wavelet", "dyadwave.decaymat",
                 "dyadwave.lpanalysis", "numpy.random")
+PROBED = CONSTRUCTION + ("dyadwave.space", "dyadwave.pipeline")
 
 
-def test_each_command_imports_only_the_modules_it_runs(tmp_path):
-    # analyze expands a signal in the stored basis and needs none of the
-    # construction; boundary samples cubes and needs no splines, wavelets
-    # or Littlewood-Paley analysis; build checks no LP kernels
+@pytest.fixture(scope="module")
+def command_loads(tmp_path_factory):
+    """{command: (package source bytes loaded, the PROBED modules loaded)}
+    of one run of each command in a fresh interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
-    (tmp_path / "sig.csv").write_text("1.5\n" * 16)
-    sessions = [
-        (["build", "--gen", "cyclic", "16", "--out", "art"],
-         tuple(m for m in CONSTRUCTION if m != "dyadwave.lpanalysis")),
-        (["verify", "--artifacts", "art"], CONSTRUCTION),
-        (["analyze", "--artifacts", "art", "--signal", "sig.csv"], ()),
-        (["boundary", "--artifacts", "art", "--num-samples", "8"],
-         ("dyadwave.nets", "dyadwave.randgrid", "dyadwave.seeding",
-          "numpy.random")),
-    ]
-    for argv, want in sessions:
+    root = tmp_path_factory.mktemp("imports")
+    (root / "sig.csv").write_text("1.5\n" * 16)
+    loads = {}
+    for argv in (["gen", "cyclic", "16", "--out", "space.json"],
+                 ["build", "--input", "space.json", "--out", "art"],
+                 ["verify", "--artifacts", "art"],
+                 ["analyze", "--artifacts", "art", "--signal", "sig.csv"],
+                 ["boundary", "--artifacts", "art", "--num-samples", "8"]):
         out = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE.format(modules=CONSTRUCTION),
+            [sys.executable, "-c", IMPORT_PROBE.format(modules=PROBED),
              *argv], capture_output=True, text=True, timeout=120,
-            cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)})
+            cwd=root, env={**os.environ, "PYTHONPATH": str(src)})
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip().splitlines()[-1] == str(list(want)), argv[0]
+        size, modules = out.stdout.strip().splitlines()[-2:]
+        loads[argv[0]] = int(size), modules
+    return loads
+
+
+def test_each_command_imports_only_the_modules_it_runs(command_loads):
+    # analyze expands a signal in the stored basis and needs neither the
+    # distances nor the construction; boundary samples cubes and needs no
+    # splines, wavelets or Littlewood-Paley analysis; build checks no LP
+    # kernels; only build and verify run the pipeline
+    construction = PROBED[:-1]
+    want = {
+        "gen": ("dyadwave.space",),
+        "build": tuple(m for m in construction
+                       if m != "dyadwave.lpanalysis") + ("dyadwave.pipeline",),
+        "verify": PROBED,
+        "analyze": (),
+        "boundary": ("dyadwave.nets", "dyadwave.randgrid", "dyadwave.seeding",
+                     "numpy.random", "dyadwave.space"),
+    }
+    for command, (_, modules) in command_loads.items():
+        assert modules == str(list(want[command])), command
+
+
+def test_each_command_compiles_no_more_package_source(command_loads):
+    # the bytes of package source each command loads, which a run
+    # without a bytecode cache compiles: build and verify no more than
+    # the modules they run, analyze none of space or the pipeline
+    bounds = {"gen": 63_779, "build": 146_580, "verify": 168_044,
+              "analyze": 40_000, "boundary": 98_306}
+    sizes = {command: size for command, (size, _) in command_loads.items()}
+    assert all(sizes[command] <= bounds[command] for command in bounds), sizes
+
+
+def test_package_import_loads_no_submodule_or_numpy(tmp_path):
+    # the package's public names resolve from space on first use
+    code = ("import sys, dyadwave\n"
+            "print([m for m in sys.modules if m.startswith('dyadwave.')"
+            " or m == 'numpy'])\n"
+            "from dyadwave import *\n"
+            "from dyadwave import space\n"
+            "print(QuasiMetricSpace is space.QuasiMetricSpace"
+            " and build_space is space.build_space"
+            " and gen_example is space.gen_example)")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120, cwd=tmp_path,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.splitlines() == ["[]", "True"]
 
 
 MA_SESSION = """

@@ -25,11 +25,11 @@ from dyadwave.lpanalysis import (
     random_signs,
     substitute_inequality_check,
 )
+from dyadwave.measure import square_function
 from dyadwave.nets import build_nets
 from dyadwave.randgrid import build_grid
 from dyadwave.seeding import STREAM_SIGNS, stream_rng
-from dyadwave.space import (build_space, exponent_a, gen_example,
-                            square_function)
+from dyadwave.space import build_space, exponent_a, gen_example
 from dyadwave.spline import compute_splines
 from dyadwave.wavelet import build_mra, build_wavelet_basis, pre_wavelets
 from test_wavelet import projector

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 
 import stage_oracle
 import writer_oracle as oracle
-from dyadwave import cli, randgrid
+from dyadwave import cli, pipeline, randgrid
 from dyadwave.spline import dense_from_triples, sparse_triples
 
 SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
@@ -123,7 +123,7 @@ def test_write_sparse_matches_oracle_and_reads_back(out_dir, M):
     assert data.startswith(b"\x93NUMPY")
     assert data.endswith(oracle.sparse_npy_data(M))
     assert np.load(path).nbytes == len(oracle.sparse_npy_data(M))
-    back = dense_from_triples(cli._load_triples(path, M.shape), M.shape)
+    back = dense_from_triples(pipeline._load_triples(path, M.shape), M.shape)
     assert np.array_equal(back.view(np.uint64), M.view(np.uint64))
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import EXAMPLE_KINDS, __version__
 from .errors import (BadDelta, BadExponent, BadParams, DimensionMismatch,
                      DyadwaveError, MissingArtifact, exit_code_for)
 from .measure import check_weights, square_function
@@ -53,15 +53,6 @@ CONFIG_DEFAULTS = {
     "tolerances": {"exact": 1e-12, "ortho": 1e-10},
     "out": "artifacts",
     "jobs": 1,
-}
-
-PARAM_NAMES = {
-    "cyclic": ("n",),
-    "interval": ("n",),
-    "binary_tree": ("depth",),
-    "point_cloud": ("n", "dim"),
-    "koranyi_sphere": ("n", "dim"),
-    "snowflake": ("n", "eps"),
 }
 
 
@@ -268,17 +259,18 @@ def _validate_config(cfg: dict) -> dict:
 
 def _parse_gen_spec(tokens) -> dict:
     kind = tokens[0]
-    if kind not in PARAM_NAMES:
+    if kind not in EXAMPLE_KINDS:
         raise BadParams(f"unknown example kind {kind!r}; "
-                        f"choose from {', '.join(PARAM_NAMES)}")
-    names = PARAM_NAMES[kind]
+                        f"choose from {', '.join(EXAMPLE_KINDS)}")
+    typed = EXAMPLE_KINDS[kind]
     raw = tokens[1:]
-    if len(raw) != len(names):
-        raise BadParams(f"{kind} takes parameters {', '.join(names)}")
+    if len(raw) != len(typed):
+        raise BadParams(f"{kind} takes parameters "
+                        f"{', '.join(name for name, _ in typed)}")
     params = {}
-    for name, val in zip(names, raw):
+    for (name, number), val in zip(typed, raw):
         try:
-            params[name] = float(val) if name == "eps" else int(val)
+            params[name] = number(val)
         except ValueError as exc:
             raise BadParams(f"parameter {name} for {kind} must be a number, "
                             f"got {val!r}") from exc
@@ -527,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="write an example space as JSON")
-    g.add_argument("kind", choices=tuple(PARAM_NAMES))
+    g.add_argument("kind", choices=tuple(EXAMPLE_KINDS))
     g.add_argument("params", nargs="*",
                    help="generator parameters in order, e.g. n [dim]")
     g.add_argument("--seed", type=int, default=0)

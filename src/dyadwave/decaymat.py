@@ -41,27 +41,24 @@ def envelope_fit(xs, values, x_cut: float = 1.0) -> dict:
     ``xs`` and ``values`` are arrays of one shape, of any rank: the scaled
     distances, finite and non-negative, and the magnitudes.  The samples
     are the entries ``above_floor``, in row-major order, fitted in the log
-    domain.  When at least half the entries are samples, the arrays are
-    read in place and every other entry takes the log value -inf, whose
-    slope +inf and cover exponent -inf move neither extreme; otherwise the
-    samples are gathered.  The intercept is anchored at the largest
-    sample, the rate is the slackest slope over the far field
-    (xs >= x_cut), capped at DEFAULT_C_MAX, and the constant is then
-    lifted so the bound covers every sample.  A rate <= 0 refutes
-    exponential decay; the five worst offending samples are reported, ties
-    in row-major order.
+    domain; every other entry takes the log value -inf, whose slope +inf
+    and cover exponent -inf move neither extreme.  The arrays passed do
+    not change.  The intercept is anchored at the largest sample, the rate
+    is the slackest slope over the far field (xs >= x_cut), capped at
+    DEFAULT_C_MAX, and the constant is then lifted so the bound covers
+    every sample.  A rate <= 0 refutes exponential decay; the five worst
+    offending samples are reported, ties in row-major order.
     """
     xs = np.asarray(xs, dtype=float)
-    values = np.asarray(values, dtype=float)
+    values = np.array(values, dtype=float)
     if xs.shape != values.shape:
         raise ValueError("xs and values must have the same shape")
-    return fit_samples(xs.ravel(), values.ravel(), x_cut, overwrite=False)
+    return fit_samples(xs.ravel(), values.ravel(), x_cut)
 
 
-def fit_samples(xs, values, x_cut: float, overwrite: bool) -> dict:
-    """``envelope_fit`` of the 1-D ``xs`` and ``values``; with
-    ``overwrite`` the logs are taken in the buffer of ``values``, which
-    the caller gives up.
+def fit_samples(xs, values, x_cut: float) -> dict:
+    """``envelope_fit`` of the 1-D ``xs`` and ``values``; the logs are
+    taken in the buffer of ``values``, which the caller gives up.
 
     The slopes and the cover exponents are formed FIT_BLOCK entries at a
     time, in one buffer; their extremes are exact, so the blocks keep
@@ -73,15 +70,10 @@ def fit_samples(xs, values, x_cut: float, overwrite: bool) -> dict:
     if n_pairs == 0:
         return {"C": math.nan, "c": math.nan, "refuted": False,
                 "n_pairs": 0, "n_far": 0, "worst": []}
-    if 2 * n_pairs < values.size:
-        xs, ys = xs[keep], values[keep]
-        np.log(ys, out=ys)
-        keep = np.ones(n_pairs, dtype=bool)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ys = np.log(values, out=values if overwrite else None)
-        if n_pairs < values.size:
-            ys[~keep] = -np.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ys = np.log(values, out=values)
+    if n_pairs < values.size:
+        ys[~keep] = -np.inf
     log_c0 = float(ys.max())
     size = ys.size
     blocks = [slice(lo, min(lo + FIT_BLOCK, size))

@@ -327,8 +327,7 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
         xs = space.dist / scale
         np.power(xs, s, out=xs)
         # the fit takes its logs in the magnitudes' own buffer
-        entry["p_size"] = fit_samples(xs.ravel(), mags.ravel(), 1.0,
-                                      overwrite=True)
+        entry["p_size"] = fit_samples(xs.ravel(), mags.ravel(), 1.0)
         del mags
         gamma = entry["p_size"]["c"]
         # the level's pairs are sampled as the ladder yields them, so the
@@ -396,7 +395,7 @@ def kernel_estimates(space: QuasiMetricSpace, nets: NestedNets,
                 xs = _q_size_samples(space.dist, scale, a, hvec, rm, keep,
                                      mags)
                 del keep
-                entry["q_size"] = fit_samples(xs, mags, cut, overwrite=True)
+                entry["q_size"] = fit_samples(xs, mags, cut)
                 del xs, mags
                 if entry["q_size"]["c"] <= 0.0:
                     report["nonpositive"].append((k, "q_size"))

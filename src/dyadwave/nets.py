@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadDelta, MissingArtifact, OrderViolation, TooLarge
+from .errors import (BadDelta, DegenerateSpace, MissingArtifact,
+                     OrderViolation, TooLarge)
 from .space import QuasiMetricSpace
 
 # the tie-break order of every greedy scan, stored with the nets
@@ -72,21 +73,13 @@ def _greedy_extend(dist, threshold, scan, seed_points):
 
 
 def build_nets(space: QuasiMetricSpace, delta: float) -> NestedNets:
-    """Build the full hierarchy of nested separated nets.
+    """The nets of ``space`` at the scale ratio ``delta`` in (0, 1).
 
-    Parameters
-    ----------
-    space : QuasiMetricSpace
-    delta : float
-        Scale ratio between consecutive levels, in (0, 1).
-
-    Returns
-    -------
-    NestedNets
-        Levels k_min..k_max with level k a maximal delta^k-separated set.
-        k_max is the smallest k whose scale resolves the minimum separation
-        (that level is the whole space); k_min the largest k whose scale
-        exceeds 2 * a0 * diam (that level is a single point).
+    Level k, for k_min <= k <= k_max, is a maximal delta^k-separated set.
+    k_max is the smallest k whose scale resolves the minimum separation
+    (that level is the whole space); k_min the largest k whose scale
+    exceeds 2 * a0 * diam (that level is a single point).  Distances that
+    need a scale that is no positive float raise DegenerateSpace.
     """
     if not 0.0 < delta < 1.0:
         raise BadDelta(f"delta must lie in (0, 1), got {delta}")
@@ -98,20 +91,27 @@ def build_nets(space: QuasiMetricSpace, delta: float) -> NestedNets:
         return NestedNets(delta, 0, 0, levels, {}, ORDER_POLICY,
                           scan_order=scan)
 
-    k_max = 0
-    while delta ** k_max > space.minsep:
-        k_max += 1
-        if k_max > MAX_LEVELS:
-            raise TooLarge("level count exceeds budget; delta too close to 1")
-    while delta ** (k_max - 1) <= space.minsep:
-        k_max -= 1
+    budget = "level count exceeds budget; delta too close to 1"
+    try:
+        k_max = 0
+        while delta ** k_max > space.minsep:
+            k_max += 1
+            if k_max > MAX_LEVELS:
+                raise TooLarge(budget)
+        while delta ** (k_max - 1) <= space.minsep:
+            k_max -= 1
 
-    coarse_target = 2.0 * space.a0 * space.diam
-    k_min = min(k_max, 0)
-    while delta ** k_min < coarse_target:
-        k_min -= 1
-        if k_max - k_min > MAX_LEVELS:
-            raise TooLarge("level count exceeds budget; delta too close to 1")
+        coarse_target = 2.0 * space.a0 * space.diam
+        k_min = min(k_max, 0)
+        while delta ** k_min < coarse_target:
+            k_min -= 1
+            if k_max - k_min > MAX_LEVELS:
+                raise TooLarge(budget)
+        in_range = _scales_in_range(delta, k_min, k_max)
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise DegenerateSpace(f"a scale {delta}**k is no positive float")
 
     levels = {}
     base = min(k_max, max(k_min, 0))
@@ -130,6 +130,12 @@ def build_nets(space: QuasiMetricSpace, delta: float) -> NestedNets:
 
     return NestedNets(delta, k_min, k_max, levels,
                       _new_points(levels, k_min, k_max), ORDER_POLICY, scan)
+
+
+def _scales_in_range(delta, k_min: int, k_max: int) -> bool:
+    # a power that overflows raises OverflowError
+    return (0.0 < delta < 1.0
+            and 0.0 < delta ** k_max and delta ** k_min < np.inf)
 
 
 def _new_points(levels: dict, k_min: int, k_max: int) -> dict:
@@ -195,7 +201,8 @@ def nets_from_dict(payload: dict) -> NestedNets:
     """Nets from their stored form, checked to nest from one root to all points.
 
     The point count is that of ``scan_order``; a payload that is not such a
-    hierarchy over it raises ``MissingArtifact``.
+    hierarchy over it at scales that are positive floats raises
+    ``MissingArtifact``.
     """
     delta = float(payload["delta"])
     k_min = int(payload["k_min"])
@@ -213,9 +220,11 @@ def nets_from_dict(payload: dict) -> NestedNets:
         for k in levels)
     if not (nested and len(levels[k_min]) == 1
             and np.array_equal(np.sort(levels[k_max]), every)
-            and np.array_equal(np.sort(scan), every)):
+            and np.array_equal(np.sort(scan), every)
+            and _scales_in_range(delta, k_min, k_max)):
         raise MissingArtifact("stored nets do not nest from one root to "
-                              "every point of their scan order")
+                              "every point of their scan order at positive "
+                              "float scales")
     return NestedNets(delta, k_min, k_max, levels,
                       _new_points(levels, k_min, k_max),
                       payload.get("order_policy", ORDER_POLICY), scan)
@@ -225,5 +234,6 @@ def load_nets_json(path) -> NestedNets:
     try:
         with open(path) as fh:
             return nets_from_dict(json.load(fh))
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError,
+            OverflowError) as exc:
         raise MissingArtifact(f"cannot read nets file {path}: {exc!r}") from exc

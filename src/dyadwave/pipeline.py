@@ -230,9 +230,9 @@ def _spline_devs(folder: Path, system, nets) -> tuple:
     ``S_k``, and of their columns at the net points of level k + 1, where
     ``S_k`` is the transition ``T_k`` bit for bit.
 
-    Both are infinite when a stored level does not fit the rebuilt shape.
-    The stored and rebuilt triples are compared as they are, one level at
-    a time.
+    Both are infinite when a stored level does not fit the rebuilt shape,
+    and NaN when one holds a NaN.  The stored and rebuilt triples are
+    compared as they are, one level at a time.
     """
     spline_dev = transition_dev = 0.0
     for k, rebuilt in sorted(system.triples.items()):
@@ -241,12 +241,12 @@ def _spline_devs(folder: Path, system, nets) -> tuple:
         if stored is None:
             return math.inf, math.inf
         dev, cols = _triple_devs(stored, rebuilt, system.n)
-        spline_dev = max(spline_dev, float(dev.max(initial=0.0)))
+        spline_dev = np.maximum(spline_dev, dev.max(initial=0.0))
         if k < nets.k_max:
             at_net = np.zeros(system.n, dtype=bool)
             at_net[nets.levels[k + 1]] = True
-            transition_dev = max(transition_dev,
-                                 float(dev[at_net[cols]].max(initial=0.0)))
+            transition_dev = np.maximum(transition_dev,
+                                        dev[at_net[cols]].max(initial=0.0))
     return spline_dev, transition_dev
 
 
@@ -411,7 +411,8 @@ def verify(args) -> int:
     kern = kernel_estimates(space, nets, lp, telescoped(),
                             pair_budget=cfg["pair_budget"], seed=seed)
     sym_dev, prow_dev, qrow_dev = (
-        max([0.0] + [entry.get(key, 0.0) for entry in kern["levels"].values()])
+        np.max([0.0] + [entry.get(key, 0.0)
+                        for entry in kern["levels"].values()])
         for key in ("p_sym_dev", "p_rowsum_dev", "q_rowsum_dev"))
 
     signs = random_signs(basis, seed=seed)
@@ -452,7 +453,7 @@ def verify(args) -> int:
         "basis_gram": _chk(gram_dev, tol_ortho),
         "vanishing_mean": _chk(mean_dev, tol_ortho),
         "reconstruction": _chk(recon_dev, tol_ortho),
-        "lp_telescoping": _chk(max(tele_devs), tol_exact),
+        "lp_telescoping": _chk(np.max(tele_devs), tol_exact),
         "kernel_symmetry": _chk(sym_dev, tol_ortho),
         "p_kernel_rowsum": _chk(prow_dev, tol_ortho),
         "q_kernel_rowsum": _chk(qrow_dev, tol_ortho),

@@ -16,6 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import EXAMPLE_KINDS
 from .errors import (AxiomViolation, BadExponent, BadParams, DegenerateSpace,
                      MissingArtifact, TooLarge)
 from .measure import check_weights
@@ -200,7 +201,7 @@ def exponent_a(space: QuasiMetricSpace) -> float:
 # ---------------------------------------------------------------------------
 # generators
 
-def _cyclic(n: int) -> QuasiMetricSpace:
+def _cyclic(n: int, seed: int) -> QuasiMetricSpace:
     if n < 1:
         raise BadParams("cyclic size must be >= 1")
     i = np.arange(n)
@@ -209,7 +210,7 @@ def _cyclic(n: int) -> QuasiMetricSpace:
     return build_space(dist, np.ones(n))
 
 
-def _interval(n: int) -> QuasiMetricSpace:
+def _interval(n: int, seed: int) -> QuasiMetricSpace:
     if n < 1:
         raise BadParams("interval size must be >= 1")
     x = np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
@@ -217,7 +218,7 @@ def _interval(n: int) -> QuasiMetricSpace:
     return build_space(dist, np.ones(n))
 
 
-def _binary_tree(depth: int) -> QuasiMetricSpace:
+def _binary_tree(depth: int, seed: int) -> QuasiMetricSpace:
     if depth < 1:
         raise BadParams("tree depth must be >= 1")
     n = 1 << depth
@@ -276,38 +277,24 @@ def _snowflake(n: int, eps: float, seed: int) -> QuasiMetricSpace:
 def gen_example(kind: str, seed: int = 0, **params) -> QuasiMetricSpace:
     """Build one of the named example spaces.
 
-    Parameters
-    ----------
-    kind : str
-        One of ``cyclic`` (n), ``interval`` (n), ``binary_tree`` (depth),
-        ``point_cloud`` (n, dim), ``koranyi_sphere`` (n, dim),
-        ``snowflake`` (n, eps).
-    seed : int
-        Seed for the randomized kinds; ignored by the deterministic ones.
+    ``kind`` is a key of ``dyadwave.EXAMPLE_KINDS``, which types its
+    parameters; ``seed`` seeds the randomized kinds.
     """
+    if kind not in tuple(EXAMPLE_KINDS):
+        raise BadParams(f"unknown example kind {kind!r}")
+    build = {"cyclic": _cyclic, "interval": _interval,
+             "binary_tree": _binary_tree, "point_cloud": _point_cloud,
+             "koranyi_sphere": _koranyi_sphere, "snowflake": _snowflake}[kind]
     try:
-        if kind == "cyclic":
-            return _cyclic(int(params.pop("n")), **params)
-        if kind == "interval":
-            return _interval(int(params.pop("n")), **params)
-        if kind == "binary_tree":
-            return _binary_tree(int(params.pop("depth")), **params)
-        if kind == "point_cloud":
-            return _point_cloud(int(params.pop("n")), int(params.pop("dim")),
-                                seed, **params)
-        if kind == "koranyi_sphere":
-            return _koranyi_sphere(int(params.pop("n")), int(params.pop("dim")),
-                                   seed, **params)
-        if kind == "snowflake":
-            return _snowflake(int(params.pop("n")), float(params.pop("eps")),
-                              seed, **params)
+        return build(*[number(params.pop(name))
+                       for name, number in EXAMPLE_KINDS[kind]],
+                     seed, **params)
     except KeyError as exc:
         raise BadParams(f"missing parameter {exc} for kind {kind!r}") from exc
     except (TypeError, ValueError) as exc:
         raise BadParams(f"bad parameters for kind {kind!r}: {exc}") from exc
     except MemoryError as exc:
         raise TooLarge(f"cannot allocate the {kind} space: {exc}") from exc
-    raise BadParams(f"unknown example kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

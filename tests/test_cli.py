@@ -98,10 +98,47 @@ def test_gen_seeded_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_gen_rejects_bad_params(tmp_path):
+def test_gen_rejects_bad_params(tmp_path, capsys):
     assert run("gen", "cyclic", "--out", tmp_path / "x.json") == 4
     assert run("gen", "cyclic", "eight", "--out", tmp_path / "x.json") == 4
     assert run("gen", "point_cloud", "10", "--out", tmp_path / "x.json") == 4
+    assert run("build", "--gen", "snowflake", "8", "e") == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error[BadParams]: cyclic takes parameters n",
+        "error[BadParams]: parameter n for cyclic must be a number, "
+        "got 'eight'",
+        "error[BadParams]: point_cloud takes parameters n, dim",
+        "error[BadParams]: parameter eps for snowflake must be a number, "
+        "got 'e'"]
+
+
+@pytest.mark.parametrize("spec", [
+    ("cyclic", "8"), ("interval", "8"), ("binary_tree", "3"),
+    ("point_cloud", "40", "2"), ("koranyi_sphere", "30", "2"),
+    ("snowflake", "40", "0.5")])
+def test_each_kind_gives_one_space_by_every_route(tmp_path, spec):
+    # gen, build --gen, a config file's gen map and gen_example with the
+    # parameters as strings build the same bits
+    from dyadwave import EXAMPLE_KINDS
+    kind, *raw = spec
+    names = [name for name, _ in EXAMPLE_KINDS[kind]]
+    assert run("gen", *spec, "--seed", 3, "--out", tmp_path / "g.json") == 0
+    assert run("build", "--gen", *spec, "--seed", 3,
+               "--out", tmp_path / "flag") == 0
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"seed": 3, "gen": {
+        "kind": kind,
+        "params": {name: json.loads(val) for name, val in zip(names, raw)}}}))
+    assert run("build", "--config", config, "--out", tmp_path / "file") == 0
+    want = load_space_json(tmp_path / "g.json")
+    lib = gen_example(kind, seed=3, **dict(zip(names, raw)))
+    stored = [[np.load(tmp_path / art / name)
+               for name in ("dist.npy", "weights.npy")]
+              for art in ("flag", "file")]
+    for dist, weights in [(lib.dist, lib.weights), *stored]:
+        assert np.array_equal(dist.view(np.uint64), want.dist.view(np.uint64))
+        assert np.array_equal(weights.view(np.uint64),
+                              want.weights.view(np.uint64))
 
 
 GEN_HELP = """\
@@ -122,7 +159,7 @@ options:
 
 def test_generator_kinds_read_in_the_order_of_one_table(monkeypatch, capsys):
     # the parser's choices and the unknown-kind message list the kinds of
-    # cli.PARAM_NAMES, in its order
+    # dyadwave.EXAMPLE_KINDS, in its order
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as stop:
         run("gen", "--help")
@@ -1456,6 +1493,69 @@ def test_malformed_artifact_exit_codes(built, tmp_path, capsys, command,
     rc = run(command, "--artifacts", bad, *args[command])
     assert rc == code, capsys.readouterr().err
     assert not (bad / "unpickled").exists()
+
+
+def _two_point_space(d):
+    """Writes the two-point space at distance ``d`` beside the artifacts."""
+    def write(art):
+        (art.parent / "space.json").write_text(json.dumps(
+            {"dist": [[0.0, d], [d, 0.0]], "weights": [1.0, 1.0]}))
+    return write
+
+
+def _nets_delta(value):
+    def corrupt(art):
+        nets = json.loads((art / "nets.json").read_text())
+        nets["delta"] = value
+        (art / "nets.json").write_text(json.dumps(nets))
+    return corrupt
+
+
+def _spline_level_0(transform):
+    def corrupt(art):
+        _saves("spline", transform)(art / "splines" / "level_0.npy")
+    return corrupt
+
+
+# inputs whose scales leave the float range, and NaN spline values, with
+# the command that reads them and its documented code
+MALFORMED_INPUTS = [
+    pytest.param(_two_point_space(1e308),
+                 ["build", "--input", "space.json", "--out", "out"], 3,
+                 id="space_scale_overflows"),
+    pytest.param(_two_point_space(5e-324),
+                 ["build", "--input", "space.json", "--delta", "0.1",
+                  "--out", "out"], 3, id="space_scale_underflows"),
+] + [
+    pytest.param(_nets_delta(value), argv, 8,
+                 id=f"nets_delta_{value}_{argv[0]}")
+    for value in (1e-300, 2.0, math.nan)
+    for argv in (["verify", "--artifacts", "bad"],
+                 ["boundary", "--artifacts", "bad", "--num-samples", "4"])
+] + [
+    pytest.param(_spline_level_0(_with_entries(lambda v: np.nan, (1, 2))),
+                 ["verify", "--artifacts", "bad"], EXIT_CHECKS_FAILED,
+                 id="spline_nan"),
+    pytest.param(_spline_level_0(lambda a: _with_entries(
+        lambda v: 7.0, (2, 2))(_with_entries(lambda v: np.nan, (1, 2))(a))),
+                 ["verify", "--artifacts", "bad"], EXIT_CHECKS_FAILED,
+                 id="spline_nan_and_shifted_neighbour"),
+]
+
+
+@pytest.mark.parametrize("corrupt,argv,code", MALFORMED_INPUTS)
+def test_malformed_inputs_exit_with_documented_codes(built, tmp_path,
+                                                     corrupt, argv, code):
+    import shutil
+    shutil.copytree(built, tmp_path / "bad")
+    corrupt(tmp_path / "bad")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run(
+        [sys.executable, "-m", "dyadwave.cli", *argv], capture_output=True,
+        text=True, timeout=120, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
 
 
 def test_stored_space_is_the_input_bit_for_bit(tmp_path):

@@ -103,17 +103,17 @@ def float_bits(report):
 
 
 @st.composite
-def partly_kept_samples(draw):
-    """(xs, values, x_cut) of up to 3 x 12 x 12 entries, a share of them
-    below the floor (zeros, subnormals, one ulp under TINY) between none
-    and all, so both the in-place and the gathering path run."""
+def partly_kept_samples(draw, shares=(0.0, 0.25, 0.5, 0.75, 1.0)):
+    """(xs, values, x_cut) of up to 3 x 12 x 12 entries, about one of
+    ``shares`` of them below the floor (zeros, subnormals, one ulp under
+    TINY)."""
     shape = draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=12))
     xs = draw(hnp.arrays(float, shape, elements=st.one_of(
         st.sampled_from([0.0, 1.0, 2.0]), st.floats(0.0, 40.0))))
     kept = draw(hnp.arrays(float, shape, elements=st.floats(1e-300, 1e3)))
     dropped = draw(hnp.arrays(float, shape, elements=st.sampled_from(
         [0.0, 5e-324, 1e-310, float(np.nextafter(TINY, 0.0))])))
-    share = draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+    share = draw(st.sampled_from(shares))
     mask = draw(hnp.arrays(float, shape, elements=st.floats(0.0, 1.0))) < share
     return xs, np.where(mask, dropped, kept), draw(st.sampled_from([1.0, 2.5]))
 
@@ -125,11 +125,30 @@ def test_envelope_fit_has_the_bits_of_the_gathering_fit(case):
             == float_bits(oracle.gathered_envelope_fit(xs, vals, x_cut)))
 
 
+@given(partly_kept_samples(shares=(0.75, 0.9, 0.97)))
+def test_mostly_dropped_arrays_have_the_bits_of_the_gathering_fit(case):
+    # fewer than half the entries are samples: the fit reads every entry
+    # all the same, and equals the fit of the gathered samples
+    xs, vals, x_cut = case
+    assume(2 * np.count_nonzero(vals >= TINY) < vals.size)
+    assert (float_bits(envelope_fit(xs, vals, x_cut))
+            == float_bits(oracle.gathered_envelope_fit(xs, vals, x_cut)))
+
+
+@given(partly_kept_samples())
+def test_envelope_fit_leaves_its_arguments_unchanged(case):
+    xs, vals, x_cut = case
+    copies = [arr.copy() for arr in (xs, vals)]
+    envelope_fit(xs, vals, x_cut)
+    assert all(np.array_equal(arr.view(np.uint64), copy.view(np.uint64))
+               for arr, copy in zip((xs, vals), copies))
+
+
 @pytest.mark.parametrize("share", [0.0, 0.5, 0.51, 0.9])
 @pytest.mark.parametrize("below", [0.0, 5e-324, 1e-310])
 def test_envelope_fit_reads_half_kept_arrays_in_place(share, below):
-    # at most half dropped: the fit reads the arrays in place; more than
-    # half: it gathers; both equal the gathering fit bit for bit
+    # whatever share is dropped, the fit reads every entry and equals the
+    # gathering fit bit for bit
     rng = np.random.default_rng(3)
     xs = rng.uniform(0.0, 6.0, (24, 24))
     vals = np.exp(-2.0 * xs) * rng.uniform(0.5, 1.0, xs.shape)

@@ -217,6 +217,29 @@ def test_unknown_kind_and_bad_params():
         gen_example("cyclic")
 
 
+@pytest.mark.parametrize("kind,params,message", [
+    ("moebius", {"n": 4}, "unknown example kind 'moebius'"),
+    ([1], {"n": 4}, "unknown example kind [1]"),
+    ("cyclic", {}, "missing parameter 'n' for kind 'cyclic'"),
+    ("point_cloud", {"n": 8},
+     "missing parameter 'dim' for kind 'point_cloud'"),
+    ("cyclic", {"n": "x"}, "bad parameters for kind 'cyclic': invalid "
+     "literal for int() with base 10: 'x'"),
+    ("snowflake", {"n": 8, "eps": "e"}, "bad parameters for kind "
+     "'snowflake': could not convert string to float: 'e'"),
+    ("cyclic", {"n": 8, "dim": 2}, "bad parameters for kind 'cyclic': "
+     "_cyclic() got an unexpected keyword argument 'dim'"),
+    ("koranyi_sphere", {"n": "4", "dim": "2", "foo": 1}, "bad parameters "
+     "for kind 'koranyi_sphere': _koranyi_sphere() got an unexpected "
+     "keyword argument 'foo'"),
+])
+def test_gen_example_names_what_is_wrong_with_its_parameters(kind, params,
+                                                             message):
+    with pytest.raises(BadParams) as err:
+        gen_example(kind, seed=0, **params)
+    assert str(err.value) == message
+
+
 def test_json_roundtrip(tmp_path):
     sp = gen_example("snowflake", n=10, eps=0.8, seed=9)
     path = tmp_path / "space.json"

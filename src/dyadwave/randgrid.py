@@ -359,11 +359,12 @@ def grid_checks(space: QuasiMetricSpace, nets: NestedNets, labels: GridLabels,
     parents = {k: tables[k].parents for k in tls}
     n = space.n
     cols = np.arange(n)
-    # blocks of at most n draws keep every (draws, n) array within n x n
-    for b0 in range(0, num_samples, n):
-        part = {k: (ell[b0:b0 + n], m[b0:b0 + n])
+    # blocks of draws keep each (draws, n) array within max(n^2, 2^16)
+    step = max(n, (1 << 16) // n)
+    for b0 in range(0, num_samples, step):
+        part = {k: (ell[b0:b0 + step], m[b0:b0 + step])
                 for k, (ell, m) in draws.items()}
-        count = min(n, num_samples - b0)
+        count = min(step, num_samples - b0)
         draw = np.arange(count)[:, None]
         asg = dict(cube_assignments(nets, parents, part, count))
         par = {k: parents[k][ell, m - 1] for k, (ell, m) in part.items()}

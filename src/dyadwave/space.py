@@ -235,7 +235,8 @@ def _binary_tree(depth: int, seed: int) -> QuasiMetricSpace:
 def _point_cloud(n: int, dim: int, seed: int) -> QuasiMetricSpace:
     if n < 1 or dim < 1:
         raise BadParams("point cloud needs n >= 1 and dim >= 1")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    from .seeding import stream_rng
+    rng = stream_rng(seed)
     pts = rng.uniform(size=(n, dim))
     dist = np.empty((n, n))
     # blocks of rows keep the coordinate differences within n * dim * 64
@@ -249,7 +250,8 @@ def _point_cloud(n: int, dim: int, seed: int) -> QuasiMetricSpace:
 def _koranyi_sphere(n: int, dim: int, seed: int) -> QuasiMetricSpace:
     if n < 1 or dim < 1:
         raise BadParams("sphere sample needs n >= 1 and dim >= 1")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    from .seeding import stream_rng
+    rng = stream_rng(seed)
     z = rng.normal(size=(n, dim)) + 1j * rng.normal(size=(n, dim))
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     inner = z @ z.conj().T
@@ -266,7 +268,8 @@ def _snowflake(n: int, eps: float, seed: int) -> QuasiMetricSpace:
         raise BadExponent("snowflake exponent must lie in (0, 1]")
     x = np.linspace(0.0, 1.0, n) if n > 1 else np.zeros(1)
     base = np.abs(x[:, None] - x[None, :]) ** eps
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    from .seeding import stream_rng
+    rng = stream_rng(seed)
     bump = rng.uniform(-SNOWFLAKE_NOISE, SNOWFLAKE_NOISE, size=(n, n))
     bump = 0.5 * (bump + bump.T)
     dist = base * np.exp(bump)

@@ -22,14 +22,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decaymat import (above_floor, decay_certificate, entry_certificate,
-                       envelope_fit, require_symmetric)
+from .decaymat import (above_floor, entry_certificate, envelope_fit,
+                       require_symmetric)
 from .errors import (
     NotPositiveDefinite,
     RankDeficiency,
     ZeroBallMass,
 )
 from .nets import NestedNets
+from .seeding import stream_rng
 from .space import (QuasiMetricSpace, exponent_a, kept_cols, kept_rows,
                     near_pairs)
 from .spline import (HOLDER_BUDGET, HOLDER_ETA_CAP, SplineSystem,
@@ -77,7 +78,7 @@ class WaveletBasis:
     rows: np.ndarray     # (1 + count, n) basis rows, orthonormal in L2(mu)
     blocks: dict         # k -> slice of rows, for ks with a new point
     centers: np.ndarray  # center point per row, -1 for the constant
-    mgram: dict          # k -> normalized pre-wavelet Gram
+    mgram: dict          # k -> GramBlocks of the normalized pre-wavelet Gram
     mass_fine: dict      # k -> mu(B(center, delta^{k+1})), construction norm
     mass_center: dict    # k -> mu(B(center, delta^k)), decay norm
 
@@ -318,12 +319,11 @@ def orthonormalize(prewavelets: np.ndarray, gram: np.ndarray, components,
     one Gram component at a time, and flips each sign so the value at the
     wavelet's own center, in ``centers``, is non-negative.  Normalizing
     by the positive ball masses keeps the components.  Returns (wavelets,
-    normalized gram).
+    GramBlocks of the normalized Gram).
     """
-    mg = normalized_gram(gram, masses)
+    mg = gram_blocks(normalized_gram(gram, masses), components)
     psi = component_inverse_sqrt(
-        gram_blocks(mg, components),
-        prewavelets / np.sqrt(np.asarray(masses, float))[:, None])
+        mg, prewavelets / np.sqrt(np.asarray(masses, float))[:, None])
     centers = np.asarray(centers, dtype=int)
     vals = psi[np.arange(len(centers)), centers]
     psi = psi * np.where(vals < 0.0, -1.0, 1.0)[:, None]
@@ -357,28 +357,22 @@ def gram_decay_certificates(space: QuasiMetricSpace, nets: NestedNets,
 
     Net points at level k are delta^k-separated, so dividing the distance
     by the scale meets the certificate's separation precondition; the
-    pre-wavelet centers live at level k+1 and use that scale instead.  The
-    spline Grams are read from the blocks the MRA keeps, whose entries
-    inside the components are the only ones that can be samples, so no
-    square array of a level's size is formed; each certificate has the
-    bits of ``decay_certificate`` of the dense Gram.  The pre-wavelet
-    Grams are dense already, and go to ``decay_certificate`` with their
-    centers' distances.
+    pre-wavelet centers live at level k+1 and use that scale instead.
+    Both kinds of Gram are read from their blocks, whose entries inside
+    the components are the only ones that can be samples, so no square
+    array of a level's size is formed; each certificate has the bits of
+    ``decay_certificate`` of the dense Gram.
     """
-    def spline_certificate(k, gram):
-        pts, scale = nets.levels[k], nets.scale(k)
+    def certificate(gram, pts, scale):
         return entry_certificate(
             lambda r, c: space.dist[pts[r], pts[c]] / scale, len(pts),
             *_component_entries(gram), 1.0)
 
-    spline = {k: spline_certificate(k, gram) for k, gram in mra.grams.items()}
-    prewavelet = {}
-    for k, sl in basis.blocks.items():
-        pts = basis.centers[sl]
-        index_dist = space.dist[np.ix_(pts, pts)]
-        index_dist /= nets.scale(k + 1)
-        prewavelet[k] = decay_certificate(basis.mgram[k], index_dist)
-    return {"spline": spline, "prewavelet": prewavelet}
+    return {"spline": {k: certificate(gram, nets.levels[k], nets.scale(k))
+                       for k, gram in mra.grams.items()},
+            "prewavelet": {k: certificate(basis.mgram[k], basis.centers[sl],
+                                          nets.scale(k + 1))
+                           for k, sl in basis.blocks.items()}}
 
 
 def _component_entries(gram: GramBlocks) -> tuple:
@@ -427,7 +421,7 @@ def orthonormality_devs(B: np.ndarray, w: np.ndarray, seed: int = 0) -> tuple:
     """
     gram_dev = float(np.abs((B * w) @ B.T - np.eye(B.shape[0])).max())
     mean_dev = float(np.abs(B[1:] @ w).max()) if B.shape[0] > 1 else 0.0
-    sample = np.random.default_rng(seed).standard_normal((B.shape[1],) * 2)
+    sample = stream_rng(seed).standard_normal((B.shape[1],) * 2)
     recon_dev = float(np.abs(B.T @ (B @ (sample * w).T) - sample.T).max())
     return gram_dev, mean_dev, recon_dev
 

@@ -81,7 +81,7 @@ def gram_certificates(space, nets, system, basis):
     for k, sl in basis.blocks.items():
         pts = basis.centers[sl]
         dist = space.dist[np.ix_(pts, pts)] / nets.scale(k + 1)
-        out["prewavelet"][k] = decay_certificate(basis.mgram[k], dist)
+        out["prewavelet"][k] = decay_certificate(basis.mgram[k].dense(), dist)
     return out
 
 

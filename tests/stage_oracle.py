@@ -1,9 +1,8 @@
 """Whole-array forms of three stages, as references for their blocked forms.
 
-The library forms the Gram certificates from the spline Grams' blocks and
-from the nonzero entries of the pre-wavelet Grams, keeps the wavelet
-Hölder samples one array per level, and writes ``basis_values.csv`` a
-block of rows at a time.  The functions here are those stages as they
+The library forms the Gram certificates from the blocks of the spline and
+the pre-wavelet Grams, keeps the wavelet Hölder samples one array per
+level, and writes ``basis_values.csv`` a block of rows at a time.  The functions here are those stages as they
 were first written: every Gram and its index distances made dense, the
 Hölder samples of every level concatenated into one fit, and the whole
 matrix formatted at once.  Tests require the library's reports and bytes
@@ -52,8 +51,8 @@ def gram_decay_certificates(space, nets, mra, basis):
     return {"spline": {k: cert(dense_gram(gram), nets.levels[k],
                                nets.scale(k))
                        for k, gram in mra.grams.items()},
-            "prewavelet": {k: cert(basis.mgram[k], basis.centers[sl],
-                                   nets.scale(k + 1))
+            "prewavelet": {k: cert(dense_gram(basis.mgram[k]),
+                                   basis.centers[sl], nets.scale(k + 1))
                            for k, sl in basis.blocks.items()}}
 
 

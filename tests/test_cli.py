@@ -9,6 +9,7 @@ import platform
 import re
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import lp_oracle
@@ -1773,9 +1774,10 @@ def test_package_uses_nothing_the_fast_exit_skips():
 
 def test_package_has_no_unused_definitions():
     # every top-level function and class is named by other package code;
-    # the acceptance criteria call these five directly
+    # the acceptance criteria call these six directly
     criteria = {"chain_constants", "neumann_inverse", "inverse_sqrt",
-                "spectral_inverse_sqrt", "mc_membership_frequencies"}
+                "spectral_inverse_sqrt", "mc_membership_frequencies",
+                "decay_certificate"}
     pkg = Path(__file__).resolve().parents[1] / "src" / "dyadwave"
     tops = [(path.name, top) for path in sorted(pkg.glob("*.py"))
             for top in ast.parse(path.read_text()).body]
@@ -1790,6 +1792,26 @@ def test_package_has_no_unused_definitions():
                           for j, names in enumerate(named) if j != i)]
     assert len(tops) > 100
     assert unused == []
+
+
+def test_every_generator_comes_from_stream_rng():
+    # seeding.stream_rng is the package's one generator constructor, so no
+    # other module names np.random or imports from numpy.random
+    pkg = Path(__file__).resolve().parents[1] / "src" / "dyadwave"
+    named = [f"{path.name}:{node.lineno}"
+             for path in sorted(pkg.glob("*.py")) if path.name != "seeding.py"
+             for node in ast.walk(ast.parse(path.read_text()))
+             if (isinstance(node, ast.Attribute) and node.attr == "random"
+                 and isinstance(node.value, ast.Name)
+                 and node.value.id in ("np", "numpy"))
+             or (isinstance(node, ast.ImportFrom)
+                 and (node.module or "").startswith("numpy")
+                 and ("random" in node.module
+                      or any(a.name == "random" for a in node.names)))
+             or (isinstance(node, ast.Import)
+                 and any(a.name.startswith("numpy.random")
+                         for a in node.names))]
+    assert named == []
 
 
 def test_every_default_is_set_by_package_code():
@@ -1963,8 +1985,8 @@ import os, sys
 from dyadwave.cli import main
 if main(sys.argv[1:]) != 0:
     raise SystemExit("command failed")
-package = [m for m in sys.modules if m.startswith("dyadwave")]
-print(sum(os.path.getsize(sys.modules[m].__file__) for m in package))
+print([m.__file__ for name, m in sys.modules.items()
+       if name.startswith("dyadwave")])
 print([m for m in {modules!r} if m in sys.modules])
 """
 CONSTRUCTION = ("dyadwave.nets", "dyadwave.randgrid", "dyadwave.seeding",
@@ -1973,10 +1995,32 @@ CONSTRUCTION = ("dyadwave.nets", "dyadwave.randgrid", "dyadwave.seeding",
 PROBED = CONSTRUCTION + ("dyadwave.space", "dyadwave.pipeline")
 
 
+def code_size(path) -> int:
+    """Characters of a module's source that are neither white space nor
+    part of a comment or a docstring."""
+    text = Path(path).read_text()
+    lines = text.splitlines()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type == tokenize.COMMENT:
+            row, col = tok.start
+            lines[row - 1] = lines[row - 1][:col]
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                              ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            # ast offsets count UTF-8 bytes
+            doc = node.body[0]
+            first, last = doc.lineno - 1, doc.end_lineno - 1
+            head = lines[first].encode()[:doc.col_offset].decode()
+            tail = lines[last].encode()[doc.end_col_offset:].decode()
+            lines[first:last + 1] = [head + tail] + [""] * (last - first)
+    return sum(len("".join(line.split())) for line in lines)
+
+
 @pytest.fixture(scope="module")
 def command_loads(tmp_path_factory):
-    """{command: (package source bytes loaded, the PROBED modules loaded)}
-    of one run of each command in a fresh interpreter."""
+    """{command: (code size of the package source loaded, the PROBED
+    modules loaded)} of one run of each command in a fresh interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
     root = tmp_path_factory.mktemp("imports")
     (root / "sig.csv").write_text("1.5\n" * 16)
@@ -1991,8 +2035,9 @@ def command_loads(tmp_path_factory):
              *argv], capture_output=True, text=True, timeout=120,
             cwd=root, env={**os.environ, "PYTHONPATH": str(src)})
         assert out.returncode == 0, out.stderr
-        size, modules = out.stdout.strip().splitlines()[-2:]
-        loads[argv[0]] = int(size), modules
+        files, modules = out.stdout.strip().splitlines()[-2:]
+        loads[argv[0]] = (sum(map(code_size, ast.literal_eval(files))),
+                          modules)
     return loads
 
 
@@ -2016,11 +2061,12 @@ def test_each_command_imports_only_the_modules_it_runs(command_loads):
 
 
 def test_each_command_compiles_no_more_package_source(command_loads):
-    # the bytes of package source each command loads, which a run
-    # without a bytecode cache compiles: build and verify no more than
-    # the modules they run, analyze none of space or the pipeline
-    bounds = {"gen": 63_779, "build": 146_580, "verify": 168_044,
-              "analyze": 40_000, "boundary": 98_306}
+    # the code, without comments and docstrings, of the package source
+    # each command loads, which a run without a bytecode cache compiles:
+    # no more than the modules each command runs, analyze none of space
+    # or the pipeline
+    bounds = {"gen": 24_095, "build": 75_836, "verify": 85_215,
+              "analyze": 23_074, "boundary": 41_909}
     sizes = {command: size for command, (size, _) in command_loads.items()}
     assert all(sizes[command] <= bounds[command] for command in bounds), sizes
 

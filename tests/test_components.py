@@ -127,7 +127,7 @@ def test_basis_vanishes_outside_its_component_support(kind, params, delta):
     zeros = 0
     for k, sl in basis.blocks.items():
         base = pre_wavelets(space, nets, mra, k)[0]
-        count, label = connected_components(basis.mgram[k] != 0.0,
+        count, label = connected_components(basis.mgram[k].dense() != 0.0,
                                              directed=False)
         # columns where some pre-wavelet of the component is nonzero
         support = np.zeros((count, space.n), dtype=bool)

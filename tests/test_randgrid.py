@@ -9,6 +9,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import randgrid_oracle as oracle
+from dyadwave import randgrid
 from dyadwave.errors import DyadwaveError, OrderViolation
 from dyadwave.nets import NestedNets, build_nets
 from dyadwave.randgrid import (
@@ -195,6 +196,29 @@ def test_chain_implications_on_small_metric_spaces():
         assert rep["inner_sandwich_x_violations"] == 0
         assert rep["outer_z_max_ratio"] <= 1.0
         assert rep["outer_x_max_ratio"] <= 1.0
+
+
+@pytest.mark.parametrize("dist,levels", [(1e-9, 30), (1e-60, 200)])
+def test_grid_checks_assigns_the_draws_of_few_points_at_once(
+        monkeypatch, dist, levels):
+    # a block holds up to max(n^2, 2^16) entries of a (draws, n) array, so
+    # two points take their 32 draws in one block, and one walk over the
+    # levels; the per-draw oracle checks the bits where it is quick
+    sp = build_space(np.array([[0.0, dist], [dist, 0.0]]), np.ones(2))
+    nets, labels, tables = setup(sp)
+    assert nets.k_max - nets.k_min >= levels - 1
+    counts = []
+
+    def counted(nets, parents, draws, count):
+        counts.append(count)
+        return cube_assignments(nets, parents, draws, count)
+
+    monkeypatch.setattr(randgrid, "cube_assignments", counted)
+    rep = grid_checks(sp, nets, labels, tables, seed=4, num_samples=32)
+    assert counts == [32]
+    if levels <= 30:
+        assert rep == oracle.grid_checks(sp, nets, reference(sp, nets),
+                                         labels, seed=4, num_samples=32)
 
 
 def test_grid_checks_exact_gates_on_fleet():

@@ -81,8 +81,14 @@ def test_gram_certificates_never_form_a_dense_spline_gram(monkeypatch):
     nets, mra, basis = assemble(space, RANDOMIZED[0][2])
     want = _dumps(oracle.gram_decay_certificates(space, nets, mra, basis))
 
+    # both kinds of Gram are held as blocks, and some pre-wavelet Gram has
+    # a component of more than one row
+    assert all(isinstance(gram, GramBlocks)
+               for gram in (*mra.grams.values(), *basis.mgram.values()))
+    assert any(gram.larger for gram in basis.mgram.values())
+
     def refuse(self):
-        raise AssertionError("a spline Gram was made dense")
+        raise AssertionError("a Gram was made dense")
 
     monkeypatch.setattr(GramBlocks, "dense", refuse)
     assert _dumps(gram_decay_certificates(space, nets, mra, basis)) == want
